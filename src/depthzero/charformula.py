@@ -17,7 +17,10 @@ inverse root of unity, hence stays inside the ring.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from math import lcm
+
+import numpy as np
 
 from .characters import (
     CoverCharacter,
@@ -36,10 +39,14 @@ from .localmodel import (
 )
 from .tori import (
     T1Coinv,
+    T1Rational,
+    T2Coinv,
+    T2Rational,
     WeylElem,
     canonical_rep,
     coinv_mul,
     coinvariant_norm,
+    coordinate_array,
     default_positive_roots,
     enumerate_coinvariants,
     half_sum_vector,
@@ -47,7 +54,6 @@ from .tori import (
     iter_strongly_regular,
     lift_of_rational,
     mu_unit,
-    parity_classes,
     positive_system,
     rational_weyl_group,
     root_value_coord,
@@ -56,6 +62,7 @@ from .tori import (
     torus_level,
     unit_class_order,
     weyl_apply,
+    weyl_apply_array,
     weyl_compose,
     weyl_group,
     weyl_identity,
@@ -392,6 +399,117 @@ def orbit_character_sum(ctx: FormulaContext, base: DepthZeroCharacter,
 
 
 # ---------------------------------------------------------------------------
+# the batched engine
+
+
+def first_unequal_sum(order: int, lhs: np.ndarray, rhs: np.ndarray):
+    """Index of the first entry, in C order over the leading axes, where
+    the sum of zeta_order^lhs[..., k] differs from that of rhs; None if all
+    are equal.
+
+    Equal exponent multisets give equal sums, so sorted rows decide most
+    entries; rows whose multisets differ may still be equal in the ring
+    and are reduced exactly with ``sum_of_roots``.
+    """
+    same = (np.sort(lhs, axis=-1) == np.sort(rhs, axis=-1)).all(axis=-1)
+    for idx in np.argwhere(~same):
+        i = tuple(int(k) for k in idx)
+        if sum_of_roots(order, lhs[i].tolist()) != sum_of_roots(order, rhs[i].tolist()):
+            return i
+    return None
+
+
+def _dot(exponents, coords):
+    return sum(int(e) * c for e, c in zip(exponents, coords))
+
+
+class SumTables:
+    """``theta`` and ``orbit_character_sum`` on a grid of strongly regular
+    elements times rational Weyl labels, as integer exponent tables.
+
+    Everything that does not depend on the character is computed once
+    here: the moved rational coordinates of each gamma, the moved
+    coinvariant lifts, their parity classes, and the Weyl denominator of
+    each lift.  Per character, ``theta_exponents`` and ``orbit_exponents``
+    give (G, W, S) arrays of zeta_ambient exponents (G elements, W labels,
+    S summation elements) whose sums over the last axis are exactly the
+    scalar values, with ``parity`` twisting the lifts as in ``theta``.
+    Only the default positive system is covered.
+    """
+
+    def __init__(self, ctx: FormulaContext, gammas, parity=None):
+        kind, q = ctx.kind, ctx.q
+        self.ctx = ctx
+        self.gammas = list(gammas)
+        self.labels = rational_weyl_group(kind)
+        for gamma in self.gammas:
+            if not is_strongly_regular(kind, q, gamma):
+                raise NotStronglyRegularError(f"{gamma} is not strongly regular")
+        n = unit_class_order(kind, q)
+        if 2 * n * n >= 2**63:
+            raise OverflowError(f"q = {q} exceeds the int64 range of the tables")
+        amb = ctx.ambient_order
+        rational_cls, coinv_cls = (T1Rational, T1Coinv) if kind == 1 else (T2Rational, T2Coinv)
+        lifts = [_lift(ctx, gamma, parity) for gamma in self.gammas]
+        gamma_coords = coordinate_array(rational_cls, self.gammas)
+        lift_coords = coordinate_array(coinv_cls, lifts)
+        inverses = [[weyl_inverse(weyl_compose(s, w)) for s in ctx.summation]
+                    for w in self.labels]
+
+        def moved(cls, coords):
+            """Coordinate-first (d, G, W, S) array of the moved elements."""
+            table = np.stack([
+                np.stack([weyl_apply_array(q, m, cls, coords) for m in row], axis=1)
+                for row in inverses
+            ], axis=1)
+            return np.ascontiguousarray(np.moveaxis(table, -1, 0))
+
+        self.moved_gamma = moved(rational_cls, gamma_coords)
+        moved_lift = moved(coinv_cls, lift_coords)
+        rank = gamma_coords.shape[1]
+        self.moved_units = moved_lift[:rank]
+        if kind == 1:
+            self.parity_index = 2 * moved_lift[2] + moved_lift[3]
+            self.parity_keys = list(product((0, 1), repeat=2))
+        else:
+            self.parity_index = moved_lift[1]
+            self.parity_keys = [0, 1]
+        den = np.array([weyl_denominator_exponent(ctx, canonical_rep(lift)) for lift in lifts],
+                       dtype=np.int64)
+        shift = -den * (amb // 4) + (amb // 2 if ctx.epsilon_chi < 0 else 0)
+        self.theta_shift = (shift % amb)[:, None, None]
+        self.orbit_shift = amb // 2 if ctx.epsilon_gt < 0 else 0
+
+    def _check_character(self, chi):
+        if chi.kind != self.ctx.kind or chi.q != self.ctx.q:
+            raise ValueError("character does not match the context")
+
+    def theta_exponents(self, chi: CoverCharacter) -> np.ndarray:
+        """The cover character on the moved lifts, minus the denominator."""
+        self._check_character(chi)
+        n, amb = unit_class_order(self.ctx.kind, self.ctx.q), self.ctx.ambient_order
+        table = dict(chi.hvalues)
+        signs = np.array([amb // 2 if table[k] < 0 else 0 for k in self.parity_keys],
+                         dtype=np.int64)
+        units = -_dot(chi.base.exponents, self.moved_units) % n
+        return (units * (amb // n) + signs[self.parity_index] + self.theta_shift) % amb
+
+    def orbit_exponents(self, base: DepthZeroCharacter) -> np.ndarray:
+        """The base character on the moved rational elements."""
+        self._check_character(base)
+        n, amb = unit_class_order(self.ctx.kind, self.ctx.q), self.ctx.ambient_order
+        units = _dot(base.exponents, self.moved_gamma) % n
+        return (units * (amb // n) + self.orbit_shift) % amb
+
+    def first_mismatch(self, chi: CoverCharacter):
+        """(gamma index, label index) of the first (gamma, w), gamma outer,
+        where theta differs from the orbit sum of ``chi.base``; None if none."""
+        return first_unequal_sum(
+            self.ctx.ambient_order, self.theta_exponents(chi), self.orbit_exponents(chi.base)
+        )
+
+
+# ---------------------------------------------------------------------------
 # packets
 
 
@@ -429,11 +547,6 @@ def packet(ctx: FormulaContext, chi: CoverCharacter) -> Packet:
         classes=tuple(tuple(c) for c in classes),
         functions=tuple(sorted(tables.items())),
     )
-
-
-def parity_twists(kind: int, q: int):
-    """All norm-kernel classes, used as lift twists in independence checks."""
-    return parity_classes(kind, q)
 
 
 def positive_system_contexts(kind: int):

@@ -29,10 +29,10 @@ from .characters import (
 )
 from .charformula import (
     FormulaContext,
+    SumTables,
     denominator_factors,
     make_context,
     named_summation_subgroup,
-    orbit_character_sum,
     packet,
     positive_system_contexts,
     rho_shift_closed_sign,
@@ -355,24 +355,19 @@ def check_formula_equals_orbit_sum(params):
     kind, q, branch = params["kind"], params["q"], params["branch"]
     ctx = _context_from_params(params)
     chars, regular_count = _character_pool(kind, q)
-    gammas = list(iter_strongly_regular(kind, q))
-    labels = rational_weyl_group(kind)
-    comparisons = 0
+    tables = SumTables(ctx, iter_strongly_regular(kind, q))
     for chi in chars:
-        cov = cover_character(chi)
-        for gamma in gammas:
-            for w in labels:
-                lhs = theta(ctx, cov, w, gamma)
-                rhs = orbit_character_sum(ctx, chi, w, gamma)
-                comparisons += 1
-                if lhs != rhs:
-                    return _fail({
-                        "character": character_to_descriptor(chi, branch),
-                        "gamma": str(gamma),
-                        "w": w.name,
-                    })
+        hit = tables.first_mismatch(cover_character(chi))
+        if hit is not None:
+            g, w = hit
+            return _fail({
+                "character": character_to_descriptor(chi, branch),
+                "gamma": str(tables.gammas[g]),
+                "w": tables.labels[w].name,
+            })
+    comparisons = len(chars) * len(tables.gammas) * len(tables.labels)
     return _ok({"characters": len(chars), "regular_characters": regular_count,
-                "elements": len(gammas), "comparisons": comparisons})
+                "elements": len(tables.gammas), "comparisons": comparisons})
 
 
 def check_lift_independence_formula(params):
@@ -396,7 +391,7 @@ def check_lift_independence_formula(params):
             cov = cover_character(chi)
             base_val = theta(ctx, cov, one, gamma)
             for tw in twists:
-                if theta(ctx, cov, one, gamma, parity=_parity_of(tw)) != base_val:
+                if theta(ctx, cov, one, gamma, parity=tw) != base_val:
                     return _fail({
                         "character": character_to_descriptor(chi),
                         "gamma": str(gamma),
@@ -408,10 +403,6 @@ def check_lift_independence_formula(params):
 def _full_parity(kind, q):
     cls = parity_classes(kind, q)
     return cls[-1]
-
-
-def _parity_of(tw):
-    return tw
 
 
 def check_denominator_representatives(params):

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
+
 from . import snf
 from .ffield import FFElem
 from .localmodel import UnitVal, uv_galois, uv_inv, uv_mul, uv_pow
@@ -444,6 +446,50 @@ def weyl_apply(q: int, w: WeylElem, x):
         proj_val = vw - vz
         return t2_coinv(x.q, proj_dlog, proj_val)
     raise TypeError(f"cannot apply Weyl element to {type(x).__name__}")
+
+
+_COORD_FIELDS = {
+    T1Rational: ("k1", "k2"),
+    T1Coinv: ("u1", "u2", "v1", "v2"),
+    T2Rational: ("k",),
+    T2Coinv: ("u", "v"),
+}
+
+
+def coordinate_array(cls, xs) -> np.ndarray:
+    """Coordinates of same-type torus elements, one int64 row each, in the
+    field order of ``cls`` (``q`` omitted)."""
+    names = _COORD_FIELDS[cls]
+    return np.array(
+        [[getattr(x, f) for f in names] for x in xs], dtype=np.int64
+    ).reshape(-1, len(names))
+
+
+def weyl_apply_array(q: int, w: WeylElem, cls, coords: np.ndarray) -> np.ndarray:
+    """``weyl_apply`` on every row of a ``coordinate_array(cls, ...)``.
+
+    Torus-2 coinvariants use the pair-model projection directly on the
+    normal form: u -> (m00 - q m10) u mod q^2+1, v -> (m00 - m10) v mod 2.
+    """
+    m = np.array(w.mat, dtype=np.int64)
+    if cls is T1Rational:
+        return (coords @ m.T) % (q + 1)
+    if cls is T1Coinv:
+        return np.concatenate(
+            [(coords[:, :2] @ m.T) % (q + 1), (coords[:, 2:] @ m.T) % 2], axis=1
+        )
+    if not is_rational(w):
+        raise NonRationalWeylError(f"{w.name!r} does not act on {cls.__name__}")
+    n = q * q + 1
+    if cls is T2Rational:
+        return (coords * (m[0, 0] + q * m[0, 1])) % n
+    if cls is T2Coinv:
+        return np.stack(
+            [(coords[:, 0] * (m[0, 0] - q * m[1, 0])) % n,
+             (coords[:, 1] * (m[0, 0] - m[1, 0])) % 2],
+            axis=1,
+        )
+    raise TypeError(f"cannot apply Weyl element to {cls.__name__}")
 
 
 def weyl_apply_pair(q: int, w: WeylElem, pair):

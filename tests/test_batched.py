@@ -1,0 +1,223 @@
+"""The batched exact engine against the scalar oracles.
+
+``theta``, ``orbit_character_sum`` and ``weyl_apply`` are the reference
+implementations; the engine's exponent tables must reduce to exactly
+their values, and the batched identity check must give the scalar
+loop's outcome, witness and counts, also on deliberately broken models.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from depthzero import characters, charformula, driver
+from depthzero.characters import cover_character
+from depthzero.charformula import (
+    NotStronglyRegularError,
+    SumTables,
+    first_unequal_sum,
+    make_context,
+    named_summation_subgroup,
+    orbit_character_sum,
+    theta,
+)
+from depthzero.cyclo import sum_of_roots
+from depthzero.dualgroup import cover_class_values
+from depthzero.tori import (
+    NonRationalWeylError,
+    T1Coinv,
+    T1Rational,
+    T2Coinv,
+    T2Rational,
+    coordinate_array,
+    enumerate_coinvariants,
+    iter_rational,
+    iter_strongly_regular,
+    parity_classes,
+    rational_weyl_group,
+    t1_rational,
+    t2_rational,
+    weyl_apply,
+    weyl_apply_array,
+    weyl_group,
+)
+
+
+def _assert_matches_scalar(ctx, parity=None):
+    kind, q = ctx.kind, ctx.q
+    chars, _ = driver._character_pool(kind, q)
+    tables = SumTables(ctx, iter_strongly_regular(kind, q), parity=parity)
+    amb = ctx.ambient_order
+    for chi in chars:
+        cov = cover_character(chi)
+        lhs = tables.theta_exponents(cov)
+        rhs = tables.orbit_exponents(chi)
+        assert lhs.shape == rhs.shape == (
+            len(tables.gammas), len(tables.labels), len(ctx.summation))
+        for g, gamma in enumerate(tables.gammas):
+            for i, w in enumerate(tables.labels):
+                assert sum_of_roots(amb, lhs[g, i].tolist()) == theta(
+                    ctx, cov, w, gamma, parity=parity), (chi, gamma, w)
+                assert sum_of_roots(amb, rhs[g, i].tolist()) == orbit_character_sum(
+                    ctx, chi, w, gamma), (chi, gamma, w)
+
+
+@pytest.mark.parametrize("branch", [1, -1])
+@pytest.mark.parametrize("kind,q", [(1, 3), (2, 3), (1, 5), (2, 5)])
+def test_tables_match_scalar_on_every_twist(kind, q, branch):
+    ctx = make_context(kind, q, eta_branch=branch)
+    for tw in parity_classes(kind, q):
+        _assert_matches_scalar(ctx, parity=tw)
+
+
+@pytest.mark.parametrize("summation,epsilon_gt,epsilon_chi", [
+    ("full", -1, 1),
+    ("full", 1, -1),
+    ("rotation", -1, -1),
+    ("trivial", 1, -1),
+])
+@pytest.mark.parametrize("kind,q", [(1, 3), (2, 3), (1, 5), (2, 5)])
+def test_tables_match_scalar_across_summation_and_signs(kind, q, summation,
+                                                        epsilon_gt, epsilon_chi):
+    ctx = make_context(kind, q, summation=named_summation_subgroup(kind, summation),
+                       epsilon_gt=epsilon_gt, epsilon_chi=epsilon_chi)
+    _assert_matches_scalar(ctx)
+
+
+def _elements(cls, q):
+    if cls in (T1Rational, T2Rational):
+        return list(iter_rational(1 if cls is T1Rational else 2, q))
+    return list(enumerate_coinvariants(1 if cls is T1Coinv else 2, q))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("cls", [T1Rational, T1Coinv, T2Rational, T2Coinv])
+def test_vectorised_weyl_action_matches_scalar(cls, q):
+    kind = 1 if cls in (T1Rational, T1Coinv) else 2
+    xs = _elements(cls, q)
+    coords = coordinate_array(cls, xs)
+    for w in rational_weyl_group(kind):
+        expected = coordinate_array(cls, [weyl_apply(q, w, x) for x in xs])
+        np.testing.assert_array_equal(weyl_apply_array(q, w, cls, coords), expected)
+
+
+@pytest.mark.parametrize("cls", [T2Rational, T2Coinv])
+def test_vectorised_weyl_action_rejects_non_rational(cls):
+    coords = coordinate_array(cls, _elements(cls, 3))
+    irrational = [w for w in weyl_group(2) if w not in rational_weyl_group(2)]
+    assert irrational
+    for w in irrational:
+        with pytest.raises(NonRationalWeylError):
+            weyl_apply_array(3, w, cls, coords)
+
+
+# ---------------------------------------------------------------------------
+# the batched check against the scalar loop
+
+
+def _scalar_check(params):
+    """The per-element loop of the identity check, kept as its reference."""
+    kind, q, branch = params["kind"], params["q"], params["branch"]
+    ctx = driver._context_from_params(params)
+    chars, regular_count = driver._character_pool(kind, q)
+    gammas = list(iter_strongly_regular(kind, q))
+    labels = rational_weyl_group(kind)
+    comparisons = 0
+    for chi in chars:
+        cov = cover_character(chi)
+        for gamma in gammas:
+            for w in labels:
+                comparisons += 1
+                if theta(ctx, cov, w, gamma) != orbit_character_sum(ctx, chi, w, gamma):
+                    return driver._fail({
+                        "character": characters.character_to_descriptor(chi, branch),
+                        "gamma": str(gamma),
+                        "w": w.name,
+                    })
+    return driver._ok({"characters": len(chars), "regular_characters": regular_count,
+                       "elements": len(gammas), "comparisons": comparisons})
+
+
+CASES = [(1, 3, 1), (1, 5, 1), (2, 3, -1), (2, 5, 1)]
+
+
+@pytest.mark.parametrize("kind,q,branch", CASES)
+def test_check_matches_scalar_loop(kind, q, branch):
+    params = {"kind": kind, "q": q, "branch": branch}
+    got = driver.check_formula_equals_orbit_sum(params)
+    assert got == _scalar_check(params)
+    assert got[0] == "PASS"
+    assert all(type(v) is int for v in got[2].values())
+
+
+def _first_dlog(rep):
+    return (rep[0] if isinstance(rep, tuple) else rep).residue.dlog
+
+
+@pytest.mark.parametrize("kind,q,branch", CASES)
+def test_broken_denominator_fails_with_scalar_witness(kind, q, branch, monkeypatch):
+    original = charformula.weyl_denominator_exponent
+
+    def broken(ctx, rep):
+        shift = 2 if _first_dlog(rep) % 3 == 1 else 0
+        return (original(ctx, rep) + shift) % 4
+
+    monkeypatch.setattr(charformula, "weyl_denominator_exponent", broken)
+    params = {"kind": kind, "q": q, "branch": branch}
+    got = driver.check_formula_equals_orbit_sum(params)
+    assert got[0] == "FAIL"
+    assert got == _scalar_check(params)
+
+
+def test_tables_follow_odd_denominator_exponents(monkeypatch):
+    # the model's denominators are even; an odd one tells D from D^-1
+    original = charformula.weyl_denominator_exponent
+    monkeypatch.setattr(charformula, "weyl_denominator_exponent",
+                        lambda ctx, rep: (original(ctx, rep) + _first_dlog(rep)) % 4)
+    for kind in (1, 2):
+        _assert_matches_scalar(make_context(kind, 3))
+
+
+@pytest.mark.parametrize("kind,q", [(1, 3), (1, 5), (2, 3), (2, 5)])
+def test_flipped_cover_sign_fails_on_twisted_lifts(kind, q, monkeypatch):
+    ctx = make_context(kind, q)
+    chars, _ = driver._character_pool(kind, q)
+    twisted = parity_classes(kind, q)[-1]
+    tables = SumTables(ctx, iter_strongly_regular(kind, q), parity=twisted)
+    assert all(tables.first_mismatch(cover_character(chi)) is None for chi in chars)
+
+    twisted_key = max(cover_class_values(kind))
+
+    @functools.lru_cache(maxsize=None)
+    def flipped(kind, order=24):
+        values = dict(cover_class_values(kind, order))
+        values[twisted_key] = -values[twisted_key]
+        return values
+
+    monkeypatch.setattr(characters, "cover_class_values", flipped)
+    assert any(tables.first_mismatch(cover_character(chi)) is not None for chi in chars)
+
+
+def test_rejects_non_strongly_regular_elements():
+    for kind, gamma in ((1, t1_rational(3, 0, 0)), (2, t2_rational(3, 0))):
+        with pytest.raises(NotStronglyRegularError):
+            SumTables(make_context(kind, 3), [gamma])
+
+
+def test_character_must_match_context():
+    tables = SumTables(make_context(2, 3), iter_strongly_regular(2, 3))
+    chi = characters.DepthZeroCharacter(2, 5, (1,))
+    with pytest.raises(ValueError):
+        tables.orbit_exponents(chi)
+    with pytest.raises(ValueError):
+        tables.theta_exponents(cover_character(chi))
+
+
+def test_exact_fallback_decides_multiset_different_sums():
+    # zeta_4^0 + zeta_4^2 = 0 = zeta_4^1 + zeta_4^3, with different multisets
+    assert first_unequal_sum(4, np.array([[0, 2]]), np.array([[1, 3]])) is None
+    lhs = np.array([[[0, 2], [0, 0]], [[1, 1], [0, 1]]])
+    rhs = np.array([[[1, 3], [0, 0]], [[1, 1], [2, 3]]])
+    assert first_unequal_sum(4, lhs, rhs) == (1, 1)
+    assert first_unequal_sum(4, rhs, rhs) is None
