@@ -31,7 +31,6 @@ from .tori import (
     coinvariant_norm,
     rational_weyl_group,
     unit_class_order,
-    weyl_apply,
     weyl_inverse,
 )
 
@@ -152,11 +151,6 @@ def cover_character(base: DepthZeroCharacter) -> CoverCharacter:
 
 def cover_weyl_conjugate(chi: CoverCharacter, w: WeylElem) -> CoverCharacter:
     return CoverCharacter(weyl_conjugate(chi.base, w), chi.hvalues)
-
-
-def cover_eval_via_class(chi: CoverCharacter, c, w: WeylElem) -> int:
-    """Exponent of (w_* chi)(c) = chi(w^-1 c w)."""
-    return chi.eval_exponent(weyl_apply(chi.q, weyl_inverse(w), c))
 
 
 # ---------------------------------------------------------------------------

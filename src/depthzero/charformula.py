@@ -28,7 +28,7 @@ from .characters import (
     value_order,
 )
 from .cyclo import CycInt, root_of_unity, sum_of_roots
-from .ffield import FieldTower
+from .ffield import FieldTower, prime_power
 from .localmodel import (
     UnitVal,
     eta_exponent,
@@ -127,8 +127,11 @@ def make_context(kind, q, *, need_tower=True, eta_branch=1, summation=None,
                  budget=200_000_000) -> FormulaContext:
     tower = None
     if need_tower:
+        p_e = prime_power(q)
+        if p_e is None:
+            raise ValueError(f"q = {q} is not a prime power")
         tower = FieldTower.build(
-            *_prime_power(q), seed=seed, max_level=torus_level(kind),
+            *p_e, seed=seed, max_level=torus_level(kind),
             budget=budget, cache_dir=cache_dir,
         )
     return FormulaContext(
@@ -136,20 +139,6 @@ def make_context(kind, q, *, need_tower=True, eta_branch=1, summation=None,
         summation=tuple(summation) if summation else (),
         epsilon_gt=epsilon_gt, epsilon_chi=epsilon_chi,
     )
-
-
-def _prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise ValueError(f"q = {q} is not a prime power")
-            return p, e
-    raise ValueError(f"q = {q} is not a prime power")
 
 
 # ---------------------------------------------------------------------------

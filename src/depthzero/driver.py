@@ -16,20 +16,27 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from itertools import product
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .characters import (
     character_to_descriptor,
     cover_character,
+    enumerate_characters,
     enumerate_regular_characters,
     weyl_conjugate,
 )
 from .charformula import (
     FormulaContext,
     SumTables,
+    _two_rho_eta_exponent,
+    delta0_eta_exponent,
     denominator_factors,
     make_context,
     named_summation_subgroup,
@@ -51,7 +58,8 @@ from .dualgroup import (
     reflection_square_check,
     weyl_action_checks,
 )
-from .ffield import BudgetExceededError, is_prime
+from .ffield import BudgetExceededError, prime_power
+from .localmodel import unit
 from .tori import (
     canonical_rep,
     coinv_mul,
@@ -60,9 +68,16 @@ from .tori import (
     coinvariant_norm,
     coinvariant_order,
     enumerate_coinvariants,
+    is_strongly_regular,
     iter_strongly_regular,
     lift_of_rational,
+    pair_from_quad,
+    pair_galois,
+    pair_norm,
     parity_classes,
+    project_to_coinvariants,
+    quad_from_pair,
+    quad_galois,
     rational_order,
     rational_weyl_group,
     tate_cohomology,
@@ -79,78 +94,101 @@ from .uniqueness import (
 )
 
 SCHEMA_VERSION = 1
-SUBCOMMANDS = ("cohomology", "chevalley", "identity", "thresholds", "uniqueness", "all")
+SUMMATIONS = ("full", "rotation", "trivial")
+FORMATS = ("json", "csv", "md")
 
 
 class ConfigError(ValueError):
     pass
 
 
+# ---------------------------------------------------------------------------
+# configuration: every option is declared once, as a Config field
+
+
+def _words(text: str) -> list[str]:
+    return [v for v in text.replace(" ", "").split(",") if v]
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in _words(text)]
+
+
+def _require(ok, message):
+    """A validation rule: `message`, formatted with the value, unless ok(value)."""
+    return lambda value: None if ok(value) else message.format(value)
+
+
+_POSITIVE_BUDGET = _require(lambda v: v >= 1, "budget: budgets must be positive")
+
+
+def _check_qs(qs):
+    for q in qs or ():
+        if q % 2 == 0 or prime_power(q) is None:
+            return f"q: {q} is not an odd prime power"
+    return None
+
+
+def option(default, flag, parse=int, *, check=None, echo=lambda value: value, **argument):
+    """A Config field with its command-line flag, the parser of its text form
+    (flag value or config-file value; int options are also typed by argparse),
+    its validation rule, how report.json echoes it (None: not at all), and any
+    extra argparse keywords.  The config file accepts the field name and the
+    flag's dest as keys."""
+    meta = {"flag": flag, "dest": flag.lstrip("-").replace("-", "_"), "parse": parse,
+            "check": check, "echo": echo, "argument": argument}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class Config:
-    qs: list[int] | None = None
-    q_max: int = 200
-    kinds: list[int] = field(default_factory=lambda: [1, 2])
-    eta_branches: list[int] = field(default_factory=lambda: [1, -1])
-    cyclotomic_order: int = 24
-    summation: str = "full"
-    epsilon_gt: int = 1
-    jobs: int = 1
-    out_dir: str | None = None
-    formats: list[str] = field(default_factory=lambda: ["json", "csv", "md"])
-    cache_dir: str | None = None
-    seed: int = 0
-    budget_entries: int = 200_000_000
-    budget_evals: int = 100_000_000
+    qs: list[int] | None = option(None, "--q", _int_list, check=_check_qs,
+                                  help="comma-separated odd prime powers")
+    q_max: int = option(200, "--q-max", check=_require(lambda v: v >= 3, "q_max: {} is too small"))
+    kinds: list[int] = option(
+        [1, 2], "--kind", lambda t: [1, 2] if t == "both" else _int_list(t),
+        choices=["1", "2", "both"],
+        check=_require(lambda v: set(v) <= {1, 2}, "kind: entries must be 1 or 2, got {}"))
+    eta_branches: list[int] = option(
+        [1, -1], "--eta-branch",
+        lambda t: {"plus": [1], "minus": [-1], "both": [1, -1]}.get(t) or _int_list(t),
+        choices=["plus", "minus", "both"],
+        check=_require(lambda v: set(v) <= {1, -1}, "eta_branch: entries must be +-1, got {}"),
+        echo=lambda v: ["plus" if b == 1 else "minus" for b in v])
+    cyclotomic_order: int = option(24, "--cyclotomic-order", check=_require(
+        lambda v: v % 2 == 0 and v >= 4, "cyclotomic_order: {} must be even and >= 4"))
+    summation: str = option("full", "--summation", str, choices=SUMMATIONS, check=_require(
+        lambda v: v in SUMMATIONS, "summation: unknown value {!r}"))
+    epsilon_gt: int = option(1, "--epsilon-gt", check=_require(
+        lambda v: v in (1, -1), "epsilon_gt: must be +-1, got {}"))
+    # execution only: recorded in run_meta.json, so reports do not depend on it
+    jobs: int = option(1, "--jobs", echo=None,
+                       check=_require(lambda v: v >= 1, "jobs: must be >= 1, got {}"))
+    out_dir: str | None = option(None, "--out", str, echo=None)
+    formats: list[str] = option(
+        list(FORMATS), "--format", _words, help="comma-separated: json,csv,md", check=_require(
+            lambda v: set(v) <= set(FORMATS), "format: entries must be json, csv or md, got {}"))
+    cache_dir: str | None = option(None, "--cache-dir", str, echo=None)
+    seed: int = option(0, "--seed", check=_require(lambda v: v >= 0, "seed: must be >= 0, got {}"))
+    budget_entries: int = option(200_000_000, "--budget-entries", check=_POSITIVE_BUDGET)
+    budget_evals: int = option(100_000_000, "--budget-evals", check=_POSITIVE_BUDGET)
 
     def validate(self) -> None:
-        if self.qs is not None:
-            for q in self.qs:
-                if q < 3 or q % 2 == 0:
-                    raise ConfigError(f"q: {q} is not an odd prime power")
-                p = min(f for f in range(2, q + 1) if q % f == 0)
-                m = q
-                while m % p == 0:
-                    m //= p
-                if m != 1 or not is_prime(p):
-                    raise ConfigError(f"q: {q} is not an odd prime power")
-        if self.q_max < 3:
-            raise ConfigError(f"q_max: {self.q_max} is too small")
-        if any(k not in (1, 2) for k in self.kinds):
-            raise ConfigError(f"kind: entries must be 1 or 2, got {self.kinds}")
-        if any(b not in (1, -1) for b in self.eta_branches):
-            raise ConfigError(f"eta_branch: entries must be +-1, got {self.eta_branches}")
-        if self.cyclotomic_order % 2 or self.cyclotomic_order < 4:
-            raise ConfigError(f"cyclotomic_order: {self.cyclotomic_order} must be even and >= 4")
-        if self.summation not in ("full", "rotation", "trivial"):
-            raise ConfigError(f"summation: unknown value {self.summation!r}")
-        if self.epsilon_gt not in (1, -1):
-            raise ConfigError(f"epsilon_gt: must be +-1, got {self.epsilon_gt}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs: must be >= 1, got {self.jobs}")
-        if any(f not in ("json", "csv", "md") for f in self.formats):
-            raise ConfigError(f"format: entries must be json, csv or md, got {self.formats}")
-        if self.seed < 0:
-            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
-        if self.budget_entries < 1 or self.budget_evals < 1:
-            raise ConfigError("budget: budgets must be positive")
+        for f in fields(self):
+            error = f.metadata["check"] and f.metadata["check"](getattr(self, f.name))
+            if error:
+                raise ConfigError(error)
 
     def echo(self) -> dict:
-        return {
-            "qs": self.qs,
-            "q_max": self.q_max,
-            "kinds": self.kinds,
-            "eta_branches": ["plus" if b == 1 else "minus" for b in self.eta_branches],
-            "cyclotomic_order": self.cyclotomic_order,
-            "summation": self.summation,
-            "epsilon_gt": self.epsilon_gt,
-            "jobs": self.jobs,
-            "formats": self.formats,
-            "seed": self.seed,
-            "budget_entries": self.budget_entries,
-            "budget_evals": self.budget_evals,
-            "version": __version__,
-        }
+        shown = {f.name: f.metadata["echo"](getattr(self, f.name))
+                 for f in fields(self) if f.metadata["echo"]}
+        return {**shown, "version": __version__}
+
+
+# config-file key -> Config field
+CONFIG_KEYS = {key: f for f in fields(Config) for key in (f.name, f.metadata["dest"])}
 
 
 def _context_from_params(params) -> FormulaContext:
@@ -179,20 +217,10 @@ def _fail(witness, info=None):
     return "FAIL", witness, info or {}
 
 
-def check_pinning(params):
-    build_pinning(params["order"])
-    return _ok()
-
-
-def check_reflection_squares(params):
+def check_pinned_identity(params, holds, witness):
+    """Build the pinning; PASS if the row's predicate holds on it."""
     pin = build_pinning(params["order"])
-    return _ok() if reflection_square_check(pin) else _fail({"identity": "n^2 = coroot(-1)"})
-
-
-def check_coroot_conjugation(params):
-    pin = build_pinning(params["order"])
-    ok = coroot_conjugation_check(pin)
-    return _ok() if ok else _fail({"identity": "n coroot(t) n^-1 = image coroot(t)"})
+    return _ok() if holds(pin) else _fail(witness)
 
 
 def check_structure_signs(params):
@@ -209,25 +237,10 @@ def check_structure_signs(params):
     return _ok(info)
 
 
-def check_longest_lift(params):
-    pin = build_pinning(params["order"])
-    return _ok() if longest_lift_square_check(pin) else _fail({"identity": "longest^2"})
-
-
-def check_coxeter_lift(params):
-    pin = build_pinning(params["order"])
-    return _ok() if coxeter_lift_fourth_check(pin) else _fail({"identity": "coxeter^4"})
-
-
 def check_lift_independence(params):
     pin = build_pinning(params["order"])
     ok = lift_independence_check(pin, params["kind"], params["count"], params["seed"])
     return _ok({"samples": params["count"]}) if ok else _fail({"kind": params["kind"]})
-
-
-def check_dual_weyl_action(params):
-    pin = build_pinning(params["order"])
-    return _ok() if weyl_action_checks(pin) else _fail({"identity": "conjugation action"})
 
 
 def check_cover_values(params):
@@ -288,10 +301,6 @@ def check_splitting(params):
 
 
 def _pair_samples(kind, q, full):
-    from itertools import product as iproduct
-
-    from .localmodel import unit
-
     level_order = q ** (2 * kind) - 1
     if full:
         residues = range(level_order)
@@ -299,14 +308,12 @@ def _pair_samples(kind, q, full):
     else:
         residues = range(0, level_order, max(1, level_order // 7))
         vals = (0, 1)
-    for d1, v1, d2, v2 in iproduct(residues, vals, residues, vals):
+    for d1, v1, d2, v2 in product(residues, vals, residues, vals):
         yield (unit(q, 2 * kind, d1, v1), unit(q, 2 * kind, d2, v2))
 
 
 def check_pair_quad_roundtrip(params):
     kind, q = params["kind"], params["q"]
-    from .tori import pair_from_quad, pair_galois, quad_from_pair, quad_galois
-
     full = q == 3 and kind == 1
     count = 0
     for pair in _pair_samples(kind, q, full):
@@ -324,8 +331,6 @@ def check_pair_quad_roundtrip(params):
 
 def check_norm_consistency(params):
     kind, q = params["kind"], params["q"]
-    from .tori import pair_norm, project_to_coinvariants
-
     count = 0
     for pair in _pair_samples(kind, q, full=(q == 3)):
         direct = pair_norm(kind, q, pair)
@@ -340,8 +345,6 @@ def _character_pool(kind, q, limit=None):
     """Regular characters when they exist (the stated locus of the
     comparison); the identity needs no regularity, so fall back to the
     full character group rather than passing vacuously."""
-    from .characters import enumerate_characters
-
     chars = enumerate_regular_characters(kind, q)
     regular_count = len(chars)
     if not chars:
@@ -379,7 +382,7 @@ def check_lift_independence_formula(params):
     profile_expected = [1, 1, 2, 3] if kind == 1 else [1, 2, 1, 2]
     for gamma in iter_strongly_regular(kind, q):
         base_lift = lift_of_rational(kind, q, gamma)
-        shifted = coinv_mul(base_lift, _full_parity(kind, q))
+        shifted = coinv_mul(base_lift, twists[-1])
         profile = [d.val for d in denominator_factors(ctx, canonical_rep(shifted))]
         if profile != profile_expected:
             return _fail({"gamma": str(gamma), "valuations": profile})
@@ -400,56 +403,34 @@ def check_lift_independence_formula(params):
     return _ok({"twists": len(twists)})
 
 
-def _full_parity(kind, q):
-    cls = parity_classes(kind, q)
-    return cls[-1]
-
-
 def check_denominator_representatives(params):
     kind, q = params["kind"], params["q"]
     ctx = _context_from_params(params)
-    import random
-
     rng = random.Random(params.get("seed", 0))
     group = q ** (2 * kind) - 1
     unit_mod = q + 1 if kind == 1 else q * q + 1
+
+    def sample(u, v):  # another representative of the class (u, v)
+        return unit(q, 2 * kind, u + unit_mod * rng.randrange(group // unit_mod),
+                    v + 2 * rng.randrange(-3, 4))
+
     checked = 0
     for c in enumerate_coinvariants(kind, q):
-        if not _class_has_regular_norm(kind, q, c):
+        if not is_strongly_regular(kind, q, coinvariant_norm(c)):
             continue
         base = weyl_denominator_exponent(ctx, canonical_rep(c))
         for _ in range(params.get("samples", 100)):
-            if kind == 1:
-                from .localmodel import unit
-
-                rep = (
-                    unit(q, 2, c.u1 + unit_mod * rng.randrange(group // unit_mod),
-                         c.v1 + 2 * rng.randrange(-3, 4)),
-                    unit(q, 2, c.u2 + unit_mod * rng.randrange(group // unit_mod),
-                         c.v2 + 2 * rng.randrange(-3, 4)),
-                )
-            else:
-                from .localmodel import unit
-
-                rep = unit(q, 4, c.u + unit_mod * rng.randrange(group // unit_mod),
-                           c.v + 2 * rng.randrange(-3, 4))
+            rep = ((sample(c.u1, c.v1), sample(c.u2, c.v2)) if kind == 1
+                   else sample(c.u, c.v))
             if weyl_denominator_exponent(ctx, rep) != base:
                 return _fail({"class": str(c)})
             checked += 1
     return _ok({"representatives_checked": checked})
 
 
-def _class_has_regular_norm(kind, q, c):
-    from .tori import is_strongly_regular
-
-    return is_strongly_regular(kind, q, coinvariant_norm(c))
-
-
 def check_split_vs_combined(params):
     kind, q = params["kind"], params["q"]
     ctx = _context_from_params(params)
-    from .charformula import delta0_eta_exponent
-
     for gamma in iter_strongly_regular(kind, q):
         for tw in parity_classes(kind, q):
             lift = coinv_mul(lift_of_rational(kind, q, gamma), tw)
@@ -498,8 +479,6 @@ def check_rho_shift_unique(params):
         return _fail({"classes": mismatches[:5]})
     # the solution is a sign character, so its square is trivial; the
     # computed target must agree pointwise on the full model
-    from .charformula import _two_rho_eta_exponent
-
     for c, sign in table.items():
         if sign not in (1, -1) or _two_rho_eta_exponent(ctx, c) % 4 != 0:
             return _fail({"class": str(c), "reason": "square mismatch"})
@@ -507,12 +486,9 @@ def check_rho_shift_unique(params):
 
 
 def check_eta_branch(params):
-    kind, q = params["kind"], params["q"]
     results = {}
     for branch in (1, -1):
-        branch_params = dict(params)
-        branch_params["branch"] = branch
-        outcome, witness, info = check_formula_equals_orbit_sum(branch_params)
+        outcome, witness, _ = check_formula_equals_orbit_sum({**params, "branch": branch})
         results["plus" if branch == 1 else "minus"] = outcome
         if outcome != "PASS":
             return _fail({"branch": branch, "witness": witness})
@@ -541,11 +517,7 @@ def check_packet_conjugation(params):
                           "reason": "full summation group must give one class"})
     # with the trivial summation subgroup the classes separate conjugates
     chi = chars[0]
-    trivial_ctx = make_context(
-        kind, q, need_tower=True, eta_branch=params["branch"],
-        summation=(weyl_identity(kind),), seed=params["seed"],
-        cache_dir=params.get("cache_dir"), budget=params["budget"],
-    )
+    trivial_ctx = _context_from_params({**params, "summation": "trivial"})
     pk = packet(trivial_ctx, cover_character(chi))
     distinct = len({
         tuple(weyl_conjugate(chi, w).eval_exponent(g) for g in gammas)
@@ -631,243 +603,183 @@ def check_locus_ratio(params):
     })
 
 
-REGISTRY = {
-    "pinning": check_pinning,
-    "reflection_squares": check_reflection_squares,
-    "coroot_conjugation": check_coroot_conjugation,
-    "structure_signs": check_structure_signs,
-    "longest_lift": check_longest_lift,
-    "coxeter_lift": check_coxeter_lift,
-    "lift_independence": check_lift_independence,
-    "dual_weyl_action": check_dual_weyl_action,
-    "cover_values": check_cover_values,
-    "tate_orders": check_tate_orders,
-    "exact_sequence": check_exact_sequence,
-    "tate_representatives": check_tate_representatives,
-    "splitting": check_splitting,
-    "pair_quad_roundtrip": check_pair_quad_roundtrip,
-    "norm_consistency": check_norm_consistency,
-    "formula_equals_orbit_sum": check_formula_equals_orbit_sum,
-    "lift_independence_formula": check_lift_independence_formula,
-    "denominator_representatives": check_denominator_representatives,
-    "split_vs_combined": check_split_vs_combined,
-    "positive_systems": check_positive_systems,
-    "rho_shift_unique": check_rho_shift_unique,
-    "eta_branch": check_eta_branch,
-    "packet_conjugation": check_packet_conjugation,
-    "threshold_scan": check_threshold_scan,
-    "excluded_crosscheck": check_excluded_crosscheck,
-    "rigidity": check_rigidity,
-    "forward_conjugate": check_forward_conjugate,
-    "nonvanishing": check_nonvanishing,
-    "locus_ratio": check_locus_ratio,
-}
-
-
 # ---------------------------------------------------------------------------
-# campaign assembly
+# the campaign, declared as data
 
 
-def _base_params(cfg: Config) -> dict:
-    return {
-        "seed": cfg.seed,
-        "cache_dir": cfg.cache_dir,
-        "budget": cfg.budget_entries,
-        "epsilon_gt": cfg.epsilon_gt,
-        "summation": cfg.summation,
-    }
+class Check(NamedTuple):
+    """One row of the campaign table: check ``name`` (its REGISTRY key and
+    the task's "fn") runs ``check(params, **options)`` once per point of its
+    grid: ``""`` (once), ``"k"`` (per kind), ``"kq"`` (kind x q) or ``"kqb"``
+    (kind x q x eta branch, a coordinate of kind 2 only), each point adding
+    ``-k{kind}``, ``-q{q}``, ``-plus``/``-minus`` to the id.  The q axis is
+    ``--q`` if given, else ``qs`` (a dict gives one list per kind);
+    ``q_fixed`` ignores ``--q`` and ``only(kind, q)`` drops points.  The
+    parameters are the configuration values named in ``uses`` (see
+    ``_config_params``), ``extra`` and the grid coordinates."""
+
+    id: str
+    name: str
+    check: Callable
+    claim: str
+    grid: str = ""
+    qs: tuple | dict = ()
+    q_fixed: bool = False
+    only: Callable = lambda kind, q: True
+    uses: tuple = ()
+    extra: dict = {}
+    options: dict = {}
 
 
-def chevalley_tasks(cfg: Config) -> list[dict]:
-    order = cfg.cyclotomic_order
-    tasks = [
-        ("chevalley/pinning", "pinned symplectic root data is consistent", "pinning", {}),
-        ("chevalley/reflection-squares", "reflection lift squares equal coroots at -1",
-         "reflection_squares", {}),
-        ("chevalley/coroot-conjugation", "reflection lifts conjugate coroots correctly",
-         "coroot_conjugation", {}),
-        ("chevalley/structure-signs", "structure sign table is +-1 with signed triple product -1",
-         "structure_signs", {}),
-        ("chevalley/longest-lift-square", "longest-element lift squares to short coroot at -1",
-         "longest_lift", {}),
-        ("chevalley/coxeter-lift-fourth", "Coxeter lift to the fourth equals short coroot at -1",
-         "coxeter_lift", {}),
-        ("chevalley/dual-weyl-action", "conjugation acts by inversion resp. the order-4 rotation",
-         "dual_weyl_action", {}),
-    ]
+# the parameters of every check that builds a field tower
+TOWER_PARAMS = ("seed", "cache_dir", "budget", "epsilon_gt", "summation")
+# check parameter -> Config field, where the names differ
+PARAM_FIELDS = {"budget": "budget_entries", "order": "cyclotomic_order", "eval_cap": "budget_evals"}
+
+
+def _config_params(cfg: Config, names) -> dict:
+    return {name: getattr(cfg, PARAM_FIELDS.get(name, name)) for name in names}
+
+
+def _pinned(slug, name, holds, identity, claim):
+    return Check(f"chevalley/{slug}", name, check_pinned_identity, claim, uses=("order",),
+                 options={"holds": holds, "witness": {"identity": identity}})
+
+
+_COHOMOLOGY = {"grid": "kq", "qs": (3, 5, 7, 9)}
+_IDENTITY = {"grid": "kq", "qs": (3, 5, 7), "uses": TOWER_PARAMS, "extra": {"branch": 1}}
+_AT_Q3 = {**_IDENTITY, "only": lambda kind, q: q == 3}
+_RIGIDITY = {"grid": "kq", "qs": {1: (3,), 2: (3, 5)}}
+_SMALL_Q = {**_COHOMOLOGY, "only": lambda kind, q: q <= 9}
+
+# The pinned-identity predicates reach the dualgroup functions through this
+# module's globals, so that code rebinding those names (the traced benchmark
+# run wraps them) sees every call.
+CHECKS = (
+    _pinned("pinning", "pinning", lambda pin: True, "root data",
+            claim="pinned symplectic root data is consistent"),
+    _pinned("reflection-squares", "reflection_squares", lambda pin: reflection_square_check(pin),
+            "n^2 = coroot(-1)", claim="reflection lift squares equal coroots at -1"),
+    _pinned("coroot-conjugation", "coroot_conjugation", lambda pin: coroot_conjugation_check(pin),
+            "n coroot(t) n^-1 = image coroot(t)",
+            claim="reflection lifts conjugate coroots correctly"),
+    _pinned("longest-lift-square", "longest_lift", lambda pin: longest_lift_square_check(pin),
+            "longest^2", claim="longest-element lift squares to short coroot at -1"),
+    _pinned("coxeter-lift-fourth", "coxeter_lift", lambda pin: coxeter_lift_fourth_check(pin),
+            "coxeter^4", claim="Coxeter lift to the fourth equals short coroot at -1"),
+    _pinned("dual-weyl-action", "dual_weyl_action", lambda pin: weyl_action_checks(pin),
+            "conjugation action", claim="conjugation acts by inversion resp. the order-4 rotation"),
+    Check("chevalley/structure-signs", "structure_signs", check_structure_signs, uses=("order",),
+          claim="structure sign table is +-1 with signed triple product -1"),
+    Check("chevalley/lift-independence", "lift_independence", check_lift_independence, grid="k",
+          uses=("order", "seed"), extra={"count": 200},
+          claim="twisted Frobenius power is independent of the torsion lift"),
+    Check("chevalley/cover-values", "cover_values", check_cover_values, grid="k", uses=("order",),
+          claim="cover class values derived from coroot coordinates"),
+    Check("cohomology/orders", "tate_orders", check_tate_orders, **_COHOMOLOGY,
+          claim="norm-kernel quotient and invariant quotient have the stated orders"),
+    Check("cohomology/exact-sequence", "exact_sequence", check_exact_sequence, **_COHOMOLOGY,
+          claim="cover order identity and norm surjectivity"),
+    Check("cohomology/representatives", "tate_representatives", check_tate_representatives,
+          **_COHOMOLOGY, claim="norm-kernel representatives are the valuation parity classes"),
+    Check("cohomology/splitting", "splitting", check_splitting, **_COHOMOLOGY,
+          claim="coinvariants split as unit classes times parities"),
+    Check("cohomology/pair-quad-roundtrip", "pair_quad_roundtrip", check_pair_quad_roundtrip,
+          **_COHOMOLOGY, claim="pair and quadruple models agree equivariantly"),
+    Check("cohomology/norm-consistency", "norm_consistency", check_norm_consistency,
+          **_COHOMOLOGY, claim="class-map norm equals the direct Galois-orbit product"),
+    Check("identity/formula-equals-orbit-sum", "formula_equals_orbit_sum",
+          check_formula_equals_orbit_sum, **{**_IDENTITY, "grid": "kqb", "extra": {}},
+          claim="cover character formula equals the orbit character sum exactly"),
+    Check("identity/lift-independence", "lift_independence_formula",
+          check_lift_independence_formula, **_AT_Q3,
+          claim="formula value is independent of the coinvariant lift"),
+    Check("identity/denominator-representatives", "denominator_representatives",
+          check_denominator_representatives, **{**_AT_Q3, "extra": {"branch": 1, "samples": 100}},
+          claim="Weyl denominator is constant across class representatives"),
+    Check("identity/split-vs-combined", "split_vs_combined", check_split_vs_combined, **_AT_Q3,
+          claim="split denominator equals the combined difference form"),
+    Check("identity/positive-systems", "positive_systems", check_positive_systems, **_AT_Q3,
+          claim="formula values do not depend on the positive system"),
+    Check("identity/packet-conjugation", "packet_conjugation", check_packet_conjugation, **_AT_Q3,
+          claim="conjugated formulas match conjugated characters; packets group correctly"),
+    Check("identity/rho-shift-unique", "rho_shift_unique", check_rho_shift_unique,
+          **{**_IDENTITY, "only": lambda kind, q: q in (3, 5)},
+          claim="rho-shift solver finds exactly the closed form"),
+    Check("identity/eta-branch", "eta_branch", check_eta_branch,
+          **{**_IDENTITY, "only": lambda kind, q: kind == 2 and q == 3},
+          claim="identity holds for both order-4 branches"),
+    Check("thresholds/scan", "threshold_scan", check_threshold_scan, grid="k",
+          uses=("q_max", "eval_cap"),
+          claim="excluded-locus ratio beats 1/|W| from the stated bound on"),
+    Check("uniqueness/rigidity", "rigidity", check_rigidity, **_RIGIDITY, uses=("eval_cap", "seed"),
+          claim="equal summed restrictions force Weyl-conjugate characters"),
+    Check("uniqueness/forward-conjugate", "forward_conjugate", check_forward_conjugate,
+          **_RIGIDITY, claim="conjugate characters give identical summed restrictions"),
+    Check("uniqueness/excluded-crosscheck", "excluded_crosscheck", check_excluded_crosscheck,
+          **_SMALL_Q, claim="excluded-locus count matches inclusion-exclusion"),
+    Check("uniqueness/locus-ratio", "locus_ratio", check_locus_ratio, **_SMALL_Q,
+          claim="excluded-locus row is reported exactly"),
+    Check("uniqueness/nonvanishing", "nonvanishing", check_nonvanishing, grid="kq",
+          qs={1: (47,), 2: (5,)}, q_fixed=True,
+          claim="orbit sum of a regular character is not identically zero"),
+)
+SUBCOMMANDS = (*dict.fromkeys(row.id.partition("/")[0] for row in CHECKS), "all")
+REGISTRY = {row.name: row for row in CHECKS}
+
+
+def _grid(row: Check, cfg: Config):
+    """(id suffix, coordinates) of every point of the row's grid."""
+    if not row.grid:
+        yield "", {}
+        return
     for kind in cfg.kinds:
-        tasks.append((
-            f"chevalley/lift-independence-k{kind}",
-            "twisted Frobenius power is independent of the torsion lift",
-            "lift_independence", {"kind": kind, "count": 200, "seed": cfg.seed},
-        ))
-        tasks.append((
-            f"chevalley/cover-values-k{kind}",
-            "cover class values derived from coroot coordinates",
-            "cover_values", {"kind": kind},
-        ))
-    return [
-        {"id": tid, "claim": claim, "fn": fn, "params": {"order": order, **extra}}
-        for tid, claim, fn, extra in tasks
-    ]
-
-
-def cohomology_tasks(cfg: Config) -> list[dict]:
-    qs = cfg.qs if cfg.qs is not None else [3, 5, 7, 9]
-    tasks = []
-    for kind in cfg.kinds:
+        if row.grid == "k":
+            yield f"-k{kind}", {"kind": kind}
+            continue
+        qs = row.qs.get(kind, ()) if isinstance(row.qs, dict) else row.qs
+        if cfg.qs is not None and not row.q_fixed:
+            qs = cfg.qs
         for q in qs:
-            base = {"kind": kind, "q": q}
-            tasks.extend([
-                {"id": f"cohomology/orders-k{kind}-q{q}",
-                 "claim": "norm-kernel quotient and invariant quotient have the stated orders",
-                 "fn": "tate_orders", "params": base},
-                {"id": f"cohomology/exact-sequence-k{kind}-q{q}",
-                 "claim": "cover order identity and norm surjectivity",
-                 "fn": "exact_sequence", "params": base},
-                {"id": f"cohomology/representatives-k{kind}-q{q}",
-                 "claim": "norm-kernel representatives are the valuation parity classes",
-                 "fn": "tate_representatives", "params": base},
-                {"id": f"cohomology/splitting-k{kind}-q{q}",
-                 "claim": "coinvariants split as unit classes times parities",
-                 "fn": "splitting", "params": base},
-                {"id": f"cohomology/pair-quad-roundtrip-k{kind}-q{q}",
-                 "claim": "pair and quadruple models agree equivariantly",
-                 "fn": "pair_quad_roundtrip", "params": base},
-                {"id": f"cohomology/norm-consistency-k{kind}-q{q}",
-                 "claim": "class-map norm equals the direct Galois-orbit product",
-                 "fn": "norm_consistency", "params": base},
-            ])
-    return tasks
+            if not row.only(kind, q):
+                continue
+            if row.grid == "kq":
+                yield f"-k{kind}-q{q}", {"kind": kind, "q": q}
+                continue
+            for branch in cfg.eta_branches if kind == 2 else [1]:
+                tag = "" if kind == 1 else "-plus" if branch == 1 else "-minus"
+                yield f"-k{kind}-q{q}{tag}", {"kind": kind, "q": q, "branch": branch}
 
 
-def identity_tasks(cfg: Config) -> list[dict]:
-    qs = cfg.qs if cfg.qs is not None else [3, 5, 7]
-    base = _base_params(cfg)
-    tasks = []
-    for kind in cfg.kinds:
-        branches = cfg.eta_branches if kind == 2 else [1]
-        for q in qs:
-            for branch in branches:
-                bname = "plus" if branch == 1 else "minus"
-                suffix = f"-k{kind}-q{q}" + (f"-{bname}" if kind == 2 else "")
-                tasks.append({
-                    "id": f"identity/formula-equals-orbit-sum{suffix}",
-                    "claim": "cover character formula equals the orbit character sum exactly",
-                    "fn": "formula_equals_orbit_sum",
-                    "params": {**base, "kind": kind, "q": q, "branch": branch},
-                })
-            if q == 3:
-                extra = {**base, "kind": kind, "q": q, "branch": 1}
-                tasks.extend([
-                    {"id": f"identity/lift-independence-k{kind}-q3",
-                     "claim": "formula value is independent of the coinvariant lift",
-                     "fn": "lift_independence_formula", "params": extra},
-                    {"id": f"identity/denominator-representatives-k{kind}-q3",
-                     "claim": "Weyl denominator is constant across class representatives",
-                     "fn": "denominator_representatives",
-                     "params": {**extra, "samples": 100}},
-                    {"id": f"identity/split-vs-combined-k{kind}-q3",
-                     "claim": "split denominator equals the combined difference form",
-                     "fn": "split_vs_combined", "params": extra},
-                    {"id": f"identity/positive-systems-k{kind}-q3",
-                     "claim": "formula values do not depend on the positive system",
-                     "fn": "positive_systems", "params": extra},
-                    {"id": f"identity/packet-conjugation-k{kind}-q3",
-                     "claim": "conjugated formulas match conjugated characters; packets group correctly",
-                     "fn": "packet_conjugation", "params": extra},
-                ])
-            if q in (3, 5):
-                tasks.append({
-                    "id": f"identity/rho-shift-unique-k{kind}-q{q}",
-                    "claim": "rho-shift solver finds exactly the closed form",
-                    "fn": "rho_shift_unique",
-                    "params": {**base, "kind": kind, "q": q, "branch": 1},
-                })
-        if kind == 2 and 3 in qs:
-            tasks.append({
-                "id": "identity/eta-branch-k2-q3",
-                "claim": "identity holds for both order-4 branches",
-                "fn": "eta_branch",
-                "params": {**base, "kind": 2, "q": 3, "branch": 1},
-            })
-    return tasks
-
-
-def thresholds_tasks(cfg: Config) -> list[dict]:
+def expand(row: Check, cfg: Config) -> list[dict]:
+    """The tasks of one table row under cfg."""
+    params = {**_config_params(cfg, row.uses), **row.extra}
     return [
-        {"id": f"thresholds/scan-k{kind}",
-         "claim": "excluded-locus ratio beats 1/|W| from the stated bound on",
-         "fn": "threshold_scan",
-         "params": {"kind": kind, "q_max": cfg.q_max, "eval_cap": cfg.budget_evals}}
-        for kind in cfg.kinds
+        {"id": row.id + suffix, "claim": row.claim, "fn": row.name,
+         "params": {**params, **point}}
+        for suffix, point in _grid(row, cfg)
     ]
-
-
-def uniqueness_tasks(cfg: Config) -> list[dict]:
-    tasks = []
-    if cfg.qs is not None:
-        rigidity = [(k, q) for k in cfg.kinds for q in cfg.qs]
-    else:
-        rigidity = [(k, 3) for k in cfg.kinds]
-        if 2 in cfg.kinds:
-            rigidity.append((2, 5))
-    for kind, q in rigidity:
-        tasks.append({
-            "id": f"uniqueness/rigidity-k{kind}-q{q}",
-            "claim": "equal summed restrictions force Weyl-conjugate characters",
-            "fn": "rigidity",
-            "params": {"kind": kind, "q": q, "eval_cap": cfg.budget_evals,
-                       "seed": cfg.seed},
-        })
-        tasks.append({
-            "id": f"uniqueness/forward-conjugate-k{kind}-q{q}",
-            "claim": "conjugate characters give identical summed restrictions",
-            "fn": "forward_conjugate", "params": {"kind": kind, "q": q},
-        })
-    crosscheck_qs = cfg.qs if cfg.qs is not None else [3, 5, 7, 9]
-    for kind in cfg.kinds:
-        for q in [q for q in crosscheck_qs if q <= 9]:
-            tasks.append({
-                "id": f"uniqueness/excluded-crosscheck-k{kind}-q{q}",
-                "claim": "excluded-locus count matches inclusion-exclusion",
-                "fn": "excluded_crosscheck", "params": {"kind": kind, "q": q},
-            })
-            tasks.append({
-                "id": f"uniqueness/locus-ratio-k{kind}-q{q}",
-                "claim": "excluded-locus row is reported exactly",
-                "fn": "locus_ratio", "params": {"kind": kind, "q": q},
-            })
-    nonvanishing = []
-    if 1 in cfg.kinds:
-        nonvanishing.append((1, 47))
-    if 2 in cfg.kinds:
-        nonvanishing.append((2, 5))
-    for kind, q in nonvanishing:
-        tasks.append({
-            "id": f"uniqueness/nonvanishing-k{kind}-q{q}",
-            "claim": "orbit sum of a regular character is not identically zero",
-            "fn": "nonvanishing", "params": {"kind": kind, "q": q},
-        })
-    return tasks
 
 
 def build_tasks(subcommand: str, cfg: Config) -> list[dict]:
-    builders = {
-        "chevalley": [chevalley_tasks],
-        "cohomology": [cohomology_tasks],
-        "identity": [identity_tasks],
-        "thresholds": [thresholds_tasks],
-        "uniqueness": [uniqueness_tasks],
-        "all": [chevalley_tasks, cohomology_tasks, identity_tasks,
-                thresholds_tasks, uniqueness_tasks],
-    }
-    tasks = []
-    for builder in builders[subcommand]:
-        tasks.extend(builder(cfg))
+    tasks = [
+        task for row in CHECKS
+        if subcommand in ("all", row.id.partition("/")[0])
+        for task in expand(row, cfg)
+    ]
     ids = [t["id"] for t in tasks]
     assert len(ids) == len(set(ids)), "duplicate check ids"
     return sorted(tasks, key=lambda t: t["id"])
+
+
+def _base_params(cfg: Config) -> dict:
+    # perfbench/child.py builds its tower tasks from these
+    return _config_params(cfg, TOWER_PARAMS)
+
+
+def identity_tasks(cfg: Config) -> list[dict]:
+    # perfbench/child.py reads the identity claims from here
+    return build_tasks("identity", cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -876,9 +788,9 @@ def build_tasks(subcommand: str, cfg: Config) -> list[dict]:
 
 def run_task(task: dict) -> tuple[dict, float]:
     start = time.perf_counter()
-    fn = REGISTRY[task["fn"]]
+    row = REGISTRY[task["fn"]]
     try:
-        outcome, witness, info = fn(task["params"])
+        outcome, witness, info = row.check(task["params"], **row.options)
     except BudgetExceededError as exc:
         outcome, witness, info = "SKIPPED", {"reason": str(exc)}, {}
     record = {
@@ -914,9 +826,7 @@ def run_campaign(tasks: list[dict], jobs: int = 1):
 
 def emit_report(records, durations, cfg: Config, out_dir) -> dict:
     """Write the configured report files; returns the file map."""
-    import pathlib
-
-    out = pathlib.Path(out_dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = {}
     payload = {
@@ -929,10 +839,7 @@ def emit_report(records, durations, cfg: Config, out_dir) -> dict:
         path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         written["json"] = str(path)
     if "csv" in cfg.formats:
-        rows = []
-        for rec in records:
-            for row in rec.get("info", {}).get("rows", []):
-                rows.append(row)
+        rows = [row for rec in records for row in rec["info"].get("rows", [])]
         if rows:
             path = out / "thresholds.csv"
             header = "kind,q,excluded,torus_order,ratio,bound,holds"
@@ -962,6 +869,7 @@ def emit_report(records, durations, cfg: Config, out_dir) -> dict:
         written["md"] = str(path)
     meta = {
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "jobs": cfg.jobs,
         "durations_seconds": {k: round(v, 6) for k, v in sorted(durations.items())},
     }
     meta_path = out / "run_meta.json"
@@ -976,7 +884,6 @@ def emit_report(records, durations, cfg: Config, out_dir) -> dict:
 
 def read_config_file(path: str) -> dict:
     values = {}
-    known = {f.name for f in fields(Config)} | {"q", "kind", "eta_branch", "format", "out"}
     with open(path) as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.strip()
@@ -986,52 +893,14 @@ def read_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in known:
+            if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = value.strip()
     return values
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.replace(" ", "").split(",") if part]
-
-
-def _apply_kv(cfg: Config, key: str, value: str) -> None:
-    if key in ("q", "qs"):
-        cfg.qs = _parse_int_list(value)
-    elif key == "q_max":
-        cfg.q_max = int(value)
-    elif key in ("kind", "kinds"):
-        cfg.kinds = [1, 2] if value == "both" else _parse_int_list(value)
-    elif key in ("eta_branch", "eta_branches"):
-        cfg.eta_branches = {
-            "plus": [1], "minus": [-1], "both": [1, -1]
-        }.get(value, None) or [int(v) for v in _parse_int_list(value)]
-    elif key == "cyclotomic_order":
-        cfg.cyclotomic_order = int(value)
-    elif key == "summation":
-        cfg.summation = value
-    elif key == "epsilon_gt":
-        cfg.epsilon_gt = int(value)
-    elif key == "jobs":
-        cfg.jobs = int(value)
-    elif key in ("out", "out_dir"):
-        cfg.out_dir = value
-    elif key in ("format", "formats"):
-        cfg.formats = [v for v in value.replace(" ", "").split(",") if v]
-    elif key == "cache_dir":
-        cfg.cache_dir = value
-    elif key == "seed":
-        cfg.seed = int(value)
-    elif key == "budget_entries":
-        cfg.budget_entries = int(value)
-    elif key == "budget_evals":
-        cfg.budget_evals = int(value)
-    else:
-        raise ConfigError(f"unknown configuration key {key!r}")
-
-
 def resolve_config(args: argparse.Namespace) -> Config:
+    """Defaults, then the config file, then DEPTHZERO_CACHE, then flags."""
     cfg = Config()
     if args.config:
         try:
@@ -1039,22 +908,14 @@ def resolve_config(args: argparse.Namespace) -> Config:
         except OSError as exc:
             raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
         for key, value in file_values.items():
-            _apply_kv(cfg, key, value)
+            f = CONFIG_KEYS[key]
+            setattr(cfg, f.name, f.metadata["parse"](value))
     if cfg.cache_dir is None:
         cfg.cache_dir = os.environ.get("DEPTHZERO_CACHE")
-    flag_map = [
-        ("q", args.q), ("q_max", args.q_max), ("kind", args.kind),
-        ("eta_branch", args.eta_branch), ("out", args.out),
-        ("format", args.format), ("jobs", args.jobs), ("seed", args.seed),
-        ("summation", args.summation), ("cache_dir", args.cache_dir),
-        ("cyclotomic_order", args.cyclotomic_order),
-        ("budget_entries", args.budget_entries),
-        ("budget_evals", args.budget_evals),
-        ("epsilon_gt", args.epsilon_gt),
-    ]
-    for key, value in flag_map:
+    for f in fields(Config):
+        value = getattr(args, f.metadata["dest"])
         if value is not None:
-            _apply_kv(cfg, key, str(value))
+            setattr(cfg, f.name, f.metadata["parse"](str(value)))
     cfg.validate()
     return cfg
 
@@ -1067,22 +928,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in SUBCOMMANDS:
         sp = sub.add_parser(name)
-        sp.add_argument("--q", help="comma-separated odd prime powers")
-        sp.add_argument("--q-max", dest="q_max", type=int)
-        sp.add_argument("--kind", choices=["1", "2", "both"])
-        sp.add_argument("--eta-branch", dest="eta_branch",
-                        choices=["plus", "minus", "both"])
         sp.add_argument("--config")
-        sp.add_argument("--out")
-        sp.add_argument("--format", help="comma-separated: json,csv,md")
-        sp.add_argument("--jobs", type=int)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--summation", choices=["full", "rotation", "trivial"])
-        sp.add_argument("--cache-dir", dest="cache_dir")
-        sp.add_argument("--cyclotomic-order", dest="cyclotomic_order", type=int)
-        sp.add_argument("--budget-entries", dest="budget_entries", type=int)
-        sp.add_argument("--budget-evals", dest="budget_evals", type=int)
-        sp.add_argument("--epsilon-gt", dest="epsilon_gt", type=int)
+        for f in fields(Config):
+            meta = f.metadata
+            sp.add_argument(meta["flag"], dest=meta["dest"],
+                            type=int if meta["parse"] is int else None, **meta["argument"])
     return parser
 
 

@@ -43,6 +43,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, e) with q = p**e for a prime p, or None if q is not a prime power."""
+    if q < 2:
+        return None
+    p = next(d for d in range(2, q + 1) if q % d == 0)  # least divisor, so prime
+    e = 0
+    while q % p == 0:
+        q //= p
+        e += 1
+    return (p, e) if q == 1 else None
+
+
 @dataclass(frozen=True)
 class FFElem:
     """A nonzero element of f_{q^level}, as a dlog for that level's generator."""

@@ -97,10 +97,6 @@ def t2_rational(q, k) -> T2Rational:
     return T2Rational(q, k % (q * q + 1))
 
 
-def coinv_identity(kind: int, q: int):
-    return t1_coinv(q, 0, 0, 0, 0) if kind == 1 else t2_coinv(q, 0, 0)
-
-
 def coinv_mul(a, b):
     if isinstance(a, T1Coinv):
         return t1_coinv(a.q, a.u1 + b.u1, a.u2 + b.u2, a.v1 + b.v1, a.v2 + b.v2)

@@ -24,10 +24,9 @@ from .characters import (
     weyl_conjugate,
 )
 from .charformula import FormulaContext, make_context, orbit_character_sum
-from .ffield import is_prime
+from .ffield import prime_power
 from .tori import (
     default_positive_roots,
-    iter_rational,
     iter_strongly_regular,
     rational_order,
     rational_weyl_group,
@@ -124,17 +123,7 @@ def regular_locus_ratio(kind: int, q: int) -> ThresholdRow:
 
 
 def odd_prime_powers(q_max: int) -> list[int]:
-    out = []
-    for q in range(3, q_max + 1):
-        p = min(f for f in range(2, q + 1) if q % f == 0)
-        if p == 2 or not is_prime(p):
-            continue
-        m = q
-        while m % p == 0:
-            m //= p
-        if m == 1:
-            out.append(q)
-    return out
+    return [q for q in range(3, q_max + 1, 2) if prime_power(q)]
 
 
 def threshold_scan(kind: int, q_max: int, budget: int = 100_000_000) -> ThresholdReport:
@@ -273,7 +262,3 @@ def nonvanishing_report(kind: int, q: int) -> NonvanishingReport:
 
 def strongly_regular_count(kind: int, q: int) -> int:
     return sum(1 for _ in iter_strongly_regular(kind, q))
-
-
-def rational_count(kind: int, q: int) -> int:
-    return sum(1 for _ in iter_rational(kind, q))

@@ -1,37 +1,38 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
+from depthzero import driver
 from depthzero.driver import (
     Config,
     ConfigError,
+    build_parser,
     build_tasks,
-    emit_report,
     main,
     read_config_file,
     resolve_config,
-    run_campaign,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
-def _args(subcommand, **over):
-    import argparse
 
-    defaults = dict(
-        subcommand=subcommand, q=None, q_max=None, kind=None, eta_branch=None,
-        config=None, out=None, format=None, jobs=None, seed=None,
-        summation=None, cache_dir=None, cyclotomic_order=None,
-        budget_entries=None, budget_evals=None, epsilon_gt=None,
-    )
-    defaults.update(over)
-    return argparse.Namespace(**defaults)
+def _args(*argv):
+    return build_parser().parse_args(list(argv))
+
+
+def _task_ids(*argv):
+    args = _args(*argv)
+    return [t["id"] for t in build_tasks(args.subcommand, resolve_config(args))]
 
 
 def test_config_defaults_and_flags():
     cfg = resolve_config(_args("all"))
     assert cfg.qs is None and cfg.kinds == [1, 2]
-    cfg = resolve_config(_args("identity", q="3,5", kind="2", eta_branch="minus",
-                               jobs=2, seed=9))
+    cfg = resolve_config(_args("identity", "--q", "3,5", "--kind", "2", "--eta-branch", "minus",
+                               "--jobs", "2", "--seed", "9"))
     assert cfg.qs == [3, 5]
     assert cfg.kinds == [2]
     assert cfg.eta_branches == [-1]
@@ -39,16 +40,10 @@ def test_config_defaults_and_flags():
 
 
 def test_config_rejects_bad_values():
-    with pytest.raises(ConfigError):
-        resolve_config(_args("identity", q="4"))
-    with pytest.raises(ConfigError):
-        resolve_config(_args("identity", q="15"))
-    with pytest.raises(ConfigError):
-        resolve_config(_args("identity", jobs=0))
-    with pytest.raises(ConfigError):
-        resolve_config(_args("identity", format="xml"))
-    with pytest.raises(ConfigError):
-        resolve_config(_args("identity", epsilon_gt=2))
+    for flag, value in [("--q", "4"), ("--q", "15"), ("--jobs", "0"), ("--format", "xml"),
+                        ("--epsilon-gt", "2")]:
+        with pytest.raises(ConfigError):
+            resolve_config(_args("identity", flag, value))
 
 
 def test_config_file_parsing(tmp_path):
@@ -56,10 +51,10 @@ def test_config_file_parsing(tmp_path):
     path.write_text("# comment\nq = 3,5\nkind = both\nseed = 4\nformat = json,md\n")
     values = read_config_file(str(path))
     assert values["q"] == "3,5"
-    cfg = resolve_config(_args("identity", config=str(path)))
+    cfg = resolve_config(_args("identity", "--config", str(path)))
     assert cfg.qs == [3, 5] and cfg.seed == 4 and cfg.formats == ["json", "md"]
     # flags override the file
-    cfg = resolve_config(_args("identity", config=str(path), seed=11))
+    cfg = resolve_config(_args("identity", "--config", str(path), "--seed", "11"))
     assert cfg.seed == 11
 
 
@@ -86,6 +81,63 @@ def test_task_ids_unique_and_sorted():
     assert len(ids) == len(set(ids))
     for task in tasks:
         assert task["claim"]
+        assert task["fn"] in driver.REGISTRY
+
+
+# id lists recorded from the hand-written task builders the check table replaced
+def test_task_ids_of_irregular_grids():
+    assert _task_ids("identity", "--q", "3,11", "--kind", "2", "--eta-branch", "minus") == [
+        "identity/denominator-representatives-k2-q3",
+        "identity/eta-branch-k2-q3",
+        "identity/formula-equals-orbit-sum-k2-q11-minus",
+        "identity/formula-equals-orbit-sum-k2-q3-minus",
+        "identity/lift-independence-k2-q3",
+        "identity/packet-conjugation-k2-q3",
+        "identity/positive-systems-k2-q3",
+        "identity/rho-shift-unique-k2-q3",
+        "identity/split-vs-combined-k2-q3",
+    ]
+    assert _task_ids("uniqueness", "--q", "5,11", "--kind", "2") == [
+        "uniqueness/excluded-crosscheck-k2-q5",
+        "uniqueness/forward-conjugate-k2-q11",
+        "uniqueness/forward-conjugate-k2-q5",
+        "uniqueness/locus-ratio-k2-q5",
+        "uniqueness/nonvanishing-k2-q5",
+        "uniqueness/rigidity-k2-q11",
+        "uniqueness/rigidity-k2-q5",
+    ]
+    assert _task_ids("chevalley", "--kind", "1") == [
+        "chevalley/coroot-conjugation",
+        "chevalley/cover-values-k1",
+        "chevalley/coxeter-lift-fourth",
+        "chevalley/dual-weyl-action",
+        "chevalley/lift-independence-k1",
+        "chevalley/longest-lift-square",
+        "chevalley/pinning",
+        "chevalley/reflection-squares",
+        "chevalley/structure-signs",
+    ]
+
+
+def test_pinned_identity_fails_with_its_row_witness(monkeypatch):
+    # the row's predicate goes through the module global, so rebinding it counts
+    monkeypatch.setattr(driver, "reflection_square_check", lambda pin: False)
+    task = next(t for t in build_tasks("chevalley", Config()) if t["fn"] == "reflection_squares")
+    record, _ = driver.run_task(task)
+    assert record["outcome"] == "FAIL"
+    assert record["witness"] == {"identity": "n^2 = coroot(-1)"}
+
+
+def test_benchmark_tower_tasks_resolve(tmp_path):
+    """perfbench/child.py builds its tower tasks from identity_tasks and
+    _base_params; every one must name a registered check."""
+    spec = importlib.util.spec_from_file_location("child", ROOT / "perfbench" / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    tasks = child.tower_tasks(driver, 0, str(tmp_path))
+    assert len(tasks) == 12
+    for task in tasks:
+        assert driver.REGISTRY[task["fn"]].claim == task["claim"]
 
 
 def test_small_run_and_report_files(tmp_path):
@@ -101,6 +153,7 @@ def test_small_run_and_report_files(tmp_path):
     assert md.count("| identity/") == len(report["checks"])
     meta = json.loads((tmp_path / "rep" / "run_meta.json").read_text())
     assert set(meta["durations_seconds"]) == {r["id"] for r in report["checks"]}
+    assert meta["jobs"] == 1 and "jobs" not in report["config_echo"]
     # no timing data inside the check records themselves
     for rec in report["checks"]:
         assert "wall" not in json.dumps(rec) and "duration" not in json.dumps(rec)
@@ -149,11 +202,16 @@ def test_parallel_jobs_match_serial(tmp_path):
     argv = ["cohomology", "--q", "3", "--kind", "1"]
     assert main(argv + ["--out", str(tmp_path / "serial"), "--jobs", "1"]) == 0
     assert main(argv + ["--out", str(tmp_path / "par"), "--jobs", "2"]) == 0
-    a = json.loads((tmp_path / "serial" / "report.json").read_text())
-    b = json.loads((tmp_path / "par" / "report.json").read_text())
-    # worker count is echoed in the config, but the check records are
+    # the worker count lives in run_meta.json only, so the reports are
     # byte-identical regardless of parallelism
-    assert json.dumps(a["checks"], sort_keys=True) == json.dumps(b["checks"], sort_keys=True)
+    for name in ("report.json", "report.md"):
+        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
+
+
+def test_all_matches_golden_reports(tmp_path):
+    assert main(["all", "--jobs", "2", "--out", str(tmp_path)]) == 0
+    for name in ("report.json", "report.md", "thresholds.csv"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def test_summation_flag_accepted(tmp_path):
