@@ -17,12 +17,16 @@ import argparse
 import json
 import os
 import random
+import resource
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import product
 from pathlib import Path
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import __version__
 from .characters import (
@@ -66,6 +70,7 @@ from .tori import (
     coinv_parity_part,
     coinv_unit_part,
     coinvariant_norm,
+    coinvariant_norm_array,
     coinvariant_order,
     enumerate_coinvariants,
     is_strongly_regular,
@@ -73,9 +78,9 @@ from .tori import (
     lift_of_rational,
     pair_from_quad,
     pair_galois,
-    pair_norm,
+    pair_norm_array,
     parity_classes,
-    project_to_coinvariants,
+    project_to_coinvariants_array,
     quad_from_pair,
     quad_galois,
     rational_order,
@@ -192,13 +197,16 @@ CONFIG_KEYS = {key: f for f in fields(Config) for key in (f.name, f.metadata["de
 
 
 def _context_from_params(params) -> FormulaContext:
+    # --epsilon-gt picks a sign convention that both sides of the identity
+    # carry: the orbit sum through epsilon_gt, the formula through epsilon_chi
+    epsilon = params.get("epsilon_gt", 1)
     return make_context(
         params["kind"], params["q"], need_tower=True,
         eta_branch=params.get("branch", 1),
         summation=named_summation_subgroup(
             params["kind"], params.get("summation", "full")
         ),
-        epsilon_gt=params.get("epsilon_gt", 1),
+        epsilon_gt=epsilon, epsilon_chi=epsilon,
         seed=params.get("seed", 0),
         cache_dir=params.get("cache_dir"),
         budget=params.get("budget", 200_000_000),
@@ -300,16 +308,32 @@ def check_splitting(params):
     return _ok({"classes": coinvariant_order(kind, q)})
 
 
-def _pair_samples(kind, q, full):
+def _pair_grid(kind, q, full):
+    """The dlogs and valuations sampled in each slot of the pair model."""
     level_order = q ** (2 * kind) - 1
     if full:
-        residues = range(level_order)
-        vals = (-1, 0, 1)
-    else:
-        residues = range(0, level_order, max(1, level_order // 7))
-        vals = (0, 1)
+        return range(level_order), (-1, 0, 1)
+    return range(0, level_order, max(1, level_order // 7)), (0, 1)
+
+
+def _pair_samples(kind, q, full):
+    residues, vals = _pair_grid(kind, q, full)
     for d1, v1, d2, v2 in product(residues, vals, residues, vals):
-        yield (unit(q, 2 * kind, d1, v1), unit(q, 2 * kind, d2, v2))
+        yield _pair_of_row(kind, q, (d1, v1, d2, v2))
+
+
+def _pair_blocks(kind, q, full):
+    """The samples of ``_pair_samples`` in the same order, as int64 rows
+    (dlog_w, val_w, dlog_z, val_z), one block per first slot."""
+    residues, vals = _pair_grid(kind, q, full)
+    second = np.array(list(product(residues, vals)), dtype=np.int64)
+    for first in product(residues, vals):
+        yield np.concatenate([np.broadcast_to(first, second.shape), second], axis=1)
+
+
+def _pair_of_row(kind, q, row):
+    d1, v1, d2, v2 = (int(x) for x in row)
+    return (unit(q, 2 * kind, d1, v1), unit(q, 2 * kind, d2, v2))
 
 
 def check_pair_quad_roundtrip(params):
@@ -332,12 +356,13 @@ def check_pair_quad_roundtrip(params):
 def check_norm_consistency(params):
     kind, q = params["kind"], params["q"]
     count = 0
-    for pair in _pair_samples(kind, q, full=(q == 3)):
-        direct = pair_norm(kind, q, pair)
-        via_class = coinvariant_norm(project_to_coinvariants(kind, q, pair))
-        if direct != via_class:
-            return _fail({"pair": str(pair)})
-        count += 1
+    for rows in _pair_blocks(kind, q, full=(q == 3)):
+        direct = pair_norm_array(kind, q, rows)
+        via_class = coinvariant_norm_array(kind, q, project_to_coinvariants_array(kind, q, rows))
+        bad = np.flatnonzero((direct != via_class).any(axis=1))
+        if bad.size:
+            return _fail({"pair": str(_pair_of_row(kind, q, rows[bad[0]]))})
+        count += len(rows)
     return _ok({"pairs_checked": count})
 
 
@@ -501,6 +526,9 @@ def check_packet_conjugation(params):
     chars, _ = _character_pool(kind, q, limit=3)
     gammas = list(iter_strongly_regular(kind, q))
     labels = rational_weyl_group(kind)
+    # the one-class claim is about the full summation group, whatever the
+    # configured one; the trivial group below separates the conjugates
+    full_ctx = _context_from_params({**params, "summation": "full"})
     for chi in chars:
         cov = cover_character(chi)
         for w in labels:
@@ -511,7 +539,7 @@ def check_packet_conjugation(params):
                 if lhs != rhs:
                     return _fail({"w": w.name, "gamma": str(gamma),
                                   "character": character_to_descriptor(chi)})
-        pk = packet(ctx, cov)
+        pk = packet(full_ctx, cov)
         if len(pk.classes) != 1:
             return _fail({"classes": [list(c) for c in pk.classes],
                           "reason": "full summation group must give one class"})
@@ -824,6 +852,13 @@ def run_campaign(tasks: list[dict], jobs: int = 1):
 # report emission
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set of this process and of its reaped pool workers."""
+    kib = max(resource.getrusage(who).ru_maxrss
+              for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return round(kib / 1024, 1)
+
+
 def emit_report(records, durations, cfg: Config, out_dir) -> dict:
     """Write the configured report files; returns the file map."""
     out = Path(out_dir)
@@ -871,6 +906,12 @@ def emit_report(records, durations, cfg: Config, out_dir) -> dict:
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "jobs": cfg.jobs,
         "durations_seconds": {k: round(v, 6) for k, v in sorted(durations.items())},
+        "peak_rss_mb": _peak_rss_mb(),
+        "environment": {
+            "python": ".".join(map(str, sys.version_info[:3])),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+        },
     }
     meta_path = out / "run_meta.json"
     meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
@@ -909,15 +950,22 @@ def resolve_config(args: argparse.Namespace) -> Config:
             raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
         for key, value in file_values.items():
             f = CONFIG_KEYS[key]
-            setattr(cfg, f.name, f.metadata["parse"](value))
+            setattr(cfg, f.name, _parse_value(f, key, value))
     if cfg.cache_dir is None:
         cfg.cache_dir = os.environ.get("DEPTHZERO_CACHE")
     for f in fields(Config):
         value = getattr(args, f.metadata["dest"])
         if value is not None:
-            setattr(cfg, f.name, f.metadata["parse"](str(value)))
+            setattr(cfg, f.name, _parse_value(f, f.metadata["dest"], str(value)))
     cfg.validate()
     return cfg
+
+
+def _parse_value(f, key: str, text: str):
+    try:
+        return f.metadata["parse"](text)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: cannot parse {text!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

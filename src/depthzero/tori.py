@@ -488,6 +488,79 @@ def weyl_apply_array(q: int, w: WeylElem, cls, coords: np.ndarray) -> np.ndarray
     raise TypeError(f"cannot apply Weyl element to {cls.__name__}")
 
 
+# The pair model on integer rows (dlog_w, val_w, dlog_z, val_z), residues at
+# level 2*kind: Frobenius multiplies a dlog by q modulo q^L - 1, inversion
+# negates and multiplication adds.  Results are in the _COORD_FIELDS order.
+
+
+def _pair_order(kind: int, q: int) -> int:
+    """The dlog modulus q^L - 1; no intermediate value exceeds q times it."""
+    _check_kind(kind)
+    order = q ** torus_level(kind) - 1
+    if q * order >= 2**63:
+        raise OverflowError(f"q = {q} is too large for int64 pair-model rows")
+    return order
+
+
+def pair_galois_array(kind: int, q: int, rows: np.ndarray) -> np.ndarray:
+    """``pair_galois`` on every row of pair-model coordinates."""
+    order = _pair_order(kind, q)
+    dw, vw, dz, vz = rows.T
+    if kind == 1:
+        return np.stack([(-q * dw) % order, -vw, (-q * dz) % order, -vz], axis=1)
+    return np.stack([(-q * dz) % order, -vz, (q * dw) % order, vw], axis=1)
+
+
+def mu_coordinate_array(kind: int, q: int, dlog: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """``mu_coordinate`` on arrays of reduced dlogs and valuations; raises
+    as it does if any element is off the norm-one subgroup."""
+    _check_kind(kind)
+    if np.any(val != 0):
+        raise ValueError("norm-one elements have valuation zero")
+    step = q - 1 if kind == 1 else q * q - 1
+    if np.any(dlog % step != 0):
+        raise ValueError("residue is not in the norm-one subgroup")
+    return (dlog // step) % unit_class_order(kind, q)
+
+
+def pair_norm_array(kind: int, q: int, rows: np.ndarray) -> np.ndarray:
+    """``pair_norm`` on every row: the product of the Galois orbit, as
+    ``T1Rational`` resp. ``T2Rational`` coordinates."""
+    order = _pair_order(kind, q)
+    cur = acc = rows
+    for _ in range(torus_level(kind) - 1):
+        cur = pair_galois_array(kind, q, cur)
+        acc = acc + cur
+    dw, vw, dz, vz = acc[:, 0] % order, acc[:, 1], acc[:, 2] % order, acc[:, 3]
+    if kind == 1:
+        return np.stack(
+            [mu_coordinate_array(1, q, dw, vw), mu_coordinate_array(1, q, dz, vz)], axis=1
+        )
+    assert np.array_equal(dz, (q * dw) % order) and np.array_equal(vz, vw), (
+        "norm must land on the twisted diagonal"
+    )
+    return mu_coordinate_array(2, q, dw, vw)[:, None]
+
+
+def project_to_coinvariants_array(kind: int, q: int, rows: np.ndarray) -> np.ndarray:
+    """``project_to_coinvariants`` on every row, as ``T1Coinv`` resp.
+    ``T2Coinv`` coordinates; torus 2 classes w * tau(z)^(-1)."""
+    _pair_order(kind, q)
+    dw, vw, dz, vz = rows.T
+    if kind == 1:
+        n = q + 1
+        return np.stack([dw % n, dz % n, vw % 2, vz % 2], axis=1)
+    return np.stack([(dw - q * dz) % (q * q + 1), (vw - vz) % 2], axis=1)
+
+
+def coinvariant_norm_array(kind: int, q: int, coords: np.ndarray) -> np.ndarray:
+    """``coinvariant_norm`` on every row of coinvariant coordinates."""
+    _check_kind(kind)
+    if kind == 1:
+        return (-coords[:, :2]) % (q + 1)
+    return (-coords[:, :1]) % (q * q + 1)
+
+
 def weyl_apply_pair(q: int, w: WeylElem, pair):
     """Monomial action on the pair model of the E-points."""
     m = w.mat

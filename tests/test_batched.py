@@ -85,6 +85,16 @@ def test_tables_match_scalar_across_summation_and_signs(kind, q, summation,
     _assert_matches_scalar(ctx)
 
 
+@pytest.mark.parametrize("epsilon_gt,epsilon_chi", [(-1, 1), (1, -1)])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_one_sided_sign_breaks_the_identity(kind, epsilon_gt, epsilon_chi):
+    # the negative control of the sign convention: flipping one side only fails
+    ctx = make_context(kind, 3, epsilon_gt=epsilon_gt, epsilon_chi=epsilon_chi)
+    tables = SumTables(ctx, iter_strongly_regular(kind, 3))
+    chars, _ = driver._character_pool(kind, 3)
+    assert any(tables.first_mismatch(cover_character(chi)) is not None for chi in chars)
+
+
 def _elements(cls, q):
     if cls in (T1Rational, T2Rational):
         return list(iter_rational(1 if cls is T1Rational else 2, q))

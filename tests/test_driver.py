@@ -154,6 +154,9 @@ def test_small_run_and_report_files(tmp_path):
     meta = json.loads((tmp_path / "rep" / "run_meta.json").read_text())
     assert set(meta["durations_seconds"]) == {r["id"] for r in report["checks"]}
     assert meta["jobs"] == 1 and "jobs" not in report["config_echo"]
+    assert meta["peak_rss_mb"] > 0
+    assert set(meta["environment"]) == {"python", "numpy", "cpu_count"}
+    assert not {"peak_rss_mb", "environment"} & set(report)
     # no timing data inside the check records themselves
     for rec in report["checks"]:
         assert "wall" not in json.dumps(rec) and "duration" not in json.dumps(rec)
@@ -196,6 +199,13 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["identity", "--q", "4", "--out", str(tmp_path)]) == 2
     out = capsys.readouterr().out
     assert "configuration error" in out
+    # values that do not parse name their key instead of escaping as a traceback
+    assert main(["identity", "--q", "abc", "--out", str(tmp_path)]) == 2
+    assert "configuration error: q: cannot parse 'abc'" in capsys.readouterr().out
+    path = tmp_path / "bad.cfg"
+    path.write_text("seed = x\n")
+    assert main(["identity", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "configuration error: seed: cannot parse 'x'" in capsys.readouterr().out
 
 
 def test_parallel_jobs_match_serial(tmp_path):
@@ -215,8 +225,15 @@ def test_all_matches_golden_reports(tmp_path):
 
 
 def test_summation_flag_accepted(tmp_path):
-    code = main([
-        "identity", "--q", "3", "--kind", "2", "--summation", "rotation",
-        "--out", str(tmp_path),
-    ])
-    assert code == 0
+    # the packet check's one-class claim is about the full group at any --summation
+    for kind in ("1", "2"):
+        for summation in ("rotation", "trivial"):
+            code = main([
+                "identity", "--q", "3", "--kind", kind, "--summation", summation,
+                "--out", str(tmp_path),
+            ])
+            assert code == 0, (kind, summation)
+
+
+def test_epsilon_flag_scales_both_sides(tmp_path):
+    assert main(["identity", "--q", "3", "--epsilon-gt", "-1", "--out", str(tmp_path)]) == 0

@@ -1,17 +1,25 @@
 from itertools import islice, product
 
+import numpy as np
 import pytest
 
+from depthzero import driver, tori
 from depthzero.localmodel import unit, uv_galois, uv_inv, uv_mul
 from depthzero.tori import (
     NonRationalWeylError,
+    T1Coinv,
+    T1Rational,
+    T2Coinv,
+    T2Rational,
     coinv_class_of_unit,
     coinv_inv,
     coinv_mul,
     coinv_parity_part,
     coinv_unit_part,
     coinvariant_norm,
+    coinvariant_norm_array,
     coinvariant_order,
+    coordinate_array,
     default_positive_roots,
     enumerate_coinvariants,
     group_table,
@@ -19,12 +27,17 @@ from depthzero.tori import (
     iter_rational,
     iter_strongly_regular,
     lift_of_rational,
+    mu_coordinate,
+    mu_coordinate_array,
     pair_from_quad,
     pair_galois,
+    pair_galois_array,
     pair_norm,
+    pair_norm_array,
     parity_classes,
     positive_system,
     project_to_coinvariants,
+    project_to_coinvariants_array,
     quad_eq,
     quad_from_pair,
     quad_galois,
@@ -340,3 +353,93 @@ def test_exact_sequence_order_identity(q):
 def test_inverse_class():
     c = t1_coinv(Q, 1, 3, 1, 0)
     assert coinv_mul(c, coinv_inv(c)) == t1_coinv(Q, 0, 0, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the pair model on integer rows against the scalar oracles
+
+
+def _as_rows(pairs):
+    return [[w.residue.dlog, w.val, z.residue.dlog, z.val] for w, z in pairs]
+
+
+@pytest.mark.parametrize("kind,q,full,stride", [
+    (1, 3, True, 1), (1, 5, True, 1), (2, 3, False, 1), (2, 5, False, 1), (2, 3, True, 97),
+])
+def test_pair_arrays_match_scalar_pair_model(kind, q, full, stride):
+    rows = np.concatenate(list(driver._pair_blocks(kind, q, full)))[::stride]
+    pairs = list(islice(driver._pair_samples(kind, q, full), 0, None, stride))
+    # the blocks hold the scalar samples, in the same order
+    np.testing.assert_array_equal(rows, _as_rows(pairs))
+    assert set(rows[:, 1]) == ({-1, 0, 1} if full else {0, 1})
+    rational, coinv = (T1Rational, T1Coinv) if kind == 1 else (T2Rational, T2Coinv)
+    np.testing.assert_array_equal(pair_galois_array(kind, q, rows),
+                                  _as_rows(pair_galois(kind, q, p) for p in pairs))
+    classes = [project_to_coinvariants(kind, q, p) for p in pairs]
+    projected = project_to_coinvariants_array(kind, q, rows)
+    np.testing.assert_array_equal(projected, coordinate_array(coinv, classes))
+    np.testing.assert_array_equal(
+        pair_norm_array(kind, q, rows),
+        coordinate_array(rational, [pair_norm(kind, q, p) for p in pairs]))
+    np.testing.assert_array_equal(
+        coinvariant_norm_array(kind, q, projected),
+        coordinate_array(rational, [coinvariant_norm(c) for c in classes]))
+
+
+def _untwisted_projection(kind, q, pair):
+    """The kind-2 class map with tau dropped: w * z^(-1)."""
+    w, z = pair
+    x = uv_mul(q, w, uv_inv(q, z))
+    return t2_coinv(q, x.residue.dlog, x.val)
+
+
+def _untwisted_projection_array(kind, q, rows):
+    dw, vw, dz, vz = rows.T
+    return np.stack([(dw - dz) % (q * q + 1), (vw - vz) % 2], axis=1)
+
+
+def test_broken_class_map_fails_with_scalar_witness(monkeypatch):
+    kind, q = 2, 3
+    scalar_witness = next(
+        {"pair": str(pair)} for pair in driver._pair_samples(kind, q, full=True)
+        if pair_norm(kind, q, pair) != coinvariant_norm(_untwisted_projection(kind, q, pair))
+    )
+    params = {"kind": kind, "q": q}
+    assert driver.check_norm_consistency(params) == ("PASS", None, {"pairs_checked": 57_600})
+    monkeypatch.setattr(driver, "project_to_coinvariants_array", _untwisted_projection_array)
+    assert driver.check_norm_consistency(params) == ("FAIL", scalar_witness, {})
+
+
+@pytest.mark.parametrize("kind,step", [(1, Q - 1), (2, Q * Q - 1)])
+def test_mu_coordinate_array_guards(kind, step):
+    level = 2 * kind
+    on = np.array([0, step, 3 * step])
+    np.testing.assert_array_equal(
+        mu_coordinate_array(kind, Q, on, np.zeros(3, dtype=np.int64)),
+        [mu_coordinate(kind, Q, unit(Q, level, d)) for d in on])
+    for dlog, val in ((step + 1, 0), (step, 1)):
+        with pytest.raises(ValueError) as scalar:
+            mu_coordinate(kind, Q, unit(Q, level, dlog, val))
+        with pytest.raises(ValueError, match=str(scalar.value)):
+            mu_coordinate_array(kind, Q, np.array([0, dlog]), np.array([0, val]))
+
+
+def test_pair_norm_guards_the_twisted_diagonal(monkeypatch):
+    # a kind-2 orbit under the kind-1 Galois action leaves the diagonal
+    pair = (unit(Q, 4, 1, 0), unit(Q, 4, 2, 0))
+    rows = np.array([[1, 0, 2, 0]])
+    monkeypatch.setattr(tori, "pair_galois", lambda kind, q, p: pair_galois(1, q, p))
+    with pytest.raises(AssertionError, match="twisted diagonal"):
+        pair_norm(2, Q, pair)
+    monkeypatch.setattr(tori, "pair_galois_array",
+                        lambda kind, q, r: pair_galois_array(1, q, r))
+    with pytest.raises(AssertionError, match="twisted diagonal"):
+        pair_norm_array(2, Q, rows)
+
+
+def test_pair_arrays_refuse_int64_overflow():
+    rows = np.zeros((1, 4), dtype=np.int64)
+    for fn in (pair_galois_array, pair_norm_array, project_to_coinvariants_array):
+        with pytest.raises(OverflowError):
+            fn(2, 10007, rows)
+    assert pair_norm_array(2, 6007, rows).shape == (1, 1)
