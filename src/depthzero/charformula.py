@@ -32,7 +32,9 @@ from .ffield import FieldTower, prime_power
 from .localmodel import (
     UnitVal,
     eta_exponent,
+    eta_exponent_array,
     leading_diff,
+    leading_diff_array,
     uv_galois,
     uv_mul,
     uv_pow,
@@ -122,6 +124,20 @@ class FormulaContext:
         return self.tower
 
 
+# The last tower make_context built, as (build arguments, tower): the
+# checks of a worker that share (p, e, level, seed) reuse it instead of
+# rebuilding or reloading it, and at most one table stays alive.
+_TOWER_SLOT: list = []
+
+
+def _shared_tower(p, e, **build_args) -> FieldTower:
+    key = (p, e, *sorted(build_args.items()))
+    if not _TOWER_SLOT or _TOWER_SLOT[0][0] != key:
+        _TOWER_SLOT.clear()
+        _TOWER_SLOT.append((key, FieldTower.build(p, e, **build_args)))
+    return _TOWER_SLOT[0][1]
+
+
 def make_context(kind, q, *, need_tower=True, eta_branch=1, summation=None,
                  epsilon_gt=1, epsilon_chi=1, seed=0, cache_dir=None,
                  budget=200_000_000) -> FormulaContext:
@@ -130,7 +146,7 @@ def make_context(kind, q, *, need_tower=True, eta_branch=1, summation=None,
         p_e = prime_power(q)
         if p_e is None:
             raise ValueError(f"q = {q} is not a prime power")
-        tower = FieldTower.build(
+        tower = _shared_tower(
             *p_e, seed=seed, max_level=torus_level(kind),
             budget=budget, cache_dir=cache_dir,
         )
@@ -182,6 +198,45 @@ def weyl_denominator_exponent(ctx: FormulaContext, rep) -> int:
     return total % 4
 
 
+def weyl_denominator_exponent_array(ctx: FormulaContext, coords: np.ndarray) -> np.ndarray:
+    """``weyl_denominator_exponent`` of every ``canonical_rep`` of the rows
+    of ``coordinate_array(T1Coinv | T2Coinv, ...)``.
+
+    The rows are read as ``canonical_rep`` reads a class: torus 1 as the
+    pair (u1, v1), (u2, v2) of level-2 (dlog, val), torus 2 as the level-4
+    (u, v); rows of any other representative are read the same way.
+    """
+    tower = ctx.require_tower()
+    q, level = ctx.q, torus_level(ctx.kind)
+    order = q**level - 1
+    if order * order >= 2**63:
+        raise OverflowError(f"q = {q} is too large for int64 denominator rows")
+
+    def rows(dlog, val):
+        return np.stack([dlog % order, val], axis=1)
+
+    if ctx.kind == 1:
+        u1, u2, v1, v2 = coords.T
+        pairs = []
+        for g1, g2 in default_positive_roots(1):
+            m, v = (g1 * u1 + g2 * u2) % order, g1 * v1 + g2 * v2
+            pairs.append((rows(m, v), rows(q * m, v)))
+    else:
+        u, v = coords.T
+        t = [(u % order) * pow(q, j, order) for j in range(4)]
+        pairs = (
+            (rows(t[0], v), rows(t[2], v)),
+            (rows(t[1] + t[2], 2 * v), rows(t[0] + t[3], 2 * v)),
+            (rows(t[1], v), rows(t[3], v)),
+            (rows(t[0] + t[1], 2 * v), rows(t[2] + t[3], 2 * v)),
+        )
+    total = 0
+    for a, b in pairs:
+        diff = leading_diff_array(tower, level, a, b)
+        total = total + eta_exponent_array(ctx.kind, diff[:, 1], ctx.eta_branch)
+    return total % 4
+
+
 def weyl_denominator(ctx: FormulaContext, rep) -> CycInt:
     return root_of_unity(4, weyl_denominator_exponent(ctx, rep))
 
@@ -199,6 +254,30 @@ def delta0_eta_exponent(ctx: FormulaContext, gamma, positive_roots=None) -> int:
         inv_value = mu_unit(ctx.kind, q, -c)
         factor = leading_diff(tower, one, inv_value)
         total += eta_exponent(ctx.kind, factor, ctx.eta_branch)
+    return total % 4
+
+
+def delta0_eta_exponent_array(ctx: FormulaContext, coords: np.ndarray,
+                              positive_roots=None) -> np.ndarray:
+    """``delta0_eta_exponent`` on every row of
+    ``coordinate_array(T1Rational | T2Rational, ...)``."""
+    tower = ctx.require_tower()
+    kind, q = ctx.kind, ctx.q
+    roots = positive_roots if positive_roots is not None else default_positive_roots(kind)
+    level = torus_level(kind)
+    order = q**level - 1
+    step = q - 1 if kind == 1 else q * q - 1
+    one = np.zeros((len(coords), 2), dtype=np.int64)
+    inv_value = one.copy()
+    total = 0
+    for g1, g2 in roots:
+        if kind == 1:
+            c = (g1 * coords[:, 0] + g2 * coords[:, 1]) % (q + 1)
+        else:
+            c = ((g1 + q * g2) * coords[:, 0]) % (q * q + 1)
+        inv_value[:, 0] = (-c * step) % order
+        factor = leading_diff_array(tower, level, one, inv_value)
+        total = total + eta_exponent_array(kind, factor[:, 1], ctx.eta_branch)
     return total % 4
 
 

@@ -18,6 +18,7 @@ import json
 import os
 import random
 import resource
+import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -41,6 +42,7 @@ from .charformula import (
     SumTables,
     _two_rho_eta_exponent,
     delta0_eta_exponent,
+    delta0_eta_exponent_array,
     denominator_factors,
     make_context,
     named_summation_subgroup,
@@ -50,6 +52,7 @@ from .charformula import (
     rho_shift_solve,
     theta,
     weyl_denominator_exponent,
+    weyl_denominator_exponent_array,
 )
 from .dualgroup import (
     build_pinning,
@@ -65,6 +68,10 @@ from .dualgroup import (
 from .ffield import BudgetExceededError, prime_power
 from .localmodel import unit
 from .tori import (
+    T1Coinv,
+    T1Rational,
+    T2Coinv,
+    T2Rational,
     canonical_rep,
     coinv_mul,
     coinv_parity_part,
@@ -72,6 +79,7 @@ from .tori import (
     coinvariant_norm,
     coinvariant_norm_array,
     coinvariant_order,
+    coordinate_array,
     enumerate_coinvariants,
     is_strongly_regular,
     iter_strongly_regular,
@@ -86,6 +94,7 @@ from .tori import (
     rational_order,
     rational_weyl_group,
     tate_cohomology,
+    unit_class_order,
     weyl_identity,
 )
 from .uniqueness import (
@@ -456,18 +465,41 @@ def check_denominator_representatives(params):
 def check_split_vs_combined(params):
     kind, q = params["kind"], params["q"]
     ctx = _context_from_params(params)
-    for gamma in iter_strongly_regular(kind, q):
-        for tw in parity_classes(kind, q):
-            lift = coinv_mul(lift_of_rational(kind, q, gamma), tw)
-            combined = weyl_denominator_exponent(ctx, canonical_rep(lift))
-            split = (
-                delta0_eta_exponent(ctx, gamma)
-                + (2 if rho_shift_closed_sign(ctx, lift) < 0 else 0)
-            ) % 4
-            if combined != split:
-                return _fail({"gamma": str(gamma), "twist": str(tw),
-                              "combined": combined, "split": split})
+    gammas = list(iter_strongly_regular(kind, q))
+    twists = parity_classes(kind, q)
+    rational_cls, coinv_cls = (T1Rational, T1Coinv) if kind == 1 else (T2Rational, T2Coinv)
+    twist_rows = coordinate_array(coinv_cls, twists)
+    moduli = np.repeat([unit_class_order(kind, q), 2], twist_rows.shape[1] // 2)
+    # the closed-form sign depends only on the valuation parities, which
+    # each lift shares with its twist
+    signs = np.array([2 if rho_shift_closed_sign(ctx, tw) < 0 else 0 for tw in twists])
+    # blocks of gammas keep the temporaries small: the whole q = 47 grid
+    # left ~2 MB resident, which added to the peak of the next tower build
+    for start in range(0, len(gammas), 256):
+        block = gammas[start : start + 256]
+        # the (gamma, twist) grid of lifts, gamma outer, as coinv_mul forms it
+        lifts = coordinate_array(coinv_cls, [lift_of_rational(kind, q, g) for g in block])
+        grid = (lifts[:, None, :] + twist_rows[None, :, :]) % moduli
+        combined = weyl_denominator_exponent_array(ctx, grid.reshape(-1, lifts.shape[1]))
+        delta0 = delta0_eta_exponent_array(ctx, coordinate_array(rational_cls, block))
+        split = (delta0[:, None] + signs[None, :]) % 4
+        bad = np.flatnonzero(combined != split.ravel())
+        if bad.size:
+            g, t = divmod(int(bad[0]), len(twists))
+            return _fail(_split_vs_combined_witness(ctx, block[g], twists[t]))
     return _ok()
+
+
+def _split_vs_combined_witness(ctx, gamma, tw):
+    """One (gamma, twist) of ``check_split_vs_combined`` on the scalar forms."""
+    lift = coinv_mul(lift_of_rational(ctx.kind, ctx.q, gamma), tw)
+    combined = weyl_denominator_exponent(ctx, canonical_rep(lift))
+    split = (
+        delta0_eta_exponent(ctx, gamma)
+        + (2 if rho_shift_closed_sign(ctx, lift) < 0 else 0)
+    ) % 4
+    assert combined != split, "array and scalar denominators disagree"
+    return {"gamma": str(gamma), "twist": str(tw), "combined": combined, "split": split}
 
 
 def check_positive_systems(params):
@@ -859,6 +891,20 @@ def _peak_rss_mb() -> float:
     return round(kib / 1024, 1)
 
 
+def _git_sha() -> str | None:
+    """HEAD of the git repository holding the package; None without git or
+    outside a repository."""
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=Path(__file__).resolve().parent,
+            capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    sha = done.stdout.strip()
+    return sha if done.returncode == 0 and sha else None
+
+
 def emit_report(records, durations, cfg: Config, out_dir) -> dict:
     """Write the configured report files; returns the file map."""
     out = Path(out_dir)
@@ -911,6 +957,7 @@ def emit_report(records, durations, cfg: Config, out_dir) -> dict:
             "python": ".".join(map(str, sys.version_info[:3])),
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
+            "git_sha": _git_sha(),
         },
     }
     meta_path = out / "run_meta.json"

@@ -16,6 +16,7 @@ is exercised by tests rather than assumed.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -201,6 +202,19 @@ def _find_primitive(p: int, modulus: list[int]) -> list[int]:
 # table construction (vectorised walk of the multiplicative group)
 
 
+def _mul_matrix(elem, p, modulus) -> np.ndarray:
+    """The n x n matrix of multiplication by ``elem`` on coefficient rows:
+    row i holds x^i * elem reduced modulo the modulus, so a row vector v
+    maps to v @ M % p."""
+    n = len(modulus) - 1
+    rows = []
+    cur = _pmod(list(elem), p, modulus)
+    for _ in range(n):
+        rows.append(cur + [0] * (n - len(cur)))
+        cur = _pmul(cur, [0, 1], p, modulus)
+    return np.array(rows, dtype=np.int64)
+
+
 def _build_tables(p, modulus, generator):
     n = len(modulus) - 1
     size = p**n
@@ -209,40 +223,23 @@ def _build_tables(p, modulus, generator):
 
     baby_count = max(2, int(group**0.5) + 1)
     baby_count = min(baby_count, group)
-    babies = [[1] + [0] * (n - 1)]
-    cur = [1]
-    for _ in range(baby_count - 1):
-        cur = _pmul(cur, generator, p, modulus)
-        babies.append(list(cur) + [0] * (n - len(cur)))
-    giant = _ppow(generator, baby_count, p, modulus)
-    giant = list(giant) + [0] * (n - len(giant))
+    # baby steps g^0 .. g^(B-1), then each giant stride multiplies the whole
+    # block by g^B; entries stay below n * p^2, far inside int64
+    step = _mul_matrix(generator, p, modulus)
+    block = np.zeros((baby_count, n), dtype=np.int64)
+    block[0, 0] = 1
+    for k in range(1, baby_count):
+        block[k] = block[k - 1] @ step % p
+    giant = _mul_matrix(_ppow(generator, baby_count, p, modulus), p, modulus)
 
-    block = np.array(babies, dtype=np.int64)
     exp_packed = np.empty(group, dtype=np.int64)
-
-    modvec = np.array(modulus[:n], dtype=np.int64)
-
-    def mul_block(blk):
-        out = np.zeros((blk.shape[0], 2 * n - 1), dtype=np.int64)
-        for i, gi in enumerate(giant):
-            if gi:
-                out[:, i : i + n] += gi * blk
-        out %= p
-        for deg in range(2 * n - 2, n - 1, -1):
-            lead = out[:, deg].copy()
-            if lead.any():
-                out[:, deg - n : deg] -= lead[:, None] * modvec[None, :]
-                out[:, deg] = 0
-                out %= p
-        return out[:, :n]
-
     written = 0
     while written < group:
         take = min(baby_count, group - written)
         exp_packed[written : written + take] = block[:take] @ powers
         written += take
         if written < group:
-            block = mul_block(block)
+            block = block @ giant % p
 
     dlog = np.full(size, -1, dtype=np.int64)
     dlog[exp_packed] = np.arange(group, dtype=np.int64)
@@ -300,6 +297,9 @@ class FieldTower:
 
         generator = _find_primitive(p, modulus)
         exp_packed, dlog, zech = _build_tables(p, modulus, generator)
+        # read-only like a table loaded from the cache, so a tower shared
+        # between contexts cannot be altered through one of them
+        zech.setflags(write=False)
         if cache_dir is not None:
             _save_cache(Path(cache_dir), p, e, max_level, seed, modulus, zech)
         walk = (exp_packed, dlog) if keep_walk else None
@@ -358,6 +358,16 @@ class FieldTower:
         d = (a + z) % self.top_order
         assert d % s == 0, "sum escaped the subfield, table corrupt"
         return FFElem(x.level, d // s)
+
+    def add_array(self, level: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``add`` on arrays of level-``level`` dlogs; -1 marks a zero sum."""
+        s = self.scale(level)
+        order = self.group_order(level)
+        x = (a % order) * s
+        z = self.zech[((b % order) * s - x) % self.top_order]
+        d = (x + z) % self.top_order
+        assert not np.any(d[z >= 0] % s), "sum escaped the subfield, table corrupt"
+        return np.where(z < 0, -1, d // s)
 
     def neg(self, x: FFElem) -> FFElem:
         return FFElem(x.level, (x.dlog + self.neg_one_dlog(x.level)) % self.group_order(x.level))
@@ -432,7 +442,15 @@ def _save_cache(cache_dir: Path, p, e, max_level, seed, modulus, zech):
     body = np.asarray(zech, dtype=np.int64).tobytes()
     checksum = int.from_bytes(hashlib.sha256(body).digest()[:8], "little")
     path = _cache_path(cache_dir, p, e, max_level, seed)
-    path.write_bytes(_header_bytes(p, e, max_level, seed, modulus, checksum) + body)
+    # write a private file, then rename it over the cache file: a reader
+    # (or a --jobs worker writing the same table) sees the old file or the
+    # new one, never a partial write
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(_header_bytes(p, e, max_level, seed, modulus, checksum) + body)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _load_cache(cache_dir: Path, p, e, max_level, seed, modulus):

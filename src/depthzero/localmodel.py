@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cyclo import CycInt, root_of_unity
 from .ffield import FFElem, FieldTower, ff_frobenius, ff_inv, ff_mul, ff_norm, ff_pow
 
@@ -95,6 +97,28 @@ def leading_diff(tower: FieldTower, a: UnitVal, b: UnitVal) -> UnitVal:
     return UnitVal(a.level, diff, a.val)
 
 
+def leading_diff_array(tower: FieldTower, level: int, a: np.ndarray,
+                       b: np.ndarray) -> np.ndarray:
+    """``leading_diff`` on int64 rows (dlog, val) of one level.
+
+    Row by row: the smaller valuation wins, b negated through -1; equal
+    valuations take the Zech difference of the residues.  Raises
+    CancellationError if any row cancels, as the scalar form does there.
+    """
+    order = tower.group_order(level)
+    neg_b = (b[:, 0] + tower.neg_one_dlog(level)) % order
+    out = np.where((a[:, 1] < b[:, 1])[:, None], a, np.stack([neg_b, b[:, 1]], axis=1))
+    tie = a[:, 1] == b[:, 1]
+    if tie.any():
+        diff = tower.add_array(level, a[tie, 0], neg_b[tie])
+        if np.any(diff < 0):
+            raise CancellationError(
+                "difference vanishes at depth zero (equal valuation and residue)"
+            )
+        out[tie, 0] = diff
+    return out
+
+
 def eta_exponent(kind: int, a: UnitVal, branch: int = 1) -> int:
     """Exponent e mod 4 with eta(a) = zeta_4^e; unramified in both kinds.
 
@@ -112,6 +136,17 @@ def eta_exponent(kind: int, a: UnitVal, branch: int = 1) -> int:
         if branch not in (1, -1):
             raise ValueError(f"branch must be +1 or -1, got {branch}")
         return (branch * a.val) % 4
+    raise ValueError(f"kind must be 1 or 2, got {kind}")
+
+
+def eta_exponent_array(kind: int, val: np.ndarray, branch: int = 1) -> np.ndarray:
+    """``eta_exponent`` on an array of valuations of level-2*kind elements."""
+    if kind == 1:
+        return (2 * val) % 4
+    if kind == 2:
+        if branch not in (1, -1):
+            raise ValueError(f"branch must be +1 or -1, got {branch}")
+        return (branch * val) % 4
     raise ValueError(f"kind must be 1 or 2, got {kind}")
 
 

@@ -1,5 +1,9 @@
+import random
+
+import numpy as np
 import pytest
 
+from depthzero import charformula
 from depthzero.characters import (
     DepthZeroCharacter,
     cover_character,
@@ -11,6 +15,7 @@ from depthzero.charformula import (
     NotStronglyRegularError,
     RhoShiftError,
     delta0_eta_exponent,
+    delta0_eta_exponent_array,
     denominator_factors,
     make_context,
     named_summation_subgroup,
@@ -23,12 +28,19 @@ from depthzero.charformula import (
     theta,
     weyl_denominator,
     weyl_denominator_exponent,
+    weyl_denominator_exponent_array,
 )
 from depthzero.cyclo import root_of_unity
-from depthzero.localmodel import unit
+from depthzero.localmodel import CancellationError, unit
+from depthzero.ffield import BudgetExceededError, FieldTower
 from depthzero.tori import (
+    T1Coinv,
+    T1Rational,
+    T2Coinv,
+    T2Rational,
     canonical_rep,
     coinv_mul,
+    coordinate_array,
     enumerate_coinvariants,
     iter_strongly_regular,
     lift_of_rational,
@@ -192,6 +204,86 @@ def test_denominator_cancellation_surfaces(ctx1):
         weyl_denominator_exponent(ctx1, canonical_rep(lift))
     with pytest.raises(CancellationError):
         delta0_eta_exponent(ctx1, degenerate)
+    with pytest.raises(CancellationError):
+        weyl_denominator_exponent_array(ctx1, coordinate_array(T1Coinv, [lift]))
+    with pytest.raises(CancellationError):
+        delta0_eta_exponent_array(ctx1, coordinate_array(T1Rational, [degenerate]))
+
+
+_CLASSES = {1: (T1Rational, T1Coinv), 2: (T2Rational, T2Coinv)}
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+@pytest.mark.parametrize("kind,branch", [(1, 1), (2, 1), (2, -1)])
+def test_array_denominators_equal_scalar(q, kind, branch):
+    """Both denominator forms on every (gamma, twist) of split-vs-combined."""
+    ctx = make_context(kind, q, eta_branch=branch)
+    rational_cls, coinv_cls = _CLASSES[kind]
+    gammas = list(iter_strongly_regular(kind, q))
+    lifts = [coinv_mul(lift_of_rational(kind, q, g), tw)
+             for g in gammas for tw in parity_classes(kind, q)]
+    combined = weyl_denominator_exponent_array(ctx, coordinate_array(coinv_cls, lifts))
+    assert combined.tolist() == [weyl_denominator_exponent(ctx, canonical_rep(x))
+                                 for x in lifts]
+    assert set(combined.tolist()) == {0, 2}  # twisted lifts shift by 2
+    delta0 = delta0_eta_exponent_array(ctx, coordinate_array(rational_cls, gammas))
+    assert delta0.tolist() == [delta0_eta_exponent(ctx, g) for g in gammas]
+    for _, roots in positive_system_contexts(kind):
+        moved = delta0_eta_exponent_array(ctx, coordinate_array(rational_cls, gammas), roots)
+        assert moved.tolist() == [delta0_eta_exponent(ctx, g, roots) for g in gammas]
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("kind,branch", [(1, 1), (2, 1), (2, -1)])
+def test_array_denominator_on_random_representatives(q, kind, branch):
+    """Non-canonical rows: any residue dlog, valuations in [-3, 3]."""
+    ctx = make_context(kind, q, eta_branch=branch)
+    rng = random.Random(11)
+    order = q ** (2 * kind) - 1
+    rank = 2 if kind == 1 else 1
+    coords = np.array([[rng.randrange(order) for _ in range(rank)]
+                       + [rng.randrange(-3, 4) for _ in range(rank)]
+                       for _ in range(400)], dtype=np.int64)
+    expected = []
+    for row in coords.tolist():
+        if kind == 1:
+            rep = (unit(q, 2, row[0], row[2]), unit(q, 2, row[1], row[3]))
+        else:
+            rep = unit(q, 4, row[0], row[1])
+        try:
+            expected.append(weyl_denominator_exponent(ctx, rep))
+        except CancellationError:
+            expected.append(None)
+    keep = np.array([e is not None for e in expected])
+    got = weyl_denominator_exponent_array(ctx, coords[keep])
+    assert got.tolist() == [e for e in expected if e is not None]
+    if not keep.all():
+        with pytest.raises(CancellationError):
+            weyl_denominator_exponent_array(ctx, coords)
+
+
+def test_make_context_reuses_one_tower(monkeypatch):
+    built = []
+    original = FieldTower.build.__func__
+
+    def counting(cls, *args, **kwargs):
+        built.append((args, kwargs))
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(FieldTower, "build", classmethod(counting))
+    monkeypatch.setattr(charformula, "_TOWER_SLOT", [])
+    a = make_context(2, 5, seed=4)
+    b = make_context(2, 5, seed=4, eta_branch=-1)
+    assert a.tower is b.tower and len(built) == 1
+    c = make_context(2, 5, seed=5)  # another argument, another tower
+    assert c.tower is not a.tower and len(built) == 2
+    make_context(2, 5, seed=4)  # one slot: the seed-4 tower is gone
+    assert len(built) == 3
+    with pytest.raises(ValueError):
+        a.tower.zech[0] = 0
+    # the budget is part of the key, so a smaller one still refuses
+    with pytest.raises(BudgetExceededError):
+        make_context(2, 5, seed=4, budget=100)
 
 
 # ---------------------------------------------------------------------------

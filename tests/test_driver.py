@@ -1,10 +1,12 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
 
 from depthzero import driver
+from depthzero.charformula import weyl_denominator_exponent
 from depthzero.driver import (
     Config,
     ConfigError,
@@ -13,6 +15,16 @@ from depthzero.driver import (
     main,
     read_config_file,
     resolve_config,
+)
+from depthzero.tori import (
+    T1Rational,
+    T2Rational,
+    canonical_rep,
+    coinv_mul,
+    coordinate_array,
+    iter_strongly_regular,
+    lift_of_rational,
+    parity_classes,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -155,11 +167,24 @@ def test_small_run_and_report_files(tmp_path):
     assert set(meta["durations_seconds"]) == {r["id"] for r in report["checks"]}
     assert meta["jobs"] == 1 and "jobs" not in report["config_echo"]
     assert meta["peak_rss_mb"] > 0
-    assert set(meta["environment"]) == {"python", "numpy", "cpu_count"}
+    assert set(meta["environment"]) == {"python", "numpy", "cpu_count", "git_sha"}
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT / "src" / "depthzero",
+                          capture_output=True, text=True)
+    assert meta["environment"]["git_sha"] == (head.stdout.strip() if head.returncode == 0
+                                              else None)
     assert not {"peak_rss_mb", "environment"} & set(report)
+    assert "git_sha" not in (tmp_path / "rep" / "report.json").read_text()
     # no timing data inside the check records themselves
     for rec in report["checks"]:
         assert "wall" not in json.dumps(rec) and "duration" not in json.dumps(rec)
+
+
+def test_git_sha_is_null_without_git(monkeypatch):
+    def missing(*args, **kwargs):
+        raise FileNotFoundError("git")
+
+    monkeypatch.setattr(driver.subprocess, "run", missing)
+    assert driver._git_sha() is None
 
 
 def test_determinism_bytes(tmp_path):
@@ -193,6 +218,61 @@ def test_budget_exceeded_yields_skipped_and_exit_3(tmp_path):
     assert all("reason" in r["witness"] for r in skipped)
     md = (tmp_path / "report.md").read_text()
     assert "SKIPPED" in md
+
+
+def test_shared_tower_keeps_budget_skips():
+    """rho-shift-unique never reads its tower, but still needs one: a
+    tower already built for the same q does not lift the budget."""
+    params = {"kind": 2, "q": 7, "branch": 1, "seed": 0}
+    task = {"id": "identity/rho-shift-unique-k2-q7-plus", "claim": "",
+            "fn": "rho_shift_unique", "params": params}
+    assert driver.run_task(task)[0]["outcome"] == "PASS"
+    record, _ = driver.run_task({**task, "params": {**params, "budget": 100}})
+    assert record["outcome"] == "SKIPPED"
+
+
+@pytest.mark.parametrize("kind,q,fault", [(1, 3, "sign"), (2, 5, "sign"), (2, 17, "delta0")])
+def test_split_vs_combined_fails_with_the_scalar_witness(monkeypatch, kind, q, fault):
+    """A closed-form sign broken on one parity class, or the split
+    denominator shifted at the last gamma (past the first block of 256):
+    the array check FAILs with the witness of the scalar loop (gamma outer,
+    twist inner) under the same fault."""
+    sign, delta0, delta0_array = (driver.rho_shift_closed_sign, driver.delta0_eta_exponent,
+                                  driver.delta0_eta_exponent_array)
+    last = list(iter_strongly_regular(kind, q))[-1]
+    last_row = coordinate_array(T1Rational if kind == 1 else T2Rational, [last])
+
+    def broken_sign(ctx, c):
+        odd = (c.v1, c.v2) == (1, 0) if kind == 1 else c.v == 1
+        return -sign(ctx, c) if odd else sign(ctx, c)
+
+    def broken_delta0(ctx, gamma):
+        return (delta0(ctx, gamma) + 2 * (gamma == last)) % 4
+
+    def broken_delta0_array(ctx, coords):
+        return (delta0_array(ctx, coords) + 2 * (coords == last_row).all(axis=1)) % 4
+
+    if fault == "sign":
+        monkeypatch.setattr(driver, "rho_shift_closed_sign", broken_sign)
+        sign_fn, delta0_fn = broken_sign, delta0
+    else:
+        monkeypatch.setattr(driver, "delta0_eta_exponent", broken_delta0)
+        monkeypatch.setattr(driver, "delta0_eta_exponent_array", broken_delta0_array)
+        sign_fn, delta0_fn = sign, broken_delta0
+    params = {"kind": kind, "q": q, "branch": 1, "seed": 0}
+    ctx = driver._context_from_params(params)
+    expected = None
+    for gamma in iter_strongly_regular(kind, q):
+        for tw in parity_classes(kind, q):
+            lift = coinv_mul(lift_of_rational(kind, q, gamma), tw)
+            combined = weyl_denominator_exponent(ctx, canonical_rep(lift))
+            split = (delta0_fn(ctx, gamma) + (2 if sign_fn(ctx, lift) < 0 else 0)) % 4
+            if combined != split and expected is None:
+                expected = {"gamma": str(gamma), "twist": str(tw),
+                            "combined": combined, "split": split}
+    assert expected is not None
+    outcome, witness, _ = driver.check_split_vs_combined(params)
+    assert (outcome, witness) == ("FAIL", expected)
 
 
 def test_config_error_exit_code(tmp_path, capsys):

@@ -1,8 +1,12 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depthzero import ffield
 from depthzero.ffield import (
     BudgetExceededError,
     FFElem,
@@ -173,6 +177,60 @@ def test_cache_roundtrip(tmp_path):
     # a different seed gets its own file
     FieldTower.build(3, 1, seed=1, max_level=4, cache_dir=tmp_path)
     assert len(list(tmp_path.glob("zech_*.bin"))) == 2
+
+
+def test_cache_write_is_atomic(tmp_path, monkeypatch):
+    FieldTower.build(3, 1, seed=0, max_level=4, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("zech_*.bin")
+    before = path.read_bytes()
+    original = Path.write_bytes
+
+    def half_then_fail(self, data):
+        original(self, data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        ffield._save_cache(tmp_path, 3, 1, 4, 0, [1] * 5, np.zeros(80, dtype=np.int64))
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_zech_tables_are_read_only(tmp_path):
+    built = FieldTower.build(3, 1, seed=0, max_level=4, cache_dir=tmp_path)
+    loaded = FieldTower.build(3, 1, seed=0, max_level=4, cache_dir=tmp_path)
+    for tower in (built, loaded):
+        with pytest.raises(ValueError):
+            tower.zech[0] = 0
+
+
+# sha256 of the Zech table of (p, e, max_level, seed), as the polynomial
+# walk built it; any other walk must reproduce these bytes
+ZECH_SHA256 = {
+    (3, 1, 4, 0): "c81c4e376145bd5d71f5683f18b78a5c74264eb548b46634eb9e6f2de169c783",
+    (3, 1, 4, 6): "5f35ed0ab4714b4e360fc3e12871a12fc4ecfdf0a2a5724bcd181f5a1d59e5de",
+    (5, 1, 4, 0): "12b77e86d8b4604c66e81012ae55f824a68ff8dc80c9b70aa0640f5f90e09083",
+    (3, 2, 4, 0): "b4320c10ed445f30fc903217866e8d1f4b9b929eb8988fad380ffc961c913c44",
+    (3, 3, 4, 0): "76e90a6eaf50c22e185ef2f7fdfe1b531c4fd0340d9d87cf1d43ec718c7753f1",
+    (7, 1, 2, 0): "f7d4a99a9896a374d8298574312927c666a38b8191d38fe9071421a81ac30677",
+}
+
+
+@pytest.mark.parametrize("p,e,level,seed", sorted(ZECH_SHA256))
+def test_zech_table_bytes_pinned(p, e, level, seed):
+    tower = FieldTower.build(p, e, seed=seed, max_level=level)
+    assert hashlib.sha256(tower.zech.tobytes()).hexdigest() == ZECH_SHA256[p, e, level, seed]
+
+
+def test_walk_equals_generator_powers():
+    tower = FieldTower.build(3, 3, seed=0, max_level=4, keep_walk=True)  # q = 27
+    exp_packed, dlog = tower._walk
+    p, modulus = tower.p, list(tower.modulus)
+    generator = ffield._find_primitive(p, modulus)
+    for k in [0, 1, 2, 729, 730, 731, 1459, 1460, 12345, 265720, tower.top_order - 1]:
+        coeffs = ffield._ppow(generator, k, p, modulus)
+        assert int(exp_packed[k]) == sum(c * p**i for i, c in enumerate(coeffs))
+        assert int(dlog[exp_packed[k]]) == k
 
 
 @settings(max_examples=40, deadline=None)

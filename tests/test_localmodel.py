@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from depthzero.localmodel import (
     eta_exponent,
     eta_value,
     leading_diff,
+    leading_diff_array,
     one,
     uniformizer,
     unit,
@@ -74,6 +76,41 @@ def test_leading_diff_cases(tower):
     assert d2 == unit(Q, 2, v.residue.dlog + tower.neg_one_dlog(2), 0)
     d3 = leading_diff(tower, unit(Q, 2, 1, -1), v)
     assert d3 == unit(Q, 2, 1, -1)
+
+
+@pytest.mark.parametrize("level", [1, 2, 4])
+def test_leading_diff_array_matches_scalar(tower, level):
+    """Every (a, b) at valuations {-1, 0, 1}: all three branches, and the
+    rows that cancel, which the array form refuses as a whole."""
+    order = Q**level - 1
+    rows = np.array([(d, v) for d in range(order) for v in (-1, 0, 1)], dtype=np.int64)
+    a = np.repeat(rows, len(rows), axis=0)
+    b = np.tile(rows, (len(rows), 1))
+    expected, cancels = [], []
+    for (da, va), (db, vb) in zip(a.tolist(), b.tolist()):
+        try:
+            d = leading_diff(tower, unit(Q, level, da, va), unit(Q, level, db, vb))
+        except CancellationError:
+            cancels.append(True)
+            expected.append((0, 0))
+            continue
+        cancels.append(False)
+        expected.append((d.residue.dlog, d.val))
+    cancels = np.array(cancels)
+    assert cancels.any() and (a[:, 1] < b[:, 1]).any() and (a[:, 1] > b[:, 1]).any()
+    ok = ~cancels
+    got = leading_diff_array(tower, level, a[ok], b[ok])
+    assert np.array_equal(got, np.array(expected)[ok])
+    with pytest.raises(CancellationError):
+        leading_diff_array(tower, level, a, b)
+
+
+def test_leading_diff_array_keeps_the_subfield_guard():
+    tower = FieldTower.build(3, 1, seed=0, max_level=4)
+    tower.zech = tower.zech + 1  # every nonzero sum now lands off the subfield
+    x = np.array([[1, 0]], dtype=np.int64)
+    with pytest.raises(AssertionError, match="escaped the subfield"):
+        leading_diff_array(tower, 2, x, x + [[1, 0]])
 
 
 @settings(max_examples=60, deadline=None)
