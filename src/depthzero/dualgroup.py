@@ -8,14 +8,16 @@ matrices of the natural module, normalized so that each (X, X_-) pair
 brackets to the coroot; the reflection lifts n_gamma then agree with the
 image of ((0,1),(-1,0)) under the corresponding SL(2).
 
-Every identity asserted downstream (reflection-lift squares, coroot
-conjugation, the structure-sign table and its triple product, the
-longest-element and Coxeter lift powers, torsion-lift independence) is
-verified by exact matrix computation over Z[zeta_N].
+The lifts are built and verified as matrices over Z[zeta_N], then turned
+once into :class:`Monomial` pairs by :func:`as_monomial`.  Every identity
+asserted downstream (reflection-lift squares, coroot conjugation, the
+structure-sign table and its triple product, the longest-element and
+Coxeter lift powers, torsion-lift independence) composes those pairs.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -96,8 +98,6 @@ def sp_transpose(a: SpMatrix) -> SpMatrix:
 
 
 def sp_det(a: SpMatrix) -> CycInt:
-    import itertools
-
     total = CycInt.zero(a.order)
     for perm in itertools.permutations(range(4)):
         sign = 1
@@ -113,6 +113,47 @@ def sp_det(a: SpMatrix) -> CycInt:
     return total
 
 
+_IDENTITY_PERM = (0, 1, 2, 3)
+
+
+@dataclass(frozen=True)
+class Monomial:
+    """A monomial 4x4 matrix with entries in mu_N: row i holds
+    zeta^exps[i] in column perm[i] and zeros elsewhere.
+
+    Exponents are reduced mod ``order`` and k -> zeta^k is injective on
+    Z/N, so equal pairs are equal matrices.
+    """
+
+    order: int
+    perm: tuple
+    exps: tuple
+
+    def __mul__(self, other: Monomial) -> Monomial:
+        assert self.order == other.order
+        n = self.order
+        return Monomial(
+            n,
+            tuple(other.perm[p] for p in self.perm),
+            tuple((e + other.exps[p]) % n for e, p in zip(self.exps, self.perm)),
+        )
+
+    def inverse(self) -> Monomial:
+        perm, exps = [0] * 4, [0] * 4
+        for i, (p, e) in enumerate(zip(self.perm, self.exps)):
+            perm[p] = i
+            exps[p] = -e % self.order
+        return Monomial(self.order, tuple(perm), tuple(exps))
+
+    def __pow__(self, k: int) -> Monomial:
+        if k < 0:
+            return self.inverse() ** -k
+        result = Monomial(self.order, _IDENTITY_PERM, (0, 0, 0, 0))
+        for _ in range(k):
+            result = result * self
+        return result
+
+
 class Pinning:
     """Pinned realization: root subgroup maps, coroots, reflection lifts."""
 
@@ -121,12 +162,17 @@ class Pinning:
             raise ValueError("cyclotomic order must be even to host -1")
         self.order = order
         self.zeta = [root_of_unity(order, k) for k in range(order)]
+        self.zeta_exponent = {z: k for k, z in enumerate(self.zeta)}
         self._zero = CycInt.zero(order)
         self._one = CycInt.one(order)
-        self.identity = self._diag_from_exponents((0, 0, 0, 0))
+        self.identity = self.matrix(self.torus(0, 0))
         self.form = self._build_form()
         self._n_cache: dict = {}
         self._verify_construction()
+        # the verified lifts as pairs: n_root, m = n_long n_short, n = m^2
+        self.lifts = {root: as_monomial(self, self.n_elem(root)) for root in ALL_ROOTS}
+        self.coxeter = self.lifts[LONG_SIMPLE] * self.lifts[SHORT_SIMPLE]
+        self.longest = self.coxeter * self.coxeter
 
     # -- basic matrices ------------------------------------------------------
 
@@ -140,14 +186,34 @@ class Pinning:
         )
         return SpMatrix(self.order, rows)
 
-    def _diag_from_exponents(self, exps) -> SpMatrix:
-        z = self._zero
+    def matrix(self, x: Monomial) -> SpMatrix:
+        """The 4x4 matrix of a monomial pair."""
         rows = []
-        for i in range(4):
-            row = [z, z, z, z]
-            row[i] = self.zeta[exps[i] % self.order]
+        for p, e in zip(x.perm, x.exps):
+            row = [self._zero] * 4
+            row[p] = self.zeta[e]
             rows.append(tuple(row))
         return SpMatrix(self.order, tuple(rows))
+
+    def torus(self, a: int, b: int) -> Monomial:
+        """long_coroot(zeta^a) * short_coroot(zeta^b)."""
+        n = self.order
+        return Monomial(n, _IDENTITY_PERM, (b % n, (a - b) % n, (b - a) % n, -b % n))
+
+    def coroot(self, root, exponent: int) -> Monomial:
+        """root_coroot(zeta^exponent)."""
+        c1, c2 = _COROOT_F[root]
+        return self.torus((c1 + c2) * exponent, c1 * exponent)
+
+    def torus_exponents(self, x: Monomial) -> tuple[int, int]:
+        """Write a torus element as long_coroot(zeta^a) short_coroot(zeta^b)."""
+        if x.perm != _IDENTITY_PERM:
+            raise PinningError("matrix is not diagonal")
+        b = x.exps[0]
+        a = (b + x.exps[1]) % self.order
+        if x != self.torus(a, b):
+            raise PinningError("diagonal is not of symplectic torus shape")
+        return a, b
 
     def root_subgroup(self, root, t: CycInt) -> SpMatrix:
         """x_root(t) = I + t * X_root."""
@@ -162,13 +228,11 @@ class Pinning:
 
     def coroot_matrix(self, root, exponent: int) -> SpMatrix:
         """root_coroot(zeta^exponent) as a diagonal matrix."""
-        c1, c2 = _COROOT_F[root]
-        e = exponent
-        return self._diag_from_exponents((c1 * e, c2 * e, -c2 * e, -c1 * e))
+        return self.matrix(self.coroot(root, exponent))
 
     def torus_matrix(self, a: int, b: int) -> SpMatrix:
-        """long_coroot(zeta^a) * short_coroot(zeta^b)."""
-        return self._diag_from_exponents((b, a - b, b - a, -b))
+        """long_coroot(zeta^a) * short_coroot(zeta^b) as a diagonal matrix."""
+        return self.matrix(self.torus(a, b))
 
     def n_elem(self, root) -> SpMatrix:
         """Reflection lift x(1) x_-(-1) x(1)."""
@@ -265,13 +329,34 @@ class Pinning:
     # -- headline elements ---------------------------------------------------------
 
     def coxeter_lift(self) -> SpMatrix:
-        """m = n_long * n_short, a lift of the Coxeter element."""
-        return sp_mul(self.n_elem(LONG_SIMPLE), self.n_elem(SHORT_SIMPLE))
+        """m = n_long * n_short, a lift of the Coxeter element, as a matrix."""
+        return self.matrix(self.coxeter)
 
     def longest_lift(self) -> SpMatrix:
-        """n = (n_long n_short)^2, a lift of the longest Weyl element."""
-        m = self.coxeter_lift()
-        return sp_mul(m, m)
+        """n = (n_long n_short)^2, a lift of the longest Weyl element, as a matrix."""
+        return self.matrix(self.longest)
+
+
+def as_monomial(pin: Pinning, m: SpMatrix) -> Monomial:
+    """The pair of a monomial matrix whose nonzero entries are powers of zeta.
+
+    Raises PinningError when a row has other than exactly one nonzero
+    entry, when two rows share a column, or when an entry is not a power
+    of the fixed root of unity.
+    """
+    perm, exps = [], []
+    for i, row in enumerate(m.rows):
+        cols = [j for j, x in enumerate(row) if not x.is_zero()]
+        if len(cols) != 1:
+            raise PinningError(f"row {i} has {len(cols)} nonzero entries; matrix is not monomial")
+        k = pin.zeta_exponent.get(row[cols[0]])
+        if k is None:
+            raise PinningError("matrix entry is not a power of the fixed root of unity")
+        perm.append(cols[0])
+        exps.append(k)
+    if len(set(perm)) != 4:
+        raise PinningError("two rows share a column; matrix is singular")
+    return Monomial(pin.order, tuple(perm), tuple(exps))
 
 
 @lru_cache(maxsize=None)
@@ -286,11 +371,7 @@ def build_pinning(order: int = 24) -> Pinning:
 def reflection_square_check(pin: Pinning) -> bool:
     """n_root^2 = coroot(-1) for every root."""
     half = pin.order // 2
-    for root in ALL_ROOTS:
-        n = pin.n_elem(root)
-        if not sp_eq(sp_mul(n, n), pin.coroot_matrix(root, half)):
-            return False
-    return True
+    return all(pin.lifts[root] ** 2 == pin.coroot(root, half) for root in ALL_ROOTS)
 
 
 def coroot_conjugation_check(pin: Pinning, exponents=None) -> bool:
@@ -298,13 +379,12 @@ def coroot_conjugation_check(pin: Pinning, exponents=None) -> bool:
     if exponents is None:
         exponents = list(range(1, 21))
     for gamma in (LONG_SIMPLE, SHORT_SIMPLE):
-        n = pin.n_elem(gamma)
-        ninv = pin.sp_inverse(n)
+        n = pin.lifts[gamma]
+        ninv = n.inverse()
         for delta in ALL_ROOTS:
             image = pin.reflect_root(gamma, delta)
             for e in exponents:
-                lhs = sp_mul(sp_mul(n, pin.coroot_matrix(delta, e)), ninv)
-                if not sp_eq(lhs, pin.coroot_matrix(image, e)):
+                if n * pin.coroot(delta, e) * ninv != pin.coroot(image, e):
                     return False
     return True
 
@@ -318,15 +398,15 @@ def reflection_sign_table(pin: Pinning):
     half = pin.order // 2
     table = {}
     for gamma in (LONG_SIMPLE, SHORT_SIMPLE):
-        n = pin.n_elem(gamma)
-        ninv = pin.sp_inverse(n)
+        n = pin.lifts[gamma]
+        ninv = n.inverse()
         for delta in ALL_ROOTS:
             image = pin.reflect_root(gamma, delta)
-            lhs = sp_mul(sp_mul(n, pin.n_elem(delta)), ninv)
-            n_image = pin.n_elem(image)
-            if sp_eq(lhs, n_image):
+            lhs = n * pin.lifts[delta] * ninv
+            n_image = pin.lifts[image]
+            if lhs == n_image:
                 table[(gamma, delta)] = 1
-            elif sp_eq(lhs, sp_mul(pin.coroot_matrix(image, half), n_image)):
+            elif lhs == pin.coroot(image, half) * n_image:
                 table[(gamma, delta)] = -1
             else:
                 raise PinningError(f"no +-1 sign solves conjugation for {gamma}, {delta}")
@@ -340,61 +420,41 @@ def reflection_sign_table(pin: Pinning):
 
 def longest_lift_square_check(pin: Pinning) -> bool:
     """Square of the longest-element lift equals short_coroot(-1)."""
-    n = pin.longest_lift()
-    return sp_eq(sp_mul(n, n), pin.coroot_matrix(SHORT_SIMPLE, pin.order // 2))
+    return pin.longest ** 2 == pin.coroot(SHORT_SIMPLE, pin.order // 2)
 
 
 def coxeter_lift_fourth_check(pin: Pinning) -> bool:
     """Fourth power of the Coxeter lift equals short_coroot(-1)."""
-    m = pin.coxeter_lift()
-    m4 = sp_mul(sp_mul(m, m), sp_mul(m, m))
-    return sp_eq(m4, pin.coroot_matrix(SHORT_SIMPLE, pin.order // 2))
+    return pin.coxeter ** 4 == pin.coroot(SHORT_SIMPLE, pin.order // 2)
 
 
 # ---------------------------------------------------------------------------
 # torus bookkeeping
 
 
-def _zeta_exponent(pin: Pinning, value: CycInt) -> int:
-    for k in range(pin.order):
-        if value == pin.zeta[k]:
-            return k
-    raise PinningError("matrix entry is not a power of the fixed root of unity")
-
-
 def extract_coroot_exponents(pin: Pinning, m: SpMatrix) -> tuple[int, int]:
-    """Write a diagonal element as long_coroot(zeta^a) short_coroot(zeta^b)."""
-    zero = CycInt.zero(pin.order)
-    for i in range(4):
-        for j in range(4):
-            if i != j and m.rows[i][j] != zero:
-                raise PinningError("matrix is not diagonal")
-    b = _zeta_exponent(pin, m.rows[0][0])
-    a = (b + _zeta_exponent(pin, m.rows[1][1])) % pin.order
-    if not sp_eq(m, pin.torus_matrix(a, b)):
-        raise PinningError("diagonal is not of symplectic torus shape")
-    return a, b
+    """Write a diagonal matrix as long_coroot(zeta^a) short_coroot(zeta^b)."""
+    return pin.torus_exponents(as_monomial(pin, m))
 
 
-def dual_torus_conjugate(pin: Pinning, by: SpMatrix, a: int, b: int) -> tuple[int, int]:
-    conj = sp_mul(sp_mul(by, pin.torus_matrix(a, b)), pin.sp_inverse(by))
-    return extract_coroot_exponents(pin, conj)
+def dual_torus_conjugate(pin: Pinning, by, a: int, b: int) -> tuple[int, int]:
+    """Coroot exponents of by * torus(a, b) * by^-1; ``by`` is a Monomial
+    or the SpMatrix of one."""
+    if isinstance(by, SpMatrix):
+        by = as_monomial(pin, by)
+    return pin.torus_exponents(by * pin.torus(a, b) * by.inverse())
 
 
 def twisted_frobenius_power(pin: Pinning, kind: int, a: int, b: int) -> tuple[int, int]:
     """Coroot exponents of (t n)^2 for kind 1 or (t m)^4 for kind 2,
     where t is the torus element with the given coroot exponents."""
-    t = pin.torus_matrix(a, b)
     if kind == 1:
-        x = sp_mul(t, pin.longest_lift())
-        power = sp_mul(x, x)
+        power = (pin.torus(a, b) * pin.longest) ** 2
     elif kind == 2:
-        x = sp_mul(t, pin.coxeter_lift())
-        x2 = sp_mul(x, x)
-        power = sp_mul(x2, x2)
+        power = (pin.torus(a, b) * pin.coxeter) ** 4
     else:
         raise ValueError(f"kind must be 1 or 2, got {kind}")
-    return extract_coroot_exponents(pin, power)
+    return pin.torus_exponents(power)
 
 
 def sample_torsion_exponents(order, count, element_orders=(2, 3, 4, 8, 12), seed=0):
@@ -422,8 +482,8 @@ def lift_independence_check(pin: Pinning, kind: int, count: int = 200, seed: int
 def weyl_action_checks(pin: Pinning, samples=((1, 0), (0, 1), (3, 5), (7, 11))) -> bool:
     """Conjugation by the two lifts acts as inversion resp. the order-4
     rotation in the relevant coordinates."""
-    nhat = pin.longest_lift()
-    mhat = pin.coxeter_lift()
+    nhat = pin.longest
+    mhat = pin.coxeter
     for a, b in samples:
         if dual_torus_conjugate(pin, nhat, a, b) != ((-a) % pin.order, (-b) % pin.order):
             return False

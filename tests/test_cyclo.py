@@ -1,10 +1,12 @@
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthzero.cyclo import (
     CycInt,
     OrderMismatchError,
+    _reduce,
     cyclotomic_polynomial,
     euler_phi,
     root_of_unity,
@@ -114,3 +116,26 @@ def test_coeff_length_checked():
 def test_approx_is_close_but_never_asserted_on():
     val = root_of_unity(8, 1).approx()
     assert abs(val - complex(2**-0.5, 2**-0.5)) < 1e-12
+
+
+# independent oracle: sympy's cyclotomic polynomials and polynomial remainder
+_X = sympy.symbols("x")
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    for n in range(1, 121):
+        coeffs = sympy.Poly(sympy.cyclotomic_poly(n, _X), _X).all_coeffs()
+        assert cyclotomic_polynomial(n) == tuple(int(c) for c in reversed(coeffs)), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3, 5, 8, 12, 15, 24, 30, 48]),
+    coeffs=st.lists(st.integers(-30, 30), min_size=1, max_size=60),
+)
+def test_reduce_matches_sympy_remainder(n, coeffs):
+    poly = sympy.Poly(list(reversed(coeffs)), _X)
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, _X), _X)
+    remainder = [int(c) for c in reversed(sympy.rem(poly, phi).all_coeffs())]
+    remainder += [0] * (euler_phi(n) - len(remainder))
+    assert _reduce(n, coeffs) == tuple(remainder)

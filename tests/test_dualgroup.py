@@ -1,12 +1,21 @@
-import pytest
+from functools import reduce
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from depthzero import driver, dualgroup
 from depthzero.cyclo import CycInt, root_of_unity
 from depthzero.dualgroup import (
     ALL_ROOTS,
     LONG_SIMPLE,
     POSITIVE_ROOTS,
     SHORT_SIMPLE,
+    Monomial,
     Pinning,
+    PinningError,
+    SpMatrix,
+    as_monomial,
     build_pinning,
     coroot_conjugation_check,
     cover_class_values,
@@ -156,3 +165,168 @@ def test_alternate_cyclotomic_order():
     assert longest_lift_square_check(pin8)
     assert coxeter_lift_fourth_check(pin8)
     assert twisted_frobenius_power(pin8, 1, 0, 0) == (0, 4)
+
+
+# ---------------------------------------------------------------------------
+# monomial pairs against the 4x4 matrices they stand for
+
+
+def _generator(pin, letter):
+    """A reflection lift ("n", root) or a torus element ("t", a, b)."""
+    if letter[0] == "n":
+        return pin.lifts[letter[1]]
+    return pin.torus(letter[1], letter[2])
+
+
+def _letters(order):
+    lift = st.tuples(st.just("n"), st.sampled_from(ALL_ROOTS))
+    torus = st.tuples(st.just("t"), st.integers(0, order - 1), st.integers(0, order - 1))
+    return st.lists(st.one_of(lift, torus), min_size=1, max_size=5)
+
+
+def _word_mismatches(pin, letters):
+    """The operations on the pair of a word whose results differ from
+    sp_mul / sp_inverse on its matrices."""
+    pairs = [_generator(pin, letter) for letter in letters]
+    word = reduce(lambda x, y: x * y, pairs)
+    matrix = reduce(sp_mul, [pin.matrix(x) for x in pairs])
+    bad = []
+    if not sp_eq(pin.matrix(word), matrix):
+        bad.append("product")
+    if not sp_eq(pin.matrix(word.inverse()), pin.sp_inverse(matrix)):
+        bad.append("inverse")
+    if word ** -1 != word.inverse():
+        bad.append("power -1")
+    power = pin.identity
+    for k in range(5):
+        if not sp_eq(pin.matrix(word ** k), power):
+            bad.append(f"power {k}")
+        power = sp_mul(power, matrix)
+    return bad
+
+
+@pytest.mark.parametrize("order", [8, 24])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_monomial_operations_match_matrices(order, data):
+    pin = build_pinning(order)
+    assert _word_mismatches(pin, data.draw(_letters(order))) == []
+
+
+def test_monomial_roundtrip_through_matrices(pin):
+    for letter in [("n", root) for root in ALL_ROOTS] + [("t", 7, 13), ("t", 0, 0)]:
+        x = _generator(pin, letter)
+        assert as_monomial(pin, pin.matrix(x)) == x
+    assert as_monomial(pin, pin.coxeter_lift()) == pin.coxeter
+    assert as_monomial(pin, pin.n_elem((1, 1))) == pin.lifts[(1, 1)]
+
+
+def test_as_monomial_rejects_non_monomial_matrices(pin):
+    one = CycInt.one(24)
+    with pytest.raises(PinningError, match="not monomial"):
+        as_monomial(pin, pin.root_subgroup((1, 2), one))
+    rows = [list(r) for r in pin.identity.rows]
+    rows[0][0] = 2 * pin.zeta[1]
+    with pytest.raises(PinningError, match="not a power"):
+        as_monomial(pin, SpMatrix(24, tuple(tuple(r) for r in rows)))
+    rows = [list(r) for r in pin.identity.rows]
+    rows[1] = rows[0]
+    with pytest.raises(PinningError, match="share a column"):
+        as_monomial(pin, SpMatrix(24, tuple(tuple(r) for r in rows)))
+
+
+def _frobenius_power_by_matrices(pin, kind, a, b):
+    """twisted_frobenius_power on 4x4 matrices, from the root-subgroup lifts."""
+    m = sp_mul(pin.n_elem(LONG_SIMPLE), pin.n_elem(SHORT_SIMPLE))
+    x = sp_mul(pin.torus_matrix(a, b), sp_mul(m, m) if kind == 1 else m)
+    power = sp_mul(x, x)
+    if kind == 2:
+        power = sp_mul(power, power)
+    b = pin.zeta.index(power.rows[0][0])
+    a = (b + pin.zeta.index(power.rows[1][1])) % pin.order
+    assert sp_eq(power, pin.torus_matrix(a, b))
+    return a, b
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_twisted_power_matches_matrix_path(kind):
+    pin24 = build_pinning(24)
+    for a, b in sample_torsion_exponents(24, 200, seed=0):
+        assert twisted_frobenius_power(pin24, kind, a, b) == _frobenius_power_by_matrices(
+            pin24, kind, a, b)
+    pin8 = build_pinning(8)
+    for a in range(8):
+        for b in range(8):
+            assert twisted_frobenius_power(pin8, kind, a, b) == _frobenius_power_by_matrices(
+                pin8, kind, a, b)
+
+
+def test_mutant_product_is_caught(monkeypatch, pin):
+    def wrong_index(self, other):
+        n = self.order
+        return Monomial(n, tuple(other.perm[p] for p in self.perm),
+                        tuple((e + other.exps[i]) % n for i, e in enumerate(self.exps)))
+
+    words = [[("n", LONG_SIMPLE), ("t", 1, 3)], [("n", SHORT_SIMPLE), ("t", 5, 2), ("n", (1, 1))]]
+    assert all(_word_mismatches(pin, w) == [] for w in words)
+    monkeypatch.setattr(Monomial, "__mul__", wrong_index)
+    assert all("product" in _word_mismatches(pin, w) for w in words)
+    assert not coroot_conjugation_check(pin)
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_shifted_coxeter_exponent_fails_its_check(monkeypatch, position):
+    broken = Pinning(24)
+    exps = list(broken.coxeter.exps)
+    exps[position] = (exps[position] + 12) % 24
+    broken.coxeter = Monomial(24, broken.coxeter.perm, tuple(exps))
+    monkeypatch.setattr(driver, "build_pinning", lambda order: broken)
+    tasks = {t["fn"]: t for t in driver.build_tasks("chevalley", driver.Config())}
+    outcomes = {fn: driver.run_task(tasks[fn])[0]["outcome"]
+                for fn in ("coxeter_lift", "dual_weyl_action")}
+    # a diagonal sign commutes with the torus, so only the fourth power sees it
+    assert outcomes == {"coxeter_lift": "FAIL", "dual_weyl_action": "PASS"}
+
+
+@pytest.mark.parametrize("order", [8, 12, 24, 48, 120])
+def test_lift_independence_exhaustive(order):
+    pin_n = build_pinning(order)
+    for kind in (1, 2):
+        base = twisted_frobenius_power(pin_n, kind, 0, 0)
+        assert base == (0, order // 2)
+        for a in range(order):
+            for b in range(order):
+                assert twisted_frobenius_power(pin_n, kind, a, b) == base, (kind, a, b)
+
+
+@pytest.mark.parametrize("order", [8, 12, 48, 120])
+def test_chevalley_campaign_passes_at_order(order):
+    tasks = driver.build_tasks("chevalley", driver.Config(cyclotomic_order=order))
+    records = [driver.run_task(t)[0] for t in tasks]
+    assert len(records) == 11
+    assert all(r["params"]["order"] == order for r in records)
+    assert [r["id"] for r in records if r["outcome"] != "PASS"] == []
+
+
+def test_checks_make_no_matrix_products(monkeypatch, pin):
+    calls = []
+    real = dualgroup.sp_mul
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(dualgroup, "sp_mul", counting)
+    for kind in (1, 2):
+        assert lift_independence_check(pin, kind)
+        cover_class_values.__wrapped__(kind, 24)
+    assert coroot_conjugation_check(pin)
+    reflection_sign_table(pin)
+    assert weyl_action_checks(pin)
+    assert reflection_square_check(pin)
+    assert longest_lift_square_check(pin)
+    assert coxeter_lift_fourth_check(pin)
+    assert calls == []
+    # the counter sees the matrix path
+    assert pin.is_symplectic(pin.identity)
+    assert calls

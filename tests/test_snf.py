@@ -1,5 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
 from depthzero.snf import (
     diagonal,
@@ -25,6 +27,14 @@ matrices = st.integers(1, 4).flatmap(
         )
     )
 )
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=matrices)
+def test_snf_invariant_factors_match_sympy(m):
+    theirs = sympy_smith_normal_form(Matrix(m), domain=ZZ)
+    ours = diagonal(smith_normal_form(m)[0])
+    assert [abs(d) for d in ours] == [abs(int(theirs[i, i])) for i in range(len(ours))]
 
 
 @settings(max_examples=120, deadline=None)
