@@ -198,9 +198,10 @@ def weyl_denominator_exponent(ctx: FormulaContext, rep) -> int:
     return total % 4
 
 
-def weyl_denominator_exponent_array(ctx: FormulaContext, coords: np.ndarray) -> np.ndarray:
-    """``weyl_denominator_exponent`` of every ``canonical_rep`` of the rows
-    of ``coordinate_array(T1Coinv | T2Coinv, ...)``.
+def weyl_denominator_factor_rows(ctx: FormulaContext, coords: np.ndarray) -> np.ndarray:
+    """``denominator_factors`` of every ``canonical_rep`` of the rows of
+    ``coordinate_array(T1Coinv | T2Coinv, ...)``, as an (N, 4, 2) int64
+    array of (dlog, val) rows, one per factor.
 
     The rows are read as ``canonical_rep`` reads a class: torus 1 as the
     pair (u1, v1), (u2, v2) of level-2 (dlog, val), torus 2 as the level-4
@@ -230,11 +231,14 @@ def weyl_denominator_exponent_array(ctx: FormulaContext, coords: np.ndarray) -> 
             (rows(t[1], v), rows(t[3], v)),
             (rows(t[0] + t[1], 2 * v), rows(t[2] + t[3], 2 * v)),
         )
-    total = 0
-    for a, b in pairs:
-        diff = leading_diff_array(tower, level, a, b)
-        total = total + eta_exponent_array(ctx.kind, diff[:, 1], ctx.eta_branch)
-    return total % 4
+    return np.stack([leading_diff_array(tower, level, a, b) for a, b in pairs], axis=1)
+
+
+def weyl_denominator_exponent_array(ctx: FormulaContext, coords: np.ndarray) -> np.ndarray:
+    """``weyl_denominator_exponent`` of every row, read as in
+    ``weyl_denominator_factor_rows``."""
+    vals = weyl_denominator_factor_rows(ctx, coords)[:, :, 1]
+    return eta_exponent_array(ctx.kind, vals, ctx.eta_branch).sum(axis=1) % 4
 
 
 def weyl_denominator(ctx: FormulaContext, rep) -> CycInt:
@@ -470,21 +474,26 @@ def orbit_character_sum(ctx: FormulaContext, base: DepthZeroCharacter,
 # the batched engine
 
 
-def first_unequal_sum(order: int, lhs: np.ndarray, rhs: np.ndarray):
-    """Index of the first entry, in C order over the leading axes, where
-    the sum of zeta_order^lhs[..., k] differs from that of rhs; None if all
-    are equal.
+def unequal_mask(order: int, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Boolean array over the leading axes: True where the sum of
+    zeta_order^lhs[..., k] differs from that of rhs.
 
     Equal exponent multisets give equal sums, so sorted rows decide most
     entries; rows whose multisets differ may still be equal in the ring
     and are reduced exactly with ``sum_of_roots``.
     """
-    same = (np.sort(lhs, axis=-1) == np.sort(rhs, axis=-1)).all(axis=-1)
-    for idx in np.argwhere(~same):
+    mask = (np.sort(lhs, axis=-1) != np.sort(rhs, axis=-1)).any(axis=-1)
+    for idx in np.argwhere(mask):
         i = tuple(int(k) for k in idx)
-        if sum_of_roots(order, lhs[i].tolist()) != sum_of_roots(order, rhs[i].tolist()):
-            return i
-    return None
+        mask[i] = sum_of_roots(order, lhs[i].tolist()) != sum_of_roots(order, rhs[i].tolist())
+    return mask
+
+
+def first_unequal_sum(order: int, lhs: np.ndarray, rhs: np.ndarray):
+    """Index of the first True entry of ``unequal_mask``, in C order over
+    the leading axes; None if all sums are equal."""
+    hits = np.argwhere(unequal_mask(order, lhs, rhs))
+    return tuple(int(k) for k in hits[0]) if len(hits) else None
 
 
 def _dot(exponents, coords):
@@ -495,32 +504,33 @@ class SumTables:
     """``theta`` and ``orbit_character_sum`` on a grid of strongly regular
     elements times rational Weyl labels, as integer exponent tables.
 
-    Everything that does not depend on the character is computed once
-    here: the moved rational coordinates of each gamma, the moved
-    coinvariant lifts, their parity classes, and the Weyl denominator of
-    each lift.  Per character, ``theta_exponents`` and ``orbit_exponents``
-    give (G, W, S) arrays of zeta_ambient exponents (G elements, W labels,
-    S summation elements) whose sums over the last axis are exactly the
-    scalar values, with ``parity`` twisting the lifts as in ``theta``.
-    Only the default positive system is covered.
+    Everything that does not depend on the character is computed once:
+    the moved rational coordinates of each gamma, the moved coinvariant
+    lifts and their parity classes here, the Weyl denominator of each lift
+    once per positive system, on first use.  Per character,
+    ``theta_exponents`` and ``orbit_exponents`` give (G, W, S) arrays of
+    zeta_ambient exponents (G elements, W labels, S summation elements)
+    whose sums over the last axis are exactly the scalar values, with
+    ``parity`` twisting the lifts and ``positive_roots`` choosing the
+    positive system of the denominator as in ``theta``.
+    ``labels`` restricts the Weyl labels (default: the rational Weyl group).
     """
 
-    def __init__(self, ctx: FormulaContext, gammas, parity=None):
+    def __init__(self, ctx: FormulaContext, gammas, parity=None, labels=None):
         kind, q = ctx.kind, ctx.q
         self.ctx = ctx
         self.gammas = list(gammas)
-        self.labels = rational_weyl_group(kind)
+        self.labels = tuple(labels) if labels is not None else rational_weyl_group(kind)
         for gamma in self.gammas:
             if not is_strongly_regular(kind, q, gamma):
                 raise NotStronglyRegularError(f"{gamma} is not strongly regular")
         n = unit_class_order(kind, q)
         if 2 * n * n >= 2**63:
             raise OverflowError(f"q = {q} exceeds the int64 range of the tables")
-        amb = ctx.ambient_order
         rational_cls, coinv_cls = (T1Rational, T1Coinv) if kind == 1 else (T2Rational, T2Coinv)
-        lifts = [_lift(ctx, gamma, parity) for gamma in self.gammas]
-        gamma_coords = coordinate_array(rational_cls, self.gammas)
-        lift_coords = coordinate_array(coinv_cls, lifts)
+        self.lifts = [_lift(ctx, gamma, parity) for gamma in self.gammas]
+        self.gamma_coords = coordinate_array(rational_cls, self.gammas)
+        self.lift_coords = coordinate_array(coinv_cls, self.lifts)
         inverses = [[weyl_inverse(weyl_compose(s, w)) for s in ctx.summation]
                     for w in self.labels]
 
@@ -532,9 +542,9 @@ class SumTables:
             ], axis=1)
             return np.ascontiguousarray(np.moveaxis(table, -1, 0))
 
-        self.moved_gamma = moved(rational_cls, gamma_coords)
-        moved_lift = moved(coinv_cls, lift_coords)
-        rank = gamma_coords.shape[1]
+        self.moved_gamma = moved(rational_cls, self.gamma_coords)
+        moved_lift = moved(coinv_cls, self.lift_coords)
+        rank = self.gamma_coords.shape[1]
         self.moved_units = moved_lift[:rank]
         if kind == 1:
             self.parity_index = 2 * moved_lift[2] + moved_lift[3]
@@ -542,17 +552,34 @@ class SumTables:
         else:
             self.parity_index = moved_lift[1]
             self.parity_keys = [0, 1]
-        den = np.array([weyl_denominator_exponent(ctx, canonical_rep(lift)) for lift in lifts],
-                       dtype=np.int64)
-        shift = -den * (amb // 4) + (amb // 2 if ctx.epsilon_chi < 0 else 0)
-        self.theta_shift = (shift % amb)[:, None, None]
-        self.orbit_shift = amb // 2 if ctx.epsilon_gt < 0 else 0
+        self._theta_shifts = {}
+        self.orbit_shift = ctx.ambient_order // 2 if ctx.epsilon_gt < 0 else 0
+
+    def denominator_exponents(self, positive_roots=None) -> np.ndarray:
+        """The Weyl denominator of each lift as a zeta_4 exponent: the
+        combined difference form on the default positive system, else
+        delta0 of gamma plus the rho-shift sign of the lift."""
+        if positive_roots is None:
+            return weyl_denominator_exponent_array(self.ctx, self.lift_coords)
+        rho = rho_shift_table(self.ctx, positive_roots)
+        signs = np.array([2 if rho[lift] < 0 else 0 for lift in self.lifts], dtype=np.int64)
+        delta0 = delta0_eta_exponent_array(self.ctx, self.gamma_coords, positive_roots)
+        return (delta0 + signs) % 4
+
+    def _theta_shift(self, positive_roots):
+        key = tuple(positive_roots) if positive_roots is not None else None
+        if key not in self._theta_shifts:
+            amb = self.ctx.ambient_order
+            den = self.denominator_exponents(positive_roots)
+            shift = -den * (amb // 4) + (amb // 2 if self.ctx.epsilon_chi < 0 else 0)
+            self._theta_shifts[key] = (shift % amb)[:, None, None]
+        return self._theta_shifts[key]
 
     def _check_character(self, chi):
         if chi.kind != self.ctx.kind or chi.q != self.ctx.q:
             raise ValueError("character does not match the context")
 
-    def theta_exponents(self, chi: CoverCharacter) -> np.ndarray:
+    def theta_exponents(self, chi: CoverCharacter, positive_roots=None) -> np.ndarray:
         """The cover character on the moved lifts, minus the denominator."""
         self._check_character(chi)
         n, amb = unit_class_order(self.ctx.kind, self.ctx.q), self.ctx.ambient_order
@@ -560,7 +587,8 @@ class SumTables:
         signs = np.array([amb // 2 if table[k] < 0 else 0 for k in self.parity_keys],
                          dtype=np.int64)
         units = -_dot(chi.base.exponents, self.moved_units) % n
-        return (units * (amb // n) + signs[self.parity_index] + self.theta_shift) % amb
+        shift = self._theta_shift(positive_roots)
+        return (units * (amb // n) + signs[self.parity_index] + shift) % amb
 
     def orbit_exponents(self, base: DepthZeroCharacter) -> np.ndarray:
         """The base character on the moved rational elements."""
@@ -575,6 +603,20 @@ class SumTables:
         return first_unequal_sum(
             self.ctx.ambient_order, self.theta_exponents(chi), self.orbit_exponents(chi.base)
         )
+
+    def packet_classes(self, chi: CoverCharacter) -> tuple[tuple[str, ...], ...]:
+        """``packet(ctx, chi).classes``: the labels grouped by exact equality
+        of their theta values on every element, in label order."""
+        exps = self.theta_exponents(chi)
+        classes: list[list[int]] = []
+        for i in range(len(self.labels)):
+            for cls in classes:
+                if not unequal_mask(self.ctx.ambient_order, exps[:, cls[0]], exps[:, i]).any():
+                    cls.append(i)
+                    break
+            else:
+                classes.append([i])
+        return tuple(tuple(self.labels[i].name for i in cls) for cls in classes)
 
 
 # ---------------------------------------------------------------------------

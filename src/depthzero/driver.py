@@ -21,6 +21,7 @@ import resource
 import subprocess
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import product
@@ -38,21 +39,22 @@ from .characters import (
     weyl_conjugate,
 )
 from .charformula import (
+    PACKET_CAVEAT,
     FormulaContext,
     SumTables,
     _two_rho_eta_exponent,
     delta0_eta_exponent,
     delta0_eta_exponent_array,
-    denominator_factors,
+    first_unequal_sum,
     make_context,
     named_summation_subgroup,
-    packet,
     positive_system_contexts,
     rho_shift_closed_sign,
     rho_shift_solve,
-    theta,
+    unequal_mask,
     weyl_denominator_exponent,
     weyl_denominator_exponent_array,
+    weyl_denominator_factor_rows,
 )
 from .dualgroup import (
     build_pinning,
@@ -92,7 +94,6 @@ from .tori import (
     quad_from_pair,
     quad_galois,
     rational_order,
-    rational_weyl_group,
     tate_cohomology,
     unit_class_order,
     weyl_identity,
@@ -408,58 +409,80 @@ def check_formula_equals_orbit_sum(params):
 
 
 def check_lift_independence_formula(params):
+    """Per gamma, in order: the valuation profile of the twisted lift's
+    denominator factors, the sign shift of its denominator, then every
+    character (outer) and twist (inner) against the untwisted lift."""
     kind, q = params["kind"], params["q"]
     ctx = _context_from_params(params)
     chars, _ = _character_pool(kind, q, limit=6)
     twists = parity_classes(kind, q)
-    one = weyl_identity(kind)
+    labels = (weyl_identity(kind),)
     profile_expected = [1, 1, 2, 3] if kind == 1 else [1, 2, 1, 2]
-    for gamma in iter_strongly_regular(kind, q):
-        base_lift = lift_of_rational(kind, q, gamma)
-        shifted = coinv_mul(base_lift, twists[-1])
-        profile = [d.val for d in denominator_factors(ctx, canonical_rep(shifted))]
+    gammas = list(iter_strongly_regular(kind, q))
+    base = SumTables(ctx, gammas, labels=labels)
+    twisted = [SumTables(ctx, gammas, parity=tw, labels=labels) for tw in twists]
+    shifted = twisted[-1]
+    profiles = weyl_denominator_factor_rows(ctx, shifted.lift_coords)[:, :, 1]
+    shift_bad = (shifted.denominator_exponents() - base.denominator_exponents()) % 4 != 2
+    value_bad = np.zeros((len(gammas), len(chars), len(twists)), dtype=bool)
+    for c, chi in enumerate(chars):
+        cov = cover_character(chi)
+        lhs = base.theta_exponents(cov)
+        for t, tables in enumerate(twisted):
+            rhs = tables.theta_exponents(cov)
+            value_bad[:, c, t] = unequal_mask(ctx.ambient_order, lhs, rhs)[:, 0]
+    for g, gamma in enumerate(gammas):
+        profile = [int(v) for v in profiles[g]]
         if profile != profile_expected:
             return _fail({"gamma": str(gamma), "valuations": profile})
-        d0 = weyl_denominator_exponent(ctx, canonical_rep(base_lift))
-        d1 = weyl_denominator_exponent(ctx, canonical_rep(shifted))
-        if (d1 - d0) % 4 != 2:
+        if shift_bad[g]:
             return _fail({"gamma": str(gamma), "reason": "denominator sign shift"})
-        for chi in chars:
-            cov = cover_character(chi)
-            base_val = theta(ctx, cov, one, gamma)
-            for tw in twists:
-                if theta(ctx, cov, one, gamma, parity=tw) != base_val:
-                    return _fail({
-                        "character": character_to_descriptor(chi),
-                        "gamma": str(gamma),
-                        "twist": str(tw),
-                    })
+        hits = np.argwhere(value_bad[g])
+        if len(hits):
+            c, t = hits[0]
+            return _fail({
+                "character": character_to_descriptor(chars[c]),
+                "gamma": str(gamma),
+                "twist": str(twists[t]),
+            })
     return _ok({"twists": len(twists)})
 
 
 def check_denominator_representatives(params):
+    """Classes in enumeration order, each against ``samples`` random
+    representatives drawn class by class, sample by sample, slot by slot
+    (unit, then valuation)."""
     kind, q = params["kind"], params["q"]
     ctx = _context_from_params(params)
     rng = random.Random(params.get("seed", 0))
+    samples = params.get("samples", 100)
     group = q ** (2 * kind) - 1
     unit_mod = q + 1 if kind == 1 else q * q + 1
+    coinv_cls = T1Coinv if kind == 1 else T2Coinv
+    classes = [c for c in enumerate_coinvariants(kind, q)
+               if is_strongly_regular(kind, q, coinvariant_norm(c))]
 
-    def sample(u, v):  # another representative of the class (u, v)
-        return unit(q, 2 * kind, u + unit_mod * rng.randrange(group // unit_mod),
-                    v + 2 * rng.randrange(-3, 4))
+    def sample(u, v):  # another representative of the class (u, v), as (dlog, val)
+        dlog = (u + unit_mod * rng.randrange(group // unit_mod)) % group
+        return dlog, v + 2 * rng.randrange(-3, 4)
 
-    checked = 0
-    for c in enumerate_coinvariants(kind, q):
-        if not is_strongly_regular(kind, q, coinvariant_norm(c)):
-            continue
-        base = weyl_denominator_exponent(ctx, canonical_rep(c))
-        for _ in range(params.get("samples", 100)):
-            rep = ((sample(c.u1, c.v1), sample(c.u2, c.v2)) if kind == 1
-                   else sample(c.u, c.v))
-            if weyl_denominator_exponent(ctx, rep) != base:
-                return _fail({"class": str(c)})
-            checked += 1
-    return _ok({"representatives_checked": checked})
+    rank = 2 if kind == 1 else 1
+    # blocks of ~1,024 sample rows, as in split-vs-combined: the whole q = 3
+    # grid at once (6,400 rows for torus 1) raised the campaign's peak RSS
+    step = max(1, 1024 // samples)
+    for start in range(0, len(classes), step):
+        block = classes[start : start + step]
+        coords = coordinate_array(coinv_cls, block)
+        draws = [x for row in coords.tolist() for _ in range(samples) for slot in range(rank)
+                 for x in sample(row[slot], row[rank + slot])]
+        # (class, sample, slot, (dlog, val)) -> rows (dlogs..., vals...)
+        reps = np.array(draws, dtype=np.int64).reshape(-1, rank, 2).swapaxes(1, 2)
+        got = weyl_denominator_exponent_array(ctx, reps.reshape(-1, 2 * rank))
+        base = weyl_denominator_exponent_array(ctx, coords)
+        bad = np.argwhere(got.reshape(len(block), samples) != base[:, None])
+        if len(bad):
+            return _fail({"class": str(block[bad[0][0]])})
+    return _ok({"representatives_checked": len(classes) * samples})
 
 
 def check_split_vs_combined(params):
@@ -503,26 +526,26 @@ def _split_vs_combined_witness(ctx, gamma, tw):
 
 
 def check_positive_systems(params):
+    """System (outer), character, then gamma: theta at the identity label on
+    the default positive system against each transformed one."""
     kind, q = params["kind"], params["q"]
     ctx = _context_from_params(params)
     chars, _ = _character_pool(kind, q, limit=6)
-    one = weyl_identity(kind)
     systems = positive_system_contexts(kind)
-    count = 0
+    tables = SumTables(ctx, iter_strongly_regular(kind, q), labels=(weyl_identity(kind),))
+    covers = [cover_character(chi) for chi in chars]
+    defaults = [tables.theta_exponents(cov) for cov in covers]
     for name, roots in systems:
-        for chi in chars:
-            cov = cover_character(chi)
-            for gamma in iter_strongly_regular(kind, q):
-                default_val = theta(ctx, cov, one, gamma)
-                moved_val = theta(ctx, cov, one, gamma, positive_roots=roots)
-                count += 1
-                if default_val != moved_val:
-                    return _fail({
-                        "system": name,
-                        "character": character_to_descriptor(chi),
-                        "gamma": str(gamma),
-                    })
-    return _ok({"systems": len(systems), "comparisons": count})
+        for chi, cov, lhs in zip(chars, covers, defaults):
+            hit = first_unequal_sum(ctx.ambient_order, lhs, tables.theta_exponents(cov, roots))
+            if hit is not None:
+                return _fail({
+                    "system": name,
+                    "character": character_to_descriptor(chi),
+                    "gamma": str(tables.gammas[hit[0]]),
+                })
+    comparisons = len(systems) * len(chars) * len(tables.gammas)
+    return _ok({"systems": len(systems), "comparisons": comparisons})
 
 
 def check_rho_shift_unique(params):
@@ -553,39 +576,47 @@ def check_eta_branch(params):
 
 
 def check_packet_conjugation(params):
+    """Per character: every w (outer) and gamma against the conjugated
+    character at the identity label, then the one-class claim; last the
+    trivial-group claim for the first character."""
     kind, q = params["kind"], params["q"]
     ctx = _context_from_params(params)
     chars, _ = _character_pool(kind, q, limit=3)
     gammas = list(iter_strongly_regular(kind, q))
-    labels = rational_weyl_group(kind)
+    tables = SumTables(ctx, gammas)
+    labels = tables.labels
+    one = labels.index(weyl_identity(kind))
     # the one-class claim is about the full summation group, whatever the
     # configured one; the trivial group below separates the conjugates
-    full_ctx = _context_from_params({**params, "summation": "full"})
+    full = tables if params.get("summation", "full") == "full" else SumTables(
+        _context_from_params({**params, "summation": "full"}), gammas)
     for chi in chars:
         cov = cover_character(chi)
-        for w in labels:
-            for gamma in gammas:
-                lhs = theta(ctx, cov, w, gamma)
-                rhs = theta(ctx, cover_character(weyl_conjugate(chi, w)),
-                            weyl_identity(kind), gamma)
-                if lhs != rhs:
-                    return _fail({"w": w.name, "gamma": str(gamma),
-                                  "character": character_to_descriptor(chi)})
-        pk = packet(full_ctx, cov)
-        if len(pk.classes) != 1:
-            return _fail({"classes": [list(c) for c in pk.classes],
+        lhs = tables.theta_exponents(cov)
+        rhs = np.stack([
+            tables.theta_exponents(cover_character(weyl_conjugate(chi, w)))[:, one]
+            for w in labels
+        ], axis=1)
+        hit = first_unequal_sum(ctx.ambient_order, lhs.swapaxes(0, 1), rhs.swapaxes(0, 1))
+        if hit is not None:
+            w, g = hit
+            return _fail({"w": labels[w].name, "gamma": str(gammas[g]),
+                          "character": character_to_descriptor(chi)})
+        classes = full.packet_classes(cov)
+        if len(classes) != 1:
+            return _fail({"classes": [list(c) for c in classes],
                           "reason": "full summation group must give one class"})
     # with the trivial summation subgroup the classes separate conjugates
     chi = chars[0]
-    trivial_ctx = _context_from_params({**params, "summation": "trivial"})
-    pk = packet(trivial_ctx, cover_character(chi))
+    trivial = SumTables(_context_from_params({**params, "summation": "trivial"}), gammas)
+    classes = trivial.packet_classes(cover_character(chi))
     distinct = len({
         tuple(weyl_conjugate(chi, w).eval_exponent(g) for g in gammas)
         for w in labels
     })
-    if len(pk.classes) != distinct:
-        return _fail({"classes": len(pk.classes), "distinct_conjugates": distinct})
-    return _ok({"packet_caveat": pk.caveat})
+    if len(classes) != distinct:
+        return _fail({"classes": len(classes), "distinct_conjugates": distinct})
+    return _ok({"packet_caveat": PACKET_CAVEAT})
 
 
 def check_threshold_scan(params):
@@ -853,6 +884,10 @@ def run_task(task: dict) -> tuple[dict, float]:
         outcome, witness, info = row.check(task["params"], **row.options)
     except BudgetExceededError as exc:
         outcome, witness, info = "SKIPPED", {"reason": str(exc)}, {}
+    except Exception as exc:  # a broken model fails its check, not the campaign
+        print(f"{task['id']} raised:", file=sys.stderr)
+        traceback.print_exc()
+        outcome, witness, info = "FAIL", {"error": f"{type(exc).__name__}: {exc}"}, {}
     record = {
         "id": task["id"],
         "claim": task["claim"],

@@ -20,7 +20,10 @@ from depthzero.charformula import (
     make_context,
     named_summation_subgroup,
     orbit_character_sum,
+    packet,
+    positive_system_contexts,
     theta,
+    unequal_mask,
 )
 from depthzero.cyclo import sum_of_roots
 from depthzero.dualgroup import cover_class_values
@@ -83,6 +86,36 @@ def test_tables_match_scalar_across_summation_and_signs(kind, q, summation,
     ctx = make_context(kind, q, summation=named_summation_subgroup(kind, summation),
                        epsilon_gt=epsilon_gt, epsilon_chi=epsilon_chi)
     _assert_matches_scalar(ctx)
+
+
+@pytest.mark.parametrize("kind,q,branch", [(1, 3, 1), (2, 3, -1), (1, 5, 1), (2, 5, 1)])
+def test_tables_match_scalar_on_every_positive_system(kind, q, branch):
+    """The split denominator of each transformed positive system, on every
+    twist, with the identity label only."""
+    ctx = make_context(kind, q, eta_branch=branch)
+    chars, _ = driver._character_pool(kind, q, limit=3)
+    amb, one = ctx.ambient_order, rational_weyl_group(kind)[0]
+    for tw in parity_classes(kind, q):
+        tables = SumTables(ctx, iter_strongly_regular(kind, q), parity=tw, labels=(one,))
+        for _, roots in positive_system_contexts(kind):
+            for chi in chars:
+                cov = cover_character(chi)
+                exps = tables.theta_exponents(cov, roots)
+                assert exps.shape == (len(tables.gammas), 1, len(ctx.summation))
+                assert [sum_of_roots(amb, row[0].tolist()) for row in exps] == [
+                    theta(ctx, cov, one, g, parity=tw, positive_roots=roots)
+                    for g in tables.gammas]
+
+
+@pytest.mark.parametrize("summation", ["full", "rotation", "trivial"])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_packet_classes_match_scalar_packet(kind, summation):
+    ctx = make_context(kind, 3, summation=named_summation_subgroup(kind, summation))
+    tables = SumTables(ctx, iter_strongly_regular(kind, 3))
+    chars, _ = driver._character_pool(kind, 3, limit=3)
+    for chi in chars:
+        cov = cover_character(chi)
+        assert tables.packet_classes(cov) == packet(ctx, cov).classes
 
 
 @pytest.mark.parametrize("epsilon_gt,epsilon_chi", [(-1, 1), (1, -1)])
@@ -165,15 +198,21 @@ def _first_dlog(rep):
     return (rep[0] if isinstance(rep, tuple) else rep).residue.dlog
 
 
+def _break_denominator(monkeypatch, extra):
+    """Add ``extra(first dlog)`` to the Weyl denominator, in the scalar form
+    (the oracle) and the array form (the tables) alike; the first column of
+    a coinvariant row is the first dlog of its ``canonical_rep``."""
+    scalar = charformula.weyl_denominator_exponent
+    array = charformula.weyl_denominator_exponent_array
+    monkeypatch.setattr(charformula, "weyl_denominator_exponent",
+                        lambda ctx, rep: (scalar(ctx, rep) + extra(_first_dlog(rep))) % 4)
+    monkeypatch.setattr(charformula, "weyl_denominator_exponent_array",
+                        lambda ctx, coords: (array(ctx, coords) + extra(coords[:, 0])) % 4)
+
+
 @pytest.mark.parametrize("kind,q,branch", CASES)
 def test_broken_denominator_fails_with_scalar_witness(kind, q, branch, monkeypatch):
-    original = charformula.weyl_denominator_exponent
-
-    def broken(ctx, rep):
-        shift = 2 if _first_dlog(rep) % 3 == 1 else 0
-        return (original(ctx, rep) + shift) % 4
-
-    monkeypatch.setattr(charformula, "weyl_denominator_exponent", broken)
+    _break_denominator(monkeypatch, lambda dlog: 2 * (dlog % 3 == 1))
     params = {"kind": kind, "q": q, "branch": branch}
     got = driver.check_formula_equals_orbit_sum(params)
     assert got[0] == "FAIL"
@@ -182,9 +221,7 @@ def test_broken_denominator_fails_with_scalar_witness(kind, q, branch, monkeypat
 
 def test_tables_follow_odd_denominator_exponents(monkeypatch):
     # the model's denominators are even; an odd one tells D from D^-1
-    original = charformula.weyl_denominator_exponent
-    monkeypatch.setattr(charformula, "weyl_denominator_exponent",
-                        lambda ctx, rep: (original(ctx, rep) + _first_dlog(rep)) % 4)
+    _break_denominator(monkeypatch, lambda dlog: dlog)
     for kind in (1, 2):
         _assert_matches_scalar(make_context(kind, 3))
 
@@ -231,3 +268,11 @@ def test_exact_fallback_decides_multiset_different_sums():
     rhs = np.array([[[1, 3], [0, 0]], [[1, 1], [2, 3]]])
     assert first_unequal_sum(4, lhs, rhs) == (1, 1)
     assert first_unequal_sum(4, rhs, rhs) is None
+
+
+def test_unequal_mask_marks_every_unequal_sum():
+    lhs = np.array([[[0, 2], [0, 0]], [[1, 1], [0, 1]]])
+    rhs = np.array([[[1, 3], [0, 0]], [[1, 1], [2, 3]]])
+    # (0, 0): different multisets, both sums 0; (1, 1): 1 + i against -1 - i
+    assert unequal_mask(4, lhs, rhs).tolist() == [[False, False], [False, True]]
+    assert unequal_mask(4, rhs[:, :, ::-1], rhs).tolist() == [[False, False], [False, False]]

@@ -29,6 +29,7 @@ from depthzero.charformula import (
     weyl_denominator,
     weyl_denominator_exponent,
     weyl_denominator_exponent_array,
+    weyl_denominator_factor_rows,
 )
 from depthzero.cyclo import root_of_unity
 from depthzero.localmodel import CancellationError, unit
@@ -231,6 +232,21 @@ def test_array_denominators_equal_scalar(q, kind, branch):
     for _, roots in positive_system_contexts(kind):
         moved = delta0_eta_exponent_array(ctx, coordinate_array(rational_cls, gammas), roots)
         assert moved.tolist() == [delta0_eta_exponent(ctx, g, roots) for g in gammas]
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_factor_rows_equal_scalar_factors(q, kind):
+    """Each (dlog, val) row of the array factors is the scalar factor, on
+    every twisted lift."""
+    ctx = make_context(kind, q)
+    lifts = [coinv_mul(lift_of_rational(kind, q, g), tw)
+             for g in iter_strongly_regular(kind, q) for tw in parity_classes(kind, q)]
+    rows = weyl_denominator_factor_rows(ctx, coordinate_array(_CLASSES[kind][1], lifts))
+    assert rows.shape == (len(lifts), 4, 2)
+    assert rows.tolist() == [
+        [[f.residue.dlog, f.val] for f in denominator_factors(ctx, canonical_rep(x))]
+        for x in lifts]
 
 
 @pytest.mark.parametrize("q", [3, 5])

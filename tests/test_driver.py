@@ -317,3 +317,38 @@ def test_summation_flag_accepted(tmp_path):
 
 def test_epsilon_flag_scales_both_sides(tmp_path):
     assert main(["identity", "--q", "3", "--epsilon-gt", "-1", "--out", str(tmp_path)]) == 0
+
+
+def _raising_check(params):
+    raise RuntimeError(f"model broken at kind {params['kind']}")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_check_that_raises_fails_alone(monkeypatch, tmp_path, jobs):
+    """An exception inside a check becomes that check's FAIL record; the
+    other checks still run and the reports are written."""
+    row = driver.Check("cohomology/raises", "raises", _raising_check, grid="k",
+                       claim="a check whose model raises")
+    monkeypatch.setattr(driver, "CHECKS", (*driver.CHECKS, row))
+    monkeypatch.setitem(driver.REGISTRY, row.name, row)
+    argv = ["cohomology", "--q", "3", "--kind", "1", "--jobs", jobs, "--out", str(tmp_path)]
+    assert main(argv) == 1
+    records = json.loads((tmp_path / "report.json").read_text())["checks"]
+    failed = [r for r in records if r["outcome"] != "PASS"]
+    assert failed == [{
+        "id": "cohomology/raises-k1", "claim": "a check whose model raises",
+        "params": {"kind": 1}, "outcome": "FAIL",
+        "witness": {"error": "RuntimeError: model broken at kind 1"}, "info": {},
+    }]
+    assert len(records) == 7
+    assert (tmp_path / "report.md").exists() and (tmp_path / "run_meta.json").exists()
+
+
+def test_interrupt_inside_a_check_propagates(monkeypatch):
+    def interrupted(params):
+        raise KeyboardInterrupt
+
+    row = driver.Check("cohomology/interrupted", "interrupted", interrupted, claim="stops")
+    monkeypatch.setitem(driver.REGISTRY, row.name, row)
+    with pytest.raises(KeyboardInterrupt):
+        driver.run_task({"id": row.id, "claim": row.claim, "fn": row.name, "params": {}})

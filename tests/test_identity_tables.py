@@ -1,0 +1,367 @@
+"""The identity checks that run on exponent tables, against the scalar loops
+they replaced.
+
+The four ``oracle_*`` functions are the per-element bodies of
+``lift-independence``, ``denominator-representatives``,
+``positive-systems`` and ``packet-conjugation`` as they were written on
+``theta``, ``packet`` and the scalar Weyl denominator.  The table checks
+must return the same record (outcome, witness and info) on a grid of
+configurations, and under each deliberate break of the model, applied to
+both sides, the same FAIL and witness.
+"""
+
+import json
+import random
+import sys
+
+import numpy as np
+import pytest
+
+from depthzero import characters, charformula, driver
+from depthzero.characters import (
+    DepthZeroCharacter,
+    character_to_descriptor,
+    cover_character,
+    weyl_conjugate,
+)
+from depthzero.charformula import (
+    denominator_factors,
+    packet,
+    positive_system_contexts,
+    theta,
+    weyl_denominator_exponent,
+)
+from depthzero.driver import _character_pool, _context_from_params, _fail, _ok, main
+from depthzero.dualgroup import cover_class_values
+from depthzero.localmodel import unit
+from depthzero.tori import (
+    T1Rational,
+    T2Rational,
+    canonical_rep,
+    coinv_mul,
+    coinvariant_norm,
+    coordinate_array,
+    enumerate_coinvariants,
+    is_strongly_regular,
+    iter_strongly_regular,
+    lift_of_rational,
+    parity_classes,
+    rational_weyl_group,
+    unit_class_order,
+    weyl_identity,
+)
+
+# ---------------------------------------------------------------------------
+# the scalar oracles
+
+
+def oracle_lift_independence_formula(params):
+    kind, q = params["kind"], params["q"]
+    ctx = _context_from_params(params)
+    chars, _ = _character_pool(kind, q, limit=6)
+    twists = parity_classes(kind, q)
+    one = weyl_identity(kind)
+    profile_expected = [1, 1, 2, 3] if kind == 1 else [1, 2, 1, 2]
+    for gamma in iter_strongly_regular(kind, q):
+        base_lift = lift_of_rational(kind, q, gamma)
+        shifted = coinv_mul(base_lift, twists[-1])
+        profile = [d.val for d in denominator_factors(ctx, canonical_rep(shifted))]
+        if profile != profile_expected:
+            return _fail({"gamma": str(gamma), "valuations": profile})
+        d0 = weyl_denominator_exponent(ctx, canonical_rep(base_lift))
+        d1 = weyl_denominator_exponent(ctx, canonical_rep(shifted))
+        if (d1 - d0) % 4 != 2:
+            return _fail({"gamma": str(gamma), "reason": "denominator sign shift"})
+        for chi in chars:
+            cov = cover_character(chi)
+            base_val = theta(ctx, cov, one, gamma)
+            for tw in twists:
+                if theta(ctx, cov, one, gamma, parity=tw) != base_val:
+                    return _fail({
+                        "character": character_to_descriptor(chi),
+                        "gamma": str(gamma),
+                        "twist": str(tw),
+                    })
+    return _ok({"twists": len(twists)})
+
+
+def oracle_denominator_representatives(params):
+    kind, q = params["kind"], params["q"]
+    ctx = _context_from_params(params)
+    rng = random.Random(params.get("seed", 0))
+    group = q ** (2 * kind) - 1
+    unit_mod = q + 1 if kind == 1 else q * q + 1
+
+    def sample(u, v):  # another representative of the class (u, v)
+        return unit(q, 2 * kind, u + unit_mod * rng.randrange(group // unit_mod),
+                    v + 2 * rng.randrange(-3, 4))
+
+    checked = 0
+    for c in enumerate_coinvariants(kind, q):
+        if not is_strongly_regular(kind, q, coinvariant_norm(c)):
+            continue
+        base = weyl_denominator_exponent(ctx, canonical_rep(c))
+        for _ in range(params.get("samples", 100)):
+            rep = ((sample(c.u1, c.v1), sample(c.u2, c.v2)) if kind == 1
+                   else sample(c.u, c.v))
+            if weyl_denominator_exponent(ctx, rep) != base:
+                return _fail({"class": str(c)})
+            checked += 1
+    return _ok({"representatives_checked": checked})
+
+
+def oracle_positive_systems(params):
+    kind, q = params["kind"], params["q"]
+    ctx = _context_from_params(params)
+    chars, _ = _character_pool(kind, q, limit=6)
+    one = weyl_identity(kind)
+    systems = positive_system_contexts(kind)
+    count = 0
+    for name, roots in systems:
+        for chi in chars:
+            cov = cover_character(chi)
+            for gamma in iter_strongly_regular(kind, q):
+                default_val = theta(ctx, cov, one, gamma)
+                moved_val = theta(ctx, cov, one, gamma, positive_roots=roots)
+                count += 1
+                if default_val != moved_val:
+                    return _fail({
+                        "system": name,
+                        "character": character_to_descriptor(chi),
+                        "gamma": str(gamma),
+                    })
+    return _ok({"systems": len(systems), "comparisons": count})
+
+
+def oracle_packet_conjugation(params):
+    kind, q = params["kind"], params["q"]
+    ctx = _context_from_params(params)
+    chars, _ = _character_pool(kind, q, limit=3)
+    gammas = list(iter_strongly_regular(kind, q))
+    labels = rational_weyl_group(kind)
+    # the one-class claim is about the full summation group, whatever the
+    # configured one; the trivial group below separates the conjugates
+    full_ctx = _context_from_params({**params, "summation": "full"})
+    for chi in chars:
+        cov = cover_character(chi)
+        for w in labels:
+            for gamma in gammas:
+                lhs = theta(ctx, cov, w, gamma)
+                rhs = theta(ctx, cover_character(weyl_conjugate(chi, w)),
+                            weyl_identity(kind), gamma)
+                if lhs != rhs:
+                    return _fail({"w": w.name, "gamma": str(gamma),
+                                  "character": character_to_descriptor(chi)})
+        pk = packet(full_ctx, cov)
+        if len(pk.classes) != 1:
+            return _fail({"classes": [list(c) for c in pk.classes],
+                          "reason": "full summation group must give one class"})
+    # with the trivial summation subgroup the classes separate conjugates
+    chi = chars[0]
+    trivial_ctx = _context_from_params({**params, "summation": "trivial"})
+    pk = packet(trivial_ctx, cover_character(chi))
+    distinct = len({
+        tuple(weyl_conjugate(chi, w).eval_exponent(g) for g in gammas)
+        for w in labels
+    })
+    if len(pk.classes) != distinct:
+        return _fail({"classes": len(pk.classes), "distinct_conjugates": distinct})
+    return _ok({"packet_caveat": pk.caveat})
+
+
+ORACLES = {
+    "lift_independence_formula": oracle_lift_independence_formula,
+    "denominator_representatives": oracle_denominator_representatives,
+    "positive_systems": oracle_positive_systems,
+    "packet_conjugation": oracle_packet_conjugation,
+}
+
+
+def _params(kind, q, branch=1, **options):
+    return {"kind": kind, "q": q, "branch": branch, "seed": 0, "summation": "full",
+            "epsilon_gt": 1, "samples": 100, **options}
+
+
+def _both(name, params):
+    """(table check record, scalar oracle record)."""
+    return driver.REGISTRY[name].check(dict(params)), ORACLES[name](dict(params))
+
+
+# ---------------------------------------------------------------------------
+# equivalence on a grid of configurations
+
+POINTS = [(1, 1), (2, 1), (2, -1)]  # (kind, eta branch); kind 1 has no branch
+GRID = (
+    [_params(kind, q, branch) for q in (3, 5) for kind, branch in POINTS]
+    + [_params(kind, 3, branch, **option) for kind, branch in POINTS
+       for option in ({"seed": 7}, {"summation": "rotation"}, {"summation": "trivial"},
+                      {"epsilon_gt": -1})]
+)
+
+
+def _grid_id(params):
+    extra = [f"{k}={params[k]}" for k, default in
+             (("seed", 0), ("summation", "full"), ("epsilon_gt", 1)) if params[k] != default]
+    return "-".join([f"k{params['kind']}", f"q{params['q']}", f"b{params['branch']}", *extra])
+
+
+@pytest.mark.parametrize("params", GRID, ids=_grid_id)
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_table_check_matches_scalar_oracle(name, params):
+    got, want = _both(name, params)
+    assert got == want
+    assert got[0] == "PASS"
+
+
+# ---------------------------------------------------------------------------
+# negative controls: each break is applied to both sides
+
+
+def _patch(monkeypatch, name, fn):
+    """Rebind ``name`` wherever the table checks or the oracles look it up."""
+    for module in (charformula, characters, driver, sys.modules[__name__]):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, fn)
+
+
+def _gamma(kind, q, index):
+    return list(iter_strongly_regular(kind, q))[index]
+
+
+def _flip_rho_sign(monkeypatch, kind, q):
+    """The rho-shift sign of the last element's lift flipped, on every
+    transformed positive system."""
+    target = lift_of_rational(kind, q, _gamma(kind, q, -1))
+    original = charformula.rho_shift_table
+
+    def broken(ctx, positive_roots=None):
+        table = dict(original(ctx, positive_roots))
+        table[target] = -table[target]
+        return table
+
+    _patch(monkeypatch, "rho_shift_table", broken)
+
+
+def _shift_delta0(index, by=2):
+    """delta0 + ``by`` on the strongly regular element of this index."""
+
+    def apply(monkeypatch, kind, q):
+        target = _gamma(kind, q, index)
+        row = coordinate_array(T1Rational if kind == 1 else T2Rational, [target])
+        scalar, array = charformula.delta0_eta_exponent, charformula.delta0_eta_exponent_array
+        _patch(monkeypatch, "delta0_eta_exponent", lambda ctx, gamma, positive_roots=None: (
+            scalar(ctx, gamma, positive_roots) + by * (gamma == target)) % 4)
+        _patch(monkeypatch, "delta0_eta_exponent_array", lambda ctx, coords, positive_roots=None: (
+            array(ctx, coords, positive_roots) + by * (coords == row).all(axis=1)) % 4)
+
+    return apply
+
+
+def _shift_noncanonical_denominator(monkeypatch, kind, q):
+    """The denominator + 2 on every representative other than
+    ``canonical_rep`` of its class (a dlog past the unit class, or a
+    valuation other than 0 and 1)."""
+    unit_mod = unit_class_order(kind, q)
+    scalar, array = weyl_denominator_exponent, charformula.weyl_denominator_exponent_array
+
+    def off_scalar(rep):
+        slots = rep if isinstance(rep, tuple) else (rep,)
+        return any(x.residue.dlog >= unit_mod or x.val not in (0, 1) for x in slots)
+
+    def off_array(coords):
+        rank = coords.shape[1] // 2
+        return (coords[:, :rank] >= unit_mod).any(axis=1) | (
+            (coords[:, rank:] != 0) & (coords[:, rank:] != 1)).any(axis=1)
+
+    _patch(monkeypatch, "weyl_denominator_exponent",
+           lambda ctx, rep: (scalar(ctx, rep) + 2 * off_scalar(rep)) % 4)
+    _patch(monkeypatch, "weyl_denominator_exponent_array",
+           lambda ctx, coords: (array(ctx, coords) + 2 * off_array(coords)) % 4)
+
+
+def _conjugate_off_by_one(monkeypatch, kind, q):
+    """Every non-identity conjugate's first exponent one too large."""
+    original = characters.weyl_conjugate
+
+    def broken(chi, w):
+        c = original(chi, w)
+        if not w.name:
+            return c
+        n = unit_class_order(chi.kind, chi.q)
+        return DepthZeroCharacter(c.kind, c.q, ((c.exponents[0] + 1) % n, *c.exponents[1:]))
+
+    _patch(monkeypatch, "weyl_conjugate", broken)
+
+
+def _flip_cover_sign(monkeypatch, kind, q):
+    """The cover sign of the largest parity class (a twist) flipped."""
+    key = max(cover_class_values(kind))
+
+    def broken(kind, order=24):
+        values = dict(cover_class_values(kind, order))
+        values[key] = -values[key]
+        return values
+
+    monkeypatch.setattr(characters, "cover_class_values", broken)
+
+
+BREAKS = [
+    ("rho-sign-one-class", "positive_systems", _flip_rho_sign),
+    ("delta0-one-gamma", "positive_systems", _shift_delta0(-1)),
+    ("denominator-noncanonical", "denominator_representatives", _shift_noncanonical_denominator),
+    ("conjugate-off-by-one", "packet_conjugation", _conjugate_off_by_one),
+    ("cover-sign-one-twist", "lift_independence_formula", _flip_cover_sign),
+]
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+@pytest.mark.parametrize("label,name,apply", BREAKS, ids=[b[0] for b in BREAKS])
+def test_break_fails_both_with_the_same_witness(monkeypatch, label, name, apply, kind):
+    params = _params(kind, 3)
+    apply(monkeypatch, kind, 3)
+    got, want = _both(name, params)
+    assert got[0] == "FAIL", label
+    assert got == want
+
+
+def test_zero_sum_break_still_passes(monkeypatch):
+    """At kind 1, q = 5 every pooled character's theta vanishes on the
+    first strongly regular element.  A denominator turned by a quarter
+    there changes the exponent multisets but not the sums (zero), so
+    neither side may FAIL."""
+    params = _params(1, 5)
+    ctx = _context_from_params(params)
+    tables = charformula.SumTables(ctx, iter_strongly_regular(1, 5),
+                                   labels=(weyl_identity(1),))
+    chars, _ = _character_pool(1, 5, limit=6)
+    _shift_delta0(0, by=1)(monkeypatch, 1, 5)
+    roots = positive_system_contexts(1)[0][1]
+    for chi in chars:
+        cov = cover_character(chi)
+        lhs, rhs = tables.theta_exponents(cov), tables.theta_exponents(cov, roots)
+        differs = (np.sort(lhs, axis=-1) != np.sort(rhs, axis=-1)).any(axis=-1)[:, 0]
+        assert differs.tolist() == [True] + [False] * (len(tables.gammas) - 1)
+        assert not charformula.unequal_mask(ctx.ambient_order, lhs, rhs).any()
+    got, want = _both("positive_systems", params)
+    assert got == want
+    assert got[0] == "PASS"
+
+
+# ---------------------------------------------------------------------------
+# the identity campaign needs none of the scalar paths
+
+
+def test_identity_campaign_runs_without_the_scalar_paths(monkeypatch, tmp_path):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scalar path called")
+
+    for name in ("theta", "orbit_character_sum", "packet", "weyl_denominator_exponent",
+                 "denominator_factors"):
+        for module in (charformula, driver):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    argv = ["identity", "--q", "3,5", "--kind", "both", "--eta-branch", "both",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    records = json.loads((tmp_path / "report.json").read_text())["checks"]
+    assert len(records) == 21
+    assert all(r["outcome"] == "PASS" for r in records)
