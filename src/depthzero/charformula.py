@@ -120,36 +120,21 @@ class FormulaContext:
 
     def require_tower(self) -> FieldTower:
         if self.tower is None:
-            raise ValueError("this operation needs the field tower (denominators)")
+            raise ValueError("the scalar denominators need make_context(..., need_tower=True)")
         return self.tower
 
 
-# The last tower make_context built, as (build arguments, tower): the
-# checks of a worker that share (p, e, level, seed) reuse it instead of
-# rebuilding or reloading it, and at most one table stays alive.
-_TOWER_SLOT: list = []
-
-
-def _shared_tower(p, e, **build_args) -> FieldTower:
-    key = (p, e, *sorted(build_args.items()))
-    if not _TOWER_SLOT or _TOWER_SLOT[0][0] != key:
-        _TOWER_SLOT.clear()
-        _TOWER_SLOT.append((key, FieldTower.build(p, e, **build_args)))
-    return _TOWER_SLOT[0][1]
-
-
-def make_context(kind, q, *, need_tower=True, eta_branch=1, summation=None,
-                 epsilon_gt=1, epsilon_chi=1, seed=0, cache_dir=None,
-                 budget=200_000_000) -> FormulaContext:
+def make_context(kind, q, *, need_tower=False, eta_branch=1, summation=None,
+                 epsilon_gt=1, epsilon_chi=1, seed=0) -> FormulaContext:
+    """A formula context; with ``need_tower`` it also builds the field tower
+    that the scalar denominators (``denominator_factors``, ``theta``, ...)
+    subtract through.  The array denominators read valuations only."""
     tower = None
     if need_tower:
         p_e = prime_power(q)
         if p_e is None:
             raise ValueError(f"q = {q} is not a prime power")
-        tower = _shared_tower(
-            *p_e, seed=seed, max_level=torus_level(kind),
-            budget=budget, cache_dir=cache_dir,
-        )
+        tower = FieldTower.build(*p_e, seed=seed, max_level=torus_level(kind))
     return FormulaContext(
         kind=kind, q=q, eta_branch=eta_branch, tower=tower,
         summation=tuple(summation) if summation else (),
@@ -198,18 +183,18 @@ def weyl_denominator_exponent(ctx: FormulaContext, rep) -> int:
     return total % 4
 
 
-def weyl_denominator_factor_rows(ctx: FormulaContext, coords: np.ndarray) -> np.ndarray:
-    """``denominator_factors`` of every ``canonical_rep`` of the rows of
-    ``coordinate_array(T1Coinv | T2Coinv, ...)``, as an (N, 4, 2) int64
-    array of (dlog, val) rows, one per factor.
+def weyl_denominator_valuations(ctx: FormulaContext, coords: np.ndarray) -> np.ndarray:
+    """The valuations of the ``denominator_factors`` of every
+    ``canonical_rep`` of the rows of ``coordinate_array(T1Coinv | T2Coinv,
+    ...)``, as an (N, 4) int64 array, one column per factor.
 
     The rows are read as ``canonical_rep`` reads a class: torus 1 as the
     pair (u1, v1), (u2, v2) of level-2 (dlog, val), torus 2 as the level-4
     (u, v); rows of any other representative are read the same way.
+    Raises CancellationError where a factor's leading terms cancel.
     """
-    tower = ctx.require_tower()
-    q, level = ctx.q, torus_level(ctx.kind)
-    order = q**level - 1
+    q = ctx.q
+    order = q**torus_level(ctx.kind) - 1
     if order * order >= 2**63:
         raise OverflowError(f"q = {q} is too large for int64 denominator rows")
 
@@ -231,13 +216,13 @@ def weyl_denominator_factor_rows(ctx: FormulaContext, coords: np.ndarray) -> np.
             (rows(t[1], v), rows(t[3], v)),
             (rows(t[0] + t[1], 2 * v), rows(t[2] + t[3], 2 * v)),
         )
-    return np.stack([leading_diff_array(tower, level, a, b) for a, b in pairs], axis=1)
+    return np.stack([leading_diff_array(a, b) for a, b in pairs], axis=1)
 
 
 def weyl_denominator_exponent_array(ctx: FormulaContext, coords: np.ndarray) -> np.ndarray:
     """``weyl_denominator_exponent`` of every row, read as in
-    ``weyl_denominator_factor_rows``."""
-    vals = weyl_denominator_factor_rows(ctx, coords)[:, :, 1]
+    ``weyl_denominator_valuations``."""
+    vals = weyl_denominator_valuations(ctx, coords)
     return eta_exponent_array(ctx.kind, vals, ctx.eta_branch).sum(axis=1) % 4
 
 
@@ -265,11 +250,9 @@ def delta0_eta_exponent_array(ctx: FormulaContext, coords: np.ndarray,
                               positive_roots=None) -> np.ndarray:
     """``delta0_eta_exponent`` on every row of
     ``coordinate_array(T1Rational | T2Rational, ...)``."""
-    tower = ctx.require_tower()
     kind, q = ctx.kind, ctx.q
     roots = positive_roots if positive_roots is not None else default_positive_roots(kind)
-    level = torus_level(kind)
-    order = q**level - 1
+    order = q**torus_level(kind) - 1
     step = q - 1 if kind == 1 else q * q - 1
     one = np.zeros((len(coords), 2), dtype=np.int64)
     inv_value = one.copy()
@@ -280,8 +263,8 @@ def delta0_eta_exponent_array(ctx: FormulaContext, coords: np.ndarray,
         else:
             c = ((g1 + q * g2) * coords[:, 0]) % (q * q + 1)
         inv_value[:, 0] = (-c * step) % order
-        factor = leading_diff_array(tower, level, one, inv_value)
-        total = total + eta_exponent_array(kind, factor[:, 1], ctx.eta_branch)
+        total = total + eta_exponent_array(kind, leading_diff_array(one, inv_value),
+                                           ctx.eta_branch)
     return total % 4
 
 

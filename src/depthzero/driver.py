@@ -43,7 +43,6 @@ from .charformula import (
     FormulaContext,
     SumTables,
     _two_rho_eta_exponent,
-    delta0_eta_exponent,
     delta0_eta_exponent_array,
     first_unequal_sum,
     make_context,
@@ -52,9 +51,8 @@ from .charformula import (
     rho_shift_closed_sign,
     rho_shift_solve,
     unequal_mask,
-    weyl_denominator_exponent,
     weyl_denominator_exponent_array,
-    weyl_denominator_factor_rows,
+    weyl_denominator_valuations,
 )
 from .dualgroup import (
     build_pinning,
@@ -74,7 +72,6 @@ from .tori import (
     T1Rational,
     T2Coinv,
     T2Rational,
-    canonical_rep,
     coinv_mul,
     coinv_parity_part,
     coinv_unit_part,
@@ -134,14 +131,28 @@ def _require(ok, message):
     return lambda value: None if ok(value) else message.format(value)
 
 
-_POSITIVE_BUDGET = _require(lambda v: v >= 1, "budget: budgets must be positive")
+def _entries(key, check):
+    """A list option's rule: at least one entry, no entry twice, then check."""
+    def rule(values):
+        if not values:
+            return f"{key}: needs at least one entry"
+        if len(set(values)) != len(values):
+            return f"{key}: repeated entry in {values}"
+        return check(values)
+    return rule
 
 
-def _check_qs(qs):
-    for q in qs or ():
+def _odd_prime_powers(qs):
+    for q in qs:
         if q % 2 == 0 or prime_power(q) is None:
             return f"q: {q} is not an odd prime power"
     return None
+
+
+def _check_qs(qs):
+    if qs is None:  # no --q: each check keeps its own q list
+        return None
+    return _entries("q", _odd_prime_powers)(qs)
 
 
 def option(default, flag, parse=int, *, check=None, echo=lambda value: value, **argument):
@@ -165,12 +176,14 @@ class Config:
     kinds: list[int] = option(
         [1, 2], "--kind", lambda t: [1, 2] if t == "both" else _int_list(t),
         choices=["1", "2", "both"],
-        check=_require(lambda v: set(v) <= {1, 2}, "kind: entries must be 1 or 2, got {}"))
+        check=_entries("kind", _require(lambda v: set(v) <= {1, 2},
+                                        "kind: entries must be 1 or 2, got {}")))
     eta_branches: list[int] = option(
         [1, -1], "--eta-branch",
         lambda t: {"plus": [1], "minus": [-1], "both": [1, -1]}.get(t) or _int_list(t),
         choices=["plus", "minus", "both"],
-        check=_require(lambda v: set(v) <= {1, -1}, "eta_branch: entries must be +-1, got {}"),
+        check=_entries("eta_branch", _require(lambda v: set(v) <= {1, -1},
+                                              "eta_branch: entries must be +-1, got {}")),
         echo=lambda v: ["plus" if b == 1 else "minus" for b in v])
     cyclotomic_order: int = option(24, "--cyclotomic-order", check=_require(
         lambda v: v % 2 == 0 and v >= 4, "cyclotomic_order: {} must be even and >= 4"))
@@ -183,12 +196,15 @@ class Config:
                        check=_require(lambda v: v >= 1, "jobs: must be >= 1, got {}"))
     out_dir: str | None = option(None, "--out", str, echo=None)
     formats: list[str] = option(
-        list(FORMATS), "--format", _words, help="comma-separated: json,csv,md", check=_require(
-            lambda v: set(v) <= set(FORMATS), "format: entries must be json, csv or md, got {}"))
+        list(FORMATS), "--format", _words, help="comma-separated: json,csv,md",
+        check=_entries("format", _require(lambda v: set(v) <= set(FORMATS),
+                                          "format: entries must be json, csv or md, got {}")))
+    # read by nothing since the campaign builds no field tower; kept so that
+    # existing config files, DEPTHZERO_CACHE and Config(cache_dir=...) still work
     cache_dir: str | None = option(None, "--cache-dir", str, echo=None)
     seed: int = option(0, "--seed", check=_require(lambda v: v >= 0, "seed: must be >= 0, got {}"))
-    budget_entries: int = option(200_000_000, "--budget-entries", check=_POSITIVE_BUDGET)
-    budget_evals: int = option(100_000_000, "--budget-evals", check=_POSITIVE_BUDGET)
+    budget_evals: int = option(100_000_000, "--budget-evals", check=_require(
+        lambda v: v >= 1, "budget_evals: must be >= 1, got {}"))
 
     def validate(self) -> None:
         for f in fields(self):
@@ -211,15 +227,12 @@ def _context_from_params(params) -> FormulaContext:
     # carry: the orbit sum through epsilon_gt, the formula through epsilon_chi
     epsilon = params.get("epsilon_gt", 1)
     return make_context(
-        params["kind"], params["q"], need_tower=True,
+        params["kind"], params["q"],
         eta_branch=params.get("branch", 1),
         summation=named_summation_subgroup(
             params["kind"], params.get("summation", "full")
         ),
         epsilon_gt=epsilon, epsilon_chi=epsilon,
-        seed=params.get("seed", 0),
-        cache_dir=params.get("cache_dir"),
-        budget=params.get("budget", 200_000_000),
     )
 
 
@@ -422,7 +435,7 @@ def check_lift_independence_formula(params):
     base = SumTables(ctx, gammas, labels=labels)
     twisted = [SumTables(ctx, gammas, parity=tw, labels=labels) for tw in twists]
     shifted = twisted[-1]
-    profiles = weyl_denominator_factor_rows(ctx, shifted.lift_coords)[:, :, 1]
+    profiles = weyl_denominator_valuations(ctx, shifted.lift_coords)
     shift_bad = (shifted.denominator_exponents() - base.denominator_exponents()) % 4 != 2
     value_bad = np.zeros((len(gammas), len(chars), len(twists)), dtype=bool)
     for c, chi in enumerate(chars):
@@ -496,8 +509,8 @@ def check_split_vs_combined(params):
     # the closed-form sign depends only on the valuation parities, which
     # each lift shares with its twist
     signs = np.array([2 if rho_shift_closed_sign(ctx, tw) < 0 else 0 for tw in twists])
-    # blocks of gammas keep the temporaries small: the whole q = 47 grid
-    # left ~2 MB resident, which added to the peak of the next tower build
+    # blocks of gammas keep the temporaries small: one block for the whole
+    # q = 47 grid raised the peak RSS of the tower benchmark from 38.2 to 39.4 MB
     for start in range(0, len(gammas), 256):
         block = gammas[start : start + 256]
         # the (gamma, twist) grid of lifts, gamma outer, as coinv_mul forms it
@@ -505,24 +518,14 @@ def check_split_vs_combined(params):
         grid = (lifts[:, None, :] + twist_rows[None, :, :]) % moduli
         combined = weyl_denominator_exponent_array(ctx, grid.reshape(-1, lifts.shape[1]))
         delta0 = delta0_eta_exponent_array(ctx, coordinate_array(rational_cls, block))
-        split = (delta0[:, None] + signs[None, :]) % 4
-        bad = np.flatnonzero(combined != split.ravel())
+        split = ((delta0[:, None] + signs[None, :]) % 4).ravel()
+        bad = np.flatnonzero(combined != split)
         if bad.size:
-            g, t = divmod(int(bad[0]), len(twists))
-            return _fail(_split_vs_combined_witness(ctx, block[g], twists[t]))
+            i = int(bad[0])
+            g, t = divmod(i, len(twists))
+            return _fail({"gamma": str(block[g]), "twist": str(twists[t]),
+                          "combined": int(combined[i]), "split": int(split[i])})
     return _ok()
-
-
-def _split_vs_combined_witness(ctx, gamma, tw):
-    """One (gamma, twist) of ``check_split_vs_combined`` on the scalar forms."""
-    lift = coinv_mul(lift_of_rational(ctx.kind, ctx.q, gamma), tw)
-    combined = weyl_denominator_exponent(ctx, canonical_rep(lift))
-    split = (
-        delta0_eta_exponent(ctx, gamma)
-        + (2 if rho_shift_closed_sign(ctx, lift) < 0 else 0)
-    ) % 4
-    assert combined != split, "array and scalar denominators disagree"
-    return {"gamma": str(gamma), "twist": str(tw), "combined": combined, "split": split}
 
 
 def check_positive_systems(params):
@@ -722,10 +725,10 @@ class Check(NamedTuple):
     options: dict = {}
 
 
-# the parameters of every check that builds a field tower
-TOWER_PARAMS = ("seed", "cache_dir", "budget", "epsilon_gt", "summation")
+# the parameters of every check that makes a formula context
+CONTEXT_PARAMS = ("seed", "epsilon_gt", "summation")
 # check parameter -> Config field, where the names differ
-PARAM_FIELDS = {"budget": "budget_entries", "order": "cyclotomic_order", "eval_cap": "budget_evals"}
+PARAM_FIELDS = {"order": "cyclotomic_order", "eval_cap": "budget_evals"}
 
 
 def _config_params(cfg: Config, names) -> dict:
@@ -738,7 +741,7 @@ def _pinned(slug, name, holds, identity, claim):
 
 
 _COHOMOLOGY = {"grid": "kq", "qs": (3, 5, 7, 9)}
-_IDENTITY = {"grid": "kq", "qs": (3, 5, 7), "uses": TOWER_PARAMS, "extra": {"branch": 1}}
+_IDENTITY = {"grid": "kq", "qs": (3, 5, 7), "uses": CONTEXT_PARAMS, "extra": {"branch": 1}}
 _AT_Q3 = {**_IDENTITY, "only": lambda kind, q: q == 3}
 _RIGIDITY = {"grid": "kq", "qs": {1: (3,), 2: (3, 5)}}
 _SMALL_Q = {**_COHOMOLOGY, "only": lambda kind, q: q <= 9}
@@ -865,7 +868,7 @@ def build_tasks(subcommand: str, cfg: Config) -> list[dict]:
 
 def _base_params(cfg: Config) -> dict:
     # perfbench/child.py builds its tower tasks from these
-    return _config_params(cfg, TOWER_PARAMS)
+    return _config_params(cfg, CONTEXT_PARAMS)
 
 
 def identity_tasks(cfg: Config) -> list[dict]:
@@ -900,8 +903,7 @@ def run_task(task: dict) -> tuple[dict, float]:
 
 
 def _public_params(params: dict) -> dict:
-    hidden = {"cache_dir", "budget", "eval_cap"}
-    return {k: v for k, v in sorted(params.items()) if k not in hidden}
+    return {k: v for k, v in sorted(params.items()) if k != "eval_cap"}
 
 
 def run_campaign(tasks: list[dict], jobs: int = 1):

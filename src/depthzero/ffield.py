@@ -359,16 +359,6 @@ class FieldTower:
         assert d % s == 0, "sum escaped the subfield, table corrupt"
         return FFElem(x.level, d // s)
 
-    def add_array(self, level: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``add`` on arrays of level-``level`` dlogs; -1 marks a zero sum."""
-        s = self.scale(level)
-        order = self.group_order(level)
-        x = (a % order) * s
-        z = self.zech[((b % order) * s - x) % self.top_order]
-        d = (x + z) % self.top_order
-        assert not np.any(d[z >= 0] % s), "sum escaped the subfield, table corrupt"
-        return np.where(z < 0, -1, d // s)
-
     def neg(self, x: FFElem) -> FFElem:
         return FFElem(x.level, (x.dlog + self.neg_one_dlog(x.level)) % self.group_order(x.level))
 

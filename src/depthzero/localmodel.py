@@ -97,26 +97,21 @@ def leading_diff(tower: FieldTower, a: UnitVal, b: UnitVal) -> UnitVal:
     return UnitVal(a.level, diff, a.val)
 
 
-def leading_diff_array(tower: FieldTower, level: int, a: np.ndarray,
-                       b: np.ndarray) -> np.ndarray:
-    """``leading_diff`` on int64 rows (dlog, val) of one level.
+def leading_diff_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The valuation of ``leading_diff`` on int64 rows (dlog, val) of one
+    level, dlogs reduced modulo that level's group order.
 
-    Row by row: the smaller valuation wins, b negated through -1; equal
-    valuations take the Zech difference of the residues.  Raises
-    CancellationError if any row cancels, as the scalar form does there.
+    The smaller valuation wins, and equal valuations keep theirs unless the
+    residues cancel, so the valuation is min(val a, val b) wherever the
+    difference is defined; eta is unramified, so the residue is never read.
+    Raises CancellationError if any row has equal valuations and equal
+    dlogs, exactly where the scalar form raises.
     """
-    order = tower.group_order(level)
-    neg_b = (b[:, 0] + tower.neg_one_dlog(level)) % order
-    out = np.where((a[:, 1] < b[:, 1])[:, None], a, np.stack([neg_b, b[:, 1]], axis=1))
-    tie = a[:, 1] == b[:, 1]
-    if tie.any():
-        diff = tower.add_array(level, a[tie, 0], neg_b[tie])
-        if np.any(diff < 0):
-            raise CancellationError(
-                "difference vanishes at depth zero (equal valuation and residue)"
-            )
-        out[tie, 0] = diff
-    return out
+    if (a == b).all(axis=1).any():
+        raise CancellationError(
+            "difference vanishes at depth zero (equal valuation and residue)"
+        )
+    return np.minimum(a[:, 1], b[:, 1])
 
 
 def eta_exponent(kind: int, a: UnitVal, branch: int = 1) -> int:

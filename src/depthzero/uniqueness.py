@@ -177,7 +177,7 @@ def restriction_rigidity_check(kind: int, q: int, *, eval_cap: int = 100_000_000
     """Characters whose summed functions agree on the strongly regular set
     must be Weyl-conjugate; exhaustive below the evaluation cap, sampled
     deterministically above it."""
-    ctx = make_context(kind, q, need_tower=False)
+    ctx = make_context(kind, q)
     gammas = sorted(iter_strongly_regular(kind, q), key=str)
     chars = enumerate_regular_characters(kind, q)
     group = rational_weyl_group(kind)
@@ -212,7 +212,7 @@ def restriction_rigidity_check(kind: int, q: int, *, eval_cap: int = 100_000_000
 
 def conjugate_forward_check(kind: int, q: int) -> bool:
     """Weyl-conjugate characters always give equal summed functions."""
-    ctx = make_context(kind, q, need_tower=False)
+    ctx = make_context(kind, q)
     gammas = sorted(iter_strongly_regular(kind, q), key=str)
     group = rational_weyl_group(kind)
     chars = enumerate_regular_characters(kind, q)
@@ -247,7 +247,7 @@ class NonvanishingReport:
 def nonvanishing_report(kind: int, q: int) -> NonvanishingReport:
     """Exhibit a regular character and a strongly regular element where the
     orbit sum is nonzero."""
-    ctx = make_context(kind, q, need_tower=False)
+    ctx = make_context(kind, q)
     one = weyl_identity(kind)
     for chi in enumerate_regular_characters(kind, q):
         for gamma in iter_strongly_regular(kind, q):

@@ -3,7 +3,6 @@ import random
 import numpy as np
 import pytest
 
-from depthzero import charformula
 from depthzero.characters import (
     DepthZeroCharacter,
     cover_character,
@@ -29,11 +28,10 @@ from depthzero.charformula import (
     weyl_denominator,
     weyl_denominator_exponent,
     weyl_denominator_exponent_array,
-    weyl_denominator_factor_rows,
+    weyl_denominator_valuations,
 )
 from depthzero.cyclo import root_of_unity
 from depthzero.localmodel import CancellationError, unit
-from depthzero.ffield import BudgetExceededError, FieldTower
 from depthzero.tori import (
     T1Coinv,
     T1Rational,
@@ -41,8 +39,10 @@ from depthzero.tori import (
     T2Rational,
     canonical_rep,
     coinv_mul,
+    coinvariant_norm,
     coordinate_array,
     enumerate_coinvariants,
+    is_strongly_regular,
     iter_strongly_regular,
     lift_of_rational,
     parity_classes,
@@ -57,12 +57,12 @@ from depthzero.tori import (
 
 @pytest.fixture(scope="module")
 def ctx1():
-    return make_context(1, 3)
+    return make_context(1, 3, need_tower=True)
 
 
 @pytest.fixture(scope="module")
 def ctx2():
-    return make_context(2, 3)
+    return make_context(2, 3, need_tower=True)
 
 
 def _chars(kind, q, limit=None):
@@ -84,7 +84,7 @@ def test_rho_shift_closed_values(ctx1, ctx2):
 
 @pytest.mark.parametrize("kind,q", [(1, 3), (2, 3), (1, 5), (2, 5)])
 def test_rho_shift_solver_unique_and_matches_closed(kind, q):
-    ctx = make_context(kind, q, need_tower=False)
+    ctx = make_context(kind, q)
     table = rho_shift_solve(ctx)
     for c, sign in table.items():
         assert sign == rho_shift_closed_sign(ctx, c)
@@ -107,7 +107,7 @@ def test_rho_shift_solver_error_paths(monkeypatch):
     # so a poisoned target must abort with the no-solution error
     import depthzero.charformula as cf
 
-    ctx = make_context(1, 3, need_tower=False)
+    ctx = make_context(1, 3)
     monkeypatch.setattr(cf, "_two_rho_eta_exponent", lambda *_a, **_k: 1)
     with pytest.raises(RhoShiftError):
         cf.rho_shift_solve(ctx)
@@ -218,7 +218,7 @@ _CLASSES = {1: (T1Rational, T1Coinv), 2: (T2Rational, T2Coinv)}
 @pytest.mark.parametrize("kind,branch", [(1, 1), (2, 1), (2, -1)])
 def test_array_denominators_equal_scalar(q, kind, branch):
     """Both denominator forms on every (gamma, twist) of split-vs-combined."""
-    ctx = make_context(kind, q, eta_branch=branch)
+    ctx = make_context(kind, q, eta_branch=branch, need_tower=True)
     rational_cls, coinv_cls = _CLASSES[kind]
     gammas = list(iter_strongly_regular(kind, q))
     lifts = [coinv_mul(lift_of_rational(kind, q, g), tw)
@@ -236,24 +236,35 @@ def test_array_denominators_equal_scalar(q, kind, branch):
 
 @pytest.mark.parametrize("q", [3, 5])
 @pytest.mark.parametrize("kind", [1, 2])
-def test_factor_rows_equal_scalar_factors(q, kind):
-    """Each (dlog, val) row of the array factors is the scalar factor, on
-    every twisted lift."""
-    ctx = make_context(kind, q)
-    lifts = [coinv_mul(lift_of_rational(kind, q, g), tw)
-             for g in iter_strongly_regular(kind, q) for tw in parity_classes(kind, q)]
-    rows = weyl_denominator_factor_rows(ctx, coordinate_array(_CLASSES[kind][1], lifts))
-    assert rows.shape == (len(lifts), 4, 2)
-    assert rows.tolist() == [
-        [[f.residue.dlog, f.val] for f in denominator_factors(ctx, canonical_rep(x))]
-        for x in lifts]
+def test_denominator_valuations_equal_scalar_factors(q, kind):
+    """On every coinvariant class: the array valuations are those of the
+    scalar factors, and the array form cancels exactly where the scalar
+    one does (the classes whose norm is not strongly regular)."""
+    ctx = make_context(kind, q, need_tower=True)
+    classes = list(enumerate_coinvariants(kind, q))
+    expected = []
+    for c in classes:
+        try:
+            expected.append([f.val for f in denominator_factors(ctx, canonical_rep(c))])
+        except CancellationError:
+            expected.append(None)
+    keep = np.array([e is not None for e in expected])
+    assert keep.tolist() == [is_strongly_regular(kind, q, coinvariant_norm(c)) for c in classes]
+    assert not keep.all()
+    coords = coordinate_array(_CLASSES[kind][1], classes)
+    vals = weyl_denominator_valuations(ctx, coords[keep])
+    assert vals.shape == (keep.sum(), 4)
+    assert vals.tolist() == [e for e in expected if e is not None]
+    for row in coords[~keep]:
+        with pytest.raises(CancellationError):
+            weyl_denominator_valuations(ctx, row[None])
 
 
 @pytest.mark.parametrize("q", [3, 5])
 @pytest.mark.parametrize("kind,branch", [(1, 1), (2, 1), (2, -1)])
 def test_array_denominator_on_random_representatives(q, kind, branch):
     """Non-canonical rows: any residue dlog, valuations in [-3, 3]."""
-    ctx = make_context(kind, q, eta_branch=branch)
+    ctx = make_context(kind, q, eta_branch=branch, need_tower=True)
     rng = random.Random(11)
     order = q ** (2 * kind) - 1
     rank = 2 if kind == 1 else 1
@@ -278,37 +289,13 @@ def test_array_denominator_on_random_representatives(q, kind, branch):
             weyl_denominator_exponent_array(ctx, coords)
 
 
-def test_make_context_reuses_one_tower(monkeypatch):
-    built = []
-    original = FieldTower.build.__func__
-
-    def counting(cls, *args, **kwargs):
-        built.append((args, kwargs))
-        return original(cls, *args, **kwargs)
-
-    monkeypatch.setattr(FieldTower, "build", classmethod(counting))
-    monkeypatch.setattr(charformula, "_TOWER_SLOT", [])
-    a = make_context(2, 5, seed=4)
-    b = make_context(2, 5, seed=4, eta_branch=-1)
-    assert a.tower is b.tower and len(built) == 1
-    c = make_context(2, 5, seed=5)  # another argument, another tower
-    assert c.tower is not a.tower and len(built) == 2
-    make_context(2, 5, seed=4)  # one slot: the seed-4 tower is gone
-    assert len(built) == 3
-    with pytest.raises(ValueError):
-        a.tower.zech[0] = 0
-    # the budget is part of the key, so a smaller one still refuses
-    with pytest.raises(BudgetExceededError):
-        make_context(2, 5, seed=4, budget=100)
-
-
 # ---------------------------------------------------------------------------
 # the identity
 
 
 @pytest.mark.parametrize("kind,q", [(1, 3), (2, 3), (1, 5), (2, 5)])
 def test_formula_equals_orbit_sum(kind, q):
-    ctx = make_context(kind, q)
+    ctx = make_context(kind, q, need_tower=True)
     for chi in _chars(kind, q):
         cov = cover_character(chi)
         for gamma in iter_strongly_regular(kind, q):
@@ -338,7 +325,7 @@ def test_lift_independence_all_twists(ctx1, ctx2):
 
 def test_eta_branch_independence():
     for branch in (1, -1):
-        ctx = make_context(2, 3, eta_branch=branch)
+        ctx = make_context(2, 3, eta_branch=branch, need_tower=True)
         for chi in _chars(2, 3):
             cov = cover_character(chi)
             for gamma in iter_strongly_regular(2, 3):
@@ -372,15 +359,15 @@ def test_conjugated_formula_matches_conjugated_character(ctx1, ctx2):
 
 
 def test_epsilon_constants_scale_both_sides():
-    ctx = make_context(2, 3, epsilon_gt=-1)
+    ctx = make_context(2, 3, epsilon_gt=-1, need_tower=True)
     chi = _chars(2, 3)[0]
     cov = cover_character(chi)
     gamma = next(iter_strongly_regular(2, 3))
-    base = make_context(2, 3)
+    base = make_context(2, 3, need_tower=True)
     w = weyl_identity(2)
     assert orbit_character_sum(ctx, chi, w, gamma) == -orbit_character_sum(base, chi, w, gamma)
     # epsilon_chi scales theta the same way
-    ctx_chi = make_context(2, 3)
+    ctx_chi = make_context(2, 3, need_tower=True)
     ctx_chi.epsilon_chi = -1
     assert theta(ctx_chi, cov, w, gamma) == -theta(base, cov, w, gamma)
 
@@ -398,7 +385,7 @@ def test_packet_single_class_with_full_group(ctx2):
 
 
 def test_packet_classes_with_trivial_subgroup():
-    ctx = make_context(2, 3, summation=named_summation_subgroup(2, "trivial"))
+    ctx = make_context(2, 3, summation=named_summation_subgroup(2, "trivial"), need_tower=True)
     chi = _chars(2, 3)[0]
     pk = packet(ctx, cover_character(chi))
     # oracle: distinct conjugate characters on the strongly regular set
@@ -413,7 +400,7 @@ def test_packet_classes_with_trivial_subgroup():
 def test_packet_proper_subgroup_kind1():
     rotation = named_summation_subgroup(1, "rotation")
     assert len(rotation) == 4
-    ctx = make_context(1, 5, summation=rotation)
+    ctx = make_context(1, 5, summation=rotation, need_tower=True)
     chi = _chars(1, 5)[0]
     pk = packet(ctx, cover_character(chi))
     # labels in the same right coset of the summation subgroup coincide
@@ -427,4 +414,4 @@ def test_summation_subgroup_validation():
 
     nonrational = tuple(w for w in weyl_group(2) if w.name in ("", "a"))
     with pytest.raises(ValueError):
-        make_context(2, 3, need_tower=False, summation=nonrational)
+        make_context(2, 3, summation=nonrational)

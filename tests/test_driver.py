@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from depthzero import driver
-from depthzero.charformula import weyl_denominator_exponent
+from depthzero.charformula import delta0_eta_exponent, make_context, weyl_denominator_exponent
 from depthzero.driver import (
     Config,
     ConfigError,
@@ -16,6 +16,7 @@ from depthzero.driver import (
     read_config_file,
     resolve_config,
 )
+from depthzero.ffield import FieldTower
 from depthzero.tori import (
     T1Rational,
     T2Rational,
@@ -51,11 +52,20 @@ def test_config_defaults_and_flags():
     assert cfg.jobs == 2 and cfg.seed == 9
 
 
-def test_config_rejects_bad_values():
+def test_config_rejects_bad_values(tmp_path):
     for flag, value in [("--q", "4"), ("--q", "15"), ("--jobs", "0"), ("--format", "xml"),
-                        ("--epsilon-gt", "2")]:
+                        ("--epsilon-gt", "2"), ("--q", "3,3"), ("--q", ","), ("--format", ","),
+                        ("--format", "json,json")]:
         with pytest.raises(ConfigError):
             resolve_config(_args("identity", flag, value))
+    # list options with no entry or a repeated entry, from a config file
+    path = tmp_path / "bad.cfg"
+    for line, key in [("kind = 1,1", "kind"), ("kind =", "kind"), ("q = 5,3,5", "q"),
+                      ("eta_branch = 1,1", "eta_branch"), ("eta_branch =", "eta_branch"),
+                      ("format =", "format"), ("format = md,md", "format")]:
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            resolve_config(_args("identity", "--config", str(path)))
 
 
 def test_config_file_parsing(tmp_path):
@@ -207,8 +217,7 @@ def test_threshold_csv_columns(tmp_path):
 
 def test_budget_exceeded_yields_skipped_and_exit_3(tmp_path):
     code = main([
-        "identity", "--q", "7", "--kind", "2", "--out", str(tmp_path),
-        "--budget-entries", "100",
+        "thresholds", "--q-max", "30", "--out", str(tmp_path), "--budget-evals", "100",
     ])
     assert code == 3
     report = json.loads((tmp_path / "report.json").read_text())
@@ -220,24 +229,13 @@ def test_budget_exceeded_yields_skipped_and_exit_3(tmp_path):
     assert "SKIPPED" in md
 
 
-def test_shared_tower_keeps_budget_skips():
-    """rho-shift-unique never reads its tower, but still needs one: a
-    tower already built for the same q does not lift the budget."""
-    params = {"kind": 2, "q": 7, "branch": 1, "seed": 0}
-    task = {"id": "identity/rho-shift-unique-k2-q7-plus", "claim": "",
-            "fn": "rho_shift_unique", "params": params}
-    assert driver.run_task(task)[0]["outcome"] == "PASS"
-    record, _ = driver.run_task({**task, "params": {**params, "budget": 100}})
-    assert record["outcome"] == "SKIPPED"
-
-
 @pytest.mark.parametrize("kind,q,fault", [(1, 3, "sign"), (2, 5, "sign"), (2, 17, "delta0")])
 def test_split_vs_combined_fails_with_the_scalar_witness(monkeypatch, kind, q, fault):
     """A closed-form sign broken on one parity class, or the split
     denominator shifted at the last gamma (past the first block of 256):
     the array check FAILs with the witness of the scalar loop (gamma outer,
-    twist inner) under the same fault."""
-    sign, delta0, delta0_array = (driver.rho_shift_closed_sign, driver.delta0_eta_exponent,
+    twist inner) under the same fault, read from its arrays."""
+    sign, delta0, delta0_array = (driver.rho_shift_closed_sign, delta0_eta_exponent,
                                   driver.delta0_eta_exponent_array)
     last = list(iter_strongly_regular(kind, q))[-1]
     last_row = coordinate_array(T1Rational if kind == 1 else T2Rational, [last])
@@ -256,11 +254,10 @@ def test_split_vs_combined_fails_with_the_scalar_witness(monkeypatch, kind, q, f
         monkeypatch.setattr(driver, "rho_shift_closed_sign", broken_sign)
         sign_fn, delta0_fn = broken_sign, delta0
     else:
-        monkeypatch.setattr(driver, "delta0_eta_exponent", broken_delta0)
         monkeypatch.setattr(driver, "delta0_eta_exponent_array", broken_delta0_array)
         sign_fn, delta0_fn = sign, broken_delta0
     params = {"kind": kind, "q": q, "branch": 1, "seed": 0}
-    ctx = driver._context_from_params(params)
+    ctx = make_context(kind, q, need_tower=True)  # the scalar denominators need the tower
     expected = None
     for gamma in iter_strongly_regular(kind, q):
         for tw in parity_classes(kind, q):
@@ -286,6 +283,10 @@ def test_config_error_exit_code(tmp_path, capsys):
     path.write_text("seed = x\n")
     assert main(["identity", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "configuration error: seed: cannot parse 'x'" in capsys.readouterr().out
+    # a repeated q is a configuration error, caught before any task is built
+    assert main(["identity", "--q", "3,3", "--out", str(tmp_path / "dup")]) == 2
+    assert "configuration error: q: repeated entry" in capsys.readouterr().out
+    assert not (tmp_path / "dup").exists()
 
 
 def test_parallel_jobs_match_serial(tmp_path):
@@ -302,6 +303,43 @@ def test_all_matches_golden_reports(tmp_path):
     assert main(["all", "--jobs", "2", "--out", str(tmp_path)]) == 0
     for name in ("report.json", "report.md", "thresholds.csv"):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def _refuse_field_towers(monkeypatch):
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a campaign check built a field tower")
+
+    monkeypatch.setattr(FieldTower, "build", classmethod(refuse))
+
+
+def test_campaign_builds_no_field_tower(monkeypatch, tmp_path):
+    """The denominators read valuations only: all of `all`, and the
+    benchmark's tower tasks (split-vs-combined and rho-shift-unique at
+    q = 27 and 47), PASS with FieldTower.build raising."""
+    _refuse_field_towers(monkeypatch)
+    assert main(["all", "--jobs", "1", "--out", str(tmp_path)]) == 0
+    for name in ("report.json", "report.md", "thresholds.csv"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    spec = importlib.util.spec_from_file_location("child", ROOT / "perfbench" / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    records = [driver.run_task(task)[0] for task in child.tower_tasks(driver, 0, str(tmp_path))]
+    assert len(records) == 12
+    assert [r["outcome"] for r in records] == ["PASS"] * 12, records
+
+
+@pytest.mark.parametrize("q", [97, 101])
+def test_denominators_past_the_table_memory_wall(monkeypatch, q):
+    """Kind 2 at q = 97 and 101, where a level-4 Zech table would hold
+    q^4 - 1 (88M resp. 104M) entries, several GB: both denominator checks
+    PASS on both eta branches without a field tower."""
+    _refuse_field_towers(monkeypatch)
+    for fn in ("split_vs_combined", "rho_shift_unique"):
+        for branch in (1, -1):
+            params = {"kind": 2, "q": q, "branch": branch, "seed": 0, "epsilon_gt": 1,
+                      "summation": "full"}
+            record, _ = driver.run_task({"id": fn, "claim": "", "fn": fn, "params": params})
+            assert record["outcome"] == "PASS", record
 
 
 def test_summation_flag_accepted(tmp_path):

@@ -26,6 +26,7 @@ from depthzero.characters import (
 )
 from depthzero.charformula import (
     denominator_factors,
+    make_context,
     packet,
     positive_system_contexts,
     theta,
@@ -55,9 +56,17 @@ from depthzero.tori import (
 # the scalar oracles
 
 
+def _oracle_context(params):
+    """The check's context, plus the field tower that the scalar
+    denominators subtract through (the table checks read no tower)."""
+    ctx = _context_from_params(params)
+    ctx.tower = make_context(ctx.kind, ctx.q, need_tower=True, seed=params["seed"]).tower
+    return ctx
+
+
 def oracle_lift_independence_formula(params):
     kind, q = params["kind"], params["q"]
-    ctx = _context_from_params(params)
+    ctx = _oracle_context(params)
     chars, _ = _character_pool(kind, q, limit=6)
     twists = parity_classes(kind, q)
     one = weyl_identity(kind)
@@ -87,7 +96,7 @@ def oracle_lift_independence_formula(params):
 
 def oracle_denominator_representatives(params):
     kind, q = params["kind"], params["q"]
-    ctx = _context_from_params(params)
+    ctx = _oracle_context(params)
     rng = random.Random(params.get("seed", 0))
     group = q ** (2 * kind) - 1
     unit_mod = q + 1 if kind == 1 else q * q + 1
@@ -112,7 +121,7 @@ def oracle_denominator_representatives(params):
 
 def oracle_positive_systems(params):
     kind, q = params["kind"], params["q"]
-    ctx = _context_from_params(params)
+    ctx = _oracle_context(params)
     chars, _ = _character_pool(kind, q, limit=6)
     one = weyl_identity(kind)
     systems = positive_system_contexts(kind)
@@ -135,13 +144,13 @@ def oracle_positive_systems(params):
 
 def oracle_packet_conjugation(params):
     kind, q = params["kind"], params["q"]
-    ctx = _context_from_params(params)
+    ctx = _oracle_context(params)
     chars, _ = _character_pool(kind, q, limit=3)
     gammas = list(iter_strongly_regular(kind, q))
     labels = rational_weyl_group(kind)
     # the one-class claim is about the full summation group, whatever the
     # configured one; the trivial group below separates the conjugates
-    full_ctx = _context_from_params({**params, "summation": "full"})
+    full_ctx = _oracle_context({**params, "summation": "full"})
     for chi in chars:
         cov = cover_character(chi)
         for w in labels:
@@ -158,7 +167,7 @@ def oracle_packet_conjugation(params):
                           "reason": "full summation group must give one class"})
     # with the trivial summation subgroup the classes separate conjugates
     chi = chars[0]
-    trivial_ctx = _context_from_params({**params, "summation": "trivial"})
+    trivial_ctx = _oracle_context({**params, "summation": "trivial"})
     pk = packet(trivial_ctx, cover_character(chi))
     distinct = len({
         tuple(weyl_conjugate(chi, w).eval_exponent(g) for g in gammas)

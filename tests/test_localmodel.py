@@ -80,8 +80,9 @@ def test_leading_diff_cases(tower):
 
 @pytest.mark.parametrize("level", [1, 2, 4])
 def test_leading_diff_array_matches_scalar(tower, level):
-    """Every (a, b) at valuations {-1, 0, 1}: all three branches, and the
-    rows that cancel, which the array form refuses as a whole."""
+    """Every (a, b) at valuations {-1, 0, 1}: the array valuation is the
+    scalar one on all three branches, and a row cancels in the array form
+    exactly where it cancels in the scalar form."""
     order = Q**level - 1
     rows = np.array([(d, v) for d in range(order) for v in (-1, 0, 1)], dtype=np.int64)
     a = np.repeat(rows, len(rows), axis=0)
@@ -92,25 +93,24 @@ def test_leading_diff_array_matches_scalar(tower, level):
             d = leading_diff(tower, unit(Q, level, da, va), unit(Q, level, db, vb))
         except CancellationError:
             cancels.append(True)
-            expected.append((0, 0))
+            expected.append(0)
             continue
         cancels.append(False)
-        expected.append((d.residue.dlog, d.val))
+        expected.append(d.val)
     cancels = np.array(cancels)
     assert cancels.any() and (a[:, 1] < b[:, 1]).any() and (a[:, 1] > b[:, 1]).any()
     ok = ~cancels
-    got = leading_diff_array(tower, level, a[ok], b[ok])
-    assert np.array_equal(got, np.array(expected)[ok])
-    with pytest.raises(CancellationError):
-        leading_diff_array(tower, level, a, b)
+    assert np.array_equal(leading_diff_array(a[ok], b[ok]), np.array(expected)[ok])
+    for i in np.flatnonzero(cancels):
+        with pytest.raises(CancellationError):
+            leading_diff_array(a[i : i + 1], b[i : i + 1])
 
 
-def test_leading_diff_array_keeps_the_subfield_guard():
+def test_leading_diff_keeps_the_subfield_guard():
     tower = FieldTower.build(3, 1, seed=0, max_level=4)
     tower.zech = tower.zech + 1  # every nonzero sum now lands off the subfield
-    x = np.array([[1, 0]], dtype=np.int64)
     with pytest.raises(AssertionError, match="escaped the subfield"):
-        leading_diff_array(tower, 2, x, x + [[1, 0]])
+        leading_diff(tower, unit(Q, 2, 1, 0), unit(Q, 2, 2, 0))
 
 
 @settings(max_examples=60, deadline=None)
