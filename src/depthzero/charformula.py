@@ -47,7 +47,9 @@ from .tori import (
     WeylElem,
     canonical_rep,
     coinv_mul,
+    coinvariant_coordinates,
     coinvariant_norm,
+    coinvariant_norm_array,
     coordinate_array,
     default_positive_roots,
     enumerate_coinvariants,
@@ -56,11 +58,11 @@ from .tori import (
     iter_strongly_regular,
     lift_of_rational,
     mu_unit,
+    mu_unit_array,
     positive_system,
     rational_weyl_group,
     root_value_coord,
-    t1_coinv,
-    t2_coinv,
+    root_value_coord_array,
     torus_level,
     unit_class_order,
     weyl_apply,
@@ -252,17 +254,10 @@ def delta0_eta_exponent_array(ctx: FormulaContext, coords: np.ndarray,
     ``coordinate_array(T1Rational | T2Rational, ...)``."""
     kind, q = ctx.kind, ctx.q
     roots = positive_roots if positive_roots is not None else default_positive_roots(kind)
-    order = q**torus_level(kind) - 1
-    step = q - 1 if kind == 1 else q * q - 1
-    one = np.zeros((len(coords), 2), dtype=np.int64)
-    inv_value = one.copy()
+    one = mu_unit_array(kind, q, np.zeros(len(coords), dtype=np.int64))
     total = 0
-    for g1, g2 in roots:
-        if kind == 1:
-            c = (g1 * coords[:, 0] + g2 * coords[:, 1]) % (q + 1)
-        else:
-            c = ((g1 + q * g2) * coords[:, 0]) % (q * q + 1)
-        inv_value[:, 0] = (-c * step) % order
+    for g in roots:
+        inv_value = mu_unit_array(kind, q, -root_value_coord_array(kind, q, g, coords))
         total = total + eta_exponent_array(kind, leading_diff_array(one, inv_value),
                                            ctx.eta_branch)
     return total % 4
@@ -291,43 +286,48 @@ def _two_rho_eta_exponent(ctx: FormulaContext, c, positive_roots=None) -> int:
     return eta_exponent(ctx.kind, elem, ctx.eta_branch)
 
 
-def _model_characters(kind: int, q: int):
-    """All characters of the finite coinvariant model, as evaluators
-    returning exponents of zeta_ambient."""
-    n = unit_class_order(kind, q)
-    amb = lcm(value_order(kind, q), 4)
-    ustep = amb // n
-    half = amb // 2
+def two_rho_eta_exponent_array(ctx: FormulaContext, coords: np.ndarray,
+                               positive_roots=None) -> np.ndarray:
+    """``_two_rho_eta_exponent`` on every row of
+    ``coordinate_array(T1Coinv | T2Coinv, ...)``, by the same model steps."""
+    kind, q = ctx.kind, ctx.q
+    roots = positive_roots if positive_roots is not None else default_positive_roots(kind)
+    gamma = coinvariant_norm_array(kind, q, coords)
+    coord = root_value_coord_array(kind, q, half_sum_vector(kind, roots), gamma)
+    return eta_exponent_array(kind, mu_unit_array(kind, q, coord)[:, 1], ctx.eta_branch)
+
+
+def _rho_shift_character(ctx: FormulaContext, positive_roots=None) -> np.ndarray:
+    """The scaled exponent row of the character ``rho_shift_solve`` asks for.
+
+    The characters of the finite coinvariant model are labelled as its
+    classes are, by rows x of (Z/n)^rank x (Z/2)^rank in
+    ``enumerate_coinvariants`` order: x takes the class c to
+    zeta_ambient^(sum x_i c_i scale_i), scale ambient/n on the unit
+    coordinates and ambient/2 on the parities.
+    """
+    kind, q, amb = ctx.kind, ctx.q, ctx.ambient_order
+    rank = 2 if kind == 1 else 1
+    grid = coinvariant_coordinates(kind, q)
+    scale = np.repeat([amb // unit_class_order(kind, q), amb // 2], rank)
+    gens = np.eye(2 * rank, dtype=np.int64)
+    targets = (two_rho_eta_exponent_array(ctx, gens, positive_roots) * (amb // 4)) % amb
+    values = grid @ (gens * scale).T  # every character on every generator
+    values %= amb
+    ok = ((2 * values) % amb == targets).all(axis=1)  # squares to the target
+    ok &= (values[:, :rank] == 0).all(axis=1)  # trivial on unit classes
     if kind == 1:
-        for x1 in range(n):
-            for x2 in range(n):
-                for e1 in (0, 1):
-                    for e2 in (0, 1):
-                        def chi(c, x1=x1, x2=x2, e1=e1, e2=e2):
-                            return (
-                                (x1 * c.u1 + x2 * c.u2) * ustep
-                                + (e1 * c.v1 + e2 * c.v2) * half
-                            ) % amb
-
-                        yield (x1, x2, e1, e2), chi
-    else:
-        for x in range(n):
-            for e in (0, 1):
-                def chi(c, x=x, e=e):
-                    return ((x * c.u) * ustep + e * c.v * half) % amb
-
-                yield (x, e), chi
-
-
-def _coinv_generators(kind: int, q: int):
-    if kind == 1:
-        return [
-            t1_coinv(q, 1, 0, 0, 0),
-            t1_coinv(q, 0, 1, 0, 0),
-            t1_coinv(q, 0, 0, 1, 0),
-            t1_coinv(q, 0, 0, 0, 1),
-        ]
-    return [t2_coinv(q, 1, 0), t2_coinv(q, 0, 1)]
+        ok &= values[:, rank] == 0  # trivial on (uniformizer, 1), the cover kernel
+    ok &= values[:, -1] != 0  # genuine
+    solutions = grid[ok]
+    if not len(solutions):
+        raise RhoShiftError("no rho-shift character exists on this model")
+    if len(solutions) > 1:
+        raise RhoShiftError(
+            f"rho-shift is not unique: {len(solutions)} candidates "
+            f"{[tuple(x) for x in solutions.tolist()]}"
+        )
+    return solutions[0] * scale
 
 
 def rho_shift_solve(ctx: FormulaContext, positive_roots=None) -> dict:
@@ -337,47 +337,10 @@ def rho_shift_solve(ctx: FormulaContext, positive_roots=None) -> dict:
     Raises RhoShiftError when zero or several characters qualify: either
     outcome signals a model inconsistency and must abort verification.
     """
-    kind, q = ctx.kind, ctx.q
-    amb = ctx.ambient_order
-    half = amb // 2
-    gens = _coinv_generators(kind, q)
-    targets = {
-        g: (_two_rho_eta_exponent(ctx, g, positive_roots) * (amb // 4)) % amb
-        for g in gens
-    }
-    if kind == 1:
-        unit_gens = gens[:2]
-        cover_kernel = t1_coinv(q, 0, 0, 1, 0)  # class of (uniformizer, 1)
-        genuine_witness = t1_coinv(q, 0, 0, 0, 1)
-    else:
-        unit_gens = gens[:1]
-        cover_kernel = None
-        genuine_witness = t2_coinv(q, 0, 1)
-
-    solutions = []
-    for label, chi in _model_characters(kind, q):
-        if any((2 * chi(g)) % amb != targets[g] for g in gens):
-            continue
-        if any(chi(g) != 0 for g in unit_gens):
-            continue
-        if cover_kernel is not None and chi(cover_kernel) != 0:
-            continue
-        if chi(genuine_witness) == 0:
-            continue
-        solutions.append((label, chi))
-    if not solutions:
-        raise RhoShiftError("no rho-shift character exists on this model")
-    if len(solutions) > 1:
-        raise RhoShiftError(
-            f"rho-shift is not unique: {len(solutions)} candidates {[s[0] for s in solutions]}"
-        )
-    _, chi = solutions[0]
-    table = {}
-    for c in enumerate_coinvariants(kind, q):
-        e = chi(c)
-        assert e in (0, half), "rho-shift values must be signs"
-        table[c] = 1 if e == 0 else -1
-    return table
+    kind, q, amb = ctx.kind, ctx.q, ctx.ambient_order
+    exps = coinvariant_coordinates(kind, q) @ _rho_shift_character(ctx, positive_roots) % amb
+    assert np.isin(exps, (0, amb // 2)).all(), "rho-shift values must be signs"
+    return dict(zip(enumerate_coinvariants(kind, q), np.where(exps == 0, 1, -1).tolist()))
 
 
 def rho_shift_table(ctx: FormulaContext, positive_roots=None) -> dict:
@@ -504,15 +467,17 @@ class SumTables:
         self.ctx = ctx
         self.gammas = list(gammas)
         self.labels = tuple(labels) if labels is not None else rational_weyl_group(kind)
-        for gamma in self.gammas:
-            if not is_strongly_regular(kind, q, gamma):
-                raise NotStronglyRegularError(f"{gamma} is not strongly regular")
         n = unit_class_order(kind, q)
         if 2 * n * n >= 2**63:
             raise OverflowError(f"q = {q} exceeds the int64 range of the tables")
         rational_cls, coinv_cls = (T1Rational, T1Coinv) if kind == 1 else (T2Rational, T2Coinv)
-        self.lifts = [_lift(ctx, gamma, parity) for gamma in self.gammas]
         self.gamma_coords = coordinate_array(rational_cls, self.gammas)
+        regular = np.all([root_value_coord_array(kind, q, g, self.gamma_coords)
+                          for g in default_positive_roots(kind)], axis=0)
+        if not regular.all():
+            bad = self.gammas[int(np.argmin(regular))]
+            raise NotStronglyRegularError(f"{bad} is not strongly regular")
+        self.lifts = [_lift(ctx, gamma, parity) for gamma in self.gammas]
         self.lift_coords = coordinate_array(coinv_cls, self.lifts)
         inverses = [[weyl_inverse(weyl_compose(s, w)) for s in ctx.summation]
                     for w in self.labels]

@@ -139,6 +139,15 @@ def enumerate_coinvariants(kind: int, q: int):
             yield t2_coinv(q, u, v)
 
 
+def coinvariant_coordinates(kind: int, q: int) -> np.ndarray:
+    """``coordinate_array`` of ``enumerate_coinvariants(kind, q)``, built
+    directly: (Z/n)^rank x (Z/2)^rank in lexicographic order."""
+    rank = 2 if kind == 1 else 1
+    axes = [np.arange(unit_class_order(kind, q), dtype=np.int64)] * rank
+    axes += [np.arange(2, dtype=np.int64)] * rank
+    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, 2 * rank)
+
+
 def coinvariant_order(kind: int, q: int) -> int:
     return (2 * (q + 1)) ** 2 if kind == 1 else 2 * (q * q + 1)
 
@@ -523,6 +532,13 @@ def mu_coordinate_array(kind: int, q: int, dlog: np.ndarray, val: np.ndarray) ->
     return (dlog // step) % unit_class_order(kind, q)
 
 
+def mu_unit_array(kind: int, q: int, k: np.ndarray) -> np.ndarray:
+    """``mu_unit`` of every mu-coordinate in ``k``, as (dlog, val) rows."""
+    _check_kind(kind)
+    step = q - 1 if kind == 1 else q * q - 1
+    return np.stack([(k * step) % (q ** torus_level(kind) - 1), np.zeros_like(k)], axis=1)
+
+
 def pair_norm_array(kind: int, q: int, rows: np.ndarray) -> np.ndarray:
     """``pair_norm`` on every row: the product of the Galois orbit, as
     ``T1Rational`` resp. ``T2Rational`` coordinates."""
@@ -603,6 +619,15 @@ def root_value_coord(kind: int, q: int, root, gamma) -> int:
     if kind == 1:
         return (g1 * gamma.k1 + g2 * gamma.k2) % (q + 1)
     return ((g1 + q * g2) * gamma.k) % (q * q + 1)
+
+
+def root_value_coord_array(kind: int, q: int, root, coords: np.ndarray) -> np.ndarray:
+    """``root_value_coord`` on every row of
+    ``coordinate_array(T1Rational | T2Rational, ...)``."""
+    g1, g2 = root
+    if kind == 1:
+        return (g1 * coords[:, 0] + g2 * coords[:, 1]) % (q + 1)
+    return ((g1 + q * g2) * coords[:, 0]) % (q * q + 1)
 
 
 def root_values(kind: int, q: int, gamma):

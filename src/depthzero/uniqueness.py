@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd
 
 import numpy as np
@@ -20,10 +20,13 @@ import numpy as np
 from . import snf
 from .characters import (
     DepthZeroCharacter,
+    enumerate_characters,
     enumerate_regular_characters,
+    is_regular,
     weyl_conjugate,
 )
-from .charformula import FormulaContext, make_context, orbit_character_sum
+from .charformula import SumTables, make_context
+from .cyclo import sum_of_roots
 from .ffield import prime_power
 from .tori import (
     default_positive_roots,
@@ -167,9 +170,11 @@ class RigidityResult:
     n_characters: int = 0
 
 
-def _summed_function(ctx: FormulaContext, chi: DepthZeroCharacter, gammas):
-    one = weyl_identity(ctx.kind)
-    return tuple(orbit_character_sum(ctx, chi, one, g) for g in gammas)
+def _orbit_sums(tables: SumTables, chi: DepthZeroCharacter) -> tuple:
+    """The orbit sum of ``chi`` at the identity label on every gamma of the
+    tables, one reduced ``sum_of_roots`` per gamma: an exact key."""
+    amb = tables.ctx.ambient_order
+    return tuple(sum_of_roots(amb, row) for row in tables.orbit_exponents(chi)[:, 0].tolist())
 
 
 def restriction_rigidity_check(kind: int, q: int, *, eval_cap: int = 100_000_000,
@@ -177,24 +182,23 @@ def restriction_rigidity_check(kind: int, q: int, *, eval_cap: int = 100_000_000
     """Characters whose summed functions agree on the strongly regular set
     must be Weyl-conjugate; exhaustive below the evaluation cap, sampled
     deterministically above it."""
-    ctx = make_context(kind, q)
-    gammas = sorted(iter_strongly_regular(kind, q), key=str)
-    chars = enumerate_regular_characters(kind, q)
+    tables = SumTables(make_context(kind, q), sorted(iter_strongly_regular(kind, q), key=str),
+                       labels=(weyl_identity(kind),))
+    chars = regular = enumerate_regular_characters(kind, q)
     group = rational_weyl_group(kind)
-    est = len(chars) * len(gammas) * len(group)
+    est = len(chars) * len(tables.gammas) * len(group)
     exhaustive = est <= eval_cap
     if not exhaustive:
         import random
 
         rng = random.Random(seed)
-        keep = max(2, eval_cap // max(1, len(gammas) * len(group)))
+        keep = max(2, eval_cap // max(1, len(tables.gammas) * len(group)))
         chars = rng.sample(chars, min(keep, len(chars)))
-    total = len(enumerate_regular_characters(kind, q))
-    coverage = Fraction(len(chars), total) if total else Fraction(1)
+    coverage = Fraction(len(chars), len(regular)) if regular else Fraction(1)
 
     by_function: dict = {}
     for chi in chars:
-        by_function.setdefault(_summed_function(ctx, chi, gammas), []).append(chi)
+        by_function.setdefault(_orbit_sums(tables, chi), []).append(chi)
 
     checked = 0
     for _key, bucket in by_function.items():
@@ -212,15 +216,13 @@ def restriction_rigidity_check(kind: int, q: int, *, eval_cap: int = 100_000_000
 
 def conjugate_forward_check(kind: int, q: int) -> bool:
     """Weyl-conjugate characters always give equal summed functions."""
-    ctx = make_context(kind, q)
-    gammas = sorted(iter_strongly_regular(kind, q), key=str)
+    tables = SumTables(make_context(kind, q), sorted(iter_strongly_regular(kind, q), key=str),
+                       labels=(weyl_identity(kind),))
     group = rational_weyl_group(kind)
-    chars = enumerate_regular_characters(kind, q)
-    probe = chars[: min(4, len(chars))]
-    for chi in probe:
-        base_fn = _summed_function(ctx, chi, gammas)
+    for chi in islice(filter(is_regular, enumerate_characters(kind, q)), 4):
+        base_fn = _orbit_sums(tables, chi)
         for w in group:
-            if _summed_function(ctx, weyl_conjugate(chi, w), gammas) != base_fn:
+            if _orbit_sums(tables, weyl_conjugate(chi, w)) != base_fn:
                 return False
     return True
 
@@ -246,13 +248,14 @@ class NonvanishingReport:
 
 def nonvanishing_report(kind: int, q: int) -> NonvanishingReport:
     """Exhibit a regular character and a strongly regular element where the
-    orbit sum is nonzero."""
-    ctx = make_context(kind, q)
-    one = weyl_identity(kind)
-    for chi in enumerate_regular_characters(kind, q):
-        for gamma in iter_strongly_regular(kind, q):
-            val = orbit_character_sum(ctx, chi, one, gamma)
-            if not val.is_zero():
+    orbit sum is nonzero; characters are reached lazily and sums reduced
+    one gamma at a time, up to the first nonzero one."""
+    tables = SumTables(make_context(kind, q), iter_strongly_regular(kind, q),
+                       labels=(weyl_identity(kind),))
+    amb = tables.ctx.ambient_order
+    for chi in filter(is_regular, enumerate_characters(kind, q)):
+        for gamma, row in zip(tables.gammas, tables.orbit_exponents(chi)[:, 0].tolist()):
+            if not sum_of_roots(amb, row).is_zero():
                 gk = (gamma.k1, gamma.k2) if kind == 1 else (gamma.k,)
                 return NonvanishingReport(kind, q, chi.exponents, gk)
     raise RuntimeError(

@@ -13,6 +13,7 @@ from depthzero.characters import (
 from depthzero.charformula import (
     NotStronglyRegularError,
     RhoShiftError,
+    _two_rho_eta_exponent,
     delta0_eta_exponent,
     delta0_eta_exponent_array,
     denominator_factors,
@@ -25,6 +26,7 @@ from depthzero.charformula import (
     rho_shift_solve,
     rho_shift_table,
     theta,
+    two_rho_eta_exponent_array,
     weyl_denominator,
     weyl_denominator_exponent,
     weyl_denominator_exponent_array,
@@ -39,6 +41,7 @@ from depthzero.tori import (
     T2Rational,
     canonical_rep,
     coinv_mul,
+    coinvariant_coordinates,
     coinvariant_norm,
     coordinate_array,
     enumerate_coinvariants,
@@ -90,27 +93,43 @@ def test_rho_shift_solver_unique_and_matches_closed(kind, q):
         assert sign == rho_shift_closed_sign(ctx, c)
 
 
-def test_rho_shift_square_is_target_pointwise(ctx1, ctx2):
-    from depthzero.charformula import _two_rho_eta_exponent
-
-    for ctx in (ctx1, ctx2):
-        table = rho_shift_solve(ctx)
-        for c, sign in table.items():
-            # the square of a sign character is trivial, and the computed
-            # eta(2 rho)(N(.)) is the trivial character on this model
-            assert _two_rho_eta_exponent(ctx, c) == 0
-            assert sign * sign == 1
+@pytest.mark.parametrize("kind,q", [(1, 3), (2, 3), (1, 5), (2, 5)])
+@pytest.mark.parametrize("branch", [1, -1])
+def test_rho_shift_square_is_target_pointwise(kind, q, branch):
+    # the array target against the scalar oracle on every class and every
+    # positive system; the square of a sign character is trivial, and the
+    # computed eta(2 rho)(N(.)) is the trivial character on this model
+    ctx = make_context(kind, q, eta_branch=branch)
+    classes = list(enumerate_coinvariants(kind, q))
+    coords = coordinate_array(T1Coinv if kind == 1 else T2Coinv, classes)
+    assert np.array_equal(coords, coinvariant_coordinates(kind, q))
+    for _name, roots in [("default", None), *positive_system_contexts(kind)]:
+        got = two_rho_eta_exponent_array(ctx, coords, roots)
+        assert got.tolist() == [_two_rho_eta_exponent(ctx, c, roots) for c in classes]
+        assert not got.any()
+    assert all(sign * sign == 1 for sign in rho_shift_solve(ctx).values())
 
 
 def test_rho_shift_solver_error_paths(monkeypatch):
-    # an odd zeta_4 exponent can never be the square of a character value,
-    # so a poisoned target must abort with the no-solution error
     import depthzero.charformula as cf
 
     ctx = make_context(1, 3)
-    monkeypatch.setattr(cf, "_two_rho_eta_exponent", lambda *_a, **_k: 1)
-    with pytest.raises(RhoShiftError):
+    # an odd zeta_4 exponent can never be the square of a character value,
+    # so a poisoned target must abort with the no-solution error
+    with monkeypatch.context() as m:
+        m.setattr(cf, "two_rho_eta_exponent_array",
+                  lambda ctx, coords, positive_roots=None: np.ones(len(coords), dtype=np.int64))
+        with pytest.raises(RhoShiftError, match="no rho-shift character exists"):
+            cf.rho_shift_solve(ctx)
+    # every character listed twice: the one solution is found twice, and
+    # the error names both labels
+    grid = coinvariant_coordinates(1, 3)
+    monkeypatch.setattr(cf, "coinvariant_coordinates", lambda kind, q: np.concatenate([grid, grid]))
+    with pytest.raises(RhoShiftError) as err:
         cf.rho_shift_solve(ctx)
+    assert str(err.value) == (
+        "rho-shift is not unique: 2 candidates [(0, 0, 0, 1), (0, 0, 0, 1)]"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,26 @@
-"""The identity checks that run on exponent tables, against the scalar loops
-they replaced.
+"""The checks that run on exponent tables, against the scalar loops they
+replaced.
 
-The four ``oracle_*`` functions are the per-element bodies of
+The ``oracle_*`` functions are the per-element bodies of
 ``lift-independence``, ``denominator-representatives``,
-``positive-systems`` and ``packet-conjugation`` as they were written on
-``theta``, ``packet`` and the scalar Weyl denominator.  The table checks
-must return the same record (outcome, witness and info) on a grid of
-configurations, and under each deliberate break of the model, applied to
-both sides, the same FAIL and witness.
+``positive-systems``, ``packet-conjugation`` and ``rho-shift-unique`` as
+they were written on ``theta``, ``packet``, the scalar Weyl denominator and
+the scalar 2-rho target; ``rigidity`` and ``forward-conjugate`` keep their
+bodies and take their summed functions from ``orbit_character_sum``.  The
+table checks must return the same record (outcome, witness and info) on a
+grid of configurations, and under each deliberate break of the model,
+applied to both sides, the same FAIL and witness.
 """
 
 import json
 import random
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from depthzero import characters, charformula, driver
+from depthzero import characters, charformula, driver, uniqueness
 from depthzero.characters import (
     DepthZeroCharacter,
     character_to_descriptor,
@@ -25,10 +28,14 @@ from depthzero.characters import (
     weyl_conjugate,
 )
 from depthzero.charformula import (
+    _two_rho_eta_exponent,
     denominator_factors,
     make_context,
+    orbit_character_sum,
     packet,
     positive_system_contexts,
+    rho_shift_closed_sign,
+    rho_shift_solve,
     theta,
     weyl_denominator_exponent,
 )
@@ -36,7 +43,9 @@ from depthzero.driver import _character_pool, _context_from_params, _fail, _ok, 
 from depthzero.dualgroup import cover_class_values
 from depthzero.localmodel import unit
 from depthzero.tori import (
+    T1Coinv,
     T1Rational,
+    T2Coinv,
     T2Rational,
     canonical_rep,
     coinv_mul,
@@ -48,6 +57,8 @@ from depthzero.tori import (
     lift_of_rational,
     parity_classes,
     rational_weyl_group,
+    t1_coinv,
+    t2_coinv,
     unit_class_order,
     weyl_identity,
 )
@@ -178,17 +189,48 @@ def oracle_packet_conjugation(params):
     return _ok({"packet_caveat": pk.caveat})
 
 
+def oracle_rho_shift_unique(params):
+    ctx = _context_from_params(params)
+    table = rho_shift_solve(ctx)
+    mismatches = [
+        str(c) for c, sign in table.items() if sign != rho_shift_closed_sign(ctx, c)
+    ]
+    if mismatches:
+        return _fail({"classes": mismatches[:5]})
+    for c, sign in table.items():
+        if sign not in (1, -1) or _two_rho_eta_exponent(ctx, c) % 4 != 0:
+            return _fail({"class": str(c), "reason": "square mismatch"})
+    return _ok({"classes": len(table)})
+
+
+def _scalar_orbit_sums(tables, chi):
+    one = weyl_identity(tables.ctx.kind)
+    return tuple(orbit_character_sum(tables.ctx, chi, one, g) for g in tables.gammas)
+
+
+def _on_scalar_orbit_sums(check):
+    def oracle(params):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(uniqueness, "_orbit_sums", _scalar_orbit_sums)
+            return check(params)
+
+    return oracle
+
+
 ORACLES = {
     "lift_independence_formula": oracle_lift_independence_formula,
     "denominator_representatives": oracle_denominator_representatives,
     "positive_systems": oracle_positive_systems,
     "packet_conjugation": oracle_packet_conjugation,
+    "rho_shift_unique": oracle_rho_shift_unique,
+    "rigidity": _on_scalar_orbit_sums(driver.check_rigidity),
+    "forward_conjugate": _on_scalar_orbit_sums(driver.check_forward_conjugate),
 }
 
 
 def _params(kind, q, branch=1, **options):
     return {"kind": kind, "q": q, "branch": branch, "seed": 0, "summation": "full",
-            "epsilon_gt": 1, "samples": 100, **options}
+            "epsilon_gt": 1, "samples": 100, "eval_cap": 100_000_000, **options}
 
 
 def _both(name, params):
@@ -228,7 +270,7 @@ def test_table_check_matches_scalar_oracle(name, params):
 
 def _patch(monkeypatch, name, fn):
     """Rebind ``name`` wherever the table checks or the oracles look it up."""
-    for module in (charformula, characters, driver, sys.modules[__name__]):
+    for module in (charformula, characters, driver, uniqueness, sys.modules[__name__]):
         if hasattr(module, name):
             monkeypatch.setattr(module, name, fn)
 
@@ -302,6 +344,40 @@ def _conjugate_off_by_one(monkeypatch, kind, q):
     _patch(monkeypatch, "weyl_conjugate", broken)
 
 
+def _conjugate_wrong_for_one_w(monkeypatch, kind, q):
+    """The first exponent of the conjugate by the last rational Weyl element
+    one too large."""
+    original, last = characters.weyl_conjugate, rational_weyl_group(kind)[-1]
+
+    def broken(chi, w):
+        c = original(chi, w)
+        if w != last:
+            return c
+        n = unit_class_order(chi.kind, chi.q)
+        return DepthZeroCharacter(c.kind, c.q, ((c.exponents[0] + 1) % n, *c.exponents[1:]))
+
+    _patch(monkeypatch, "weyl_conjugate", broken)
+
+
+def _flip_closed_sign(monkeypatch, kind, q):
+    """The closed-form rho-shift sign of one class of parity 0 flipped."""
+    target = t1_coinv(q, 0, 1, 0, 0) if kind == 1 else t2_coinv(q, 1, 0)
+    original = charformula.rho_shift_closed_sign
+    _patch(monkeypatch, "rho_shift_closed_sign",
+           lambda ctx, c: -original(ctx, c) if c == target else original(ctx, c))
+
+
+def _poison_two_rho(monkeypatch, kind, q):
+    """The 2-rho target of the last class, which is no generator, made odd."""
+    target = list(enumerate_coinvariants(kind, q))[-1]
+    row = coordinate_array(T1Coinv if kind == 1 else T2Coinv, [target])
+    scalar, array = _two_rho_eta_exponent, charformula.two_rho_eta_exponent_array
+    _patch(monkeypatch, "_two_rho_eta_exponent", lambda ctx, c, positive_roots=None: (
+        scalar(ctx, c, positive_roots) + (c == target)) % 4)
+    _patch(monkeypatch, "two_rho_eta_exponent_array", lambda ctx, coords, positive_roots=None: (
+        array(ctx, coords, positive_roots) + (coords == row).all(axis=1)) % 4)
+
+
 def _flip_cover_sign(monkeypatch, kind, q):
     """The cover sign of the largest parity class (a twist) flipped."""
     key = max(cover_class_values(kind))
@@ -314,20 +390,25 @@ def _flip_cover_sign(monkeypatch, kind, q):
     monkeypatch.setattr(characters, "cover_class_values", broken)
 
 
-BREAKS = [
-    ("rho-sign-one-class", "positive_systems", _flip_rho_sign),
-    ("delta0-one-gamma", "positive_systems", _shift_delta0(-1)),
-    ("denominator-noncanonical", "denominator_representatives", _shift_noncanonical_denominator),
-    ("conjugate-off-by-one", "packet_conjugation", _conjugate_off_by_one),
-    ("cover-sign-one-twist", "lift_independence_formula", _flip_cover_sign),
+BREAKS = [  # (label, check, break, q)
+    ("rho-sign-one-class", "positive_systems", _flip_rho_sign, 3),
+    ("delta0-one-gamma", "positive_systems", _shift_delta0(-1), 3),
+    ("denominator-noncanonical", "denominator_representatives", _shift_noncanonical_denominator, 3),
+    ("conjugate-off-by-one", "packet_conjugation", _conjugate_off_by_one, 3),
+    ("cover-sign-one-twist", "lift_independence_formula", _flip_cover_sign, 3),
+    ("closed-sign-one-class", "rho_shift_unique", _flip_closed_sign, 3),
+    ("two-rho-one-class", "rho_shift_unique", _poison_two_rho, 3),
+    # kind 1 has no regular character at q = 3
+    ("conjugate-one-w-forward", "forward_conjugate", _conjugate_wrong_for_one_w, 5),
+    ("conjugate-one-w-rigidity", "rigidity", _conjugate_wrong_for_one_w, 5),
 ]
 
 
 @pytest.mark.parametrize("kind", [1, 2])
-@pytest.mark.parametrize("label,name,apply", BREAKS, ids=[b[0] for b in BREAKS])
-def test_break_fails_both_with_the_same_witness(monkeypatch, label, name, apply, kind):
-    params = _params(kind, 3)
-    apply(monkeypatch, kind, 3)
+@pytest.mark.parametrize("label,name,apply,q", BREAKS, ids=[b[0] for b in BREAKS])
+def test_break_fails_both_with_the_same_witness(monkeypatch, label, name, apply, q, kind):
+    params = _params(kind, q)
+    apply(monkeypatch, kind, q)
     got, want = _both(name, params)
     assert got[0] == "FAIL", label
     assert got == want
@@ -357,20 +438,32 @@ def test_zero_sum_break_still_passes(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the identity campaign needs none of the scalar paths
+# the campaign needs none of the scalar evaluators
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SCALAR_PATHS = ("theta", "orbit_character_sum", "packet", "weyl_denominator_exponent",
+                "denominator_factors", "_two_rho_eta_exponent")
+CAMPAIGNS = [
+    (["identity", "--q", "3,5", "--kind", "both", "--eta-branch", "both"], 21),
+    (["all", "--jobs", "1"], None),  # compared with the golden report
+]
 
 
-def test_identity_campaign_runs_without_the_scalar_paths(monkeypatch, tmp_path):
+@pytest.mark.parametrize("argv,count", CAMPAIGNS, ids=[c[0][0] for c in CAMPAIGNS])
+def test_identity_campaign_runs_without_the_scalar_paths(monkeypatch, tmp_path, argv, count):
     def forbidden(*args, **kwargs):
         raise AssertionError("scalar path called")
 
-    for name in ("theta", "orbit_character_sum", "packet", "weyl_denominator_exponent",
-                 "denominator_factors"):
-        for module in (charformula, driver):
+    for name in SCALAR_PATHS:
+        for module in (charformula, driver, uniqueness):
             monkeypatch.setattr(module, name, forbidden, raising=False)
-    argv = ["identity", "--q", "3,5", "--kind", "both", "--eta-branch", "both",
-            "--out", str(tmp_path)]
-    assert main(argv) == 0
-    records = json.loads((tmp_path / "report.json").read_text())["checks"]
-    assert len(records) == 21
+    for cls in (characters.DepthZeroCharacter, characters.CoverCharacter):
+        monkeypatch.setattr(cls, "eval_exponent", forbidden)
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    report = (tmp_path / "report.json").read_text()
+    if count is None:
+        assert report == (GOLDEN / "report.json").read_text()
+        return
+    records = json.loads(report)["checks"]
+    assert len(records) == count
     assert all(r["outcome"] == "PASS" for r in records)

@@ -2,6 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from depthzero.characters import enumerate_regular_characters
+from depthzero.charformula import make_context, orbit_character_sum
+from depthzero.tori import iter_strongly_regular, weyl_identity
 from depthzero.uniqueness import (
     CENTER_ORDER,
     conjugate_forward_check,
@@ -106,6 +109,22 @@ def test_nonvanishing_kind2_q5():
 def test_nonvanishing_kind1_q47():
     rep = nonvanishing_report(1, 47)
     assert rep.witness_gamma
+
+
+@pytest.mark.parametrize("kind,q", [(1, 5), (1, 7), (2, 3), (2, 5), (1, 47)])
+def test_nonvanishing_witness_is_the_first_nonzero_orbit_sum(kind, q):
+    """The table scan against the scalar loop: characters outer, gammas in
+    enumeration order, the first nonzero ``orbit_character_sum``."""
+    ctx, one = make_context(kind, q), weyl_identity(kind)
+    want = next(
+        (chi.exponents, gamma)
+        for chi in enumerate_regular_characters(kind, q)
+        for gamma in iter_strongly_regular(kind, q)
+        if not orbit_character_sum(ctx, chi, one, gamma).is_zero()
+    )
+    rep = nonvanishing_report(kind, q)
+    coords = (want[1].k1, want[1].k2) if kind == 1 else (want[1].k,)
+    assert (rep.witness_character, rep.witness_gamma) == (want[0], coords)
 
 
 def test_sampled_mode_reports_coverage():
