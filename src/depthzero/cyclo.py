@@ -207,7 +207,7 @@ class CycInt:
         return hash((self.order, self.coeffs))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def embed(self, order: int) -> "CycInt":
         """Image under zeta_N -> zeta_order^(order/N); requires N | order."""

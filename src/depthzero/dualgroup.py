@@ -75,18 +75,18 @@ class SpMatrix:
 
 
 def sp_mul(a: SpMatrix, b: SpMatrix) -> SpMatrix:
+    """The matrix product; zero entries of either factor are skipped."""
     assert a.order == b.order
-    rows = tuple(
-        tuple(
-            sum(
-                (a.rows[i][k] * b.rows[k][j] for k in range(1, 4)),
-                a.rows[i][0] * b.rows[0][j],
-            )
-            for j in range(4)
-        )
-        for i in range(4)
-    )
-    return SpMatrix(a.order, rows)
+    b_terms = [[(j, y) for j, y in enumerate(row) if not y.is_zero()] for row in b.rows]
+    rows = []
+    for row in a.rows:
+        out = [CycInt.zero(a.order)] * 4
+        for k, x in enumerate(row):
+            if not x.is_zero():
+                for j, y in b_terms[k]:
+                    out[j] = out[j] + x * y
+        rows.append(tuple(out))
+    return SpMatrix(a.order, tuple(rows))
 
 
 def sp_eq(a: SpMatrix, b: SpMatrix) -> bool:
@@ -106,9 +106,12 @@ def sp_det(a: SpMatrix) -> CycInt:
             for j in range(i + 1, 4):
                 if seen[i] > seen[j]:
                     sign = -sign
-        term = a.rows[0][perm[0]]
-        for i in range(1, 4):
-            term = term * a.rows[i][perm[i]]
+        factors = [a.rows[i][perm[i]] for i in range(4)]
+        if any(x.is_zero() for x in factors):
+            continue
+        term = factors[0]
+        for x in factors[1:]:
+            term = term * x
         total = total + (sign * term)
     return total
 

@@ -520,6 +520,40 @@ def pair_galois_array(kind: int, q: int, rows: np.ndarray) -> np.ndarray:
     return np.stack([(-q * dz) % order, -vz, (q * dw) % order, vw], axis=1)
 
 
+# Quadruples (a, b, c, d) are rows (dlog_a, val_a, dlog_b, val_b, dlog_c,
+# val_c, dlog_d, val_d) at the same level.  quad_galois applies Frobenius to
+# every slot and then reads the slots in this order.
+_QUAD_GALOIS_SLOTS = {1: [3, 2, 1, 0], 2: [2, 0, 3, 1]}
+
+
+def quad_from_pair_array(kind: int, q: int, rows: np.ndarray) -> np.ndarray:
+    """``quad_from_pair`` on every row of pair-model coordinates."""
+    order = _pair_order(kind, q)
+    dw, vw, dz, vz = rows.T
+    zero = np.zeros_like(dw)
+    if kind == 1:
+        return np.stack(
+            [dw, vw, zero, zero, (-dz) % order, -vz, (-dz - dw) % order, -vz - vw], axis=1
+        )
+    return np.stack([(dw + dz) % order, vw + vz, dz, vz, dw, vw, zero, zero], axis=1)
+
+
+def pair_from_quad_array(kind: int, q: int, quads: np.ndarray) -> np.ndarray:
+    """``pair_from_quad`` on every row of quadruple coordinates."""
+    order = _pair_order(kind, q)
+    da, va, db, vb, dc, vc = quads[:, :6].T
+    if kind == 1:
+        return np.stack([(da - db) % order, va - vb, (db - dc) % order, vb - vc], axis=1)
+    return np.stack([(da - db) % order, va - vb, (da - dc) % order, va - vc], axis=1)
+
+
+def quad_galois_array(kind: int, q: int, quads: np.ndarray) -> np.ndarray:
+    """``quad_galois`` on every row of quadruple coordinates."""
+    order = _pair_order(kind, q)
+    slots = quads.reshape(-1, 4, 2)[:, _QUAD_GALOIS_SLOTS[kind]]
+    return np.stack([(q * slots[..., 0]) % order, slots[..., 1]], axis=-1).reshape(-1, 8)
+
+
 def mu_coordinate_array(kind: int, q: int, dlog: np.ndarray, val: np.ndarray) -> np.ndarray:
     """``mu_coordinate`` on arrays of reduced dlogs and valuations; raises
     as it does if any element is off the norm-one subgroup."""

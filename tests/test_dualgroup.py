@@ -1,3 +1,5 @@
+import itertools
+import random
 from functools import reduce
 
 import pytest
@@ -158,6 +160,47 @@ def test_products_preserve_form(pin):
     for m in words:
         assert pin.is_symplectic(m)
         assert sp_det(m) == CycInt.one(24)
+
+
+def _random_matrix(rng, order, density):
+    """A 4x4 matrix whose entries are nonzero with probability ``density``."""
+    zero = CycInt.zero(order)
+    phi = len(zero.coeffs)
+
+    def entry():
+        if rng.random() >= density:
+            return zero
+        return CycInt(order, tuple(rng.randint(-3, 3) for _ in range(phi)))
+
+    return SpMatrix(order, tuple(tuple(entry() for _ in range(4)) for _ in range(4)))
+
+
+def _dense_mul(a, b):
+    """The triple-loop product, every term formed."""
+    zero = CycInt.zero(a.order)
+    return SpMatrix(a.order, tuple(
+        tuple(sum((a.rows[i][k] * b.rows[k][j] for k in range(4)), zero) for j in range(4))
+        for i in range(4)))
+
+
+def _dense_det(a):
+    """The Leibniz sum, every term formed."""
+    total = CycInt.zero(a.order)
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+        term = reduce(lambda x, y: x * y, (a.rows[i][perm[i]] for i in range(4)))
+        total = total + (-1) ** inversions * term
+    return total
+
+
+@pytest.mark.parametrize("order", [8, 24])
+@pytest.mark.parametrize("density", [0.15, 0.4, 1.0])
+def test_sparse_products_match_dense(order, density):
+    rng = random.Random(order * 100 + int(density * 100))
+    for _ in range(6):
+        a, b = _random_matrix(rng, order, density), _random_matrix(rng, order, density)
+        assert sp_eq(sp_mul(a, b), _dense_mul(a, b))
+        assert sp_det(a) == _dense_det(a)
 
 
 def test_alternate_cyclotomic_order():

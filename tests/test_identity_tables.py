@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from depthzero import characters, charformula, driver, uniqueness
+from depthzero import characters, charformula, driver, tori, uniqueness
 from depthzero.characters import (
     DepthZeroCharacter,
     character_to_descriptor,
@@ -443,22 +443,30 @@ def test_zero_sum_break_still_passes(monkeypatch):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCALAR_PATHS = ("theta", "orbit_character_sum", "packet", "weyl_denominator_exponent",
                 "denominator_factors", "_two_rho_eta_exponent")
-CAMPAIGNS = [
-    (["identity", "--q", "3,5", "--kind", "both", "--eta-branch", "both"], 21),
-    (["all", "--jobs", "1"], None),  # compared with the golden report
-]
+SCALAR_EVALUATORS = [((charformula, driver, uniqueness), SCALAR_PATHS),
+                     ((characters.DepthZeroCharacter, characters.CoverCharacter),
+                      ("eval_exponent",))]
+SCALAR_PAIR_MODEL = [((driver, tori), ("quad_from_pair", "pair_from_quad", "quad_galois",
+                                        "pair_galois", "pair_norm", "project_to_coinvariants"))]
+# (argv, expected record count or None to compare with the golden report, forbidden paths)
+CAMPAIGNS = {
+    "identity": (["identity", "--q", "3,5", "--kind", "both", "--eta-branch", "both"], 21,
+                 SCALAR_EVALUATORS),
+    "all": (["all", "--jobs", "1"], None, SCALAR_EVALUATORS),
+    "all-pair-model": (["all", "--jobs", "1"], None, SCALAR_PAIR_MODEL),
+}
 
 
-@pytest.mark.parametrize("argv,count", CAMPAIGNS, ids=[c[0][0] for c in CAMPAIGNS])
-def test_identity_campaign_runs_without_the_scalar_paths(monkeypatch, tmp_path, argv, count):
+@pytest.mark.parametrize("argv,count,paths", CAMPAIGNS.values(), ids=CAMPAIGNS.keys())
+def test_identity_campaign_runs_without_the_scalar_paths(monkeypatch, tmp_path, argv, count,
+                                                         paths):
     def forbidden(*args, **kwargs):
         raise AssertionError("scalar path called")
 
-    for name in SCALAR_PATHS:
-        for module in (charformula, driver, uniqueness):
-            monkeypatch.setattr(module, name, forbidden, raising=False)
-    for cls in (characters.DepthZeroCharacter, characters.CoverCharacter):
-        monkeypatch.setattr(cls, "eval_exponent", forbidden)
+    for owners, names in paths:
+        for owner in owners:
+            for name in names:
+                monkeypatch.setattr(owner, name, forbidden, raising=False)
     assert main([*argv, "--out", str(tmp_path)]) == 0
     report = (tmp_path / "report.json").read_text()
     if count is None:

@@ -30,6 +30,7 @@ from depthzero.tori import (
     mu_coordinate,
     mu_coordinate_array,
     pair_from_quad,
+    pair_from_quad_array,
     pair_galois,
     pair_galois_array,
     pair_norm,
@@ -40,7 +41,9 @@ from depthzero.tori import (
     project_to_coinvariants_array,
     quad_eq,
     quad_from_pair,
+    quad_from_pair_array,
     quad_galois,
+    quad_galois_array,
     quad_weyl,
     rational_order,
     rational_weyl_group,
@@ -359,15 +362,20 @@ def test_inverse_class():
 # the pair model on integer rows against the scalar oracles
 
 
-def _as_rows(pairs):
-    return [[w.residue.dlog, w.val, z.residue.dlog, z.val] for w, z in pairs]
+def _as_rows(tuples):
+    """(dlog, val) of every slot of each tuple of units, as one row."""
+    return [[c for u in units for c in (u.residue.dlog, u.val)] for units in tuples]
 
 
 @pytest.mark.parametrize("kind,q,full,stride", [
     (1, 3, True, 1), (1, 5, True, 1), (2, 3, False, 1), (2, 5, False, 1), (2, 3, True, 97),
 ])
 def test_pair_arrays_match_scalar_pair_model(kind, q, full, stride):
-    rows = np.concatenate(list(driver._pair_blocks(kind, q, full)))[::stride]
+    blocks = list(driver._pair_blocks(kind, q, full))
+    # fixed-size blocks; only the last may be shorter
+    assert all(len(b) == driver._PAIR_BLOCK_ROWS for b in blocks[:-1])
+    assert 0 < len(blocks[-1]) <= driver._PAIR_BLOCK_ROWS
+    rows = np.concatenate(blocks)[::stride]
     pairs = list(islice(driver._pair_samples(kind, q, full), 0, None, stride))
     # the blocks hold the scalar samples, in the same order
     np.testing.assert_array_equal(rows, _as_rows(pairs))
@@ -384,6 +392,16 @@ def test_pair_arrays_match_scalar_pair_model(kind, q, full, stride):
     np.testing.assert_array_equal(
         coinvariant_norm_array(kind, q, projected),
         coordinate_array(rational, [coinvariant_norm(c) for c in classes]))
+    quads = [quad_from_pair(kind, q, p) for p in pairs]
+    quad_rows = quad_from_pair_array(kind, q, rows)
+    np.testing.assert_array_equal(quad_rows, _as_rows(quads))
+    # along the whole Galois orbit, so that every slot carries nontrivial units
+    for _ in range(2 * kind):
+        np.testing.assert_array_equal(pair_from_quad_array(kind, q, quad_rows),
+                                      _as_rows(pair_from_quad(kind, q, x) for x in quads))
+        quads = [quad_galois(kind, q, x) for x in quads]
+        quad_rows = quad_galois_array(kind, q, quad_rows)
+        np.testing.assert_array_equal(quad_rows, _as_rows(quads))
 
 
 def _untwisted_projection(kind, q, pair):
@@ -438,8 +456,67 @@ def test_pair_norm_guards_the_twisted_diagonal(monkeypatch):
 
 
 def test_pair_arrays_refuse_int64_overflow():
-    rows = np.zeros((1, 4), dtype=np.int64)
-    for fn in (pair_galois_array, pair_norm_array, project_to_coinvariants_array):
+    pairs, quads = np.zeros((1, 4), dtype=np.int64), np.zeros((1, 8), dtype=np.int64)
+    cases = [(pair_galois_array, pairs), (pair_norm_array, pairs),
+             (project_to_coinvariants_array, pairs), (quad_from_pair_array, pairs),
+             (pair_from_quad_array, quads), (quad_galois_array, quads)]
+    for fn, rows in cases:
         with pytest.raises(OverflowError):
             fn(2, 10007, rows)
-    assert pair_norm_array(2, 6007, rows).shape == (1, 1)
+        assert len(fn(2, 6007, rows)) == 1
+    assert pair_norm_array(2, 6007, pairs).shape == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# negative controls for the pair/quadruple round trip
+
+
+def _scalar_roundtrip(kind, q):
+    """``pair-quad-roundtrip`` as a loop over the scalar quadruple model."""
+    count = 0
+    for pair in driver._pair_samples(kind, q, full=(q == 3 and kind == 1)):
+        quad = tori.quad_from_pair(kind, q, pair)
+        if tori.pair_from_quad(kind, q, quad) != pair:
+            return ("FAIL", {"pair": str(pair)}, {})
+        lhs = tori.pair_from_quad(kind, q, tori.quad_galois(kind, q, quad))
+        if lhs != tori.pair_galois(kind, q, pair):
+            return ("FAIL", {"pair": str(pair), "reason": "Galois equivariance"}, {})
+        count += 1
+    return ("PASS", None, {"pairs_checked": count})
+
+
+def _times_c_pair_from_quad(kind, q, quad):
+    """The kind-2 pair_from_quad with a*c in place of a*c^(-1)."""
+    a, b, c, _ = quad
+    return (uv_mul(q, a, uv_inv(q, b)), uv_mul(q, a, c))
+
+
+def _times_c_pair_from_quad_array(kind, q, quads):
+    order = q**4 - 1
+    da, va, db, vb, dc, vc = quads[:, :6].T
+    return np.stack([(da - db) % order, va - vb, (da + dc) % order, va + vc], axis=1)
+
+
+def _break_pair_from_quad(monkeypatch):
+    monkeypatch.setattr(tori, "pair_from_quad", _times_c_pair_from_quad)
+    monkeypatch.setattr(driver, "pair_from_quad_array", _times_c_pair_from_quad_array)
+
+
+def _break_quad_galois(monkeypatch):
+    """The kind-2 quad_galois with the kind-1 slot order."""
+    monkeypatch.setattr(tori, "quad_galois", lambda kind, q, quad: quad_galois(1, q, quad))
+    monkeypatch.setitem(tori._QUAD_GALOIS_SLOTS, 2, tori._QUAD_GALOIS_SLOTS[1])
+
+
+@pytest.mark.parametrize("brk,reason", [
+    (_break_pair_from_quad, None), (_break_quad_galois, "Galois equivariance"),
+], ids=["pair-from-quad-times-c", "quad-galois-kind-1-slots"])
+def test_broken_quadruple_model_fails_with_scalar_witness(monkeypatch, brk, reason):
+    kind, q = 2, 3
+    params = {"kind": kind, "q": q}
+    passing = ("PASS", None, {"pairs_checked": 256})
+    assert driver.check_pair_quad_roundtrip(params) == _scalar_roundtrip(kind, q) == passing
+    brk(monkeypatch)
+    got = driver.check_pair_quad_roundtrip(params)
+    assert got == _scalar_roundtrip(kind, q)
+    assert got[0] == "FAIL" and got[1].get("reason") == reason
