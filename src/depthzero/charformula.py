@@ -48,21 +48,25 @@ from .tori import (
     canonical_rep,
     coinv_mul,
     coinvariant_coordinates,
+    coinvariant_index,
     coinvariant_norm,
     coinvariant_norm_array,
+    coinvariant_shape,
     coordinate_array,
     default_positive_roots,
-    enumerate_coinvariants,
     half_sum_vector,
     is_strongly_regular,
     iter_strongly_regular,
+    lift_coordinates,
     lift_of_rational,
     mu_unit,
     mu_unit_array,
     positive_system,
+    rational_of_row,
     rational_weyl_group,
     root_value_coord,
     root_value_coord_array,
+    strongly_regular_mask,
     torus_level,
     unit_class_order,
     weyl_apply,
@@ -276,6 +280,12 @@ def rho_shift_closed_sign(ctx: FormulaContext, c) -> int:
     return -1 if c.v else 1
 
 
+def rho_shift_closed_sign_array(ctx: FormulaContext, coords: np.ndarray) -> np.ndarray:
+    """``rho_shift_closed_sign`` on every row of coinvariant coordinates:
+    the sign of the last parity column (v2 resp. v)."""
+    return np.where(coords[:, -1] != 0, -1, 1)
+
+
 def _two_rho_eta_exponent(ctx: FormulaContext, c, positive_roots=None) -> int:
     """eta((2 rho)(N(c))) as a zeta_4 exponent, computed on the model."""
     roots = positive_roots if positive_roots is not None else default_positive_roots(ctx.kind)
@@ -304,35 +314,40 @@ def _rho_shift_character(ctx: FormulaContext, positive_roots=None) -> np.ndarray
     classes are, by rows x of (Z/n)^rank x (Z/2)^rank in
     ``enumerate_coinvariants`` order: x takes the class c to
     zeta_ambient^(sum x_i c_i scale_i), scale ambient/n on the unit
-    coordinates and ambient/2 on the parities.
+    coordinates and ambient/2 on the parities.  Every condition reads one
+    generator, so the candidates are masked axis by axis and the solutions
+    are the product of the per-axis candidates, in label order.
     """
-    kind, q, amb = ctx.kind, ctx.q, ctx.ambient_order
-    rank = 2 if kind == 1 else 1
-    grid = coinvariant_coordinates(kind, q)
-    scale = np.repeat([amb // unit_class_order(kind, q), amb // 2], rank)
-    gens = np.eye(2 * rank, dtype=np.int64)
+    kind, amb = ctx.kind, ctx.ambient_order
+    shape = coinvariant_shape(kind, ctx.q)
+    scale = amb // np.array(shape)
+    gens = np.eye(len(shape), dtype=np.int64)
     targets = (two_rho_eta_exponent_array(ctx, gens, positive_roots) * (amb // 4)) % amb
-    values = grid @ (gens * scale).T  # every character on every generator
-    values %= amb
-    ok = ((2 * values) % amb == targets).all(axis=1)  # squares to the target
-    ok &= (values[:, :rank] == 0).all(axis=1)  # trivial on unit classes
-    if kind == 1:
-        ok &= values[:, rank] == 0  # trivial on (uniformizer, 1), the cover kernel
-    ok &= values[:, -1] != 0  # genuine
-    solutions = grid[ok]
-    if not len(solutions):
+    # trivial on the unit classes and, for kind 1, on (uniformizer, 1), the cover kernel
+    trivial_axes = len(shape) // 2 + (kind == 1)
+    candidates = []
+    for axis, size in enumerate(shape):
+        values = np.arange(size) * scale[axis]  # each label on this generator
+        ok = (2 * values) % amb == targets[axis]  # squares to the target
+        if axis < trivial_axes:
+            ok &= values == 0
+        if axis == len(shape) - 1:
+            ok &= values != 0  # genuine
+        candidates.append(np.flatnonzero(ok).tolist())
+    count = int(np.prod([len(c) for c in candidates]))
+    if not count:
         raise RhoShiftError("no rho-shift character exists on this model")
-    if len(solutions) > 1:
+    if count > 1:
         raise RhoShiftError(
-            f"rho-shift is not unique: {len(solutions)} candidates "
-            f"{[tuple(x) for x in solutions.tolist()]}"
+            f"rho-shift is not unique: {count} candidates {list(product(*candidates))}"
         )
-    return solutions[0] * scale
+    return np.array([c[0] for c in candidates]) * scale
 
 
-def rho_shift_solve(ctx: FormulaContext, positive_roots=None) -> dict:
+def rho_shift_solve(ctx: FormulaContext, positive_roots=None) -> np.ndarray:
     """Brute-force the unique genuine square root of eta(2 rho)(N(.)) that
-    is trivial on the unit-class subgroup; returns its full value table.
+    is trivial on the unit-class subgroup; returns its values as a +-1
+    array aligned with the rows of ``coinvariant_coordinates``.
 
     Raises RhoShiftError when zero or several characters qualify: either
     outcome signals a model inconsistency and must abort verification.
@@ -340,10 +355,10 @@ def rho_shift_solve(ctx: FormulaContext, positive_roots=None) -> dict:
     kind, q, amb = ctx.kind, ctx.q, ctx.ambient_order
     exps = coinvariant_coordinates(kind, q) @ _rho_shift_character(ctx, positive_roots) % amb
     assert np.isin(exps, (0, amb // 2)).all(), "rho-shift values must be signs"
-    return dict(zip(enumerate_coinvariants(kind, q), np.where(exps == 0, 1, -1).tolist()))
+    return np.where(exps == 0, 1, -1)
 
 
-def rho_shift_table(ctx: FormulaContext, positive_roots=None) -> dict:
+def rho_shift_table(ctx: FormulaContext, positive_roots=None) -> np.ndarray:
     key = tuple(positive_roots) if positive_roots is not None else None
     if key not in ctx._rho_tables:
         ctx._rho_tables[key] = rho_shift_solve(ctx, positive_roots)
@@ -352,12 +367,6 @@ def rho_shift_table(ctx: FormulaContext, positive_roots=None) -> dict:
 
 # ---------------------------------------------------------------------------
 # the two character sums
-
-
-def _lift(ctx: FormulaContext, gamma, parity):
-    if parity is None:
-        return lift_of_rational(ctx.kind, ctx.q, gamma)
-    return coinv_mul(lift_of_rational(ctx.kind, ctx.q, gamma), parity)
 
 
 def theta(ctx: FormulaContext, chi: CoverCharacter, w: WeylElem, gamma,
@@ -374,7 +383,8 @@ def theta(ctx: FormulaContext, chi: CoverCharacter, w: WeylElem, gamma,
     if not is_strongly_regular(ctx.kind, ctx.q, gamma):
         raise NotStronglyRegularError(f"{gamma} is not strongly regular")
     amb = ctx.ambient_order
-    lift = _lift(ctx, gamma, parity)
+    lift = lift_of_rational(ctx.kind, ctx.q, gamma)
+    lift = lift if parity is None else coinv_mul(lift, parity)
     exps = []
     scale = amb // ctx.value_order
     for n in ctx.summation:
@@ -385,7 +395,8 @@ def theta(ctx: FormulaContext, chi: CoverCharacter, w: WeylElem, gamma,
         den4 = weyl_denominator_exponent(ctx, canonical_rep(lift))
     else:
         den4 = delta0_eta_exponent(ctx, gamma, positive_roots)
-        if rho_shift_table(ctx, positive_roots)[lift] < 0:
+        index = coinvariant_index(ctx.kind, ctx.q, coordinate_array(type(lift), [lift]))
+        if rho_shift_table(ctx, positive_roots)[index[0]] < 0:
             den4 = (den4 + 2) % 4
     shift = (-den4 * (amb // 4)) % amb
     if ctx.epsilon_chi < 0:
@@ -448,7 +459,8 @@ def _dot(exponents, coords):
 
 class SumTables:
     """``theta`` and ``orbit_character_sum`` on a grid of strongly regular
-    elements times rational Weyl labels, as integer exponent tables.
+    elements, given as rational coordinate rows, times rational Weyl
+    labels, as integer exponent tables.
 
     Everything that does not depend on the character is computed once:
     the moved rational coordinates of each gamma, the moved coinvariant
@@ -457,28 +469,26 @@ class SumTables:
     ``theta_exponents`` and ``orbit_exponents`` give (G, W, S) arrays of
     zeta_ambient exponents (G elements, W labels, S summation elements)
     whose sums over the last axis are exactly the scalar values, with
-    ``parity`` twisting the lifts and ``positive_roots`` choosing the
-    positive system of the denominator as in ``theta``.
+    ``parity`` (the parity columns, as ``lift_of_rational`` takes them)
+    twisting the lifts and ``positive_roots`` choosing the positive
+    system of the denominator as in ``theta``.
     ``labels`` restricts the Weyl labels (default: the rational Weyl group).
     """
 
-    def __init__(self, ctx: FormulaContext, gammas, parity=None, labels=None):
+    def __init__(self, ctx: FormulaContext, gamma_rows, parity=None, labels=None):
         kind, q = ctx.kind, ctx.q
         self.ctx = ctx
-        self.gammas = list(gammas)
         self.labels = tuple(labels) if labels is not None else rational_weyl_group(kind)
         n = unit_class_order(kind, q)
         if 2 * n * n >= 2**63:
             raise OverflowError(f"q = {q} exceeds the int64 range of the tables")
         rational_cls, coinv_cls = (T1Rational, T1Coinv) if kind == 1 else (T2Rational, T2Coinv)
-        self.gamma_coords = coordinate_array(rational_cls, self.gammas)
-        regular = np.all([root_value_coord_array(kind, q, g, self.gamma_coords)
-                          for g in default_positive_roots(kind)], axis=0)
+        self.gamma_coords = np.asarray(gamma_rows, dtype=np.int64)
+        regular = strongly_regular_mask(kind, q, self.gamma_coords)
         if not regular.all():
-            bad = self.gammas[int(np.argmin(regular))]
+            bad = rational_of_row(kind, q, self.gamma_coords[np.argmin(regular)])
             raise NotStronglyRegularError(f"{bad} is not strongly regular")
-        self.lifts = [_lift(ctx, gamma, parity) for gamma in self.gammas]
-        self.lift_coords = coordinate_array(coinv_cls, self.lifts)
+        self.lift_coords = lift_coordinates(kind, q, self.gamma_coords, parity)
         inverses = [[weyl_inverse(weyl_compose(s, w)) for s in ctx.summation]
                     for w in self.labels]
 
@@ -510,7 +520,8 @@ class SumTables:
         if positive_roots is None:
             return weyl_denominator_exponent_array(self.ctx, self.lift_coords)
         rho = rho_shift_table(self.ctx, positive_roots)
-        signs = np.array([2 if rho[lift] < 0 else 0 for lift in self.lifts], dtype=np.int64)
+        signs = np.where(rho[coinvariant_index(self.ctx.kind, self.ctx.q, self.lift_coords)] < 0,
+                         2, 0)
         delta0 = delta0_eta_exponent_array(self.ctx, self.gamma_coords, positive_roots)
         return (delta0 + signs) % 4
 

@@ -149,10 +149,6 @@ class CycInt:
     def from_coeffs(cls, order: int, coeffs) -> "CycInt":
         return cls(order, _reduce(order, list(coeffs)))
 
-    @classmethod
-    def from_int(cls, order: int, value: int) -> "CycInt":
-        return cls(order, _reduce(order, [value]))
-
     def _check_order(self, other: "CycInt") -> None:
         if self.order != other.order:
             raise OrderMismatchError(

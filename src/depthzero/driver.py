@@ -47,7 +47,7 @@ from .charformula import (
     make_context,
     named_summation_subgroup,
     positive_system_contexts,
-    rho_shift_closed_sign,
+    rho_shift_closed_sign_array,
     rho_shift_solve,
     two_rho_eta_exponent_array,
     unequal_mask,
@@ -69,20 +69,14 @@ from .ffield import BudgetExceededError, prime_power
 from .localmodel import unit
 from .tori import (
     T1Coinv,
-    T1Rational,
     T2Coinv,
-    T2Rational,
-    coinv_mul,
-    coinv_parity_part,
-    coinv_unit_part,
-    coinvariant_norm,
+    coinv_of_row,
+    coinvariant_coordinates,
     coinvariant_norm_array,
     coinvariant_order,
+    coinvariant_shape,
     coordinate_array,
-    enumerate_coinvariants,
-    is_strongly_regular,
-    iter_strongly_regular,
-    lift_of_rational,
+    lift_coordinates,
     pair_from_quad_array,
     pair_galois_array,
     pair_norm_array,
@@ -90,9 +84,11 @@ from .tori import (
     project_to_coinvariants_array,
     quad_from_pair_array,
     quad_galois_array,
+    rational_of_row,
     rational_order,
+    strongly_regular_coordinates,
+    strongly_regular_mask,
     tate_cohomology,
-    unit_class_order,
     weyl_identity,
 )
 from .uniqueness import (
@@ -304,7 +300,8 @@ def check_exact_sequence(params):
     if h1 * rat != coinv or h0 != 1:
         return _fail({"h1": h1, "rational": rat, "coinvariants": coinv, "h0": h0})
     # surjectivity of the induced norm, directly
-    image = {coinvariant_norm(c) for c in enumerate_coinvariants(kind, q)}
+    norms = coinvariant_norm_array(kind, q, coinvariant_coordinates(kind, q))
+    image = set(map(tuple, norms.tolist()))
     if len(image) != rat:
         return _fail({"norm_image": len(image), "rational": rat})
     return _ok({"orders": [h1, h0], "coinvariants": coinv})
@@ -320,14 +317,21 @@ def check_tate_representatives(params):
 
 
 def check_splitting(params):
+    """Per class, in enumeration order: unit part times parity part is the
+    class, then the parity part lies in the norm kernel."""
     kind, q = params["kind"], params["q"]
-    identity_image = coinvariant_norm(parity_classes(kind, q)[0])
-    for c in enumerate_coinvariants(kind, q):
-        u, v = coinv_unit_part(c), coinv_parity_part(c)
-        if coinv_mul(u, v) != c:
-            return _fail({"class": str(c)})
-        if coinvariant_norm(v) != identity_image:
-            return _fail({"class": str(c), "reason": "parity part not in norm kernel"})
+    classes = coinvariant_coordinates(kind, q)
+    unit_columns = np.arange(classes.shape[1]) < classes.shape[1] // 2
+    units, parities = classes * unit_columns, classes * ~unit_columns
+    broken = ((units + parities) % coinvariant_shape(kind, q) != classes).any(axis=1)
+    identity_image = coinvariant_norm_array(kind, q, np.zeros_like(classes[:1]))
+    outside = (coinvariant_norm_array(kind, q, parities) != identity_image).any(axis=1)
+    bad = np.flatnonzero(broken | outside)
+    if bad.size:
+        witness = {"class": str(coinv_of_row(kind, q, classes[bad[0]]))}
+        if not broken[bad[0]]:
+            witness["reason"] = "parity part not in norm kernel"
+        return _fail(witness)
     return _ok({"classes": coinvariant_order(kind, q)})
 
 
@@ -414,19 +418,20 @@ def check_formula_equals_orbit_sum(params):
     kind, q, branch = params["kind"], params["q"], params["branch"]
     ctx = _context_from_params(params)
     chars, regular_count = _character_pool(kind, q)
-    tables = SumTables(ctx, iter_strongly_regular(kind, q))
+    tables = SumTables(ctx, strongly_regular_coordinates(kind, q))
     for chi in chars:
         hit = tables.first_mismatch(cover_character(chi))
         if hit is not None:
             g, w = hit
             return _fail({
                 "character": character_to_descriptor(chi, branch),
-                "gamma": str(tables.gammas[g]),
+                "gamma": str(rational_of_row(kind, q, tables.gamma_coords[g])),
                 "w": tables.labels[w].name,
             })
-    comparisons = len(chars) * len(tables.gammas) * len(tables.labels)
+    elements = len(tables.gamma_coords)
+    comparisons = len(chars) * elements * len(tables.labels)
     return _ok({"characters": len(chars), "regular_characters": regular_count,
-                "elements": len(tables.gammas), "comparisons": comparisons})
+                "elements": elements, "comparisons": comparisons})
 
 
 def check_lift_independence_formula(params):
@@ -437,11 +442,13 @@ def check_lift_independence_formula(params):
     ctx = _context_from_params(params)
     chars, _ = _character_pool(kind, q, limit=6)
     twists = parity_classes(kind, q)
+    rank = 2 if kind == 1 else 1
+    parities = coordinate_array(T1Coinv if kind == 1 else T2Coinv, twists)[:, rank:]
     labels = (weyl_identity(kind),)
     profile_expected = [1, 1, 2, 3] if kind == 1 else [1, 2, 1, 2]
-    gammas = list(iter_strongly_regular(kind, q))
+    gammas = strongly_regular_coordinates(kind, q)
     base = SumTables(ctx, gammas, labels=labels)
-    twisted = [SumTables(ctx, gammas, parity=tw, labels=labels) for tw in twists]
+    twisted = [SumTables(ctx, gammas, parity=p, labels=labels) for p in parities]
     shifted = twisted[-1]
     profiles = weyl_denominator_valuations(ctx, shifted.lift_coords)
     shift_bad = (shifted.denominator_exponents() - base.denominator_exponents()) % 4 != 2
@@ -452,20 +459,19 @@ def check_lift_independence_formula(params):
         for t, tables in enumerate(twisted):
             rhs = tables.theta_exponents(cov)
             value_bad[:, c, t] = unequal_mask(ctx.ambient_order, lhs, rhs)[:, 0]
-    for g, gamma in enumerate(gammas):
-        profile = [int(v) for v in profiles[g]]
-        if profile != profile_expected:
-            return _fail({"gamma": str(gamma), "valuations": profile})
-        if shift_bad[g]:
-            return _fail({"gamma": str(gamma), "reason": "denominator sign shift"})
-        hits = np.argwhere(value_bad[g])
-        if len(hits):
-            c, t = hits[0]
-            return _fail({
-                "character": character_to_descriptor(chars[c]),
-                "gamma": str(gamma),
-                "twist": str(twists[t]),
-            })
+    profile_bad = (profiles != profile_expected).any(axis=1)
+    failing = np.flatnonzero(profile_bad | shift_bad | value_bad.any(axis=(1, 2)))
+    if failing.size:
+        g = failing[0]
+        witness = {"gamma": str(rational_of_row(kind, q, gammas[g]))}
+        if profile_bad[g]:
+            witness["valuations"] = [int(v) for v in profiles[g]]
+        elif shift_bad[g]:
+            witness["reason"] = "denominator sign shift"
+        else:
+            c, t = np.argwhere(value_bad[g])[0]
+            witness.update(character=character_to_descriptor(chars[c]), twist=str(twists[t]))
+        return _fail(witness)
     return _ok({"twists": len(twists)})
 
 
@@ -479,9 +485,8 @@ def check_denominator_representatives(params):
     samples = params.get("samples", 100)
     group = q ** (2 * kind) - 1
     unit_mod = q + 1 if kind == 1 else q * q + 1
-    coinv_cls = T1Coinv if kind == 1 else T2Coinv
-    classes = [c for c in enumerate_coinvariants(kind, q)
-               if is_strongly_regular(kind, q, coinvariant_norm(c))]
+    classes = coinvariant_coordinates(kind, q)
+    classes = classes[strongly_regular_mask(kind, q, coinvariant_norm_array(kind, q, classes))]
 
     def sample(u, v):  # another representative of the class (u, v), as (dlog, val)
         dlog = (u + unit_mod * rng.randrange(group // unit_mod)) % group
@@ -492,46 +497,44 @@ def check_denominator_representatives(params):
     # grid at once (6,400 rows for torus 1) raised the campaign's peak RSS
     step = max(1, 1024 // samples)
     for start in range(0, len(classes), step):
-        block = classes[start : start + step]
-        coords = coordinate_array(coinv_cls, block)
+        coords = classes[start : start + step]
         draws = [x for row in coords.tolist() for _ in range(samples) for slot in range(rank)
                  for x in sample(row[slot], row[rank + slot])]
         # (class, sample, slot, (dlog, val)) -> rows (dlogs..., vals...)
         reps = np.array(draws, dtype=np.int64).reshape(-1, rank, 2).swapaxes(1, 2)
         got = weyl_denominator_exponent_array(ctx, reps.reshape(-1, 2 * rank))
         base = weyl_denominator_exponent_array(ctx, coords)
-        bad = np.argwhere(got.reshape(len(block), samples) != base[:, None])
+        bad = np.argwhere(got.reshape(len(coords), samples) != base[:, None])
         if len(bad):
-            return _fail({"class": str(block[bad[0][0]])})
+            return _fail({"class": str(coinv_of_row(kind, q, coords[bad[0][0]]))})
     return _ok({"representatives_checked": len(classes) * samples})
 
 
 def check_split_vs_combined(params):
     kind, q = params["kind"], params["q"]
     ctx = _context_from_params(params)
-    gammas = list(iter_strongly_regular(kind, q))
+    gammas = strongly_regular_coordinates(kind, q)
     twists = parity_classes(kind, q)
-    rational_cls, coinv_cls = (T1Rational, T1Coinv) if kind == 1 else (T2Rational, T2Coinv)
-    twist_rows = coordinate_array(coinv_cls, twists)
-    moduli = np.repeat([unit_class_order(kind, q), 2], twist_rows.shape[1] // 2)
+    rank = 2 if kind == 1 else 1
+    twist_rows = coordinate_array(T1Coinv if kind == 1 else T2Coinv, twists)
     # the closed-form sign depends only on the valuation parities, which
     # each lift shares with its twist
-    signs = np.array([2 if rho_shift_closed_sign(ctx, tw) < 0 else 0 for tw in twists])
+    signs = np.where(rho_shift_closed_sign_array(ctx, twist_rows) < 0, 2, 0)
     # blocks of gammas keep the temporaries small: one block for the whole
     # q = 47 grid raised the peak RSS of the tower benchmark from 38.2 to 39.4 MB
     for start in range(0, len(gammas), 256):
         block = gammas[start : start + 256]
-        # the (gamma, twist) grid of lifts, gamma outer, as coinv_mul forms it
-        lifts = coordinate_array(coinv_cls, [lift_of_rational(kind, q, g) for g in block])
-        grid = (lifts[:, None, :] + twist_rows[None, :, :]) % moduli
-        combined = weyl_denominator_exponent_array(ctx, grid.reshape(-1, lifts.shape[1]))
-        delta0 = delta0_eta_exponent_array(ctx, coordinate_array(rational_cls, block))
+        # the (gamma, twist) grid of twisted lifts, gamma outer
+        grid = np.stack([lift_coordinates(kind, q, block, tw[rank:]) for tw in twist_rows], axis=1)
+        combined = weyl_denominator_exponent_array(ctx, grid.reshape(-1, 2 * rank))
+        delta0 = delta0_eta_exponent_array(ctx, block)
         split = ((delta0[:, None] + signs[None, :]) % 4).ravel()
         bad = np.flatnonzero(combined != split)
         if bad.size:
             i = int(bad[0])
             g, t = divmod(i, len(twists))
-            return _fail({"gamma": str(block[g]), "twist": str(twists[t]),
+            return _fail({"gamma": str(rational_of_row(kind, q, block[g])),
+                          "twist": str(twists[t]),
                           "combined": int(combined[i]), "split": int(split[i])})
     return _ok()
 
@@ -543,7 +546,7 @@ def check_positive_systems(params):
     ctx = _context_from_params(params)
     chars, _ = _character_pool(kind, q, limit=6)
     systems = positive_system_contexts(kind)
-    tables = SumTables(ctx, iter_strongly_regular(kind, q), labels=(weyl_identity(kind),))
+    tables = SumTables(ctx, strongly_regular_coordinates(kind, q), labels=(weyl_identity(kind),))
     covers = [cover_character(chi) for chi in chars]
     defaults = [tables.theta_exponents(cov) for cov in covers]
     for name, roots in systems:
@@ -553,34 +556,31 @@ def check_positive_systems(params):
                 return _fail({
                     "system": name,
                     "character": character_to_descriptor(chi),
-                    "gamma": str(tables.gammas[hit[0]]),
+                    "gamma": str(rational_of_row(kind, q, tables.gamma_coords[hit[0]])),
                 })
-    comparisons = len(systems) * len(chars) * len(tables.gammas)
+    comparisons = len(systems) * len(chars) * len(tables.gamma_coords)
     return _ok({"systems": len(systems), "comparisons": comparisons})
 
 
 def check_rho_shift_unique(params):
     kind, q = params["kind"], params["q"]
     ctx = _context_from_params(params)
-    table = rho_shift_solve(ctx)
-    mismatches = [
-        str(c) for c, sign in table.items() if sign != rho_shift_closed_sign(ctx, c)
-    ]
-    if mismatches:
-        return _fail({"classes": mismatches[:5]})
+    signs = rho_shift_solve(ctx)
+    classes = coinvariant_coordinates(kind, q)
+    mismatches = np.flatnonzero(signs != rho_shift_closed_sign_array(ctx, classes))
+    if mismatches.size:
+        return _fail({"classes": [str(coinv_of_row(kind, q, classes[i])) for i in mismatches[:5]]})
     # a sign character squares to the trivial one, so the computed target
     # must be trivial on every class (in blocks: the whole q = 47 model at
     # once raised the peak RSS of the tower tasks from 38.3 to 38.8 MB)
-    classes = list(table)
-    coinv_cls = T1Coinv if kind == 1 else T2Coinv
     for start in range(0, len(classes), 1024):
         block = classes[start : start + 1024]
-        square = two_rho_eta_exponent_array(ctx, coordinate_array(coinv_cls, block))
-        signs = np.array([table[c] for c in block])
-        bad = np.flatnonzero((np.abs(signs) != 1) | (square % 4 != 0))
+        square = two_rho_eta_exponent_array(ctx, block)
+        bad = np.flatnonzero((np.abs(signs[start : start + 1024]) != 1) | (square % 4 != 0))
         if bad.size:
-            return _fail({"class": str(block[bad[0]]), "reason": "square mismatch"})
-    return _ok({"classes": len(table)})
+            return _fail({"class": str(coinv_of_row(kind, q, block[bad[0]])),
+                          "reason": "square mismatch"})
+    return _ok({"classes": len(classes)})
 
 
 def check_eta_branch(params):
@@ -600,7 +600,7 @@ def check_packet_conjugation(params):
     kind, q = params["kind"], params["q"]
     ctx = _context_from_params(params)
     chars, _ = _character_pool(kind, q, limit=3)
-    gammas = list(iter_strongly_regular(kind, q))
+    gammas = strongly_regular_coordinates(kind, q)
     tables = SumTables(ctx, gammas)
     labels = tables.labels
     one = labels.index(weyl_identity(kind))
@@ -618,7 +618,7 @@ def check_packet_conjugation(params):
         hit = first_unequal_sum(ctx.ambient_order, lhs.swapaxes(0, 1), rhs.swapaxes(0, 1))
         if hit is not None:
             w, g = hit
-            return _fail({"w": labels[w].name, "gamma": str(gammas[g]),
+            return _fail({"w": labels[w].name, "gamma": str(rational_of_row(kind, q, gammas[g])),
                           "character": character_to_descriptor(chi)})
         classes = full.packet_classes(cov)
         if len(classes) != 1:

@@ -77,14 +77,6 @@ def smith_normal_form(mat):
         for r in range(rows):
             uinv[r][i] = -uinv[r][i]
 
-    def negate_col(j):
-        for r in range(rows):
-            m[r][j] = -m[r][j]
-        for r in range(cols):
-            v[r][j] = -v[r][j]
-        for k in range(cols):
-            vinv[j][k] = -vinv[j][k]
-
     t = 0
     while t < min(rows, cols):
         # locate a pivot: smallest nonzero absolute value in the tail block

@@ -139,13 +139,38 @@ def enumerate_coinvariants(kind: int, q: int):
             yield t2_coinv(q, u, v)
 
 
+def _lex_grid(shape) -> np.ndarray:
+    """Every row of the box ``shape`` (one column per axis), lexicographic."""
+    axes = [np.arange(size, dtype=np.int64) for size in shape]
+    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(shape))
+
+
+def coinvariant_shape(kind: int, q: int) -> tuple[int, ...]:
+    """The box (Z/n)^rank x (Z/2)^rank of the coinvariant normal forms."""
+    rank = 2 if kind == 1 else 1
+    return (unit_class_order(kind, q),) * rank + (2,) * rank
+
+
 def coinvariant_coordinates(kind: int, q: int) -> np.ndarray:
     """``coordinate_array`` of ``enumerate_coinvariants(kind, q)``, built
     directly: (Z/n)^rank x (Z/2)^rank in lexicographic order."""
-    rank = 2 if kind == 1 else 1
-    axes = [np.arange(unit_class_order(kind, q), dtype=np.int64)] * rank
-    axes += [np.arange(2, dtype=np.int64)] * rank
-    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, 2 * rank)
+    return _lex_grid(coinvariant_shape(kind, q))
+
+
+def coinvariant_index(kind: int, q: int, coords: np.ndarray) -> np.ndarray:
+    """The row index of each reduced coinvariant row in
+    ``coinvariant_coordinates(kind, q)``."""
+    return np.ravel_multi_index(tuple(coords.T), coinvariant_shape(kind, q))
+
+
+def rational_of_row(kind: int, q: int, row):
+    """The rational element of one coordinate row (for witnesses)."""
+    return (t1_rational if kind == 1 else t2_rational)(q, *(int(x) for x in row))
+
+
+def coinv_of_row(kind: int, q: int, row):
+    """The coinvariant class of one coordinate row (for witnesses)."""
+    return (t1_coinv if kind == 1 else t2_coinv)(q, *(int(x) for x in row))
 
 
 def coinvariant_order(kind: int, q: int) -> int:
@@ -205,6 +230,15 @@ def lift_of_rational(kind: int, q: int, gamma, parity=None):
         return t1_coinv(q, -gamma.k1, -gamma.k2, v1, v2)
     v = parity if parity is not None else 0
     return t2_coinv(q, -gamma.k, v)
+
+
+def lift_coordinates(kind: int, q: int, gamma_rows: np.ndarray, parity=None) -> np.ndarray:
+    """``lift_of_rational`` of every row of rational coordinates, as
+    coinvariant rows: (-gamma) mod n next to the parity columns."""
+    _check_kind(kind)
+    rows = np.asarray(gamma_rows, dtype=np.int64)
+    bits = np.broadcast_to(np.atleast_1d(0 if parity is None else parity) % 2, rows.shape)
+    return np.concatenate([(-rows) % unit_class_order(kind, q), bits], axis=1)
 
 
 def canonical_rep(c):
@@ -664,6 +698,12 @@ def root_value_coord_array(kind: int, q: int, root, coords: np.ndarray) -> np.nd
     return ((g1 + q * g2) * coords[:, 0]) % (q * q + 1)
 
 
+def strongly_regular_mask(kind: int, q: int, coords: np.ndarray) -> np.ndarray:
+    """``is_strongly_regular`` on every row of rational coordinates."""
+    return np.all([root_value_coord_array(kind, q, g, coords) != 0
+                   for g in default_positive_roots(kind)], axis=0)
+
+
 def root_values(kind: int, q: int, gamma):
     return tuple(
         root_value_coord(kind, q, g, gamma) for g in default_positive_roots(kind)
@@ -691,6 +731,14 @@ def iter_strongly_regular(kind: int, q: int):
     for gamma in iter_rational(kind, q):
         if is_strongly_regular(kind, q, gamma):
             yield gamma
+
+
+def strongly_regular_coordinates(kind: int, q: int) -> np.ndarray:
+    """``coordinate_array`` of ``iter_strongly_regular(kind, q)``, built
+    directly: the rational grid in ``iter_rational`` order, masked."""
+    _check_kind(kind)
+    grid = _lex_grid((unit_class_order(kind, q),) * (2 if kind == 1 else 1))
+    return grid[strongly_regular_mask(kind, q, grid)]
 
 
 # ---------------------------------------------------------------------------

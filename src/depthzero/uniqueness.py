@@ -30,9 +30,9 @@ from .cyclo import sum_of_roots
 from .ffield import prime_power
 from .tori import (
     default_positive_roots,
-    iter_strongly_regular,
     rational_order,
     rational_weyl_group,
+    strongly_regular_coordinates,
     unit_class_order,
     weyl_identity,
 )
@@ -170,6 +170,13 @@ class RigidityResult:
     n_characters: int = 0
 
 
+def _rows_by_name(kind: int, q: int) -> np.ndarray:
+    """The strongly regular rows in ``sorted(iter_strongly_regular(kind, q),
+    key=str)`` order: the printed coordinates compare as strings."""
+    rows = strongly_regular_coordinates(kind, q)
+    return rows[np.lexsort(rows.astype(str).T[::-1])]
+
+
 def _orbit_sums(tables: SumTables, chi: DepthZeroCharacter) -> tuple:
     """The orbit sum of ``chi`` at the identity label on every gamma of the
     tables, one reduced ``sum_of_roots`` per gamma: an exact key."""
@@ -182,17 +189,17 @@ def restriction_rigidity_check(kind: int, q: int, *, eval_cap: int = 100_000_000
     """Characters whose summed functions agree on the strongly regular set
     must be Weyl-conjugate; exhaustive below the evaluation cap, sampled
     deterministically above it."""
-    tables = SumTables(make_context(kind, q), sorted(iter_strongly_regular(kind, q), key=str),
+    tables = SumTables(make_context(kind, q), _rows_by_name(kind, q),
                        labels=(weyl_identity(kind),))
     chars = regular = enumerate_regular_characters(kind, q)
     group = rational_weyl_group(kind)
-    est = len(chars) * len(tables.gammas) * len(group)
+    est = len(chars) * len(tables.gamma_coords) * len(group)
     exhaustive = est <= eval_cap
     if not exhaustive:
         import random
 
         rng = random.Random(seed)
-        keep = max(2, eval_cap // max(1, len(tables.gammas) * len(group)))
+        keep = max(2, eval_cap // max(1, len(tables.gamma_coords) * len(group)))
         chars = rng.sample(chars, min(keep, len(chars)))
     coverage = Fraction(len(chars), len(regular)) if regular else Fraction(1)
 
@@ -216,7 +223,7 @@ def restriction_rigidity_check(kind: int, q: int, *, eval_cap: int = 100_000_000
 
 def conjugate_forward_check(kind: int, q: int) -> bool:
     """Weyl-conjugate characters always give equal summed functions."""
-    tables = SumTables(make_context(kind, q), sorted(iter_strongly_regular(kind, q), key=str),
+    tables = SumTables(make_context(kind, q), _rows_by_name(kind, q),
                        labels=(weyl_identity(kind),))
     group = rational_weyl_group(kind)
     for chi in islice(filter(is_regular, enumerate_characters(kind, q)), 4):
@@ -250,18 +257,18 @@ def nonvanishing_report(kind: int, q: int) -> NonvanishingReport:
     """Exhibit a regular character and a strongly regular element where the
     orbit sum is nonzero; characters are reached lazily and sums reduced
     one gamma at a time, up to the first nonzero one."""
-    tables = SumTables(make_context(kind, q), iter_strongly_regular(kind, q),
+    tables = SumTables(make_context(kind, q), strongly_regular_coordinates(kind, q),
                        labels=(weyl_identity(kind),))
     amb = tables.ctx.ambient_order
     for chi in filter(is_regular, enumerate_characters(kind, q)):
-        for gamma, row in zip(tables.gammas, tables.orbit_exponents(chi)[:, 0].tolist()):
+        for gamma, row in zip(tables.gamma_coords.tolist(),
+                              tables.orbit_exponents(chi)[:, 0].tolist()):
             if not sum_of_roots(amb, row).is_zero():
-                gk = (gamma.k1, gamma.k2) if kind == 1 else (gamma.k,)
-                return NonvanishingReport(kind, q, chi.exponents, gk)
+                return NonvanishingReport(kind, q, chi.exponents, tuple(gamma))
     raise RuntimeError(
         f"every orbit sum vanished on the strongly regular set (kind {kind}, q {q})"
     )
 
 
 def strongly_regular_count(kind: int, q: int) -> int:
-    return sum(1 for _ in iter_strongly_regular(kind, q))
+    return len(strongly_regular_coordinates(kind, q))

@@ -7,6 +7,7 @@ loop's outcome, witness and counts, also on deliberately broken models.
 """
 
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -47,18 +48,36 @@ from depthzero.tori import (
 )
 
 
+def _rows(gammas):
+    """Coordinate rows of a list of rational elements of one kind."""
+    return coordinate_array(type(gammas[0]), gammas)
+
+
+def _parity(twist):
+    """The parity columns of a parity class, as ``SumTables`` takes them."""
+    return (twist.v1, twist.v2) if isinstance(twist, T1Coinv) else twist.v
+
+
+def _tables(ctx, parity=None, labels=None):
+    """The strongly regular elements of the context and their tables;
+    ``parity`` is a parity class, as ``theta`` takes it."""
+    gammas = list(iter_strongly_regular(ctx.kind, ctx.q))
+    twist = None if parity is None else _parity(parity)
+    return gammas, SumTables(ctx, _rows(gammas), parity=twist, labels=labels)
+
+
 def _assert_matches_scalar(ctx, parity=None):
     kind, q = ctx.kind, ctx.q
     chars, _ = driver._character_pool(kind, q)
-    tables = SumTables(ctx, iter_strongly_regular(kind, q), parity=parity)
+    gammas, tables = _tables(ctx, parity)
     amb = ctx.ambient_order
     for chi in chars:
         cov = cover_character(chi)
         lhs = tables.theta_exponents(cov)
         rhs = tables.orbit_exponents(chi)
         assert lhs.shape == rhs.shape == (
-            len(tables.gammas), len(tables.labels), len(ctx.summation))
-        for g, gamma in enumerate(tables.gammas):
+            len(gammas), len(tables.labels), len(ctx.summation))
+        for g, gamma in enumerate(gammas):
             for i, w in enumerate(tables.labels):
                 assert sum_of_roots(amb, lhs[g, i].tolist()) == theta(
                     ctx, cov, w, gamma, parity=parity), (chi, gamma, w)
@@ -96,15 +115,15 @@ def test_tables_match_scalar_on_every_positive_system(kind, q, branch):
     chars, _ = driver._character_pool(kind, q, limit=3)
     amb, one = ctx.ambient_order, rational_weyl_group(kind)[0]
     for tw in parity_classes(kind, q):
-        tables = SumTables(ctx, iter_strongly_regular(kind, q), parity=tw, labels=(one,))
+        gammas, tables = _tables(ctx, parity=tw, labels=(one,))
         for _, roots in positive_system_contexts(kind):
             for chi in chars:
                 cov = cover_character(chi)
                 exps = tables.theta_exponents(cov, roots)
-                assert exps.shape == (len(tables.gammas), 1, len(ctx.summation))
+                assert exps.shape == (len(gammas), 1, len(ctx.summation))
                 assert [sum_of_roots(amb, row[0].tolist()) for row in exps] == [
                     theta(ctx, cov, one, g, parity=tw, positive_roots=roots)
-                    for g in tables.gammas]
+                    for g in gammas]
 
 
 @pytest.mark.parametrize("summation", ["full", "rotation", "trivial"])
@@ -112,7 +131,7 @@ def test_tables_match_scalar_on_every_positive_system(kind, q, branch):
 def test_packet_classes_match_scalar_packet(kind, summation):
     ctx = make_context(kind, 3, summation=named_summation_subgroup(kind, summation),
                        need_tower=True)
-    tables = SumTables(ctx, iter_strongly_regular(kind, 3))
+    _, tables = _tables(ctx)
     chars, _ = driver._character_pool(kind, 3, limit=3)
     for chi in chars:
         cov = cover_character(chi)
@@ -124,7 +143,7 @@ def test_packet_classes_match_scalar_packet(kind, summation):
 def test_one_sided_sign_breaks_the_identity(kind, epsilon_gt, epsilon_chi):
     # the negative control of the sign convention: flipping one side only fails
     ctx = make_context(kind, 3, epsilon_gt=epsilon_gt, epsilon_chi=epsilon_chi)
-    tables = SumTables(ctx, iter_strongly_regular(kind, 3))
+    _, tables = _tables(ctx)
     chars, _ = driver._character_pool(kind, 3)
     assert any(tables.first_mismatch(cover_character(chi)) is not None for chi in chars)
 
@@ -234,7 +253,7 @@ def test_flipped_cover_sign_fails_on_twisted_lifts(kind, q, monkeypatch):
     ctx = make_context(kind, q)
     chars, _ = driver._character_pool(kind, q)
     twisted = parity_classes(kind, q)[-1]
-    tables = SumTables(ctx, iter_strongly_regular(kind, q), parity=twisted)
+    _, tables = _tables(ctx, parity=twisted)
     assert all(tables.first_mismatch(cover_character(chi)) is None for chi in chars)
 
     twisted_key = max(cover_class_values(kind))
@@ -251,12 +270,13 @@ def test_flipped_cover_sign_fails_on_twisted_lifts(kind, q, monkeypatch):
 
 def test_rejects_non_strongly_regular_elements():
     for kind, gamma in ((1, t1_rational(3, 0, 0)), (2, t2_rational(3, 0))):
-        with pytest.raises(NotStronglyRegularError):
-            SumTables(make_context(kind, 3), [gamma])
+        # the message names the element, rebuilt from its row
+        with pytest.raises(NotStronglyRegularError, match=re.escape(f"{gamma} is not")):
+            SumTables(make_context(kind, 3), _rows([gamma]))
 
 
 def test_character_must_match_context():
-    tables = SumTables(make_context(2, 3), iter_strongly_regular(2, 3))
+    _, tables = _tables(make_context(2, 3))
     chi = characters.DepthZeroCharacter(2, 5, (1,))
     with pytest.raises(ValueError):
         tables.orbit_exponents(chi)

@@ -88,9 +88,9 @@ def test_rho_shift_closed_values(ctx1, ctx2):
 @pytest.mark.parametrize("kind,q", [(1, 3), (2, 3), (1, 5), (2, 5)])
 def test_rho_shift_solver_unique_and_matches_closed(kind, q):
     ctx = make_context(kind, q)
-    table = rho_shift_solve(ctx)
-    for c, sign in table.items():
-        assert sign == rho_shift_closed_sign(ctx, c)
+    # the sign array is aligned with the classes in enumeration order
+    assert rho_shift_solve(ctx).tolist() == [
+        rho_shift_closed_sign(ctx, c) for c in enumerate_coinvariants(kind, q)]
 
 
 @pytest.mark.parametrize("kind,q", [(1, 3), (2, 3), (1, 5), (2, 5)])
@@ -107,7 +107,7 @@ def test_rho_shift_square_is_target_pointwise(kind, q, branch):
         got = two_rho_eta_exponent_array(ctx, coords, roots)
         assert got.tolist() == [_two_rho_eta_exponent(ctx, c, roots) for c in classes]
         assert not got.any()
-    assert all(sign * sign == 1 for sign in rho_shift_solve(ctx).values())
+    assert (rho_shift_solve(ctx) ** 2 == 1).all()
 
 
 def test_rho_shift_solver_error_paths(monkeypatch):
@@ -121,14 +121,14 @@ def test_rho_shift_solver_error_paths(monkeypatch):
                   lambda ctx, coords, positive_roots=None: np.ones(len(coords), dtype=np.int64))
         with pytest.raises(RhoShiftError, match="no rho-shift character exists"):
             cf.rho_shift_solve(ctx)
-    # every character listed twice: the one solution is found twice, and
-    # the error names both labels
-    grid = coinvariant_coordinates(1, 3)
-    monkeypatch.setattr(cf, "coinvariant_coordinates", lambda kind, q: np.concatenate([grid, grid]))
+    # an ambient order of 4 cannot tell the ten unit labels of torus 2 at
+    # q = 3 apart (each scales to 0), so every one of them qualifies, and
+    # the error names all ten labels
+    monkeypatch.setattr(cf, "value_order", lambda kind, q: 1)
     with pytest.raises(RhoShiftError) as err:
-        cf.rho_shift_solve(ctx)
+        cf.rho_shift_solve(make_context(2, 3))
     assert str(err.value) == (
-        "rho-shift is not unique: 2 candidates [(0, 0, 0, 1), (0, 0, 0, 1)]"
+        f"rho-shift is not unique: 10 candidates {[(u, 1) for u in range(10)]}"
     )
 
 
@@ -356,8 +356,7 @@ def test_positive_system_independence(ctx1, ctx2):
     for ctx, kind in ((ctx1, 1), (ctx2, 2)):
         one = weyl_identity(kind)
         for name, roots in positive_system_contexts(kind):
-            table = rho_shift_table(ctx, roots)
-            assert all(s in (1, -1) for s in table.values())
+            assert set(rho_shift_table(ctx, roots).tolist()) <= {1, -1}
             for chi in _chars(kind, 3, limit=4):
                 cov = cover_character(chi)
                 for gamma in iter_strongly_regular(kind, 3):

@@ -3,10 +3,16 @@ import json
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from depthzero import driver
-from depthzero.charformula import delta0_eta_exponent, make_context, weyl_denominator_exponent
+from depthzero.charformula import (
+    delta0_eta_exponent,
+    make_context,
+    rho_shift_closed_sign,
+    weyl_denominator_exponent,
+)
 from depthzero.driver import (
     Config,
     ConfigError,
@@ -235,14 +241,18 @@ def test_split_vs_combined_fails_with_the_scalar_witness(monkeypatch, kind, q, f
     denominator shifted at the last gamma (past the first block of 256):
     the array check FAILs with the witness of the scalar loop (gamma outer,
     twist inner) under the same fault, read from its arrays."""
-    sign, delta0, delta0_array = (driver.rho_shift_closed_sign, delta0_eta_exponent,
-                                  driver.delta0_eta_exponent_array)
+    sign, sign_array = rho_shift_closed_sign, driver.rho_shift_closed_sign_array
+    delta0, delta0_array = delta0_eta_exponent, driver.delta0_eta_exponent_array
     last = list(iter_strongly_regular(kind, q))[-1]
     last_row = coordinate_array(T1Rational if kind == 1 else T2Rational, [last])
 
     def broken_sign(ctx, c):
         odd = (c.v1, c.v2) == (1, 0) if kind == 1 else c.v == 1
         return -sign(ctx, c) if odd else sign(ctx, c)
+
+    def broken_sign_array(ctx, coords):
+        odd = (coords[:, -2:] == (1, 0)).all(axis=1) if kind == 1 else coords[:, -1] == 1
+        return np.where(odd, -1, 1) * sign_array(ctx, coords)
 
     def broken_delta0(ctx, gamma):
         return (delta0(ctx, gamma) + 2 * (gamma == last)) % 4
@@ -251,7 +261,7 @@ def test_split_vs_combined_fails_with_the_scalar_witness(monkeypatch, kind, q, f
         return (delta0_array(ctx, coords) + 2 * (coords == last_row).all(axis=1)) % 4
 
     if fault == "sign":
-        monkeypatch.setattr(driver, "rho_shift_closed_sign", broken_sign)
+        monkeypatch.setattr(driver, "rho_shift_closed_sign_array", broken_sign_array)
         sign_fn, delta0_fn = broken_sign, delta0
     else:
         monkeypatch.setattr(driver, "delta0_eta_exponent_array", broken_delta0_array)

@@ -12,6 +12,7 @@ grid of configurations, and under each deliberate break of the model,
 applied to both sides, the same FAIL and witness.
 """
 
+import importlib.util
 import json
 import random
 import sys
@@ -56,7 +57,9 @@ from depthzero.tori import (
     iter_strongly_regular,
     lift_of_rational,
     parity_classes,
+    rational_of_row,
     rational_weyl_group,
+    strongly_regular_coordinates,
     t1_coinv,
     t2_coinv,
     unit_class_order,
@@ -191,7 +194,8 @@ def oracle_packet_conjugation(params):
 
 def oracle_rho_shift_unique(params):
     ctx = _context_from_params(params)
-    table = rho_shift_solve(ctx)
+    # the solver's sign array, keyed by the classes in enumeration order
+    table = dict(zip(enumerate_coinvariants(ctx.kind, ctx.q), rho_shift_solve(ctx).tolist()))
     mismatches = [
         str(c) for c, sign in table.items() if sign != rho_shift_closed_sign(ctx, c)
     ]
@@ -204,8 +208,10 @@ def oracle_rho_shift_unique(params):
 
 
 def _scalar_orbit_sums(tables, chi):
-    one = weyl_identity(tables.ctx.kind)
-    return tuple(orbit_character_sum(tables.ctx, chi, one, g) for g in tables.gammas)
+    kind, q = tables.ctx.kind, tables.ctx.q
+    one = weyl_identity(kind)
+    return tuple(orbit_character_sum(tables.ctx, chi, one, rational_of_row(kind, q, row))
+                 for row in tables.gamma_coords)
 
 
 def _on_scalar_orbit_sums(check):
@@ -281,13 +287,16 @@ def _gamma(kind, q, index):
 
 def _flip_rho_sign(monkeypatch, kind, q):
     """The rho-shift sign of the last element's lift flipped, on every
-    transformed positive system."""
+    transformed positive system.  Both sides read the sign array of
+    ``rho_shift_table``: the tables at the lift rows, ``theta`` at the
+    row of its lift."""
     target = lift_of_rational(kind, q, _gamma(kind, q, -1))
+    index = list(enumerate_coinvariants(kind, q)).index(target)
     original = charformula.rho_shift_table
 
     def broken(ctx, positive_roots=None):
-        table = dict(original(ctx, positive_roots))
-        table[target] = -table[target]
+        table = original(ctx, positive_roots).copy()
+        table[index] = -table[index]
         return table
 
     _patch(monkeypatch, "rho_shift_table", broken)
@@ -360,15 +369,20 @@ def _conjugate_wrong_for_one_w(monkeypatch, kind, q):
 
 
 def _flip_closed_sign(monkeypatch, kind, q):
-    """The closed-form rho-shift sign of one class of parity 0 flipped."""
+    """The closed-form rho-shift sign of one class of parity 0 flipped, in
+    the scalar form (the oracle) and the array form (the check) alike."""
     target = t1_coinv(q, 0, 1, 0, 0) if kind == 1 else t2_coinv(q, 1, 0)
-    original = charformula.rho_shift_closed_sign
+    row = coordinate_array(type(target), [target])
+    scalar, array = charformula.rho_shift_closed_sign, charformula.rho_shift_closed_sign_array
     _patch(monkeypatch, "rho_shift_closed_sign",
-           lambda ctx, c: -original(ctx, c) if c == target else original(ctx, c))
+           lambda ctx, c: -scalar(ctx, c) if c == target else scalar(ctx, c))
+    _patch(monkeypatch, "rho_shift_closed_sign_array", lambda ctx, coords: (
+        np.where((coords == row).all(axis=1), -1, 1) * array(ctx, coords)))
 
 
 def _poison_two_rho(monkeypatch, kind, q):
-    """The 2-rho target of the last class, which is no generator, made odd."""
+    """The 2-rho target of the last class, which is no generator, made odd,
+    in the scalar form (the oracle) and the array form (the check) alike."""
     target = list(enumerate_coinvariants(kind, q))[-1]
     row = coordinate_array(T1Coinv if kind == 1 else T2Coinv, [target])
     scalar, array = _two_rho_eta_exponent, charformula.two_rho_eta_exponent_array
@@ -421,7 +435,7 @@ def test_zero_sum_break_still_passes(monkeypatch):
     neither side may FAIL."""
     params = _params(1, 5)
     ctx = _context_from_params(params)
-    tables = charformula.SumTables(ctx, iter_strongly_regular(1, 5),
+    tables = charformula.SumTables(ctx, strongly_regular_coordinates(1, 5),
                                    labels=(weyl_identity(1),))
     chars, _ = _character_pool(1, 5, limit=6)
     _shift_delta0(0, by=1)(monkeypatch, 1, 5)
@@ -430,7 +444,7 @@ def test_zero_sum_break_still_passes(monkeypatch):
         cov = cover_character(chi)
         lhs, rhs = tables.theta_exponents(cov), tables.theta_exponents(cov, roots)
         differs = (np.sort(lhs, axis=-1) != np.sort(rhs, axis=-1)).any(axis=-1)[:, 0]
-        assert differs.tolist() == [True] + [False] * (len(tables.gammas) - 1)
+        assert differs.tolist() == [True] + [False] * (len(tables.gamma_coords) - 1)
         assert not charformula.unequal_mask(ctx.ambient_order, lhs, rhs).any()
     got, want = _both("positive_systems", params)
     assert got == want
@@ -448,18 +462,20 @@ SCALAR_EVALUATORS = [((charformula, driver, uniqueness), SCALAR_PATHS),
                       ("eval_exponent",))]
 SCALAR_PAIR_MODEL = [((driver, tori), ("quad_from_pair", "pair_from_quad", "quad_galois",
                                         "pair_galois", "pair_norm", "project_to_coinvariants"))]
+# the regular locus, the lifts and the closed-form rho-shift sign as objects
+SCALAR_OBJECTS = [((charformula, driver), ("iter_strongly_regular", "enumerate_coinvariants",
+                                           "lift_of_rational", "coinv_mul",
+                                           "rho_shift_closed_sign"))]
 # (argv, expected record count or None to compare with the golden report, forbidden paths)
 CAMPAIGNS = {
     "identity": (["identity", "--q", "3,5", "--kind", "both", "--eta-branch", "both"], 21,
-                 SCALAR_EVALUATORS),
-    "all": (["all", "--jobs", "1"], None, SCALAR_EVALUATORS),
+                 SCALAR_EVALUATORS + SCALAR_OBJECTS),
+    "all": (["all", "--jobs", "1"], None, SCALAR_EVALUATORS + SCALAR_OBJECTS),
     "all-pair-model": (["all", "--jobs", "1"], None, SCALAR_PAIR_MODEL),
 }
 
 
-@pytest.mark.parametrize("argv,count,paths", CAMPAIGNS.values(), ids=CAMPAIGNS.keys())
-def test_identity_campaign_runs_without_the_scalar_paths(monkeypatch, tmp_path, argv, count,
-                                                         paths):
+def _forbid(monkeypatch, paths):
     def forbidden(*args, **kwargs):
         raise AssertionError("scalar path called")
 
@@ -467,6 +483,12 @@ def test_identity_campaign_runs_without_the_scalar_paths(monkeypatch, tmp_path, 
         for owner in owners:
             for name in names:
                 monkeypatch.setattr(owner, name, forbidden, raising=False)
+
+
+@pytest.mark.parametrize("argv,count,paths", CAMPAIGNS.values(), ids=CAMPAIGNS.keys())
+def test_identity_campaign_runs_without_the_scalar_paths(monkeypatch, tmp_path, argv, count,
+                                                         paths):
+    _forbid(monkeypatch, paths)
     assert main([*argv, "--out", str(tmp_path)]) == 0
     report = (tmp_path / "report.json").read_text()
     if count is None:
@@ -475,3 +497,20 @@ def test_identity_campaign_runs_without_the_scalar_paths(monkeypatch, tmp_path, 
     records = json.loads(report)["checks"]
     assert len(records) == count
     assert all(r["outcome"] == "PASS" for r in records)
+
+
+def test_tower_tasks_run_without_the_object_paths(monkeypatch, tmp_path):
+    """The twelve tasks of the benchmark's tower workload (q = 27 and 47),
+    built by its own ``tower_tasks``, give the same records with the
+    object enumerators made to raise."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    tasks = child.tower_tasks(driver, 0, str(tmp_path / "cache"))
+    assert len(tasks) == 12
+    want = [driver.run_task(task)[0] for task in tasks]
+    _forbid(monkeypatch, SCALAR_OBJECTS)
+    got = [driver.run_task(task)[0] for task in tasks]
+    assert got == want
+    assert all(record["outcome"] == "PASS" for record in got)
