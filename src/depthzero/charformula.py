@@ -453,6 +453,17 @@ def first_unequal_sum(order: int, lhs: np.ndarray, rhs: np.ndarray):
     return tuple(int(k) for k in hits[0]) if len(hits) else None
 
 
+def same_terms(lhs, rhs) -> bool:
+    """True when two tables of sorted term keys (``SumTables.theta_keys``,
+    ``orbit_keys``) both exist and agree in every cell.
+
+    A term with unit point u and phase p contributes zeta_n^(x . u) zeta^p
+    to the sum of the character with exponent row x.  Equal multisets of
+    (u, p) therefore give equal sums for every x at once.  Unequal
+    multisets can still give equal sums, so False is no witness."""
+    return lhs is not None and rhs is not None and np.array_equal(lhs, rhs)
+
+
 def _dot(exponents, coords):
     return sum(int(e) * c for e, c in zip(exponents, coords))
 
@@ -538,16 +549,21 @@ class SumTables:
         if chi.kind != self.ctx.kind or chi.q != self.ctx.q:
             raise ValueError("character does not match the context")
 
+    def _parity_phases(self, hvalues, positive_roots):
+        """The zeta_ambient exponent that the cover signs ``hvalues`` and the
+        denominator add to each theta term, as a (G, W, S) array."""
+        amb = self.ctx.ambient_order
+        table = dict(hvalues)
+        signs = np.array([amb // 2 if table[k] < 0 else 0 for k in self.parity_keys],
+                         dtype=np.int64)
+        return signs[self.parity_index] + self._theta_shift(positive_roots)
+
     def theta_exponents(self, chi: CoverCharacter, positive_roots=None) -> np.ndarray:
         """The cover character on the moved lifts, minus the denominator."""
         self._check_character(chi)
         n, amb = unit_class_order(self.ctx.kind, self.ctx.q), self.ctx.ambient_order
-        table = dict(chi.hvalues)
-        signs = np.array([amb // 2 if table[k] < 0 else 0 for k in self.parity_keys],
-                         dtype=np.int64)
         units = -_dot(chi.base.exponents, self.moved_units) % n
-        shift = self._theta_shift(positive_roots)
-        return (units * (amb // n) + signs[self.parity_index] + shift) % amb
+        return (units * (amb // n) + self._parity_phases(chi.hvalues, positive_roots)) % amb
 
     def orbit_exponents(self, base: DepthZeroCharacter) -> np.ndarray:
         """The base character on the moved rational elements."""
@@ -555,6 +571,46 @@ class SumTables:
         n, amb = unit_class_order(self.ctx.kind, self.ctx.q), self.ctx.ambient_order
         units = _dot(base.exponents, self.moved_gamma) % n
         return (units * (amb // n) + self.orbit_shift) % amb
+
+    def _keys_fit(self) -> bool:
+        """Whether ambient * n^rank, the bound of the term keys, fits int64."""
+        n = unit_class_order(self.ctx.kind, self.ctx.q)
+        return self.ctx.ambient_order * n ** len(self.moved_units) < 2**63
+
+    def _term_keys(self, points, phases):
+        """Each summation term, unit point ``points`` mod n with zeta_ambient
+        exponent ``phases``, packed as phase * n^rank + the point in base n,
+        sorted along the summation axis."""
+        n = unit_class_order(self.ctx.kind, self.ctx.q)
+        keys = phases % self.ctx.ambient_order
+        for coord in points:
+            keys = keys * n + coord % n
+        return np.sort(keys, axis=-1)
+
+    def theta_keys(self, covers, positive_roots=None):
+        """The (G, W, S) sorted term keys of ``theta_exponents`` for every
+        cover character that shares the ``hvalues`` of ``covers``; None when
+        ``covers`` share no single ``hvalues`` or the keys would overflow."""
+        for chi in covers:
+            self._check_character(chi)
+        hvalues = {chi.hvalues for chi in covers}
+        if len(hvalues) != 1 or not self._keys_fit():
+            return None
+        phases = self._parity_phases(hvalues.pop(), positive_roots)
+        return self._term_keys(-self.moved_units, phases)
+
+    def orbit_keys(self):
+        """The (G, W, S) sorted term keys of ``orbit_exponents``, for every
+        base character at once; None where they would overflow int64."""
+        if not self._keys_fit():
+            return None
+        return self._term_keys(self.moved_gamma, np.int64(self.orbit_shift))
+
+    def certify(self, covers) -> bool:
+        """True when theta equals the orbit sum at every (gamma, w) for every
+        cover character with the ``hvalues`` of ``covers``; False proves
+        nothing (see ``same_terms``)."""
+        return same_terms(self.theta_keys(covers), self.orbit_keys())
 
     def first_mismatch(self, chi: CoverCharacter):
         """(gamma index, label index) of the first (gamma, w), gamma outer,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from depthzero import characters, charformula, driver
-from depthzero.characters import cover_character
+from depthzero.characters import DepthZeroCharacter, cover_character, enumerate_characters
 from depthzero.charformula import (
     NotStronglyRegularError,
     SumTables,
@@ -40,6 +40,7 @@ from depthzero.tori import (
     iter_strongly_regular,
     parity_classes,
     rational_weyl_group,
+    strongly_regular_coordinates,
     t1_rational,
     t2_rational,
     weyl_apply,
@@ -145,7 +146,67 @@ def test_one_sided_sign_breaks_the_identity(kind, epsilon_gt, epsilon_chi):
     ctx = make_context(kind, 3, epsilon_gt=epsilon_gt, epsilon_chi=epsilon_chi)
     _, tables = _tables(ctx)
     chars, _ = driver._character_pool(kind, 3)
-    assert any(tables.first_mismatch(cover_character(chi)) is not None for chi in chars)
+    covers = [cover_character(chi) for chi in chars]
+    assert not tables.certify(covers)
+    assert any(tables.first_mismatch(cov) is not None for cov in covers)
+
+
+# ---------------------------------------------------------------------------
+# the character-free certificate
+
+
+@pytest.mark.parametrize("epsilon", [1, -1])
+@pytest.mark.parametrize("summation", ["full", "rotation", "trivial"])
+@pytest.mark.parametrize("kind,branch", [(1, 1), (2, 1), (2, -1)])
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_certificate_covers_every_character(q, kind, branch, summation, epsilon):
+    """A certified table has no mismatch for any character of the whole
+    group, not only for the pool whose cover signs it was given."""
+    ctx = make_context(kind, q, eta_branch=branch, epsilon_gt=epsilon, epsilon_chi=epsilon,
+                       summation=named_summation_subgroup(kind, summation))
+    tables = SumTables(ctx, strongly_regular_coordinates(kind, q))
+    chars, _ = driver._character_pool(kind, q)
+    assert tables.certify([cover_character(chi) for chi in chars])
+    for chi in enumerate_characters(kind, q):
+        assert tables.first_mismatch(cover_character(chi)) is None, chi
+
+
+@pytest.mark.parametrize("side", ["moved_gamma", "moved_units"])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_certificate_sees_one_moved_unit_point(kind, side):
+    """One summation term moved to another unit point, on either side, keeps
+    every phase: the certificate must fail, and some character tells."""
+    ctx = make_context(kind, 5)
+    _, tables = _tables(ctx)
+    getattr(tables, side)[0, 0, 0, 0] += 1
+    covers = [cover_character(chi) for chi in enumerate_characters(kind, 5)]
+    assert not tables.certify(covers)
+    assert any(tables.first_mismatch(cov) is not None for cov in covers)
+
+
+def test_certificate_needs_one_set_of_cover_signs():
+    _, tables = _tables(make_context(1, 3))
+    cov = cover_character(DepthZeroCharacter(1, 3, (1, 2)))
+    flipped = characters.CoverCharacter(
+        cov.base, tuple((key, -value if key == (1, 1) else value) for key, value in cov.hvalues))
+    assert tables.certify([cov])
+    assert tables.theta_keys([cov, flipped]) is None
+    assert not tables.certify([cov, flipped])
+    assert not tables.certify([])
+
+
+def test_certificate_past_int64_falls_back():
+    """At kind 1, q = 2,097,169 the term keys reach ambient * (q + 1)^2 >= 2^63:
+    the certificate declines before it computes a denominator (which refuses
+    this q) and leaves the decision to the per-character loop."""
+    q = 2_097_169
+    ctx = make_context(1, q)
+    assert ctx.ambient_order * (q + 1) ** 2 >= 2**63
+    tables = SumTables(ctx, np.array([[1, 2]]))
+    cov = cover_character(DepthZeroCharacter(1, q, (1, 2)))
+    assert tables.theta_keys([cov]) is None
+    assert tables.orbit_keys() is None
+    assert not tables.certify([cov])
 
 
 def _elements(cls, q):
@@ -233,10 +294,11 @@ def _break_denominator(monkeypatch, extra):
 
 
 @pytest.mark.parametrize("kind,q,branch", CASES)
-def test_broken_denominator_fails_with_scalar_witness(kind, q, branch, monkeypatch):
+def test_broken_denominator_fails_with_scalar_witness(kind, q, branch, monkeypatch, certificates):
     _break_denominator(monkeypatch, lambda dlog: 2 * (dlog % 3 == 1))
     params = {"kind": kind, "q": q, "branch": branch}
     got = driver.check_formula_equals_orbit_sum(params)
+    assert certificates == [False]  # the witness comes from the per-character loop
     assert got[0] == "FAIL"
     assert got == _scalar_check(params)
 
@@ -254,6 +316,7 @@ def test_flipped_cover_sign_fails_on_twisted_lifts(kind, q, monkeypatch):
     chars, _ = driver._character_pool(kind, q)
     twisted = parity_classes(kind, q)[-1]
     _, tables = _tables(ctx, parity=twisted)
+    assert tables.certify([cover_character(chi) for chi in chars])
     assert all(tables.first_mismatch(cover_character(chi)) is None for chi in chars)
 
     twisted_key = max(cover_class_values(kind))
@@ -265,6 +328,7 @@ def test_flipped_cover_sign_fails_on_twisted_lifts(kind, q, monkeypatch):
         return values
 
     monkeypatch.setattr(characters, "cover_class_values", flipped)
+    assert not tables.certify([cover_character(chi) for chi in chars])
     assert any(tables.first_mismatch(cover_character(chi)) is not None for chi in chars)
 
 

@@ -418,17 +418,25 @@ BREAKS = [  # (label, check, break, q)
 ]
 
 
+# the breaks that the character-free certificate must see: their FAIL records
+# come from the per-character loop it falls back to
+FALLBACK_BREAKS = ("rho-sign-one-class", "delta0-one-gamma", "cover-sign-one-twist")
+
+
 @pytest.mark.parametrize("kind", [1, 2])
 @pytest.mark.parametrize("label,name,apply,q", BREAKS, ids=[b[0] for b in BREAKS])
-def test_break_fails_both_with_the_same_witness(monkeypatch, label, name, apply, q, kind):
+def test_break_fails_both_with_the_same_witness(monkeypatch, certificates, label, name, apply, q,
+                                                kind):
     params = _params(kind, q)
     apply(monkeypatch, kind, q)
     got, want = _both(name, params)
     assert got[0] == "FAIL", label
     assert got == want
+    if label in FALLBACK_BREAKS:
+        assert False in certificates
 
 
-def test_zero_sum_break_still_passes(monkeypatch):
+def test_zero_sum_break_still_passes(monkeypatch, certificates):
     """At kind 1, q = 5 every pooled character's theta vanishes on the
     first strongly regular element.  A denominator turned by a quarter
     there changes the exponent multisets but not the sums (zero), so
@@ -440,15 +448,40 @@ def test_zero_sum_break_still_passes(monkeypatch):
     chars, _ = _character_pool(1, 5, limit=6)
     _shift_delta0(0, by=1)(monkeypatch, 1, 5)
     roots = positive_system_contexts(1)[0][1]
-    for chi in chars:
-        cov = cover_character(chi)
+    covers = [cover_character(chi) for chi in chars]
+    assert not charformula.same_terms(tables.theta_keys(covers), tables.theta_keys(covers, roots))
+    for cov in covers:
         lhs, rhs = tables.theta_exponents(cov), tables.theta_exponents(cov, roots)
         differs = (np.sort(lhs, axis=-1) != np.sort(rhs, axis=-1)).any(axis=-1)[:, 0]
         assert differs.tolist() == [True] + [False] * (len(tables.gamma_coords) - 1)
         assert not charformula.unequal_mask(ctx.ambient_order, lhs, rhs).any()
     got, want = _both("positive_systems", params)
+    assert False in certificates  # the PASS comes from the exact per-character loop
     assert got == want
     assert got[0] == "PASS"
+
+
+CERTIFIED_CHECKS = ("formula_equals_orbit_sum", "positive_systems", "lift_independence_formula")
+
+
+def test_certified_checks_need_no_per_character_loop(monkeypatch):
+    """The identity checks that compare summation terms give the same
+    records at q = 3, 5, 7 and 9 with the per-character comparisons made
+    to raise: the default campaign takes the certified path."""
+    grid = [_params(kind, q, branch) for q in (3, 5, 7, 9) for kind in (1, 2)
+            for branch in (1, -1)]
+    want = [driver.REGISTRY[name].check(dict(p)) for name in CERTIFIED_CHECKS for p in grid]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-character comparison called")
+
+    monkeypatch.setattr(charformula.SumTables, "first_mismatch", forbidden)
+    for module in (charformula, driver):
+        for name in ("first_unequal_sum", "unequal_mask"):
+            monkeypatch.setattr(module, name, forbidden)
+    got = [driver.REGISTRY[name].check(dict(p)) for name in CERTIFIED_CHECKS for p in grid]
+    assert got == want
+    assert all(record[0] == "PASS" for record in got)
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +496,11 @@ SCALAR_EVALUATORS = [((charformula, driver, uniqueness), SCALAR_PATHS),
 SCALAR_PAIR_MODEL = [((driver, tori), ("quad_from_pair", "pair_from_quad", "quad_galois",
                                         "pair_galois", "pair_norm", "project_to_coinvariants"))]
 # the regular locus, the lifts and the closed-form rho-shift sign as objects
-SCALAR_OBJECTS = [((charformula, driver), ("iter_strongly_regular", "enumerate_coinvariants",
-                                           "lift_of_rational", "coinv_mul",
-                                           "rho_shift_closed_sign"))]
+# (rebound in ``tori`` too, where all but the sign are defined, so that a
+# local import inside a check cannot reach them)
+SCALAR_OBJECTS = [((charformula, driver, tori), ("iter_strongly_regular", "enumerate_coinvariants",
+                                                 "lift_of_rational", "coinv_mul",
+                                                 "rho_shift_closed_sign"))]
 # (argv, expected record count or None to compare with the golden report, forbidden paths)
 CAMPAIGNS = {
     "identity": (["identity", "--q", "3,5", "--kind", "both", "--eta-branch", "both"], 21,
