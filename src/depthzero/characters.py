@@ -6,7 +6,10 @@ exponents.  A cover character extends it to the coinvariant group: on
 the unit-class subgroup it is the composite with the norm, and on the
 valuation-parity subgroup it takes the fixed sign values computed in the
 dual group.  Values are tracked as exponents of a root of unity of order
-``value_order`` so that sums downstream assemble exactly.
+``value_order`` so that sums downstream assemble exactly.  The scalar
+oracle ``charformula.theta`` is the only user of ``CoverCharacter``: the
+exponent tables take the depth-zero character and read the dual-group
+signs once per kind.
 
 The inertia-datum machinery realizes the bijection between equivariant
 homomorphisms from the residue multiplicative group into dual-torus
@@ -16,7 +19,6 @@ enumeration in the tests rather than assumed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import gcd
 
@@ -70,10 +72,6 @@ class DepthZeroCharacter:
         assert isinstance(gamma, T2Rational)
         raw = (self.exponents[0] * gamma.k) % n
         return raw * (value_order(2, self.q) // n)
-
-
-def trivial_character(kind: int, q: int) -> DepthZeroCharacter:
-    return DepthZeroCharacter(kind, q, (0, 0) if kind == 1 else (0,))
 
 
 def enumerate_characters(kind: int, q: int):
@@ -147,10 +145,6 @@ class CoverCharacter:
 def cover_character(base: DepthZeroCharacter) -> CoverCharacter:
     values = cover_class_values(base.kind)
     return CoverCharacter(base, tuple(sorted(values.items())))
-
-
-def cover_weyl_conjugate(chi: CoverCharacter, w: WeylElem) -> CoverCharacter:
-    return CoverCharacter(weyl_conjugate(chi.base, w), chi.hvalues)
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +257,3 @@ def character_from_descriptor(desc: dict) -> tuple[DepthZeroCharacter, int]:
     branch = {"plus": 1, "minus": -1}[desc.get("eta_branch", "plus")]
     chi = DepthZeroCharacter(int(desc["kind"]), int(desc["q"]), tuple(desc["exponents"]))
     return chi, branch
-
-
-def character_to_json(chi: DepthZeroCharacter, eta_branch: int = 1) -> str:
-    return json.dumps(character_to_descriptor(chi, eta_branch), sort_keys=True)
-
-
-def character_from_json(payload: str) -> tuple[DepthZeroCharacter, int]:
-    return character_from_descriptor(json.loads(payload))

@@ -27,7 +27,8 @@ from .characters import (
     DepthZeroCharacter,
     value_order,
 )
-from .cyclo import CycInt, root_of_unity, sum_of_roots
+from .cyclo import CycInt, sum_of_roots
+from .dualgroup import cover_class_values
 from .ffield import FieldTower, prime_power
 from .localmodel import (
     UnitVal,
@@ -230,10 +231,6 @@ def weyl_denominator_exponent_array(ctx: FormulaContext, coords: np.ndarray) -> 
     ``weyl_denominator_valuations``."""
     vals = weyl_denominator_valuations(ctx, coords)
     return eta_exponent_array(ctx.kind, vals, ctx.eta_branch).sum(axis=1) % 4
-
-
-def weyl_denominator(ctx: FormulaContext, rep) -> CycInt:
-    return root_of_unity(4, weyl_denominator_exponent(ctx, rep))
 
 
 def delta0_eta_exponent(ctx: FormulaContext, gamma, positive_roots=None) -> int:
@@ -475,9 +472,11 @@ class SumTables:
 
     Everything that does not depend on the character is computed once:
     the moved rational coordinates of each gamma, the moved coinvariant
-    lifts and their parity classes here, the Weyl denominator of each lift
-    once per positive system, on first use.  Per character,
-    ``theta_exponents`` and ``orbit_exponents`` give (G, W, S) arrays of
+    lifts and the kind's cover signs on their parity classes here, the
+    phase of each theta term (those signs, the Weyl denominator of its lift
+    and ``epsilon_chi``) once per positive system, on first use.  Per
+    character of the finite rational torus, ``theta_exponents`` (of its
+    cover character) and ``orbit_exponents`` give (G, W, S) arrays of
     zeta_ambient exponents (G elements, W labels, S summation elements)
     whose sums over the last axis are exactly the scalar values, with
     ``parity`` (the parity columns, as ``lift_of_rational`` takes them)
@@ -515,13 +514,13 @@ class SumTables:
         moved_lift = moved(coinv_cls, self.lift_coords)
         rank = self.gamma_coords.shape[1]
         self.moved_units = moved_lift[:rank]
-        if kind == 1:
-            self.parity_index = 2 * moved_lift[2] + moved_lift[3]
-            self.parity_keys = list(product((0, 1), repeat=2))
-        else:
-            self.parity_index = moved_lift[1]
-            self.parity_keys = [0, 1]
-        self._theta_shifts = {}
+        # every cover character of the kind takes the same signs on the
+        # parity classes: zeta_ambient exponents indexed by the parity columns
+        signs = np.zeros((2,) * rank, dtype=np.int64)
+        for key, value in cover_class_values(kind).items():
+            signs[key] = ctx.ambient_order // 2 if value < 0 else 0
+        self.cover_phases = signs[tuple(moved_lift[rank:])]
+        self._phase_tables = {}
         self.orbit_shift = ctx.ambient_order // 2 if ctx.epsilon_gt < 0 else 0
 
     def denominator_exponents(self, positive_roots=None) -> np.ndarray:
@@ -536,34 +535,29 @@ class SumTables:
         delta0 = delta0_eta_exponent_array(self.ctx, self.gamma_coords, positive_roots)
         return (delta0 + signs) % 4
 
-    def _theta_shift(self, positive_roots):
+    def _phases(self, positive_roots=None) -> np.ndarray:
+        """The zeta_ambient exponent that the cover signs, the denominator
+        and ``epsilon_chi`` add to each theta term, as a (G, W, S) array
+        reduced mod ambient; cached per positive system."""
         key = tuple(positive_roots) if positive_roots is not None else None
-        if key not in self._theta_shifts:
+        if key not in self._phase_tables:
             amb = self.ctx.ambient_order
             den = self.denominator_exponents(positive_roots)
             shift = -den * (amb // 4) + (amb // 2 if self.ctx.epsilon_chi < 0 else 0)
-            self._theta_shifts[key] = (shift % amb)[:, None, None]
-        return self._theta_shifts[key]
+            self._phase_tables[key] = (self.cover_phases + shift[:, None, None]) % amb
+        return self._phase_tables[key]
 
     def _check_character(self, chi):
         if chi.kind != self.ctx.kind or chi.q != self.ctx.q:
             raise ValueError("character does not match the context")
 
-    def _parity_phases(self, hvalues, positive_roots):
-        """The zeta_ambient exponent that the cover signs ``hvalues`` and the
-        denominator add to each theta term, as a (G, W, S) array."""
-        amb = self.ctx.ambient_order
-        table = dict(hvalues)
-        signs = np.array([amb // 2 if table[k] < 0 else 0 for k in self.parity_keys],
-                         dtype=np.int64)
-        return signs[self.parity_index] + self._theta_shift(positive_roots)
-
-    def theta_exponents(self, chi: CoverCharacter, positive_roots=None) -> np.ndarray:
-        """The cover character on the moved lifts, minus the denominator."""
+    def theta_exponents(self, chi: DepthZeroCharacter, positive_roots=None) -> np.ndarray:
+        """The cover character of ``chi`` on the moved lifts, minus the
+        denominator."""
         self._check_character(chi)
         n, amb = unit_class_order(self.ctx.kind, self.ctx.q), self.ctx.ambient_order
-        units = -_dot(chi.base.exponents, self.moved_units) % n
-        return (units * (amb // n) + self._parity_phases(chi.hvalues, positive_roots)) % amb
+        units = -_dot(chi.exponents, self.moved_units) % n
+        return (units * (amb // n) + self._phases(positive_roots)) % amb
 
     def orbit_exponents(self, base: DepthZeroCharacter) -> np.ndarray:
         """The base character on the moved rational elements."""
@@ -587,17 +581,12 @@ class SumTables:
             keys = keys * n + coord % n
         return np.sort(keys, axis=-1)
 
-    def theta_keys(self, covers, positive_roots=None):
-        """The (G, W, S) sorted term keys of ``theta_exponents`` for every
-        cover character that shares the ``hvalues`` of ``covers``; None when
-        ``covers`` share no single ``hvalues`` or the keys would overflow."""
-        for chi in covers:
-            self._check_character(chi)
-        hvalues = {chi.hvalues for chi in covers}
-        if len(hvalues) != 1 or not self._keys_fit():
+    def theta_keys(self, positive_roots=None):
+        """The (G, W, S) sorted term keys of ``theta_exponents``, for every
+        character at once; None where they would overflow int64."""
+        if not self._keys_fit():
             return None
-        phases = self._parity_phases(hvalues.pop(), positive_roots)
-        return self._term_keys(-self.moved_units, phases)
+        return self._term_keys(-self.moved_units, self._phases(positive_roots))
 
     def orbit_keys(self):
         """The (G, W, S) sorted term keys of ``orbit_exponents``, for every
@@ -606,22 +595,22 @@ class SumTables:
             return None
         return self._term_keys(self.moved_gamma, np.int64(self.orbit_shift))
 
-    def certify(self, covers) -> bool:
+    def certify(self) -> bool:
         """True when theta equals the orbit sum at every (gamma, w) for every
-        cover character with the ``hvalues`` of ``covers``; False proves
-        nothing (see ``same_terms``)."""
-        return same_terms(self.theta_keys(covers), self.orbit_keys())
+        character; False proves nothing (see ``same_terms``)."""
+        return same_terms(self.theta_keys(), self.orbit_keys())
 
-    def first_mismatch(self, chi: CoverCharacter):
+    def first_mismatch(self, chi: DepthZeroCharacter):
         """(gamma index, label index) of the first (gamma, w), gamma outer,
-        where theta differs from the orbit sum of ``chi.base``; None if none."""
+        where theta of ``chi`` differs from its orbit sum; None if none."""
         return first_unequal_sum(
-            self.ctx.ambient_order, self.theta_exponents(chi), self.orbit_exponents(chi.base)
+            self.ctx.ambient_order, self.theta_exponents(chi), self.orbit_exponents(chi)
         )
 
-    def packet_classes(self, chi: CoverCharacter) -> tuple[tuple[str, ...], ...]:
-        """``packet(ctx, chi).classes``: the labels grouped by exact equality
-        of their theta values on every element, in label order."""
+    def packet_classes(self, chi: DepthZeroCharacter) -> tuple[tuple[str, ...], ...]:
+        """``packet(ctx, cover_character(chi)).classes``: the labels grouped
+        by exact equality of their theta values on every element, in label
+        order."""
         exps = self.theta_exponents(chi)
         classes: list[list[int]] = []
         for i in range(len(self.labels)):

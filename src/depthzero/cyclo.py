@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
 
 class OrderMismatchError(ValueError):
@@ -231,11 +230,6 @@ def root_of_unity(order: int, k: int) -> CycInt:
     buckets = [0] * order
     buckets[k % order] = 1
     return CycInt(order, _reduce(order, buckets))
-
-
-def unify(a: CycInt, b: CycInt) -> tuple[CycInt, CycInt]:
-    m = a.order * b.order // gcd(a.order, b.order)
-    return a.embed(m), b.embed(m)
 
 
 def sum_of_roots(order: int, exponents) -> CycInt:

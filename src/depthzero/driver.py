@@ -24,7 +24,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -33,9 +33,8 @@ import numpy as np
 from . import __version__
 from .characters import (
     character_to_descriptor,
-    cover_character,
     enumerate_characters,
-    enumerate_regular_characters,
+    is_regular,
     weyl_conjugate,
 )
 from .charformula import (
@@ -403,15 +402,14 @@ def check_norm_consistency(params):
 
 
 def _character_pool(kind, q, limit=None):
-    """Regular characters when they exist (the stated locus of the
-    comparison); the identity needs no regularity, so fall back to the
-    full character group rather than passing vacuously."""
-    chars = enumerate_regular_characters(kind, q)
+    """The first ``limit`` (default: all) regular characters when they
+    exist (the stated locus of the comparison), and how many regular
+    characters the pool holds; the identity needs no regularity, so fall
+    back to the full character group rather than passing vacuously."""
+    chars = list(islice(filter(is_regular, enumerate_characters(kind, q)), limit))
     regular_count = len(chars)
     if not chars:
-        chars = list(enumerate_characters(kind, q))
-    if limit is not None:
-        chars = chars[:limit]
+        chars = list(islice(enumerate_characters(kind, q), limit))
     return chars, regular_count
 
 
@@ -420,12 +418,11 @@ def check_formula_equals_orbit_sum(params):
     ctx = _context_from_params(params)
     chars, regular_count = _character_pool(kind, q)
     tables = SumTables(ctx, strongly_regular_coordinates(kind, q))
-    covers = [cover_character(chi) for chi in chars]
     # equal summation terms prove every character at once; the per-character
     # loop runs only to find the witness
-    if not tables.certify(covers):
-        for chi, cov in zip(chars, covers):
-            hit = tables.first_mismatch(cov)
+    if not tables.certify():
+        for chi in chars:
+            hit = tables.first_mismatch(chi)
             if hit is not None:
                 g, w = hit
                 return _fail({
@@ -458,14 +455,13 @@ def check_lift_independence_formula(params):
     profiles = weyl_denominator_valuations(ctx, shifted.lift_coords)
     shift_bad = (shifted.denominator_exponents() - base.denominator_exponents()) % 4 != 2
     value_bad = np.zeros((len(gammas), len(chars), len(twists)), dtype=bool)
-    covers = [cover_character(chi) for chi in chars]
-    base_keys = base.theta_keys(covers)
+    base_keys = base.theta_keys()
     for t, tables in enumerate(twisted):
-        if same_terms(base_keys, tables.theta_keys(covers)):
+        if same_terms(base_keys, tables.theta_keys()):
             continue  # every character agrees on this twist
-        for c, cov in enumerate(covers):
-            value_bad[:, c, t] = unequal_mask(ctx.ambient_order, base.theta_exponents(cov),
-                                              tables.theta_exponents(cov))[:, 0]
+        for c, chi in enumerate(chars):
+            value_bad[:, c, t] = unequal_mask(ctx.ambient_order, base.theta_exponents(chi),
+                                              tables.theta_exponents(chi))[:, 0]
     profile_bad = (profiles != profile_expected).any(axis=1)
     failing = np.flatnonzero(profile_bad | shift_bad | value_bad.any(axis=(1, 2)))
     if failing.size:
@@ -554,14 +550,13 @@ def check_positive_systems(params):
     chars, _ = _character_pool(kind, q, limit=6)
     systems = positive_system_contexts(kind)
     tables = SumTables(ctx, strongly_regular_coordinates(kind, q), labels=(weyl_identity(kind),))
-    covers = [cover_character(chi) for chi in chars]
-    default_keys = tables.theta_keys(covers)
-    defaults = [tables.theta_exponents(cov) for cov in covers]
+    default_keys = tables.theta_keys()
     for name, roots in systems:
-        if same_terms(default_keys, tables.theta_keys(covers, roots)):
+        if same_terms(default_keys, tables.theta_keys(roots)):
             continue  # every character agrees on this system
-        for chi, cov, lhs in zip(chars, covers, defaults):
-            hit = first_unequal_sum(ctx.ambient_order, lhs, tables.theta_exponents(cov, roots))
+        for chi in chars:
+            hit = first_unequal_sum(ctx.ambient_order, tables.theta_exponents(chi),
+                                    tables.theta_exponents(chi, roots))
             if hit is not None:
                 return _fail({
                     "system": name,
@@ -619,25 +614,22 @@ def check_packet_conjugation(params):
     full = tables if params.get("summation", "full") == "full" else SumTables(
         _context_from_params({**params, "summation": "full"}), gammas)
     for chi in chars:
-        cov = cover_character(chi)
-        lhs = tables.theta_exponents(cov)
-        rhs = np.stack([
-            tables.theta_exponents(cover_character(weyl_conjugate(chi, w)))[:, one]
-            for w in labels
-        ], axis=1)
+        lhs = tables.theta_exponents(chi)
+        rhs = np.stack([tables.theta_exponents(weyl_conjugate(chi, w))[:, one] for w in labels],
+                       axis=1)
         hit = first_unequal_sum(ctx.ambient_order, lhs.swapaxes(0, 1), rhs.swapaxes(0, 1))
         if hit is not None:
             w, g = hit
             return _fail({"w": labels[w].name, "gamma": str(rational_of_row(kind, q, gammas[g])),
                           "character": character_to_descriptor(chi)})
-        classes = full.packet_classes(cov)
+        classes = full.packet_classes(chi)
         if len(classes) != 1:
             return _fail({"classes": [list(c) for c in classes],
                           "reason": "full summation group must give one class"})
     # with the trivial summation subgroup the classes separate conjugates
     chi = chars[0]
     trivial = SumTables(_context_from_params({**params, "summation": "trivial"}), gammas)
-    classes = trivial.packet_classes(cover_character(chi))
+    classes = trivial.packet_classes(chi)
     distinct = len({
         trivial.orbit_exponents(weyl_conjugate(chi, w))[:, one].tobytes() for w in labels
     })

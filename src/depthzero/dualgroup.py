@@ -435,11 +435,6 @@ def coxeter_lift_fourth_check(pin: Pinning) -> bool:
 # torus bookkeeping
 
 
-def extract_coroot_exponents(pin: Pinning, m: SpMatrix) -> tuple[int, int]:
-    """Write a diagonal matrix as long_coroot(zeta^a) short_coroot(zeta^b)."""
-    return pin.torus_exponents(as_monomial(pin, m))
-
-
 def dual_torus_conjugate(pin: Pinning, by, a: int, b: int) -> tuple[int, int]:
     """Coroot exponents of by * torus(a, b) * by^-1; ``by`` is a Monomial
     or the SpMatrix of one."""

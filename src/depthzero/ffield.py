@@ -397,13 +397,6 @@ def ff_norm(q: int, x: FFElem, to_level: int) -> FFElem:
     return FFElem(to_level, x.dlog % (q**to_level - 1))
 
 
-def ff_embed(q: int, x: FFElem, to_level: int) -> FFElem:
-    if to_level % x.level != 0:
-        raise ValueError(f"cannot embed level {x.level} into level {to_level}")
-    factor = (q**to_level - 1) // (q**x.level - 1)
-    return FFElem(to_level, (x.dlog * factor) % (q**to_level - 1))
-
-
 def ff_in_subfield(q: int, x: FFElem, sub_level: int) -> bool:
     if x.level % sub_level != 0:
         raise ValueError(f"level {sub_level} is not a subfield of level {x.level}")

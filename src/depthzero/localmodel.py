@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import CycInt, root_of_unity
-from .ffield import FFElem, FieldTower, ff_frobenius, ff_inv, ff_mul, ff_norm, ff_pow
+from .ffield import FFElem, FieldTower, ff_frobenius, ff_inv, ff_mul, ff_pow
 
 
 class CancellationError(ArithmeticError):
@@ -66,14 +65,6 @@ def uv_pow(q: int, a: UnitVal, n: int) -> UnitVal:
 def uv_galois(q: int, a: UnitVal, j: int = 1) -> UnitVal:
     """Frobenius^j on the residue; the valuation is fixed (uniformizer in F)."""
     return UnitVal(a.level, ff_frobenius(q, a.residue, j), a.val)
-
-
-def uv_norm_to(q: int, a: UnitVal, to_level: int) -> UnitVal:
-    """Norm down to a subfield level: residue norm, valuation times the degree."""
-    if a.level % to_level != 0:
-        raise ValueError(f"no norm from level {a.level} to level {to_level}")
-    degree = a.level // to_level
-    return UnitVal(to_level, ff_norm(q, a.residue, to_level), a.val * degree)
 
 
 def leading_diff(tower: FieldTower, a: UnitVal, b: UnitVal) -> UnitVal:
@@ -143,7 +134,3 @@ def eta_exponent_array(kind: int, val: np.ndarray, branch: int = 1) -> np.ndarra
             raise ValueError(f"branch must be +1 or -1, got {branch}")
         return (branch * val) % 4
     raise ValueError(f"kind must be 1 or 2, got {kind}")
-
-
-def eta_value(kind: int, a: UnitVal, branch: int = 1) -> CycInt:
-    return root_of_unity(4, eta_exponent(kind, a, branch))

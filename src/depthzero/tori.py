@@ -103,12 +103,6 @@ def coinv_mul(a, b):
     return t2_coinv(a.q, a.u + b.u, a.v + b.v)
 
 
-def coinv_inv(a):
-    if isinstance(a, T1Coinv):
-        return t1_coinv(a.q, -a.u1, -a.u2, a.v1, a.v2)
-    return t2_coinv(a.q, -a.u, a.v)
-
-
 def coinv_unit_part(a):
     """Unit-class component of the direct-product splitting."""
     if isinstance(a, T1Coinv):
@@ -205,12 +199,6 @@ def project_to_coinvariants(kind: int, q: int, pair: tuple[UnitVal, UnitVal]):
     return t2_coinv(q, x.residue.dlog, x.val)
 
 
-def coinv_class_of_unit(kind: int, q: int, w: UnitVal):
-    """Class of (w, 1); for torus 2 this is the class of w itself."""
-    levels = torus_level(kind)
-    return project_to_coinvariants(kind, q, (w, UnitVal(levels, FFElem(levels, 0), 0)))
-
-
 def coinvariant_norm(c):
     """Induced norm from the coinvariants onto the rational points."""
     if isinstance(c, T1Coinv):
@@ -305,17 +293,6 @@ def pair_galois(kind: int, q: int, pair: tuple[UnitVal, UnitVal]):
 
 # ---------------------------------------------------------------------------
 # the quadruple model (diagonal quotient) and its pair identification
-
-
-def quad_normalize(q: int, quad):
-    """Scale a quadruple (a, b, c, d) with ad = bc by d^(-1)."""
-    a, b, c, d = quad
-    dinv = uv_inv(q, d)
-    return tuple(uv_mul(q, x, dinv) for x in quad)
-
-
-def quad_eq(q: int, x, y) -> bool:
-    return quad_normalize(q, x) == quad_normalize(q, y)
 
 
 def quad_galois(kind: int, q: int, quad):
@@ -426,10 +403,6 @@ def weyl_inverse(x: WeylElem) -> WeylElem:
     assert det in (1, -1)
     inv = ((d // det, -b // det), (-c // det, a // det))
     return _by_matrix(x.kind)[inv]
-
-
-def group_table(elems) -> dict:
-    return {(x.name, y.name): weyl_compose(x, y).name for x in elems for y in elems}
 
 
 @lru_cache(maxsize=None)

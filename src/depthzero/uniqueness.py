@@ -268,7 +268,3 @@ def nonvanishing_report(kind: int, q: int) -> NonvanishingReport:
     raise RuntimeError(
         f"every orbit sum vanished on the strongly regular set (kind {kind}, q {q})"
     )
-
-
-def strongly_regular_count(kind: int, q: int) -> int:
-    return len(strongly_regular_coordinates(kind, q))

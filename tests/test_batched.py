@@ -6,14 +6,13 @@ their values, and the batched identity check must give the scalar
 loop's outcome, witness and counts, also on deliberately broken models.
 """
 
-import functools
 import re
 
 import numpy as np
 import pytest
 
 from depthzero import characters, charformula, driver
-from depthzero.characters import DepthZeroCharacter, cover_character, enumerate_characters
+from depthzero.characters import cover_character, enumerate_characters
 from depthzero.charformula import (
     NotStronglyRegularError,
     SumTables,
@@ -27,7 +26,6 @@ from depthzero.charformula import (
     unequal_mask,
 )
 from depthzero.cyclo import sum_of_roots
-from depthzero.dualgroup import cover_class_values
 from depthzero.tori import (
     NonRationalWeylError,
     T1Coinv,
@@ -74,7 +72,7 @@ def _assert_matches_scalar(ctx, parity=None):
     amb = ctx.ambient_order
     for chi in chars:
         cov = cover_character(chi)
-        lhs = tables.theta_exponents(cov)
+        lhs = tables.theta_exponents(chi)
         rhs = tables.orbit_exponents(chi)
         assert lhs.shape == rhs.shape == (
             len(gammas), len(tables.labels), len(ctx.summation))
@@ -119,11 +117,10 @@ def test_tables_match_scalar_on_every_positive_system(kind, q, branch):
         gammas, tables = _tables(ctx, parity=tw, labels=(one,))
         for _, roots in positive_system_contexts(kind):
             for chi in chars:
-                cov = cover_character(chi)
-                exps = tables.theta_exponents(cov, roots)
+                exps = tables.theta_exponents(chi, roots)
                 assert exps.shape == (len(gammas), 1, len(ctx.summation))
                 assert [sum_of_roots(amb, row[0].tolist()) for row in exps] == [
-                    theta(ctx, cov, one, g, parity=tw, positive_roots=roots)
+                    theta(ctx, cover_character(chi), one, g, parity=tw, positive_roots=roots)
                     for g in gammas]
 
 
@@ -135,8 +132,7 @@ def test_packet_classes_match_scalar_packet(kind, summation):
     _, tables = _tables(ctx)
     chars, _ = driver._character_pool(kind, 3, limit=3)
     for chi in chars:
-        cov = cover_character(chi)
-        assert tables.packet_classes(cov) == packet(ctx, cov).classes
+        assert tables.packet_classes(chi) == packet(ctx, cover_character(chi)).classes
 
 
 @pytest.mark.parametrize("epsilon_gt,epsilon_chi", [(-1, 1), (1, -1)])
@@ -146,9 +142,8 @@ def test_one_sided_sign_breaks_the_identity(kind, epsilon_gt, epsilon_chi):
     ctx = make_context(kind, 3, epsilon_gt=epsilon_gt, epsilon_chi=epsilon_chi)
     _, tables = _tables(ctx)
     chars, _ = driver._character_pool(kind, 3)
-    covers = [cover_character(chi) for chi in chars]
-    assert not tables.certify(covers)
-    assert any(tables.first_mismatch(cov) is not None for cov in covers)
+    assert not tables.certify()
+    assert any(tables.first_mismatch(chi) is not None for chi in chars)
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +156,13 @@ def test_one_sided_sign_breaks_the_identity(kind, epsilon_gt, epsilon_chi):
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_certificate_covers_every_character(q, kind, branch, summation, epsilon):
     """A certified table has no mismatch for any character of the whole
-    group, not only for the pool whose cover signs it was given."""
+    group, not only for the regular ones the checks pool."""
     ctx = make_context(kind, q, eta_branch=branch, epsilon_gt=epsilon, epsilon_chi=epsilon,
                        summation=named_summation_subgroup(kind, summation))
     tables = SumTables(ctx, strongly_regular_coordinates(kind, q))
-    chars, _ = driver._character_pool(kind, q)
-    assert tables.certify([cover_character(chi) for chi in chars])
+    assert tables.certify()
     for chi in enumerate_characters(kind, q):
-        assert tables.first_mismatch(cover_character(chi)) is None, chi
+        assert tables.first_mismatch(chi) is None, chi
 
 
 @pytest.mark.parametrize("side", ["moved_gamma", "moved_units"])
@@ -179,20 +173,8 @@ def test_certificate_sees_one_moved_unit_point(kind, side):
     ctx = make_context(kind, 5)
     _, tables = _tables(ctx)
     getattr(tables, side)[0, 0, 0, 0] += 1
-    covers = [cover_character(chi) for chi in enumerate_characters(kind, 5)]
-    assert not tables.certify(covers)
-    assert any(tables.first_mismatch(cov) is not None for cov in covers)
-
-
-def test_certificate_needs_one_set_of_cover_signs():
-    _, tables = _tables(make_context(1, 3))
-    cov = cover_character(DepthZeroCharacter(1, 3, (1, 2)))
-    flipped = characters.CoverCharacter(
-        cov.base, tuple((key, -value if key == (1, 1) else value) for key, value in cov.hvalues))
-    assert tables.certify([cov])
-    assert tables.theta_keys([cov, flipped]) is None
-    assert not tables.certify([cov, flipped])
-    assert not tables.certify([])
+    assert not tables.certify()
+    assert any(tables.first_mismatch(chi) is not None for chi in enumerate_characters(kind, 5))
 
 
 def test_certificate_past_int64_falls_back():
@@ -203,10 +185,9 @@ def test_certificate_past_int64_falls_back():
     ctx = make_context(1, q)
     assert ctx.ambient_order * (q + 1) ** 2 >= 2**63
     tables = SumTables(ctx, np.array([[1, 2]]))
-    cov = cover_character(DepthZeroCharacter(1, q, (1, 2)))
-    assert tables.theta_keys([cov]) is None
+    assert tables.theta_keys() is None
     assert tables.orbit_keys() is None
-    assert not tables.certify([cov])
+    assert not tables.certify()
 
 
 def _elements(cls, q):
@@ -310,28 +291,6 @@ def test_tables_follow_odd_denominator_exponents(monkeypatch):
         _assert_matches_scalar(make_context(kind, 3, need_tower=True))
 
 
-@pytest.mark.parametrize("kind,q", [(1, 3), (1, 5), (2, 3), (2, 5)])
-def test_flipped_cover_sign_fails_on_twisted_lifts(kind, q, monkeypatch):
-    ctx = make_context(kind, q)
-    chars, _ = driver._character_pool(kind, q)
-    twisted = parity_classes(kind, q)[-1]
-    _, tables = _tables(ctx, parity=twisted)
-    assert tables.certify([cover_character(chi) for chi in chars])
-    assert all(tables.first_mismatch(cover_character(chi)) is None for chi in chars)
-
-    twisted_key = max(cover_class_values(kind))
-
-    @functools.lru_cache(maxsize=None)
-    def flipped(kind, order=24):
-        values = dict(cover_class_values(kind, order))
-        values[twisted_key] = -values[twisted_key]
-        return values
-
-    monkeypatch.setattr(characters, "cover_class_values", flipped)
-    assert not tables.certify([cover_character(chi) for chi in chars])
-    assert any(tables.first_mismatch(cover_character(chi)) is not None for chi in chars)
-
-
 def test_rejects_non_strongly_regular_elements():
     for kind, gamma in ((1, t1_rational(3, 0, 0)), (2, t2_rational(3, 0))):
         # the message names the element, rebuilt from its row
@@ -345,7 +304,7 @@ def test_character_must_match_context():
     with pytest.raises(ValueError):
         tables.orbit_exponents(chi)
     with pytest.raises(ValueError):
-        tables.theta_exponents(cover_character(chi))
+        tables.theta_exponents(chi)
 
 
 def test_exact_fallback_decides_multiset_different_sums():

@@ -11,7 +11,6 @@ from depthzero.cyclo import (
     euler_phi,
     root_of_unity,
     sum_of_roots,
-    unify,
 )
 
 ORDERS = [2, 3, 4, 8, 12]
@@ -61,8 +60,8 @@ def test_order_mismatch_raises():
         _ = a * b
     with pytest.raises(OrderMismatchError):
         _ = a == b
-    ua, ub = unify(a, b)
-    assert ua.order == ub.order == 12
+    # embedded into a common order the two combine: i * zeta_3 = zeta_12^7
+    assert a.embed(12) * b.embed(12) == root_of_unity(12, 7)
 
 
 def test_roots_have_exact_order():

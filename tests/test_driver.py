@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -400,3 +401,27 @@ def test_interrupt_inside_a_check_propagates(monkeypatch):
     monkeypatch.setitem(driver.REGISTRY, row.name, row)
     with pytest.raises(KeyboardInterrupt):
         driver.run_task({"id": row.id, "claim": row.claim, "fn": row.name, "params": {}})
+
+
+def test_traced_benchmark_names_resolve():
+    """Every module, function, class and method that the traced benchmark
+    wraps still exists, so a deletion in the package cannot leave
+    ``perfbench/run.py --trace 1`` failing at install.  The wrappers are
+    not installed: they would stay on the modules for later tests."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for _group, module_name, attrs, _mode in spans.SPANS:
+        module = sys.modules.get(f"depthzero.{module_name}")
+        if module is None:
+            missing.append(module_name)
+            continue
+        for attr in attrs:
+            owner = module
+            for part in attr.split("."):
+                owner = getattr(owner, part, None)
+            if owner is None:
+                missing.append(f"{module_name}.{attr}")
+    assert missing == []

@@ -23,7 +23,6 @@ from depthzero.dualgroup import (
     cover_class_values,
     coxeter_lift_fourth_check,
     dual_torus_conjugate,
-    extract_coroot_exponents,
     lift_independence_check,
     longest_lift_square_check,
     reflection_sign_table,
@@ -138,7 +137,7 @@ def test_weyl_action_on_dual_torus(pin):
 def test_extract_coroot_exponents_roundtrip(pin):
     for a, b in ((0, 0), (1, 0), (0, 1), (7, 13), (23, 23)):
         m = pin.torus_matrix(a, b)
-        assert extract_coroot_exponents(pin, m) == (a, b)
+        assert pin.torus_exponents(as_monomial(pin, m)) == (a, b)
 
 
 def test_cover_class_values_both_kinds():

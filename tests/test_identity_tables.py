@@ -393,15 +393,17 @@ def _poison_two_rho(monkeypatch, kind, q):
 
 
 def _flip_cover_sign(monkeypatch, kind, q):
-    """The cover sign of the largest parity class (a twist) flipped."""
-    key = max(cover_class_values(kind))
+    """The cover sign of the largest parity class (a twist) flipped, where
+    ``cover_character`` (the oracle) and ``SumTables`` (the checks) read it."""
+    original = cover_class_values
+    key = max(original(kind))
 
     def broken(kind, order=24):
-        values = dict(cover_class_values(kind, order))
+        values = dict(original(kind, order))
         values[key] = -values[key]
         return values
 
-    monkeypatch.setattr(characters, "cover_class_values", broken)
+    _patch(monkeypatch, "cover_class_values", broken)
 
 
 BREAKS = [  # (label, check, break, q)
@@ -421,6 +423,28 @@ BREAKS = [  # (label, check, break, q)
 # the breaks that the character-free certificate must see: their FAIL records
 # come from the per-character loop it falls back to
 FALLBACK_BREAKS = ("rho-sign-one-class", "delta0-one-gamma", "cover-sign-one-twist")
+
+
+@pytest.mark.parametrize("kind,q", [(1, 3), (1, 5), (2, 3), (2, 5)])
+def test_flipped_cover_sign_fails_on_twisted_lifts(monkeypatch, kind, q):
+    """The certificate and the per-character loop read the sign table the
+    tables were built with: a flipped twist sign fails both on the twisted
+    lift."""
+    ctx = make_context(kind, q)
+    chars, _ = _character_pool(kind, q)
+    twist = parity_classes(kind, q)[-1]
+    parity = (twist.v1, twist.v2) if kind == 1 else twist.v
+
+    def tables():
+        return charformula.SumTables(ctx, strongly_regular_coordinates(kind, q), parity=parity)
+
+    intact = tables()
+    assert intact.certify()
+    assert all(intact.first_mismatch(chi) is None for chi in chars)
+    _flip_cover_sign(monkeypatch, kind, q)
+    broken = tables()
+    assert not broken.certify()
+    assert any(broken.first_mismatch(chi) is not None for chi in chars)
 
 
 @pytest.mark.parametrize("kind", [1, 2])
@@ -448,10 +472,9 @@ def test_zero_sum_break_still_passes(monkeypatch, certificates):
     chars, _ = _character_pool(1, 5, limit=6)
     _shift_delta0(0, by=1)(monkeypatch, 1, 5)
     roots = positive_system_contexts(1)[0][1]
-    covers = [cover_character(chi) for chi in chars]
-    assert not charformula.same_terms(tables.theta_keys(covers), tables.theta_keys(covers, roots))
-    for cov in covers:
-        lhs, rhs = tables.theta_exponents(cov), tables.theta_exponents(cov, roots)
+    assert not charformula.same_terms(tables.theta_keys(), tables.theta_keys(roots))
+    for chi in chars:
+        lhs, rhs = tables.theta_exponents(chi), tables.theta_exponents(chi, roots)
         differs = (np.sort(lhs, axis=-1) != np.sort(rhs, axis=-1)).any(axis=-1)[:, 0]
         assert differs.tolist() == [True] + [False] * (len(tables.gamma_coords) - 1)
         assert not charformula.unequal_mask(ctx.ambient_order, lhs, rhs).any()
@@ -492,7 +515,9 @@ SCALAR_PATHS = ("theta", "orbit_character_sum", "packet", "weyl_denominator_expo
                 "denominator_factors", "_two_rho_eta_exponent")
 SCALAR_EVALUATORS = [((charformula, driver, uniqueness), SCALAR_PATHS),
                      ((characters.DepthZeroCharacter, characters.CoverCharacter),
-                      ("eval_exponent",))]
+                      ("eval_exponent",)),
+                     # the tables read the kind's cover signs themselves
+                     ((characters, charformula, driver), ("cover_character",))]
 SCALAR_PAIR_MODEL = [((driver, tori), ("quad_from_pair", "pair_from_quad", "quad_galois",
                                         "pair_galois", "pair_norm", "project_to_coinvariants"))]
 # the regular locus, the lifts and the closed-form rho-shift sign as objects

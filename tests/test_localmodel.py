@@ -3,12 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthzero.cyclo import root_of_unity
 from depthzero.ffield import FieldTower
 from depthzero.localmodel import (
     CancellationError,
     eta_exponent,
-    eta_value,
     leading_diff,
     leading_diff_array,
     one,
@@ -17,7 +15,6 @@ from depthzero.localmodel import (
     uv_galois,
     uv_inv,
     uv_mul,
-    uv_norm_to,
     uv_pow,
 )
 
@@ -50,18 +47,6 @@ def test_galois_is_frobenius_on_residue():
     assert uv_galois(Q, g).residue.dlog == Q % (Q * Q - 1)
     # the uniformizer sits in the base field: valuation fixed
     assert uv_galois(Q, uniformizer(2)) == uniformizer(2)
-
-
-def test_norm_down_formulas():
-    u = unit(Q, 2, 1, 5)
-    down = uv_norm_to(Q, u, 1)
-    assert down.val == 10
-    assert down.residue.dlog == 1 % (Q - 1)
-    u4 = unit(Q, 4, 1, 3)
-    down2 = uv_norm_to(Q, u4, 2)
-    assert down2.val == 6
-    # uniformizer: norm to the base field is its square
-    assert uv_norm_to(Q, uniformizer(2), 1) == unit(Q, 1, 0, 2)
 
 
 def test_leading_diff_cases(tower):
@@ -151,16 +136,16 @@ def test_leading_diff_galois_equivariance(a, b, va, vb):
 
 def test_eta_values():
     # quadratic character: -1 on the uniformizer, 1 on units
-    assert eta_value(1, uniformizer(2)) == root_of_unity(4, 2)
-    assert eta_value(1, unit(Q, 2, 5, 0)) == root_of_unity(4, 0)
+    assert eta_exponent(1, uniformizer(2)) == 2
+    assert eta_exponent(1, unit(Q, 2, 5, 0)) == 0
     # order-4 character: zeta_4 on the uniformizer, square is -1
-    assert eta_value(2, uniformizer(4)) == root_of_unity(4, 1)
-    assert eta_value(2, unit(Q, 4, 0, 2)) == root_of_unity(4, 2)
-    assert eta_value(2, uniformizer(4), branch=-1) == root_of_unity(4, 3)
+    assert eta_exponent(2, uniformizer(4)) == 1
+    assert eta_exponent(2, unit(Q, 4, 0, 2)) == 2
+    assert eta_exponent(2, uniformizer(4), branch=-1) == 3
     with pytest.raises(ValueError):
-        eta_value(1, uniformizer(4))
+        eta_exponent(1, uniformizer(4))
     with pytest.raises(ValueError):
-        eta_value(2, uniformizer(4), branch=2)
+        eta_exponent(2, uniformizer(4), branch=2)
 
 
 def test_eta_trivial_on_norms():

@@ -4,7 +4,7 @@ import pytest
 
 from depthzero.characters import enumerate_regular_characters
 from depthzero.charformula import make_context, orbit_character_sum
-from depthzero.tori import iter_strongly_regular, weyl_identity
+from depthzero.tori import iter_strongly_regular, strongly_regular_coordinates, weyl_identity
 from depthzero.uniqueness import (
     CENTER_ORDER,
     conjugate_forward_check,
@@ -14,7 +14,6 @@ from depthzero.uniqueness import (
     odd_prime_powers,
     regular_locus_ratio,
     restriction_rigidity_check,
-    strongly_regular_count,
     threshold_scan,
 )
 
@@ -26,10 +25,10 @@ def test_center_is_trivial_for_the_adjoint_group():
 def test_excluded_counts_small_q():
     # torus 1, q=3: 12 of 16 lie on a root kernel (4 strongly regular)
     assert excluded_count(1, 3) == 12
-    assert strongly_regular_count(1, 3) == 4
+    assert len(strongly_regular_coordinates(1, 3)) == 4
     # torus 2, odd q: exactly {1, -1} are excluded
     assert excluded_count(2, 3) == 2
-    assert strongly_regular_count(2, 3) == 8
+    assert len(strongly_regular_coordinates(2, 3)) == 8
     assert excluded_count(2, 5) == 2
 
 
