@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from depthzero.characters import (
@@ -177,6 +179,17 @@ def test_genuineness_kind1():
     assert kernel_values == {0, vo // 2}
 
 
+def test_cover_conjugation_commutes_with_lifting():
+    """Weyl conjugation moves only the base character and the cover signs
+    are the kind's, so one sign table serves a whole conjugation orbit."""
+    for kind in (1, 2):
+        for chi in list(enumerate_characters(kind, Q))[:6]:
+            signs = cover_character(chi).hvalues
+            for w in rational_weyl_group(kind):
+                conj = weyl_conjugate(chi, w)
+                assert cover_character(conj) == CoverCharacter(conj, signs)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -187,6 +200,18 @@ def test_descriptor_roundtrip():
     assert desc == {"kind": 2, "q": 5, "exponents": [7], "eta_branch": "minus"}
     back, branch = character_from_descriptor(desc)
     assert back == chi and branch == -1
+
+
+def test_json_roundtrip():
+    """A descriptor survives a report's JSON: the exponents come back as a
+    list, and a descriptor without a branch reads as the plus branch."""
+    chi = DepthZeroCharacter(1, 3, (1, 2))
+    payload = json.loads(json.dumps(character_to_descriptor(chi), sort_keys=True))
+    assert payload["kind"] == 1 and payload["exponents"] == [1, 2]
+    back, branch = character_from_descriptor(payload)
+    assert back == chi and branch == 1
+    del payload["eta_branch"]
+    assert character_from_descriptor(payload) == (chi, 1)
 
 
 def test_exponent_arity_enforced():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from depthzero import driver
+from depthzero.characters import enumerate_characters, enumerate_regular_characters
 from depthzero.charformula import (
     delta0_eta_exponent,
     make_context,
@@ -401,6 +402,23 @@ def test_interrupt_inside_a_check_propagates(monkeypatch):
     monkeypatch.setitem(driver.REGISTRY, row.name, row)
     with pytest.raises(KeyboardInterrupt):
         driver.run_task({"id": row.id, "claim": row.claim, "fn": row.name, "params": {}})
+
+
+@pytest.mark.parametrize("kind,q", [(1, 3), (1, 5), (2, 3), (2, 5)])
+def test_limited_pool_is_a_prefix_of_the_full_pool(kind, q):
+    """The limited pool holds the first regular characters, in the order
+    of the full pool; kind 1 at q = 3 has none and falls back to the
+    first characters of the whole group."""
+    regular = enumerate_regular_characters(kind, q)
+    full, count = driver._character_pool(kind, q)
+    limited, limited_count = driver._character_pool(kind, q, limit=6)
+    if regular:
+        assert full == regular and count == len(regular)
+        assert limited == regular[:6] and limited_count == len(limited)
+    else:
+        assert count == limited_count == 0
+        assert full == list(enumerate_characters(kind, q))
+        assert limited == full[:6]
 
 
 def test_traced_benchmark_names_resolve():
