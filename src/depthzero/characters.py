@@ -2,14 +2,14 @@
 
 A depth-zero character is a character of the finite rational torus
 (mu_(q+1) x mu_(q+1) for torus 1, mu_(q^2+1) for torus 2), stored by its
-exponents.  A cover character extends it to the coinvariant group: on
-the unit-class subgroup it is the composite with the norm, and on the
-valuation-parity subgroup it takes the fixed sign values computed in the
-dual group.  Values are tracked as exponents of a root of unity of order
-``value_order`` so that sums downstream assemble exactly.  The scalar
-oracle ``charformula.theta`` is the only user of ``CoverCharacter``: the
-exponent tables take the depth-zero character and read the dual-group
-signs once per kind.
+exponents.  The checks read the regular ones (trivial Weyl stabilizer)
+from one pool, ``regular_exponent_rows``: int64 rows cached per (kind, q)
+and made characters only where a check needs them; ``is_regular`` is its
+oracle.  A cover character extends a character to the coinvariant group:
+the composite with the norm on the unit-class subgroup, the fixed
+dual-group signs on the valuation-parity subgroup.  Values are exponents
+of a root of unity of order ``value_order``, so sums assemble exactly.
+``CoverCharacter`` serves only the scalar oracle ``charformula.theta``.
 
 The inertia-datum machinery realizes the bijection between equivariant
 homomorphisms from the residue multiplicative group into dual-torus
@@ -20,7 +20,11 @@ enumeration in the tests rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 from math import gcd
+
+import numpy as np
 
 from .dualgroup import cover_class_values
 from .tori import (
@@ -75,14 +79,8 @@ class DepthZeroCharacter:
 
 
 def enumerate_characters(kind: int, q: int):
-    n = unit_class_order(kind, q)
-    if kind == 1:
-        for a1 in range(n):
-            for a2 in range(n):
-                yield DepthZeroCharacter(1, q, (a1, a2))
-    else:
-        for a in range(n):
-            yield DepthZeroCharacter(2, q, (a,))
+    for exponents in product(range(unit_class_order(kind, q)), repeat=2 if kind == 1 else 1):
+        yield DepthZeroCharacter(kind, q, exponents)
 
 
 def weyl_conjugate(chi: DepthZeroCharacter, w: WeylElem) -> DepthZeroCharacter:
@@ -105,8 +103,27 @@ def is_regular(chi: DepthZeroCharacter) -> bool:
     return len(conjugates) == len(group)
 
 
+@lru_cache(maxsize=None)
+def regular_exponent_rows(kind: int, q: int) -> np.ndarray:
+    """The exponent rows of the regular characters in ``enumerate_characters``
+    order, read-only int64: the rows whose rational Weyl conjugates (formed
+    as in ``weyl_conjugate``) are pairwise distinct, the test of ``is_regular``."""
+    n, rank = unit_class_order(kind, q), 2 if kind == 1 else 1
+    rows = np.stack(np.unravel_index(np.arange(n**rank, dtype=np.int64), (n,) * rank), axis=1)
+    keys = []  # each conjugate's row packed as one integer in base n
+    for w in rational_weyl_group(kind):
+        m = weyl_inverse(w).mat
+        mat = np.array(m if kind == 1 else [[m[0][0] + q * m[0][1]]], dtype=np.int64)
+        keys.append((rows @ mat % n) @ n ** np.arange(rank - 1, -1, -1))
+    keys = np.sort(np.stack(keys, axis=1), axis=1)
+    regular = rows[(np.diff(keys, axis=1) != 0).all(axis=1)]
+    regular.flags.writeable = False
+    return regular
+
+
 def enumerate_regular_characters(kind: int, q: int):
-    return [chi for chi in enumerate_characters(kind, q) if is_regular(chi)]
+    return [DepthZeroCharacter(kind, q, tuple(row))
+            for row in regular_exponent_rows(kind, q).tolist()]
 
 
 # ---------------------------------------------------------------------------

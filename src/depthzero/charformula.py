@@ -452,13 +452,13 @@ def first_unequal_sum(order: int, lhs: np.ndarray, rhs: np.ndarray):
 
 def same_terms(lhs, rhs) -> bool:
     """True when two tables of sorted term keys (``SumTables.theta_keys``,
-    ``orbit_keys``) both exist and agree in every cell.
+    ``orbit_keys``) agree in every cell.
 
     A term with unit point u and phase p contributes zeta_n^(x . u) zeta^p
     to the sum of the character with exponent row x.  Equal multisets of
     (u, p) therefore give equal sums for every x at once.  Unequal
     multisets can still give equal sums, so False is no witness."""
-    return lhs is not None and rhs is not None and np.array_equal(lhs, rhs)
+    return np.array_equal(lhs, rhs)
 
 
 def _dot(exponents, coords):
@@ -483,14 +483,15 @@ class SumTables:
     twisting the lifts and ``positive_roots`` choosing the positive
     system of the denominator as in ``theta``.
     ``labels`` restricts the Weyl labels (default: the rational Weyl group).
+    Raises OverflowError where the term keys, below ambient * n^rank, leave int64.
     """
 
     def __init__(self, ctx: FormulaContext, gamma_rows, parity=None, labels=None):
         kind, q = ctx.kind, ctx.q
         self.ctx = ctx
         self.labels = tuple(labels) if labels is not None else rational_weyl_group(kind)
-        n = unit_class_order(kind, q)
-        if 2 * n * n >= 2**63:
+        n, rank = unit_class_order(kind, q), 2 if kind == 1 else 1
+        if ctx.ambient_order * n**rank >= 2**63:
             raise OverflowError(f"q = {q} exceeds the int64 range of the tables")
         rational_cls, coinv_cls = (T1Rational, T1Coinv) if kind == 1 else (T2Rational, T2Coinv)
         self.gamma_coords = np.asarray(gamma_rows, dtype=np.int64)
@@ -512,7 +513,6 @@ class SumTables:
 
         self.moved_gamma = moved(rational_cls, self.gamma_coords)
         moved_lift = moved(coinv_cls, self.lift_coords)
-        rank = self.gamma_coords.shape[1]
         self.moved_units = moved_lift[:rank]
         # every cover character of the kind takes the same signs on the
         # parity classes: zeta_ambient exponents indexed by the parity columns
@@ -566,11 +566,6 @@ class SumTables:
         units = _dot(base.exponents, self.moved_gamma) % n
         return (units * (amb // n) + self.orbit_shift) % amb
 
-    def _keys_fit(self) -> bool:
-        """Whether ambient * n^rank, the bound of the term keys, fits int64."""
-        n = unit_class_order(self.ctx.kind, self.ctx.q)
-        return self.ctx.ambient_order * n ** len(self.moved_units) < 2**63
-
     def _term_keys(self, points, phases):
         """Each summation term, unit point ``points`` mod n with zeta_ambient
         exponent ``phases``, packed as phase * n^rank + the point in base n,
@@ -581,18 +576,12 @@ class SumTables:
             keys = keys * n + coord % n
         return np.sort(keys, axis=-1)
 
-    def theta_keys(self, positive_roots=None):
-        """The (G, W, S) sorted term keys of ``theta_exponents``, for every
-        character at once; None where they would overflow int64."""
-        if not self._keys_fit():
-            return None
+    def theta_keys(self, positive_roots=None) -> np.ndarray:
+        """The (G, W, S) sorted term keys of ``theta_exponents``, all characters at once."""
         return self._term_keys(-self.moved_units, self._phases(positive_roots))
 
-    def orbit_keys(self):
-        """The (G, W, S) sorted term keys of ``orbit_exponents``, for every
-        base character at once; None where they would overflow int64."""
-        if not self._keys_fit():
-            return None
+    def orbit_keys(self) -> np.ndarray:
+        """The (G, W, S) sorted term keys of ``orbit_exponents``, all characters at once."""
         return self._term_keys(self.moved_gamma, np.int64(self.orbit_shift))
 
     def certify(self) -> bool:

@@ -24,7 +24,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from itertools import islice, product
+from itertools import product
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -32,9 +32,10 @@ import numpy as np
 
 from . import __version__
 from .characters import (
+    DepthZeroCharacter,
     character_to_descriptor,
     enumerate_characters,
-    is_regular,
+    regular_exponent_rows,
     weyl_conjugate,
 )
 from .charformula import (
@@ -406,11 +407,10 @@ def _character_pool(kind, q, limit=None):
     exist (the stated locus of the comparison), and how many regular
     characters the pool holds; the identity needs no regularity, so fall
     back to the full character group rather than passing vacuously."""
-    chars = list(islice(filter(is_regular, enumerate_characters(kind, q)), limit))
-    regular_count = len(chars)
-    if not chars:
-        chars = list(islice(enumerate_characters(kind, q), limit))
-    return chars, regular_count
+    rows = regular_exponent_rows(kind, q)[:limit].tolist()
+    if not rows:
+        return list(enumerate_characters(kind, q))[:limit], 0
+    return [DepthZeroCharacter(kind, q, tuple(row)) for row in rows], len(rows)
 
 
 def check_formula_equals_orbit_sum(params):

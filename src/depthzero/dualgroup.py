@@ -292,7 +292,7 @@ class Pinning:
             if not sp_eq(self.root_subgroup(root, self._zero), self.identity):
                 raise PinningError(f"x_{root}(0) is not the identity")
         # additivity in the parameter on a sample
-        t1, t2 = self.zeta[1], self.zeta[5]
+        t1, t2 = self.zeta[1], self.zeta[5 % self.order]
         for root in ALL_ROOTS:
             lhs = sp_mul(self.root_subgroup(root, t1), self.root_subgroup(root, t2))
             if not sp_eq(lhs, self.root_subgroup(root, t1 + t2)):

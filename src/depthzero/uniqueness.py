@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 from math import gcd
 
 import numpy as np
@@ -20,9 +20,8 @@ import numpy as np
 from . import snf
 from .characters import (
     DepthZeroCharacter,
-    enumerate_characters,
     enumerate_regular_characters,
-    is_regular,
+    regular_exponent_rows,
     weyl_conjugate,
 )
 from .charformula import SumTables, make_context
@@ -170,13 +169,6 @@ class RigidityResult:
     n_characters: int = 0
 
 
-def _rows_by_name(kind: int, q: int) -> np.ndarray:
-    """The strongly regular rows in ``sorted(iter_strongly_regular(kind, q),
-    key=str)`` order: the printed coordinates compare as strings."""
-    rows = strongly_regular_coordinates(kind, q)
-    return rows[np.lexsort(rows.astype(str).T[::-1])]
-
-
 def _orbit_sums(tables: SumTables, chi: DepthZeroCharacter) -> tuple:
     """The orbit sum of ``chi`` at the identity label on every gamma of the
     tables, one reduced ``sum_of_roots`` per gamma: an exact key."""
@@ -189,7 +181,7 @@ def restriction_rigidity_check(kind: int, q: int, *, eval_cap: int = 100_000_000
     """Characters whose summed functions agree on the strongly regular set
     must be Weyl-conjugate; exhaustive below the evaluation cap, sampled
     deterministically above it."""
-    tables = SumTables(make_context(kind, q), _rows_by_name(kind, q),
+    tables = SumTables(make_context(kind, q), strongly_regular_coordinates(kind, q),
                        labels=(weyl_identity(kind),))
     chars = regular = enumerate_regular_characters(kind, q)
     group = rational_weyl_group(kind)
@@ -223,10 +215,11 @@ def restriction_rigidity_check(kind: int, q: int, *, eval_cap: int = 100_000_000
 
 def conjugate_forward_check(kind: int, q: int) -> bool:
     """Weyl-conjugate characters always give equal summed functions."""
-    tables = SumTables(make_context(kind, q), _rows_by_name(kind, q),
+    tables = SumTables(make_context(kind, q), strongly_regular_coordinates(kind, q),
                        labels=(weyl_identity(kind),))
     group = rational_weyl_group(kind)
-    for chi in islice(filter(is_regular, enumerate_characters(kind, q)), 4):
+    for exponents in regular_exponent_rows(kind, q)[:4].tolist():
+        chi = DepthZeroCharacter(kind, q, tuple(exponents))
         base_fn = _orbit_sums(tables, chi)
         for w in group:
             if _orbit_sums(tables, weyl_conjugate(chi, w)) != base_fn:
@@ -260,7 +253,8 @@ def nonvanishing_report(kind: int, q: int) -> NonvanishingReport:
     tables = SumTables(make_context(kind, q), strongly_regular_coordinates(kind, q),
                        labels=(weyl_identity(kind),))
     amb = tables.ctx.ambient_order
-    for chi in filter(is_regular, enumerate_characters(kind, q)):
+    for exponents in regular_exponent_rows(kind, q).tolist():
+        chi = DepthZeroCharacter(kind, q, tuple(exponents))
         for gamma, row in zip(tables.gamma_coords.tolist(),
                               tables.orbit_exponents(chi)[:, 0].tolist()):
             if not sum_of_roots(amb, row).is_zero():

@@ -41,6 +41,7 @@ from depthzero.tori import (
     strongly_regular_coordinates,
     t1_rational,
     t2_rational,
+    unit_class_order,
     weyl_apply,
     weyl_apply_array,
     weyl_group,
@@ -177,17 +178,24 @@ def test_certificate_sees_one_moved_unit_point(kind, side):
     assert any(tables.first_mismatch(chi) is not None for chi in enumerate_characters(kind, 5))
 
 
-def test_certificate_past_int64_falls_back():
-    """At kind 1, q = 2,097,169 the term keys reach ambient * (q + 1)^2 >= 2^63:
-    the certificate declines before it computes a denominator (which refuses
-    this q) and leaves the decision to the per-character loop."""
-    q = 2_097_169
-    ctx = make_context(1, q)
-    assert ctx.ambient_order * (q + 1) ** 2 >= 2**63
-    tables = SumTables(ctx, np.array([[1, 2]]))
-    assert tables.theta_keys() is None
-    assert tables.orbit_keys() is None
-    assert not tables.certify()
+@pytest.mark.parametrize("kind,q,row,fits", [
+    (1, 2_097_169, [1, 2], False),  # the old 2 n^2 guard let this q through
+    (1, 1_663_999, [1, 2], True),
+    (2, 46_341, [1], False),
+    (2, 46_339, [1], True),
+])
+def test_tables_refuse_keys_past_int64(kind, q, row, fits):
+    """The tables refuse at construction exactly where ambient * n^rank, the
+    bound of the term keys, reaches 2^63; below it the keys are formed."""
+    ctx = make_context(kind, q)
+    n, rank = unit_class_order(kind, q), len(row)
+    assert (ctx.ambient_order * n**rank < 2**63) == fits
+    if not fits:
+        with pytest.raises(OverflowError, match="int64 range of the tables"):
+            SumTables(ctx, np.array([row]))
+        return
+    keys = SumTables(ctx, np.array([row])).orbit_keys()
+    assert keys.dtype == np.int64 and (keys >= 0).all()
 
 
 def _elements(cls, q):

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from depthzero import characters
 from depthzero.characters import (
     CoverCharacter,
     DepthZeroCharacter,
@@ -16,6 +18,7 @@ from depthzero.characters import (
     enumerate_inertia_data,
     enumerate_regular_characters,
     is_regular,
+    regular_exponent_rows,
     value_order,
     weyl_conjugate,
 )
@@ -94,6 +97,33 @@ def test_kind1_q3_has_no_regular_characters():
     assert len(enumerate_regular_characters(1, 5)) == 8
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27, 47])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_pool_is_the_regularity_filter(kind, q):
+    """The pool of exponent rows holds exactly the characters that pass
+    ``is_regular``, in ``enumerate_characters`` order, and is read-only."""
+    want = [chi for chi in enumerate_characters(kind, q) if is_regular(chi)]
+    rows = regular_exponent_rows(kind, q)
+    assert rows.dtype == np.int64 and not rows.flags.writeable
+    assert [DepthZeroCharacter(kind, q, tuple(r)) for r in rows.tolist()] == want
+    assert enumerate_regular_characters(kind, q) == want
+
+
+def test_pool_reads_no_rebound_name(monkeypatch):
+    """The cached pool is built without the per-character oracle, so a test
+    that rebinds ``weyl_conjugate`` or ``is_regular`` cannot fill the cache
+    with its break."""
+    want = enumerate_regular_characters(2, 5)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-character oracle called")
+
+    monkeypatch.setattr(characters, "weyl_conjugate", forbidden)
+    monkeypatch.setattr(characters, "is_regular", forbidden)
+    regular_exponent_rows.cache_clear()
+    assert enumerate_regular_characters(2, 5) == want
+
+
 def test_conjugation_is_action():
     for kind in (1, 2):
         group = rational_weyl_group(kind)
@@ -131,7 +161,7 @@ def test_cover_values_on_kernel_classes():
 
 def test_cover_restricts_to_base_through_norm():
     # on valuation-zero classes the value is the base at the norm
-    from depthzero.tori import coinvariant_norm, lift_of_rational
+    from depthzero.tori import lift_of_rational
 
     for kind in (1, 2):
         for chi in list(enumerate_characters(kind, Q))[:8]:

@@ -51,7 +51,6 @@ from depthzero.tori import (
     t1_coinv,
     t1_rational,
     t2_coinv,
-    t2_rational,
     weyl_identity,
 )
 

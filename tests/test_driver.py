@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from depthzero import driver
+from depthzero import charformula, driver, uniqueness
 from depthzero.characters import enumerate_characters, enumerate_regular_characters
 from depthzero.charformula import (
     delta0_eta_exponent,
@@ -443,3 +443,146 @@ def test_traced_benchmark_names_resolve():
             if owner is None:
                 missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+# ---------------------------------------------------------------------------
+# negative controls for the FAIL branches of the structural checks: each
+# break is rebound where the check looks it up, and the same parameters
+# PASS without it
+
+
+def _rebind(module, name, wrap):
+    """A break that rebinds ``module.name`` to ``wrap(original)``."""
+
+    def apply(monkeypatch):
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+
+    return apply
+
+
+def _wrong_triple_product(sign_table):
+    return lambda pin: (sign_table(pin)[0], 1)
+
+
+def _sign_two_in_table(sign_table):
+    def broken(pin):
+        table, signed = sign_table(pin)
+        return {**table, min(table): 2}, signed
+
+    return broken
+
+
+def _flip_cover_value(values):
+    def broken(kind, order=24):
+        out = dict(values(kind, order))
+        out[max(out)] = -out[max(out)]
+        return out
+
+    return broken
+
+
+def _tate(change):
+    """``tate_cohomology`` with its (h1, h0, reps) passed through ``change``."""
+    return lambda tate: lambda kind, q: change(*tate(kind, q))
+
+
+def _collapse_norms(norms):
+    return lambda kind, q, coords: norms(kind, q, coords) * 0
+
+
+def _shrink_unit_axis(shape):
+    return lambda kind, q: (shape(kind, q)[0] - 1, *shape(kind, q)[1:])
+
+
+def _move_parity_norms(norms):
+    """The norm of every class with a nonzero last parity moved by one."""
+    def broken(kind, q, coords):
+        out = norms(kind, q, coords)
+        out[:, 0] = (out[:, 0] + (coords[:, -1] != 0)) % (q + 1 if kind == 1 else q * q + 1)
+        return out
+
+    return broken
+
+
+def _raise_valuations(valuations):
+    return lambda ctx, coords: valuations(ctx, coords) + 1
+
+
+def _constant_denominator(_denominator):
+    return lambda ctx, coords: np.zeros(len(coords), dtype=np.int64)
+
+
+def _turn_minus_branch(denominator):
+    return lambda ctx, coords: (denominator(ctx, coords) + 2 * (ctx.eta_branch < 0)) % 4
+
+
+def _split_classes(classes):
+    return lambda self, chi: tuple((name,) for cls in classes(self, chi) for name in cls)
+
+
+def _merge_classes(classes):
+    return lambda self, chi: (tuple(name for cls in classes(self, chi) for name in cls),)
+
+
+def _exclude_everything(_count):
+    return lambda kind, q: driver.rational_order(kind, q)
+
+
+def _miscount(count):
+    return lambda kind, q: count(kind, q) + 1
+
+
+_ORDER = {"order": 24}
+_TATE = {"kind": 1, "q": 3}
+_TABLES = {"kind": 2, "q": 3, "branch": 1, "seed": 0, "summation": "full", "epsilon_gt": 1}
+FAIL_BRANCHES = [  # (label, check, params, break, witness keys)
+    ("structure-signs-product", "structure_signs", _ORDER,
+     _rebind(driver, "reflection_sign_table", _wrong_triple_product), {"signed_triple_product"}),
+    ("structure-signs-table", "structure_signs", _ORDER,
+     _rebind(driver, "reflection_sign_table", _sign_two_in_table), {"table"}),
+    ("cover-values", "cover_values", {**_ORDER, "kind": 1},
+     _rebind(driver, "cover_class_values", _flip_cover_value), {"got", "expected"}),
+    ("cohomology-orders", "tate_orders", _TATE,
+     _rebind(driver, "tate_cohomology", _tate(lambda h1, h0, reps: (2 * h1, h0, reps))),
+     {"orders", "expected"}),
+    ("exact-sequence-orders", "exact_sequence", _TATE,
+     _rebind(driver, "tate_cohomology", _tate(lambda h1, h0, reps: (h1, h0 + 1, reps))),
+     {"h1", "rational", "coinvariants", "h0"}),
+    ("exact-sequence-surjectivity", "exact_sequence", _TATE,
+     _rebind(driver, "coinvariant_norm_array", _collapse_norms), {"norm_image", "rational"}),
+    ("representatives", "tate_representatives", _TATE,
+     _rebind(driver, "tate_cohomology", _tate(lambda h1, h0, reps: (h1, h0, reps[:-1]))),
+     {"representatives"}),
+    ("splitting-product", "splitting", _TATE,
+     _rebind(driver, "coinvariant_shape", _shrink_unit_axis), {"class"}),
+    ("splitting-norm-kernel", "splitting", _TATE,
+     _rebind(driver, "coinvariant_norm_array", _move_parity_norms), {"class", "reason"}),
+    ("lift-independence-valuations", "lift_independence_formula", _TABLES,
+     _rebind(driver, "weyl_denominator_valuations", _raise_valuations), {"gamma", "valuations"}),
+    ("lift-independence-sign-shift", "lift_independence_formula", _TABLES,
+     _rebind(charformula, "weyl_denominator_exponent_array", _constant_denominator),
+     {"gamma", "reason"}),
+    ("eta-branch", "eta_branch", _TABLES,
+     _rebind(charformula, "weyl_denominator_exponent_array", _turn_minus_branch),
+     {"branch", "witness"}),
+    ("packet-one-class", "packet_conjugation", _TABLES,
+     _rebind(charformula.SumTables, "packet_classes", _split_classes), {"classes", "reason"}),
+    ("packet-trivial-group", "packet_conjugation", _TABLES,
+     _rebind(charformula.SumTables, "packet_classes", _merge_classes),
+     {"classes", "distinct_conjugates"}),
+    ("thresholds-scan", "threshold_scan", {"kind": 2, "q_max": 9, "eval_cap": 100_000_000},
+     _rebind(uniqueness, "excluded_count", _exclude_everything), {"failing_q"}),
+    ("excluded-crosscheck", "excluded_crosscheck", _TATE,
+     _rebind(driver, "excluded_count", _miscount), {"enumeration", "inclusion_exclusion"}),
+]
+
+
+@pytest.mark.parametrize("label,name,params,apply,keys", FAIL_BRANCHES,
+                         ids=[row[0] for row in FAIL_BRANCHES])
+def test_structural_check_fails_under_its_break(monkeypatch, label, name, params, apply, keys):
+    check = driver.REGISTRY[name].check
+    assert check(dict(params))[0] == "PASS"
+    apply(monkeypatch)
+    outcome, witness, _info = check(dict(params))
+    assert outcome == "FAIL", label
+    assert set(witness) == keys

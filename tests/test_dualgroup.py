@@ -341,7 +341,7 @@ def test_lift_independence_exhaustive(order):
                 assert twisted_frobenius_power(pin_n, kind, a, b) == base, (kind, a, b)
 
 
-@pytest.mark.parametrize("order", [8, 12, 48, 120])
+@pytest.mark.parametrize("order", [4, 6, 8, 12, 48, 120])
 def test_chevalley_campaign_passes_at_order(order):
     tasks = driver.build_tasks("chevalley", driver.Config(cyclotomic_order=order))
     records = [driver.run_task(t)[0] for t in tasks]

@@ -13,8 +13,6 @@ from depthzero.ffield import (
     FieldTower,
     ff_frobenius,
     ff_in_subfield,
-    ff_inv,
-    ff_mul,
     ff_norm,
     is_prime,
 )

@@ -525,7 +525,9 @@ SCALAR_PAIR_MODEL = [((driver, tori), ("quad_from_pair", "pair_from_quad", "quad
 # local import inside a check cannot reach them)
 SCALAR_OBJECTS = [((charformula, driver, tori), ("iter_strongly_regular", "enumerate_coinvariants",
                                                  "lift_of_rational", "coinv_mul",
-                                                 "rho_shift_closed_sign"))]
+                                                 "rho_shift_closed_sign")),
+                  # the regular characters come from the pool of exponent rows
+                  ((characters, driver, uniqueness), ("is_regular",))]
 # (argv, expected record count or None to compare with the golden report, forbidden paths)
 CAMPAIGNS = {
     "identity": (["identity", "--q", "3,5", "--kind", "both", "--eta-branch", "both"], 21,
@@ -538,6 +540,8 @@ CAMPAIGNS = {
 def _forbid(monkeypatch, paths):
     def forbidden(*args, **kwargs):
         raise AssertionError("scalar path called")
+
+    characters.regular_exponent_rows.cache_clear()  # rebuild the pool under the guard
 
     for owners, names in paths:
         for owner in owners:
