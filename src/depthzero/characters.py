@@ -2,14 +2,15 @@
 
 A depth-zero character is a character of the finite rational torus
 (mu_(q+1) x mu_(q+1) for torus 1, mu_(q^2+1) for torus 2), stored by its
-exponents.  The checks read the regular ones (trivial Weyl stabilizer)
-from one pool, ``regular_exponent_rows``: int64 rows cached per (kind, q)
-and made characters only where a check needs them; ``is_regular`` is its
-oracle.  A cover character extends a character to the coinvariant group:
-the composite with the norm on the unit-class subgroup, the fixed
-dual-group signs on the valuation-parity subgroup.  Values are exponents
-of a root of unity of order ``value_order``, so sums assemble exactly.
-``CoverCharacter`` serves only the scalar oracle ``charformula.theta``.
+exponents.  The checks hold characters as int64 exponent rows: the
+regular ones from one pool, ``regular_exponent_rows``, conjugated by
+``conjugate_rows``; an object is made only for a FAIL witness, and
+``weyl_conjugate`` and ``is_regular`` are the oracles.  A cover character
+extends a character to the coinvariant group: the composite with the
+norm on the unit-class subgroup, the fixed dual-group signs on the
+valuation-parity subgroup.  Values are exponents of a root of unity of
+order ``value_order``, so sums assemble exactly; ``CoverCharacter``
+serves only the scalar oracle ``charformula.theta``.
 
 The inertia-datum machinery realizes the bijection between equivariant
 homomorphisms from the residue multiplicative group into dual-torus
@@ -38,6 +39,7 @@ from .tori import (
     rational_weyl_group,
     unit_class_order,
     weyl_inverse,
+    weyl_matrix,
 )
 
 
@@ -103,20 +105,36 @@ def is_regular(chi: DepthZeroCharacter) -> bool:
     return len(conjugates) == len(group)
 
 
+def exponent_rows(kind: int, q: int) -> np.ndarray:
+    """The int64 exponent rows of every character, in ``enumerate_characters`` order."""
+    n, rank = unit_class_order(kind, q), 2 if kind == 1 else 1
+    return np.stack(np.unravel_index(np.arange(n**rank, dtype=np.int64), (n,) * rank), axis=1)
+
+
+def conjugate_rows(kind: int, q: int, rows) -> np.ndarray:
+    """``weyl_conjugate`` of one exponent row, or of a block (..., rank), by
+    every rational Weyl element, as (W, ..., rank) in ``rational_weyl_group``
+    order: w_* chi = chi o w^-1 has the row x @ M mod n, M the
+    ``weyl_matrix`` of w^-1 on rational rows."""
+    cls = T1Rational if kind == 1 else T2Rational
+    mats = np.stack([weyl_matrix(q, weyl_inverse(w), cls)[0] for w in rational_weyl_group(kind)])
+    conj = np.tensordot(np.asarray(rows, dtype=np.int64), mats, axes=([-1], [1]))
+    return np.moveaxis(conj % unit_class_order(kind, q), -2, 0)
+
+
+_conjugate_rows = conjugate_rows  # the pool's own name, out of reach of a rebinding
+
+
 @lru_cache(maxsize=None)
 def regular_exponent_rows(kind: int, q: int) -> np.ndarray:
-    """The exponent rows of the regular characters in ``enumerate_characters``
-    order, read-only int64: the rows whose rational Weyl conjugates (formed
-    as in ``weyl_conjugate``) are pairwise distinct, the test of ``is_regular``."""
+    """The read-only exponent rows of the regular characters, in
+    ``enumerate_characters`` order: those whose ``conjugate_rows`` are
+    pairwise distinct (``is_regular``).  No rebinding of either reaches it."""
     n, rank = unit_class_order(kind, q), 2 if kind == 1 else 1
-    rows = np.stack(np.unravel_index(np.arange(n**rank, dtype=np.int64), (n,) * rank), axis=1)
-    keys = []  # each conjugate's row packed as one integer in base n
-    for w in rational_weyl_group(kind):
-        m = weyl_inverse(w).mat
-        mat = np.array(m if kind == 1 else [[m[0][0] + q * m[0][1]]], dtype=np.int64)
-        keys.append((rows @ mat % n) @ n ** np.arange(rank - 1, -1, -1))
-    keys = np.sort(np.stack(keys, axis=1), axis=1)
-    regular = rows[(np.diff(keys, axis=1) != 0).all(axis=1)]
+    rows = exponent_rows(kind, q)
+    # each conjugate's row packed as one integer in base n
+    keys = np.sort(_conjugate_rows(kind, q, rows) @ n ** np.arange(rank - 1, -1, -1), axis=0)
+    regular = rows[(np.diff(keys, axis=0) != 0).all(axis=0)]
     regular.flags.writeable = False
     return regular
 

@@ -71,11 +71,11 @@ from .tori import (
     torus_level,
     unit_class_order,
     weyl_apply,
-    weyl_apply_array,
     weyl_compose,
     weyl_group,
     weyl_identity,
     weyl_inverse,
+    weyl_matrix,
 )
 
 
@@ -386,7 +386,7 @@ def theta(ctx: FormulaContext, chi: CoverCharacter, w: WeylElem, gamma,
     scale = amb // ctx.value_order
     for n in ctx.summation:
         nw = weyl_compose(n, w)
-        moved = _apply_inverse(ctx.q, nw, lift)
+        moved = weyl_apply(ctx.q, weyl_inverse(nw), lift)
         exps.append(chi.eval_exponent(moved) * scale)
     if positive_roots is None:
         den4 = weyl_denominator_exponent(ctx, canonical_rep(lift))
@@ -399,10 +399,6 @@ def theta(ctx: FormulaContext, chi: CoverCharacter, w: WeylElem, gamma,
     if ctx.epsilon_chi < 0:
         shift = (shift + amb // 2) % amb
     return sum_of_roots(amb, [(e + shift) % amb for e in exps])
-
-
-def _apply_inverse(q, w, x):
-    return weyl_apply(q, weyl_inverse(w), x)
 
 
 def orbit_character_sum(ctx: FormulaContext, base: DepthZeroCharacter,
@@ -419,7 +415,7 @@ def orbit_character_sum(ctx: FormulaContext, base: DepthZeroCharacter,
     exps = []
     for n in ctx.summation:
         nw = weyl_compose(n, w)
-        moved = _apply_inverse(ctx.q, nw, gamma)
+        moved = weyl_apply(ctx.q, weyl_inverse(nw), gamma)
         exps.append((base.eval_exponent(moved) * scale + shift) % amb)
     return sum_of_roots(amb, exps)
 
@@ -461,10 +457,6 @@ def same_terms(lhs, rhs) -> bool:
     return np.array_equal(lhs, rhs)
 
 
-def _dot(exponents, coords):
-    return sum(int(e) * c for e, c in zip(exponents, coords))
-
-
 class SumTables:
     """``theta`` and ``orbit_character_sum`` on a grid of strongly regular
     elements, given as rational coordinate rows, times rational Weyl
@@ -475,11 +467,11 @@ class SumTables:
     lifts and the kind's cover signs on their parity classes here, the
     phase of each theta term (those signs, the Weyl denominator of its lift
     and ``epsilon_chi``) once per positive system, on first use.  Per
-    character of the finite rational torus, ``theta_exponents`` (of its
-    cover character) and ``orbit_exponents`` give (G, W, S) arrays of
-    zeta_ambient exponents (G elements, W labels, S summation elements)
-    whose sums over the last axis are exactly the scalar values, with
-    ``parity`` (the parity columns, as ``lift_of_rational`` takes them)
+    exponent row, ``theta_exponents`` (of its cover character) and
+    ``orbit_exponents`` give (G, W, S) arrays of zeta_ambient exponents (G
+    elements, W labels, S summation elements) whose sums over the last axis
+    are exactly the scalar values (a block of rows adds its leading axes),
+    with ``parity`` (the parity columns, as ``lift_of_rational`` takes them)
     twisting the lifts and ``positive_roots`` choosing the positive
     system of the denominator as in ``theta``.
     ``labels`` restricts the Weyl labels (default: the rational Weyl group).
@@ -505,11 +497,10 @@ class SumTables:
 
         def moved(cls, coords):
             """Coordinate-first (d, G, W, S) array of the moved elements."""
-            table = np.stack([
-                np.stack([weyl_apply_array(q, m, cls, coords) for m in row], axis=1)
-                for row in inverses
-            ], axis=1)
-            return np.ascontiguousarray(np.moveaxis(table, -1, 0))
+            mats = np.array([[weyl_matrix(q, m, cls)[0] for m in row] for row in inverses])
+            moduli = weyl_matrix(q, inverses[0][0], cls)[1]
+            table = mats @ coords.T % moduli[:, None]  # (W, S, d, G)
+            return np.ascontiguousarray(table.transpose(2, 3, 0, 1))
 
         self.moved_gamma = moved(rational_cls, self.gamma_coords)
         moved_lift = moved(coinv_cls, self.lift_coords)
@@ -547,24 +538,23 @@ class SumTables:
             self._phase_tables[key] = (self.cover_phases + shift[:, None, None]) % amb
         return self._phase_tables[key]
 
-    def _check_character(self, chi):
-        if chi.kind != self.ctx.kind or chi.q != self.ctx.q:
-            raise ValueError("character does not match the context")
+    def _values(self, rows, points) -> np.ndarray:
+        """The exponent rows on the unit points, as zeta_ambient exponents;
+        a row of the wrong rank raises ValueError."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.shape[-1:] != points.shape[:1]:
+            raise ValueError(f"kind {self.ctx.kind} characters are rows of {len(points)} exponents")
+        n = unit_class_order(self.ctx.kind, self.ctx.q)
+        return np.tensordot(rows, points, axes=1) % n * (self.ctx.ambient_order // n)
 
-    def theta_exponents(self, chi: DepthZeroCharacter, positive_roots=None) -> np.ndarray:
-        """The cover character of ``chi`` on the moved lifts, minus the
-        denominator."""
-        self._check_character(chi)
-        n, amb = unit_class_order(self.ctx.kind, self.ctx.q), self.ctx.ambient_order
-        units = -_dot(chi.exponents, self.moved_units) % n
-        return (units * (amb // n) + self._phases(positive_roots)) % amb
+    def theta_exponents(self, rows, positive_roots=None) -> np.ndarray:
+        """The cover character of each row on the moved lifts, minus the denominator."""
+        units = self._values(np.negative(rows), self.moved_units)
+        return (units + self._phases(positive_roots)) % self.ctx.ambient_order
 
-    def orbit_exponents(self, base: DepthZeroCharacter) -> np.ndarray:
-        """The base character on the moved rational elements."""
-        self._check_character(base)
-        n, amb = unit_class_order(self.ctx.kind, self.ctx.q), self.ctx.ambient_order
-        units = _dot(base.exponents, self.moved_gamma) % n
-        return (units * (amb // n) + self.orbit_shift) % amb
+    def orbit_exponents(self, rows) -> np.ndarray:
+        """The base character of each row on the moved rational elements."""
+        return (self._values(rows, self.moved_gamma) + self.orbit_shift) % self.ctx.ambient_order
 
     def _term_keys(self, points, phases):
         """Each summation term, unit point ``points`` mod n with zeta_ambient
@@ -589,22 +579,23 @@ class SumTables:
         character; False proves nothing (see ``same_terms``)."""
         return same_terms(self.theta_keys(), self.orbit_keys())
 
-    def first_mismatch(self, chi: DepthZeroCharacter):
-        """(gamma index, label index) of the first (gamma, w), gamma outer,
-        where theta of ``chi`` differs from its orbit sum; None if none."""
+    def first_mismatch(self, rows):
+        """The index ((row,) gamma, label) of the first cell, in C order,
+        where theta differs from the orbit sum; None if none."""
         return first_unequal_sum(
-            self.ctx.ambient_order, self.theta_exponents(chi), self.orbit_exponents(chi)
+            self.ctx.ambient_order, self.theta_exponents(rows), self.orbit_exponents(rows)
         )
 
-    def packet_classes(self, chi: DepthZeroCharacter) -> tuple[tuple[str, ...], ...]:
-        """``packet(ctx, cover_character(chi)).classes``: the labels grouped
-        by exact equality of their theta values on every element, in label
-        order."""
-        exps = self.theta_exponents(chi)
+    def packet_classes(self, rows) -> tuple[tuple[str, ...], ...]:
+        """``packet(ctx, cover_character(chi)).classes`` for the row of chi:
+        the labels grouped by exact equality of their theta values on every
+        element (and every row of a block), in label order."""
+        exps = self.theta_exponents(rows)
         classes: list[list[int]] = []
         for i in range(len(self.labels)):
             for cls in classes:
-                if not unequal_mask(self.ctx.ambient_order, exps[:, cls[0]], exps[:, i]).any():
+                if not unequal_mask(self.ctx.ambient_order, exps[..., cls[0], :],
+                                    exps[..., i, :]).any():
                     cls.append(i)
                     break
             else:

@@ -34,9 +34,9 @@ from . import __version__
 from .characters import (
     DepthZeroCharacter,
     character_to_descriptor,
-    enumerate_characters,
+    conjugate_rows,
+    exponent_rows,
     regular_exponent_rows,
-    weyl_conjugate,
 )
 from .charformula import (
     PACKET_CAVEAT,
@@ -403,14 +403,19 @@ def check_norm_consistency(params):
 
 
 def _character_pool(kind, q, limit=None):
-    """The first ``limit`` (default: all) regular characters when they
-    exist (the stated locus of the comparison), and how many regular
-    characters the pool holds; the identity needs no regularity, so fall
-    back to the full character group rather than passing vacuously."""
-    rows = regular_exponent_rows(kind, q)[:limit].tolist()
-    if not rows:
-        return list(enumerate_characters(kind, q))[:limit], 0
-    return [DepthZeroCharacter(kind, q, tuple(row)) for row in rows], len(rows)
+    """The exponent rows of the first ``limit`` (default: all) regular
+    characters when they exist (the stated locus of the comparison), and
+    how many the pool holds; the identity needs no regularity, so fall
+    back to every character rather than passing vacuously."""
+    rows = regular_exponent_rows(kind, q)[:limit]
+    if not len(rows):
+        return exponent_rows(kind, q)[:limit], 0
+    return rows, len(rows)
+
+
+def _descriptor(kind, q, row, branch=1):
+    """The witness descriptor of the character with this exponent row."""
+    return character_to_descriptor(DepthZeroCharacter(kind, q, tuple(row.tolist())), branch)
 
 
 def check_formula_equals_orbit_sum(params):
@@ -421,12 +426,12 @@ def check_formula_equals_orbit_sum(params):
     # equal summation terms prove every character at once; the per-character
     # loop runs only to find the witness
     if not tables.certify():
-        for chi in chars:
-            hit = tables.first_mismatch(chi)
+        for row in chars:
+            hit = tables.first_mismatch(row)
             if hit is not None:
                 g, w = hit
                 return _fail({
-                    "character": character_to_descriptor(chi, branch),
+                    "character": _descriptor(kind, q, row, branch),
                     "gamma": str(rational_of_row(kind, q, tables.gamma_coords[g])),
                     "w": tables.labels[w].name,
                 })
@@ -459,9 +464,8 @@ def check_lift_independence_formula(params):
     for t, tables in enumerate(twisted):
         if same_terms(base_keys, tables.theta_keys()):
             continue  # every character agrees on this twist
-        for c, chi in enumerate(chars):
-            value_bad[:, c, t] = unequal_mask(ctx.ambient_order, base.theta_exponents(chi),
-                                              tables.theta_exponents(chi))[:, 0]
+        value_bad[:, :, t] = unequal_mask(ctx.ambient_order, base.theta_exponents(chars),
+                                          tables.theta_exponents(chars))[:, :, 0].T
     profile_bad = (profiles != profile_expected).any(axis=1)
     failing = np.flatnonzero(profile_bad | shift_bad | value_bad.any(axis=(1, 2)))
     if failing.size:
@@ -473,7 +477,7 @@ def check_lift_independence_formula(params):
             witness["reason"] = "denominator sign shift"
         else:
             c, t = np.argwhere(value_bad[g])[0]
-            witness.update(character=character_to_descriptor(chars[c]), twist=str(twists[t]))
+            witness.update(character=_descriptor(kind, q, chars[c]), twist=str(twists[t]))
         return _fail(witness)
     return _ok({"twists": len(twists)})
 
@@ -554,15 +558,15 @@ def check_positive_systems(params):
     for name, roots in systems:
         if same_terms(default_keys, tables.theta_keys(roots)):
             continue  # every character agrees on this system
-        for chi in chars:
-            hit = first_unequal_sum(ctx.ambient_order, tables.theta_exponents(chi),
-                                    tables.theta_exponents(chi, roots))
-            if hit is not None:
-                return _fail({
-                    "system": name,
-                    "character": character_to_descriptor(chi),
-                    "gamma": str(rational_of_row(kind, q, tables.gamma_coords[hit[0]])),
-                })
+        hit = first_unequal_sum(ctx.ambient_order, tables.theta_exponents(chars),
+                                tables.theta_exponents(chars, roots))
+        if hit is not None:
+            c, g = hit[:2]
+            return _fail({
+                "system": name,
+                "character": _descriptor(kind, q, chars[c]),
+                "gamma": str(rational_of_row(kind, q, tables.gamma_coords[g])),
+            })
     comparisons = len(systems) * len(chars) * len(tables.gamma_coords)
     return _ok({"systems": len(systems), "comparisons": comparisons})
 
@@ -613,26 +617,23 @@ def check_packet_conjugation(params):
     # configured one; the trivial group below separates the conjugates
     full = tables if params.get("summation", "full") == "full" else SumTables(
         _context_from_params({**params, "summation": "full"}), gammas)
-    for chi in chars:
-        lhs = tables.theta_exponents(chi)
-        rhs = np.stack([tables.theta_exponents(weyl_conjugate(chi, w))[:, one] for w in labels],
-                       axis=1)
-        hit = first_unequal_sum(ctx.ambient_order, lhs.swapaxes(0, 1), rhs.swapaxes(0, 1))
+    for row in chars:
+        lhs = tables.theta_exponents(row).swapaxes(0, 1)
+        rhs = tables.theta_exponents(conjugate_rows(kind, q, row))[:, :, one]
+        hit = first_unequal_sum(ctx.ambient_order, lhs, rhs)
         if hit is not None:
             w, g = hit
             return _fail({"w": labels[w].name, "gamma": str(rational_of_row(kind, q, gammas[g])),
-                          "character": character_to_descriptor(chi)})
-        classes = full.packet_classes(chi)
+                          "character": _descriptor(kind, q, row)})
+        classes = full.packet_classes(row)
         if len(classes) != 1:
             return _fail({"classes": [list(c) for c in classes],
                           "reason": "full summation group must give one class"})
     # with the trivial summation subgroup the classes separate conjugates
-    chi = chars[0]
     trivial = SumTables(_context_from_params({**params, "summation": "trivial"}), gammas)
-    classes = trivial.packet_classes(chi)
-    distinct = len({
-        trivial.orbit_exponents(weyl_conjugate(chi, w))[:, one].tobytes() for w in labels
-    })
+    classes = trivial.packet_classes(chars[0])
+    conjugates = trivial.orbit_exponents(conjugate_rows(kind, q, chars[0]))[:, :, one]
+    distinct = len({c.tobytes() for c in conjugates})
     if len(classes) != distinct:
         return _fail({"classes": len(classes), "distinct_conjugates": distinct})
     return _ok({"packet_caveat": PACKET_CAVEAT})

@@ -3,13 +3,13 @@
 Torus 1 splits over the quadratic unramified extension, torus 2 over the
 quartic one.  Both are handled through the identification of their
 E-points with pairs (w, z) in E* x E*, on which the Weyl group acts by
-monomial maps (2x2 integer matrices on exponents) and the Galois group
-acts by Frobenius composed with a monomial map.  Coinvariants are kept
-in normal form: unit class (dlog modulo q+1 resp. q^2+1) plus valuation
-parity.  Tate cohomology of the E-points is computed independently on
-the finitely generated abelian-group model via Smith normal form, so the
-structural claims about the norm exact sequence are machine-checked
-rather than assumed.
+monomial maps (2x2 integer matrices on exponents; on coordinate rows,
+the cached ``weyl_matrix``) and the Galois group acts by Frobenius
+composed with a monomial map.  Coinvariants are kept in normal form:
+unit class (dlog modulo q+1 resp. q^2+1) plus valuation parity.  Tate
+cohomology of the E-points is computed independently on the finitely
+generated abelian-group model via Smith normal form, so the structural
+claims about the norm exact sequence are machine-checked.
 """
 
 from __future__ import annotations
@@ -477,31 +477,27 @@ def coordinate_array(cls, xs) -> np.ndarray:
     ).reshape(-1, len(names))
 
 
-def weyl_apply_array(q: int, w: WeylElem, cls, coords: np.ndarray) -> np.ndarray:
-    """``weyl_apply`` on every row of a ``coordinate_array(cls, ...)``.
-
-    Torus-2 coinvariants use the pair-model projection directly on the
-    normal form: u -> (m00 - q m10) u mod q^2+1, v -> (m00 - m10) v mod 2.
-    """
-    m = np.array(w.mat, dtype=np.int64)
-    if cls is T1Rational:
-        return (coords @ m.T) % (q + 1)
-    if cls is T1Coinv:
-        return np.concatenate(
-            [(coords[:, :2] @ m.T) % (q + 1), (coords[:, 2:] @ m.T) % 2], axis=1
-        )
-    if not is_rational(w):
+@lru_cache(maxsize=None)
+def weyl_matrix(q: int, w: WeylElem, cls) -> tuple[np.ndarray, np.ndarray]:
+    """The integer matrix M and column moduli of ``weyl_apply(q, w, .)`` on
+    ``coordinate_array(cls, ...)`` rows: x goes to x @ M.T % moduli.  Both
+    are read-only int64, cached per (q, w, cls).  Torus-2 coinvariants use
+    the pair-model projection on the normal form: u -> (m00 - q m10) u mod
+    q^2+1, v -> (m00 - m10) v mod 2."""
+    if cls in (T2Rational, T2Coinv) and not is_rational(w):
         raise NonRationalWeylError(f"{w.name!r} does not act on {cls.__name__}")
-    n = q * q + 1
-    if cls is T2Rational:
-        return (coords * (m[0, 0] + q * m[0, 1])) % n
-    if cls is T2Coinv:
-        return np.stack(
-            [(coords[:, 0] * (m[0, 0] - q * m[1, 0])) % n,
-             (coords[:, 1] * (m[0, 0] - m[1, 0])) % 2],
-            axis=1,
-        )
-    raise TypeError(f"cannot apply Weyl element to {cls.__name__}")
+    (a, b), (c, d) = w.mat
+    n1, n2 = q + 1, q * q + 1
+    forms = {T1Rational: ([[a, b], [c, d]], [n1, n1]),
+             T1Coinv: ([[a, b, 0, 0], [c, d, 0, 0], [0, 0, a, b], [0, 0, c, d]], [n1, n1, 2, 2]),
+             T2Rational: ([[a + q * b]], [n2]),
+             T2Coinv: ([[a - q * c, 0], [0, a - c]], [n2, 2])}
+    if cls not in forms:
+        raise TypeError(f"cannot apply Weyl element to {cls.__name__}")
+    out = tuple(np.array(x, dtype=np.int64) for x in forms[cls])
+    for array in out:
+        array.flags.writeable = False
+    return out
 
 
 # The pair model on integer rows (dlog_w, val_w, dlog_z, val_z), residues at

@@ -10,6 +10,7 @@ over the root kernels via Smith normal form solution counting.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -18,12 +19,7 @@ from math import gcd
 import numpy as np
 
 from . import snf
-from .characters import (
-    DepthZeroCharacter,
-    enumerate_regular_characters,
-    regular_exponent_rows,
-    weyl_conjugate,
-)
+from .characters import conjugate_rows, regular_exponent_rows
 from .charformula import SumTables, make_context
 from .cyclo import sum_of_roots
 from .ffield import prime_power
@@ -169,11 +165,17 @@ class RigidityResult:
     n_characters: int = 0
 
 
-def _orbit_sums(tables: SumTables, chi: DepthZeroCharacter) -> tuple:
-    """The orbit sum of ``chi`` at the identity label on every gamma of the
-    tables, one reduced ``sum_of_roots`` per gamma: an exact key."""
+def _identity_tables(kind: int, q: int) -> SumTables:
+    """The orbit-sum tables at the identity label on the strongly regular set."""
+    return SumTables(make_context(kind, q), strongly_regular_coordinates(kind, q),
+                     labels=(weyl_identity(kind),))
+
+
+def _orbit_sums(tables: SumTables, row) -> tuple:
+    """The orbit sum of the exponent row at the identity label on every
+    gamma of the tables, one reduced ``sum_of_roots`` per gamma: an exact key."""
     amb = tables.ctx.ambient_order
-    return tuple(sum_of_roots(amb, row) for row in tables.orbit_exponents(chi)[:, 0].tolist())
+    return tuple(sum_of_roots(amb, terms) for terms in tables.orbit_exponents(row)[:, 0].tolist())
 
 
 def restriction_rigidity_check(kind: int, q: int, *, eval_cap: int = 100_000_000,
@@ -181,48 +183,41 @@ def restriction_rigidity_check(kind: int, q: int, *, eval_cap: int = 100_000_000
     """Characters whose summed functions agree on the strongly regular set
     must be Weyl-conjugate; exhaustive below the evaluation cap, sampled
     deterministically above it."""
-    tables = SumTables(make_context(kind, q), strongly_regular_coordinates(kind, q),
-                       labels=(weyl_identity(kind),))
-    chars = regular = enumerate_regular_characters(kind, q)
-    group = rational_weyl_group(kind)
-    est = len(chars) * len(tables.gamma_coords) * len(group)
-    exhaustive = est <= eval_cap
+    tables = _identity_tables(kind, q)
+    regular = regular_exponent_rows(kind, q)
+    chars = [tuple(row) for row in regular.tolist()]
+    per_character = len(tables.gamma_coords) * weyl_order(kind)
+    exhaustive = len(chars) * per_character <= eval_cap
     if not exhaustive:
-        import random
-
         rng = random.Random(seed)
-        keep = max(2, eval_cap // max(1, len(tables.gamma_coords) * len(group)))
+        keep = max(2, eval_cap // max(1, per_character))
         chars = rng.sample(chars, min(keep, len(chars)))
-    coverage = Fraction(len(chars), len(regular)) if regular else Fraction(1)
+    coverage = Fraction(len(chars), len(regular)) if len(regular) else Fraction(1)
 
     by_function: dict = {}
-    for chi in chars:
-        by_function.setdefault(_orbit_sums(tables, chi), []).append(chi)
+    for row in chars:
+        by_function.setdefault(_orbit_sums(tables, row), []).append(row)
 
     checked = 0
     for _key, bucket in by_function.items():
         base = bucket[0]
-        orbit = {weyl_conjugate(base, w).exponents for w in group}
+        orbit = {tuple(conj) for conj in conjugate_rows(kind, q, base).tolist()}
         for other in bucket[1:]:
             checked += 1
-            if other.exponents not in orbit:
+            if other not in orbit:
                 return RigidityResult(
-                    kind, q, False, (base.exponents, other.exponents),
-                    exhaustive, coverage, checked, len(chars),
+                    kind, q, False, (base, other), exhaustive, coverage, checked, len(regular),
                 )
-    return RigidityResult(kind, q, True, None, exhaustive, coverage, checked, len(chars))
+    return RigidityResult(kind, q, True, None, exhaustive, coverage, checked, len(regular))
 
 
 def conjugate_forward_check(kind: int, q: int) -> bool:
     """Weyl-conjugate characters always give equal summed functions."""
-    tables = SumTables(make_context(kind, q), strongly_regular_coordinates(kind, q),
-                       labels=(weyl_identity(kind),))
-    group = rational_weyl_group(kind)
-    for exponents in regular_exponent_rows(kind, q)[:4].tolist():
-        chi = DepthZeroCharacter(kind, q, tuple(exponents))
-        base_fn = _orbit_sums(tables, chi)
-        for w in group:
-            if _orbit_sums(tables, weyl_conjugate(chi, w)) != base_fn:
+    tables = _identity_tables(kind, q)
+    for row in regular_exponent_rows(kind, q)[:4]:
+        base_fn = _orbit_sums(tables, row)
+        for conj in conjugate_rows(kind, q, row):
+            if _orbit_sums(tables, conj) != base_fn:
                 return False
     return True
 
@@ -250,15 +245,13 @@ def nonvanishing_report(kind: int, q: int) -> NonvanishingReport:
     """Exhibit a regular character and a strongly regular element where the
     orbit sum is nonzero; characters are reached lazily and sums reduced
     one gamma at a time, up to the first nonzero one."""
-    tables = SumTables(make_context(kind, q), strongly_regular_coordinates(kind, q),
-                       labels=(weyl_identity(kind),))
+    tables = _identity_tables(kind, q)
     amb = tables.ctx.ambient_order
-    for exponents in regular_exponent_rows(kind, q).tolist():
-        chi = DepthZeroCharacter(kind, q, tuple(exponents))
-        for gamma, row in zip(tables.gamma_coords.tolist(),
-                              tables.orbit_exponents(chi)[:, 0].tolist()):
-            if not sum_of_roots(amb, row).is_zero():
-                return NonvanishingReport(kind, q, chi.exponents, tuple(gamma))
+    for row in regular_exponent_rows(kind, q):
+        for gamma, terms in zip(tables.gamma_coords.tolist(),
+                                tables.orbit_exponents(row)[:, 0].tolist()):
+            if not sum_of_roots(amb, terms).is_zero():
+                return NonvanishingReport(kind, q, tuple(row.tolist()), tuple(gamma))
     raise RuntimeError(
         f"every orbit sum vanished on the strongly regular set (kind {kind}, q {q})"
     )

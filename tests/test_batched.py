@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from depthzero import characters, charformula, driver
-from depthzero.characters import cover_character, enumerate_characters
+from depthzero.characters import DepthZeroCharacter, cover_character, enumerate_characters
 from depthzero.charformula import (
     NotStronglyRegularError,
     SumTables,
@@ -43,8 +43,8 @@ from depthzero.tori import (
     t2_rational,
     unit_class_order,
     weyl_apply,
-    weyl_apply_array,
     weyl_group,
+    weyl_matrix,
 )
 
 
@@ -58,6 +58,13 @@ def _parity(twist):
     return (twist.v1, twist.v2) if isinstance(twist, T1Coinv) else twist.v
 
 
+def _pool(kind, q, limit=None):
+    """The pooled exponent rows, each with its character for the scalar
+    oracles."""
+    rows, _ = driver._character_pool(kind, q, limit)
+    return [(row, DepthZeroCharacter(kind, q, tuple(row.tolist()))) for row in rows]
+
+
 def _tables(ctx, parity=None, labels=None):
     """The strongly regular elements of the context and their tables;
     ``parity`` is a parity class, as ``theta`` takes it."""
@@ -68,13 +75,12 @@ def _tables(ctx, parity=None, labels=None):
 
 def _assert_matches_scalar(ctx, parity=None):
     kind, q = ctx.kind, ctx.q
-    chars, _ = driver._character_pool(kind, q)
     gammas, tables = _tables(ctx, parity)
     amb = ctx.ambient_order
-    for chi in chars:
+    for row, chi in _pool(kind, q):
         cov = cover_character(chi)
-        lhs = tables.theta_exponents(chi)
-        rhs = tables.orbit_exponents(chi)
+        lhs = tables.theta_exponents(row)
+        rhs = tables.orbit_exponents(row)
         assert lhs.shape == rhs.shape == (
             len(gammas), len(tables.labels), len(ctx.summation))
         for g, gamma in enumerate(gammas):
@@ -112,15 +118,14 @@ def test_tables_match_scalar_on_every_positive_system(kind, q, branch):
     """The split denominator of each transformed positive system, on every
     twist, with the identity label only."""
     ctx = make_context(kind, q, eta_branch=branch, need_tower=True)
-    chars, _ = driver._character_pool(kind, q, limit=3)
     amb, one = ctx.ambient_order, rational_weyl_group(kind)[0]
     for tw in parity_classes(kind, q):
         gammas, tables = _tables(ctx, parity=tw, labels=(one,))
         for _, roots in positive_system_contexts(kind):
-            for chi in chars:
-                exps = tables.theta_exponents(chi, roots)
+            for row, chi in _pool(kind, q, limit=3):
+                exps = tables.theta_exponents(row, roots)
                 assert exps.shape == (len(gammas), 1, len(ctx.summation))
-                assert [sum_of_roots(amb, row[0].tolist()) for row in exps] == [
+                assert [sum_of_roots(amb, cell[0].tolist()) for cell in exps] == [
                     theta(ctx, cover_character(chi), one, g, parity=tw, positive_roots=roots)
                     for g in gammas]
 
@@ -131,9 +136,8 @@ def test_packet_classes_match_scalar_packet(kind, summation):
     ctx = make_context(kind, 3, summation=named_summation_subgroup(kind, summation),
                        need_tower=True)
     _, tables = _tables(ctx)
-    chars, _ = driver._character_pool(kind, 3, limit=3)
-    for chi in chars:
-        assert tables.packet_classes(chi) == packet(ctx, cover_character(chi)).classes
+    for row, chi in _pool(kind, 3, limit=3):
+        assert tables.packet_classes(row) == packet(ctx, cover_character(chi)).classes
 
 
 @pytest.mark.parametrize("epsilon_gt,epsilon_chi", [(-1, 1), (1, -1)])
@@ -142,13 +146,18 @@ def test_one_sided_sign_breaks_the_identity(kind, epsilon_gt, epsilon_chi):
     # the negative control of the sign convention: flipping one side only fails
     ctx = make_context(kind, 3, epsilon_gt=epsilon_gt, epsilon_chi=epsilon_chi)
     _, tables = _tables(ctx)
-    chars, _ = driver._character_pool(kind, 3)
+    rows, _ = driver._character_pool(kind, 3)
     assert not tables.certify()
-    assert any(tables.first_mismatch(chi) is not None for chi in chars)
+    assert any(tables.first_mismatch(row) is not None for row in rows)
 
 
 # ---------------------------------------------------------------------------
 # the character-free certificate
+
+
+def _every_row(kind, q):
+    """The exponent rows of the whole character group, from its objects."""
+    return np.array([chi.exponents for chi in enumerate_characters(kind, q)])
 
 
 @pytest.mark.parametrize("epsilon", [1, -1])
@@ -162,8 +171,7 @@ def test_certificate_covers_every_character(q, kind, branch, summation, epsilon)
                        summation=named_summation_subgroup(kind, summation))
     tables = SumTables(ctx, strongly_regular_coordinates(kind, q))
     assert tables.certify()
-    for chi in enumerate_characters(kind, q):
-        assert tables.first_mismatch(chi) is None, chi
+    assert tables.first_mismatch(_every_row(kind, q)) is None
 
 
 @pytest.mark.parametrize("side", ["moved_gamma", "moved_units"])
@@ -175,7 +183,7 @@ def test_certificate_sees_one_moved_unit_point(kind, side):
     _, tables = _tables(ctx)
     getattr(tables, side)[0, 0, 0, 0] += 1
     assert not tables.certify()
-    assert any(tables.first_mismatch(chi) is not None for chi in enumerate_characters(kind, 5))
+    assert tables.first_mismatch(_every_row(kind, 5)) is not None
 
 
 @pytest.mark.parametrize("kind,q,row,fits", [
@@ -212,17 +220,17 @@ def test_vectorised_weyl_action_matches_scalar(cls, q):
     coords = coordinate_array(cls, xs)
     for w in rational_weyl_group(kind):
         expected = coordinate_array(cls, [weyl_apply(q, w, x) for x in xs])
-        np.testing.assert_array_equal(weyl_apply_array(q, w, cls, coords), expected)
+        mat, moduli = weyl_matrix(q, w, cls)
+        np.testing.assert_array_equal(coords @ mat.T % moduli, expected)
 
 
 @pytest.mark.parametrize("cls", [T2Rational, T2Coinv])
 def test_vectorised_weyl_action_rejects_non_rational(cls):
-    coords = coordinate_array(cls, _elements(cls, 3))
     irrational = [w for w in weyl_group(2) if w not in rational_weyl_group(2)]
     assert irrational
     for w in irrational:
         with pytest.raises(NonRationalWeylError):
-            weyl_apply_array(3, w, cls, coords)
+            weyl_matrix(3, w, cls)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +243,8 @@ def _scalar_check(params):
     # the check's context, plus the field tower the scalar denominator needs
     ctx = driver._context_from_params(params)
     ctx.tower = make_context(kind, q, need_tower=True).tower
-    chars, regular_count = driver._character_pool(kind, q)
+    rows, regular_count = driver._character_pool(kind, q)
+    chars = [characters.DepthZeroCharacter(kind, q, tuple(row)) for row in rows.tolist()]
     gammas = list(iter_strongly_regular(kind, q))
     labels = rational_weyl_group(kind)
     comparisons = 0
@@ -306,13 +315,28 @@ def test_rejects_non_strongly_regular_elements():
             SumTables(make_context(kind, 3), _rows([gamma]))
 
 
-def test_character_must_match_context():
-    _, tables = _tables(make_context(2, 3))
-    chi = characters.DepthZeroCharacter(2, 5, (1,))
-    with pytest.raises(ValueError):
-        tables.orbit_exponents(chi)
-    with pytest.raises(ValueError):
-        tables.theta_exponents(chi)
+@pytest.mark.parametrize("kind,row", [(1, [1]), (2, [1, 2]), (1, [[1], [2]])])
+def test_tables_reject_a_row_of_the_wrong_rank(kind, row):
+    """A character is a row of rank exponents; the tables refuse any other
+    length rather than read a prefix of it."""
+    _, tables = _tables(make_context(kind, 3))
+    for method in (tables.orbit_exponents, tables.theta_exponents, tables.first_mismatch,
+                   tables.packet_classes):
+        with pytest.raises(ValueError):
+            method(row)
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_tables_take_one_row_or_a_block(kind):
+    """A block of rows gives the tables of its rows, stacked in front, and
+    ``first_mismatch`` of a block puts the row index first."""
+    ctx = make_context(kind, 3, epsilon_gt=-1)
+    _, tables = _tables(ctx)
+    rows = _every_row(kind, 3)[:5]
+    for method in (tables.orbit_exponents, tables.theta_exponents):
+        np.testing.assert_array_equal(method(rows), np.stack([method(row) for row in rows]))
+    first = next(i for i, row in enumerate(rows) if tables.first_mismatch(row) is not None)
+    assert tables.first_mismatch(rows) == (first, *tables.first_mismatch(rows[first]))
 
 
 def test_exact_fallback_decides_multiset_different_sums():

@@ -13,6 +13,7 @@ from depthzero.characters import (
     character_from_inertia,
     character_to_descriptor,
     check_equivariance,
+    conjugate_rows,
     cover_character,
     enumerate_characters,
     enumerate_inertia_data,
@@ -23,6 +24,8 @@ from depthzero.characters import (
     weyl_conjugate,
 )
 from depthzero.tori import (
+    T1Rational,
+    T2Rational,
     coinv_mul,
     enumerate_coinvariants,
     iter_rational,
@@ -32,6 +35,7 @@ from depthzero.tori import (
     t2_coinv,
     weyl_apply,
     weyl_inverse,
+    weyl_matrix,
 )
 
 Q = 3
@@ -110,18 +114,43 @@ def test_pool_is_the_regularity_filter(kind, q):
 
 
 def test_pool_reads_no_rebound_name(monkeypatch):
-    """The cached pool is built without the per-character oracle, so a test
-    that rebinds ``weyl_conjugate`` or ``is_regular`` cannot fill the cache
-    with its break."""
-    want = enumerate_regular_characters(2, 5)
+    """The cached pool is built without the per-character oracle or the
+    row conjugation the checks read, so a test that rebinds
+    ``weyl_conjugate``, ``conjugate_rows`` or ``is_regular`` cannot fill the
+    cache with its break.  The cached Weyl matrices it is built from are
+    read-only, so no caller can write a break into them either."""
+    want = [enumerate_regular_characters(kind, 5) for kind in (1, 2)]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("per-character oracle called")
 
-    monkeypatch.setattr(characters, "weyl_conjugate", forbidden)
-    monkeypatch.setattr(characters, "is_regular", forbidden)
+    for name in ("weyl_conjugate", "conjugate_rows", "is_regular"):
+        monkeypatch.setattr(characters, name, forbidden)
     regular_exponent_rows.cache_clear()
-    assert enumerate_regular_characters(2, 5) == want
+    assert [enumerate_regular_characters(kind, 5) for kind in (1, 2)] == want
+    for kind, cls in ((1, T1Rational), (2, T2Rational)):
+        for w in rational_weyl_group(kind):
+            mat, moduli = weyl_matrix(5, w, cls)
+            assert weyl_matrix(5, w, cls)[0] is mat
+            for array in (mat, moduli):
+                with pytest.raises(ValueError):
+                    array[0] += 1
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_conjugate_rows_match_weyl_conjugate(kind, q):
+    """The row conjugation against the per-character oracle, on one row and
+    on a block, in ``rational_weyl_group`` order."""
+    chars = list(enumerate_characters(kind, q))
+    block = np.array([chi.exponents for chi in chars])
+    got = conjugate_rows(kind, q, block)
+    group = rational_weyl_group(kind)
+    assert got.shape == (len(group), *block.shape) and got.dtype == np.int64
+    for i, w in enumerate(group):
+        assert [tuple(r) for r in got[i].tolist()] == [
+            weyl_conjugate(chi, w).exponents for chi in chars]
+    np.testing.assert_array_equal(conjugate_rows(kind, q, chars[-1].exponents), got[:, -1])
 
 
 def test_conjugation_is_action():

@@ -4,12 +4,18 @@ replaced.
 The ``oracle_*`` functions are the per-element bodies of
 ``lift-independence``, ``denominator-representatives``,
 ``positive-systems``, ``packet-conjugation`` and ``rho-shift-unique`` as
-they were written on ``theta``, ``packet``, the scalar Weyl denominator and
-the scalar 2-rho target; ``rigidity`` and ``forward-conjugate`` keep their
-bodies and take their summed functions from ``orbit_character_sum``.  The
-table checks must return the same record (outcome, witness and info) on a
-grid of configurations, and under each deliberate break of the model,
-applied to both sides, the same FAIL and witness.
+they were written on ``theta``, ``packet``, ``weyl_conjugate``, the scalar
+Weyl denominator and the scalar 2-rho target.  They take the check's pooled
+exponent rows as ``DepthZeroCharacter`` objects.  ``rigidity`` and
+``forward-conjugate`` keep their bodies and take their summed functions
+from ``orbit_character_sum``.  The table checks must return the same
+record (outcome, witness and info) on a grid of configurations, and under
+each deliberate break of the model, applied to both sides, the same FAIL
+and witness.  A break of the Weyl conjugation rebinds ``conjugate_rows``
+(what the checks read) and ``weyl_conjugate`` (what the oracles read).
+
+The campaign guard at the end runs whole campaigns with the scalar paths
+and the character objects made to raise.
 """
 
 import importlib.util
@@ -70,6 +76,12 @@ from depthzero.tori import (
 # the scalar oracles
 
 
+def _pool_characters(kind, q, limit=None):
+    """The check's pooled exponent rows, as the characters the oracles take."""
+    rows, _ = _character_pool(kind, q, limit)
+    return [DepthZeroCharacter(kind, q, tuple(row)) for row in rows.tolist()]
+
+
 def _oracle_context(params):
     """The check's context, plus the field tower that the scalar
     denominators subtract through (the table checks read no tower)."""
@@ -81,7 +93,7 @@ def _oracle_context(params):
 def oracle_lift_independence_formula(params):
     kind, q = params["kind"], params["q"]
     ctx = _oracle_context(params)
-    chars, _ = _character_pool(kind, q, limit=6)
+    chars = _pool_characters(kind, q, limit=6)
     twists = parity_classes(kind, q)
     one = weyl_identity(kind)
     profile_expected = [1, 1, 2, 3] if kind == 1 else [1, 2, 1, 2]
@@ -136,7 +148,7 @@ def oracle_denominator_representatives(params):
 def oracle_positive_systems(params):
     kind, q = params["kind"], params["q"]
     ctx = _oracle_context(params)
-    chars, _ = _character_pool(kind, q, limit=6)
+    chars = _pool_characters(kind, q, limit=6)
     one = weyl_identity(kind)
     systems = positive_system_contexts(kind)
     count = 0
@@ -159,7 +171,7 @@ def oracle_positive_systems(params):
 def oracle_packet_conjugation(params):
     kind, q = params["kind"], params["q"]
     ctx = _oracle_context(params)
-    chars, _ = _character_pool(kind, q, limit=3)
+    chars = _pool_characters(kind, q, limit=3)
     gammas = list(iter_strongly_regular(kind, q))
     labels = rational_weyl_group(kind)
     # the one-class claim is about the full summation group, whatever the
@@ -207,9 +219,9 @@ def oracle_rho_shift_unique(params):
     return _ok({"classes": len(table)})
 
 
-def _scalar_orbit_sums(tables, chi):
+def _scalar_orbit_sums(tables, row):
     kind, q = tables.ctx.kind, tables.ctx.q
-    one = weyl_identity(kind)
+    chi, one = DepthZeroCharacter(kind, q, tuple(np.asarray(row).tolist())), weyl_identity(kind)
     return tuple(orbit_character_sum(tables.ctx, chi, one, rational_of_row(kind, q, row))
                  for row in tables.gamma_coords)
 
@@ -339,33 +351,38 @@ def _shift_noncanonical_denominator(monkeypatch, kind, q):
            lambda ctx, coords: (array(ctx, coords) + 2 * off_array(coords)) % 4)
 
 
+def _break_conjugation(monkeypatch, kind, wrong):
+    """The first exponent of the conjugate by each rational Weyl element w
+    with ``wrong(w)`` one too large, in ``weyl_conjugate`` (the oracles)
+    and ``conjugate_rows`` (the checks) alike."""
+    scalar, rows = characters.weyl_conjugate, characters.conjugate_rows
+    shift = np.array([[int(wrong(w))] + [0] * (kind == 1) for w in rational_weyl_group(kind)])
+
+    def broken_scalar(chi, w):
+        c = scalar(chi, w)
+        n = unit_class_order(chi.kind, chi.q)
+        return DepthZeroCharacter(c.kind, c.q,
+                                  ((c.exponents[0] + wrong(w)) % n, *c.exponents[1:]))
+
+    def broken_rows(kind, q, block):
+        conj = rows(kind, q, block)
+        moved = shift.reshape(len(shift), *[1] * (conj.ndim - 2), -1)
+        return (conj + moved) % unit_class_order(kind, q)
+
+    _patch(monkeypatch, "weyl_conjugate", broken_scalar)
+    _patch(monkeypatch, "conjugate_rows", broken_rows)
+
+
 def _conjugate_off_by_one(monkeypatch, kind, q):
     """Every non-identity conjugate's first exponent one too large."""
-    original = characters.weyl_conjugate
-
-    def broken(chi, w):
-        c = original(chi, w)
-        if not w.name:
-            return c
-        n = unit_class_order(chi.kind, chi.q)
-        return DepthZeroCharacter(c.kind, c.q, ((c.exponents[0] + 1) % n, *c.exponents[1:]))
-
-    _patch(monkeypatch, "weyl_conjugate", broken)
+    _break_conjugation(monkeypatch, kind, lambda w: bool(w.name))
 
 
 def _conjugate_wrong_for_one_w(monkeypatch, kind, q):
     """The first exponent of the conjugate by the last rational Weyl element
     one too large."""
-    original, last = characters.weyl_conjugate, rational_weyl_group(kind)[-1]
-
-    def broken(chi, w):
-        c = original(chi, w)
-        if w != last:
-            return c
-        n = unit_class_order(chi.kind, chi.q)
-        return DepthZeroCharacter(c.kind, c.q, ((c.exponents[0] + 1) % n, *c.exponents[1:]))
-
-    _patch(monkeypatch, "weyl_conjugate", broken)
+    last = rational_weyl_group(kind)[-1]
+    _break_conjugation(monkeypatch, kind, lambda w: w == last)
 
 
 def _flip_closed_sign(monkeypatch, kind, q):
@@ -526,8 +543,10 @@ SCALAR_PAIR_MODEL = [((driver, tori), ("quad_from_pair", "pair_from_quad", "quad
 SCALAR_OBJECTS = [((charformula, driver, tori), ("iter_strongly_regular", "enumerate_coinvariants",
                                                  "lift_of_rational", "coinv_mul",
                                                  "rho_shift_closed_sign")),
-                  # the regular characters come from the pool of exponent rows
-                  ((characters, driver, uniqueness), ("is_regular",))]
+                  # the characters are the pool's exponent rows, conjugated as rows
+                  ((characters, driver, uniqueness), ("is_regular", "weyl_conjugate",
+                                                      "enumerate_characters",
+                                                      "enumerate_regular_characters"))]
 # (argv, expected record count or None to compare with the golden report, forbidden paths)
 CAMPAIGNS = {
     "identity": (["identity", "--q", "3,5", "--kind", "both", "--eta-branch", "both"], 21,
@@ -544,8 +563,10 @@ def _forbid(monkeypatch, paths):
     characters.regular_exponent_rows.cache_clear()  # rebuild the pool under the guard
 
     for owners, names in paths:
-        for owner in owners:
-            for name in names:
+        for name in names:
+            # a misspelled or deleted name would be added, not guarded
+            assert any(hasattr(owner, name) for owner in owners), name
+            for owner in owners:
                 monkeypatch.setattr(owner, name, forbidden, raising=False)
 
 

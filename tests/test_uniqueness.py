@@ -131,3 +131,21 @@ def test_sampled_mode_reports_coverage():
     assert not res.exhaustive
     assert res.coverage < 1
     assert res.passed
+
+
+@pytest.mark.parametrize("kind,info", [
+    (1, {"coverage": "5/16", "exhaustive": False, "pairs_checked": 15, "regular_characters": 80}),
+    (2, {"coverage": "41/120", "exhaustive": False, "pairs_checked": 17,
+         "regular_characters": 120}),
+])
+def test_sampled_rigidity_counts_every_regular_character(kind, info):
+    """Under a budget the record counts the regular characters, not the
+    sample: ``uniqueness --q 11 --budget-evals 20000``.  The sample and its
+    pairs are pinned, since they depend on the population it is drawn from."""
+    from depthzero.driver import check_rigidity
+
+    outcome, _witness, got = check_rigidity({"kind": kind, "q": 11, "eval_cap": 20_000,
+                                             "seed": 0})
+    assert outcome == "PASS"
+    assert got == info
+    assert got["regular_characters"] == len(enumerate_regular_characters(kind, 11))
