@@ -22,9 +22,9 @@ import subprocess
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import product
+from math import ceil
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -925,8 +925,14 @@ def _public_params(params: dict) -> dict:
 
 def run_campaign(tasks: list[dict], jobs: int = 1):
     if jobs > 1:
+        # imported here, so that a --jobs 1 run never loads the pool (~1.5 MB)
+        from concurrent.futures import ProcessPoolExecutor
+
+        # contiguous chunks, four per worker, as multiprocessing.Pool.map
+        # picks them: one round trip per chunk instead of one per task
+        chunksize = max(1, ceil(len(tasks) / (4 * jobs)))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_task, tasks))
+            results = list(pool.map(run_task, tasks, chunksize=chunksize))
     else:
         results = [run_task(t) for t in tasks]
     records = sorted((r for r, _ in results), key=lambda r: r["id"])

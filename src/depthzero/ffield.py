@@ -15,7 +15,6 @@ is exercised by tests rather than assumed.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import struct
 from dataclasses import dataclass
@@ -420,10 +419,18 @@ def _header_bytes(p, e, max_level, seed, modulus, checksum):
     return packed + struct.pack(f"<{len(modulus)}I", *modulus)
 
 
+def _checksum(body: bytes) -> int:
+    """The first 8 bytes of the SHA-256 of a cache body; hashlib is imported
+    here because no campaign reads or writes the tower cache."""
+    import hashlib
+
+    return int.from_bytes(hashlib.sha256(body).digest()[:8], "little")
+
+
 def _save_cache(cache_dir: Path, p, e, max_level, seed, modulus, zech):
     cache_dir.mkdir(parents=True, exist_ok=True)
     body = np.asarray(zech, dtype=np.int64).tobytes()
-    checksum = int.from_bytes(hashlib.sha256(body).digest()[:8], "little")
+    checksum = _checksum(body)
     path = _cache_path(cache_dir, p, e, max_level, seed)
     # write a private file, then rename it over the cache file: a reader
     # (or a --jobs worker writing the same table) sees the old file or the
@@ -456,7 +463,7 @@ def _load_cache(cache_dir: Path, p, e, max_level, seed, modulus):
     if stored_modulus != list(modulus):
         return None
     body = raw[head_len + 4 * mlen :]
-    if int.from_bytes(hashlib.sha256(body).digest()[:8], "little") != checksum:
+    if _checksum(body) != checksum:
         return None
     zech = np.frombuffer(body, dtype=np.int64)
     if len(zech) != p ** (e * max_level) - 1:

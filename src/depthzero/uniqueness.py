@@ -3,16 +3,20 @@ and non-vanishing of the orbit character sums.
 
 The center of the adjoint group is trivial, so the comparison locus is
 exactly the strongly regular set; CENTER_ORDER records that model-level
-fact once.  All counts are exact: the excluded locus is enumerated with
-vectorized modular arithmetic and cross-checked by inclusion-exclusion
-over the root kernels via Smith normal form solution counting.
+fact once.  All counts are exact and test every element.  On torus 1,
+coordinates (a, b) with 0 <= a, b < q+1 are broadcast as an int32 grid and
+each root value is compared with the few multiples of q+1 it can reach
+(a+b against q+1, 2a+b against q+1 and 2(q+1)), so no cell takes a
+modulo; on torus 2, d = 0 is compared directly and the other three root
+values take one modulo per element.  The counts are cross-checked by
+inclusion-exclusion over the root kernels via Smith normal form solution
+counting.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -40,19 +44,17 @@ def excluded_count(kind: int, q: int) -> int:
     """Number of rational elements with some positive-root value equal to 1."""
     if kind == 1:
         n = q + 1
-        a = np.arange(n).repeat(n)
-        b = np.tile(np.arange(n), n)
-        bad = (
-            (a % n == 0)
-            | (b % n == 0)
-            | ((a + b) % n == 0)
-            | ((2 * a + b) % n == 0)
-        )
+        a = np.arange(n, dtype=np.int32)[:, None]
+        b = np.arange(n, dtype=np.int32)[None, :]
+        # 0 <= a, b < n, so a+b = 0 mod n only at a+b in {0, n} and 2a+b = 0
+        # mod n only at 2a+b in {0, n, 2n}; both 0 cases lie on a = 0 already
+        twice = 2 * a + b
+        bad = (a == 0) | (b == 0) | (a + b == n) | (twice == n) | (twice == 2 * n)
         return int(np.count_nonzero(bad))
     n = q * q + 1
     d = np.arange(n)
     bad = (
-        (d % n == 0)
+        (d == 0)
         | ((d * (q - 1)) % n == 0)
         | ((d * q) % n == 0)
         | ((d * (q + 1)) % n == 0)
@@ -113,6 +115,10 @@ def weyl_order(kind: int) -> int:
 
 def regular_locus_ratio(kind: int, q: int) -> ThresholdRow:
     """One threshold row: the excluded ratio against 1/|W|."""
+    # imported in the two functions that make fractions, not at module level,
+    # so that the identity campaign never loads the module
+    from fractions import Fraction
+
     excluded = excluded_count(kind, q)
     total = rational_order(kind, q)
     ratio = Fraction(excluded, total)
@@ -183,6 +189,8 @@ def restriction_rigidity_check(kind: int, q: int, *, eval_cap: int = 100_000_000
     """Characters whose summed functions agree on the strongly regular set
     must be Weyl-conjugate; exhaustive below the evaluation cap, sampled
     deterministically above it."""
+    from fractions import Fraction
+
     tables = _identity_tables(kind, q)
     regular = regular_exponent_rows(kind, q)
     chars = [tuple(row) for row in regular.tolist()]

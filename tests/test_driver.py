@@ -309,6 +309,12 @@ def test_parallel_jobs_match_serial(tmp_path):
     # byte-identical regardless of parallelism
     for name in ("report.json", "report.md"):
         assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
+    # fewer tasks than workers: the pool's chunk size stays at least 1
+    tasks = build_tasks("cohomology", Config())[:2]
+    serial, serial_durations = driver.run_campaign(tasks, jobs=1)
+    par, par_durations = driver.run_campaign(tasks, jobs=3)
+    assert par == serial
+    assert par_durations.keys() == serial_durations.keys() == {t["id"] for t in tasks}
 
 
 def test_all_matches_golden_reports(tmp_path):

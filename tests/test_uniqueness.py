@@ -1,10 +1,16 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from depthzero.characters import enumerate_regular_characters
 from depthzero.charformula import make_context, orbit_character_sum
-from depthzero.tori import iter_strongly_regular, strongly_regular_coordinates, weyl_identity
+from depthzero.tori import (
+    iter_strongly_regular,
+    rational_order,
+    strongly_regular_coordinates,
+    weyl_identity,
+)
 from depthzero.uniqueness import (
     CENTER_ORDER,
     conjugate_forward_check,
@@ -42,6 +48,41 @@ def test_kind1_excluded_is_4q():
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_inclusion_exclusion_crosscheck(kind, q):
     assert excluded_count(kind, q) == excluded_count_inclusion_exclusion(kind, q)
+
+
+def _excluded_count_by_modulo(kind: int, q: int) -> int:
+    """The excluded count as first written: an int64 grid of every
+    coordinate and one ``%`` per root value and element."""
+    if kind == 1:
+        n = q + 1
+        a = np.arange(n).repeat(n)
+        b = np.tile(np.arange(n), n)
+        bad = (a % n == 0) | (b % n == 0) | ((a + b) % n == 0) | ((2 * a + b) % n == 0)
+        return int(np.count_nonzero(bad))
+    n = q * q + 1
+    d = np.arange(n)
+    bad = (
+        (d % n == 0)
+        | ((d * (q - 1)) % n == 0)
+        | ((d * q) % n == 0)
+        | ((d * (q + 1)) % n == 0)
+    )
+    return int(np.count_nonzero(bad))
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_excluded_count_matches_the_modulo_grid(kind):
+    for q in odd_prime_powers(401):
+        assert excluded_count(kind, q) == _excluded_count_by_modulo(kind, q), q
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_excluded_count_is_the_complement_of_the_strongly_regular_set(kind):
+    """The threshold count and the strongly regular mask of ``tori`` are two
+    definitions of one locus."""
+    for q in odd_prime_powers(200):
+        assert excluded_count(kind, q) == (
+            rational_order(kind, q) - len(strongly_regular_coordinates(kind, q))), q
 
 
 def test_ratio_rows():
