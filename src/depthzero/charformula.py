@@ -17,6 +17,7 @@ inverse root of unity, hence stays inside the ring.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from math import lcm
 
@@ -92,7 +93,6 @@ class FormulaContext:
     kind: int
     q: int
     eta_branch: int = 1
-    tower: FieldTower | None = None
     summation: tuple[WeylElem, ...] = ()
     epsilon_gt: int = 1
     epsilon_chi: int = 1
@@ -125,28 +125,25 @@ class FormulaContext:
     def ambient_order(self) -> int:
         return lcm(self.value_order, 4)
 
-    def require_tower(self) -> FieldTower:
-        if self.tower is None:
-            raise ValueError("the scalar denominators need make_context(..., need_tower=True)")
-        return self.tower
 
-
-def make_context(kind, q, *, need_tower=False, eta_branch=1, summation=None,
-                 epsilon_gt=1, epsilon_chi=1, seed=0) -> FormulaContext:
-    """A formula context; with ``need_tower`` it also builds the field tower
-    that the scalar denominators (``denominator_factors``, ``theta``, ...)
-    subtract through.  The array denominators read valuations only."""
-    tower = None
-    if need_tower:
-        p_e = prime_power(q)
-        if p_e is None:
-            raise ValueError(f"q = {q} is not a prime power")
-        tower = FieldTower.build(*p_e, seed=seed, max_level=torus_level(kind))
+def make_context(kind, q, *, eta_branch=1, summation=None,
+                 epsilon_gt=1, epsilon_chi=1) -> FormulaContext:
+    """A formula context; the summation group defaults to the rational
+    Weyl group."""
     return FormulaContext(
-        kind=kind, q=q, eta_branch=eta_branch, tower=tower,
+        kind=kind, q=q, eta_branch=eta_branch,
         summation=tuple(summation) if summation else (),
         epsilon_gt=epsilon_gt, epsilon_chi=epsilon_chi,
     )
+
+
+@lru_cache(maxsize=None)
+def _tower(kind: int, q: int) -> FieldTower:
+    """The field tower that the scalar denominators (``denominator_factors``,
+    ``delta0_eta_exponent``) subtract through, built at seed 0.  They read
+    only valuations and whether two dlogs are equal, which the choice of
+    modulus does not change; the array denominators read no tower."""
+    return FieldTower.build(*prime_power(q), max_level=torus_level(kind))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +157,7 @@ def denominator_factors(ctx: FormulaContext, rep) -> list[UnitVal]:
     factor pairs a monomial with its Galois twist, and cancellation
     occurs exactly when the norm of the class is not strongly regular.
     """
-    tower = ctx.require_tower()
+    tower = _tower(ctx.kind, ctx.q)
     q = ctx.q
     out = []
     if ctx.kind == 1:
@@ -235,7 +232,7 @@ def weyl_denominator_exponent_array(ctx: FormulaContext, coords: np.ndarray) -> 
 
 def delta0_eta_exponent(ctx: FormulaContext, gamma, positive_roots=None) -> int:
     """eta of the product of (1 - root^-1(gamma)) over the positive system."""
-    tower = ctx.require_tower()
+    tower = _tower(ctx.kind, ctx.q)
     q = ctx.q
     roots = positive_roots if positive_roots is not None else default_positive_roots(ctx.kind)
     level = torus_level(ctx.kind)

@@ -11,17 +11,13 @@ is ever needed.  All values are immutable and all operations pure.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
 
 class OrderMismatchError(ValueError):
-    """Raised when combining cyclotomic integers of different orders.
-
-    Callers are expected to move both operands into a common order
-    (e.g. the lcm) with ``embed`` before combining them.
-    """
+    """Raised when combining cyclotomic integers of different orders;
+    every value of one computation lives in one order."""
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +147,7 @@ class CycInt:
     def _check_order(self, other: "CycInt") -> None:
         if self.order != other.order:
             raise OrderMismatchError(
-                f"orders differ ({self.order} vs {other.order}); embed first"
+                f"orders differ ({self.order} vs {other.order})"
             )
 
     def __add__(self, other: "CycInt") -> "CycInt":
@@ -203,26 +199,6 @@ class CycInt:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def embed(self, order: int) -> "CycInt":
-        """Image under zeta_N -> zeta_order^(order/N); requires N | order."""
-        if order % self.order != 0:
-            raise OrderMismatchError(
-                f"cannot embed order {self.order} into order {order}"
-            )
-        step = order // self.order
-        buckets = [0] * order
-        for k, c in enumerate(self.coeffs):
-            buckets[(k * step) % order] += c
-        return CycInt(order, _reduce(order, buckets))
-
-    def approx(self) -> complex:
-        """Floating-point image; for report printing only, never assertions."""
-        z = cmath.exp(2j * cmath.pi / self.order)
-        return sum(c * z**k for k, c in enumerate(self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"CycInt(order={self.order}, coeffs={self.coeffs})"
 
 
 def root_of_unity(order: int, k: int) -> CycInt:

@@ -23,6 +23,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field, fields
+from functools import partial
 from itertools import product
 from math import ceil
 from pathlib import Path
@@ -69,19 +70,16 @@ from .dualgroup import (
 from .ffield import BudgetExceededError, prime_power
 from .localmodel import unit
 from .tori import (
-    T1Coinv,
-    T2Coinv,
     coinv_of_row,
     coinvariant_coordinates,
     coinvariant_norm_array,
     coinvariant_order,
     coinvariant_shape,
-    coordinate_array,
     lift_coordinates,
     pair_from_quad_array,
     pair_galois_array,
     pair_norm_array,
-    parity_classes,
+    parity_rows,
     project_to_coinvariants_array,
     quad_from_pair_array,
     quad_galois_array,
@@ -197,7 +195,7 @@ class Config:
         check=_entries("format", _require(lambda v: set(v) <= set(FORMATS),
                                           "format: entries must be json, csv or md, got {}")))
     # read by nothing since the campaign builds no field tower; kept so that
-    # existing config files, DEPTHZERO_CACHE and Config(cache_dir=...) still work
+    # existing config files and Config(cache_dir=...) still work
     cache_dir: str | None = option(None, "--cache-dir", str, echo=None)
     seed: int = option(0, "--seed", check=_require(lambda v: v >= 0, "seed: must be >= 0, got {}"))
     budget_evals: int = option(100_000_000, "--budget-evals", check=_require(
@@ -311,9 +309,9 @@ def check_exact_sequence(params):
 def check_tate_representatives(params):
     kind, q = params["kind"], params["q"]
     _h1, _h0, reps = tate_cohomology(kind, q)
-    expected = set(parity_classes(kind, q))
-    if set(reps) != expected or len(reps) != len(expected):
-        return _fail({"representatives": [str(r) for r in reps]})
+    expected = set(map(tuple, parity_rows(kind).tolist()))
+    if set(map(tuple, reps.tolist())) != expected or len(reps) != len(expected):
+        return _fail({"representatives": [str(coinv_of_row(kind, q, r)) for r in reps]})
     return _ok({"count": len(reps)})
 
 
@@ -448,9 +446,8 @@ def check_lift_independence_formula(params):
     kind, q = params["kind"], params["q"]
     ctx = _context_from_params(params)
     chars, _ = _character_pool(kind, q, limit=6)
-    twists = parity_classes(kind, q)
-    rank = 2 if kind == 1 else 1
-    parities = coordinate_array(T1Coinv if kind == 1 else T2Coinv, twists)[:, rank:]
+    twists = parity_rows(kind)
+    parities = twists[:, 2 if kind == 1 else 1:]
     labels = (weyl_identity(kind),)
     profile_expected = [1, 1, 2, 3] if kind == 1 else [1, 2, 1, 2]
     gammas = strongly_regular_coordinates(kind, q)
@@ -477,7 +474,8 @@ def check_lift_independence_formula(params):
             witness["reason"] = "denominator sign shift"
         else:
             c, t = np.argwhere(value_bad[g])[0]
-            witness.update(character=_descriptor(kind, q, chars[c]), twist=str(twists[t]))
+            witness.update(character=_descriptor(kind, q, chars[c]),
+                           twist=str(coinv_of_row(kind, q, twists[t])))
         return _fail(witness)
     return _ok({"twists": len(twists)})
 
@@ -521,9 +519,8 @@ def check_split_vs_combined(params):
     kind, q = params["kind"], params["q"]
     ctx = _context_from_params(params)
     gammas = strongly_regular_coordinates(kind, q)
-    twists = parity_classes(kind, q)
+    twist_rows = parity_rows(kind)
     rank = 2 if kind == 1 else 1
-    twist_rows = coordinate_array(T1Coinv if kind == 1 else T2Coinv, twists)
     # the closed-form sign depends only on the valuation parities, which
     # each lift shares with its twist
     signs = np.where(rho_shift_closed_sign_array(ctx, twist_rows) < 0, 2, 0)
@@ -539,9 +536,9 @@ def check_split_vs_combined(params):
         bad = np.flatnonzero(combined != split)
         if bad.size:
             i = int(bad[0])
-            g, t = divmod(i, len(twists))
+            g, t = divmod(i, len(twist_rows))
             return _fail({"gamma": str(rational_of_row(kind, q, block[g])),
-                          "twist": str(twists[t]),
+                          "twist": str(coinv_of_row(kind, q, twist_rows[t])),
                           "combined": int(combined[i]), "split": int(split[i])})
     return _ok()
 
@@ -720,7 +717,7 @@ def check_locus_ratio(params):
 
 class Check(NamedTuple):
     """One row of the campaign table: check ``name`` (its REGISTRY key and
-    the task's "fn") runs ``check(params, **options)`` once per point of its
+    the task's "fn") runs ``check(params)`` once per point of its
     grid: ``""`` (once), ``"k"`` (per kind), ``"kq"`` (kind x q) or ``"kqb"``
     (kind x q x eta branch, a coordinate of kind 2 only), each point adding
     ``-k{kind}``, ``-q{q}``, ``-plus``/``-minus`` to the id.  The q axis is
@@ -739,7 +736,6 @@ class Check(NamedTuple):
     only: Callable = lambda kind, q: True
     uses: tuple = ()
     extra: dict = {}
-    options: dict = {}
 
 
 # the parameters of every check that makes a formula context
@@ -753,8 +749,8 @@ def _config_params(cfg: Config, names) -> dict:
 
 
 def _pinned(slug, name, holds, identity, claim):
-    return Check(f"chevalley/{slug}", name, check_pinned_identity, claim, uses=("order",),
-                 options={"holds": holds, "witness": {"identity": identity}})
+    check = partial(check_pinned_identity, holds=holds, witness={"identity": identity})
+    return Check(f"chevalley/{slug}", name, check, claim, uses=("order",))
 
 
 _COHOMOLOGY = {"grid": "kq", "qs": (3, 5, 7, 9)}
@@ -901,7 +897,7 @@ def run_task(task: dict) -> tuple[dict, float]:
     start = time.perf_counter()
     row = REGISTRY[task["fn"]]
     try:
-        outcome, witness, info = row.check(task["params"], **row.options)
+        outcome, witness, info = row.check(task["params"])
     except BudgetExceededError as exc:
         outcome, witness, info = "SKIPPED", {"reason": str(exc)}, {}
     except Exception as exc:  # a broken model fails its check, not the campaign
@@ -1048,7 +1044,7 @@ def read_config_file(path: str) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> Config:
-    """Defaults, then the config file, then DEPTHZERO_CACHE, then flags."""
+    """Defaults, then the config file, then flags."""
     cfg = Config()
     if args.config:
         try:
@@ -1058,8 +1054,6 @@ def resolve_config(args: argparse.Namespace) -> Config:
         for key, value in file_values.items():
             f = CONFIG_KEYS[key]
             setattr(cfg, f.name, _parse_value(f, key, value))
-    if cfg.cache_dir is None:
-        cfg.cache_dir = os.environ.get("DEPTHZERO_CACHE")
     for f in fields(Config):
         value = getattr(args, f.metadata["dest"])
         if value is not None:

@@ -233,10 +233,6 @@ class Pinning:
         """root_coroot(zeta^exponent) as a diagonal matrix."""
         return self.matrix(self.coroot(root, exponent))
 
-    def torus_matrix(self, a: int, b: int) -> SpMatrix:
-        """long_coroot(zeta^a) * short_coroot(zeta^b) as a diagonal matrix."""
-        return self.matrix(self.torus(a, b))
-
     def n_elem(self, root) -> SpMatrix:
         """Reflection lift x(1) x_-(-1) x(1)."""
         if root not in self._n_cache:
@@ -329,16 +325,6 @@ class Pinning:
         if self.reflect_root(LONG_SIMPLE, SHORT_SIMPLE) != (1, 1):
             raise PinningError("long reflection must send short simple to (1,1)")
 
-    # -- headline elements ---------------------------------------------------------
-
-    def coxeter_lift(self) -> SpMatrix:
-        """m = n_long * n_short, a lift of the Coxeter element, as a matrix."""
-        return self.matrix(self.coxeter)
-
-    def longest_lift(self) -> SpMatrix:
-        """n = (n_long n_short)^2, a lift of the longest Weyl element, as a matrix."""
-        return self.matrix(self.longest)
-
 
 def as_monomial(pin: Pinning, m: SpMatrix) -> Monomial:
     """The pair of a monomial matrix whose nonzero entries are powers of zeta.
@@ -377,16 +363,15 @@ def reflection_square_check(pin: Pinning) -> bool:
     return all(pin.lifts[root] ** 2 == pin.coroot(root, half) for root in ALL_ROOTS)
 
 
-def coroot_conjugation_check(pin: Pinning, exponents=None) -> bool:
-    """n_gamma delta_coroot(t) n_gamma^-1 = (w_gamma(delta))_coroot(t)."""
-    if exponents is None:
-        exponents = list(range(1, 21))
+def coroot_conjugation_check(pin: Pinning) -> bool:
+    """n_gamma delta_coroot(t) n_gamma^-1 = (w_gamma(delta))_coroot(t) for
+    t = zeta^1, ..., zeta^20."""
     for gamma in (LONG_SIMPLE, SHORT_SIMPLE):
         n = pin.lifts[gamma]
         ninv = n.inverse()
         for delta in ALL_ROOTS:
             image = pin.reflect_root(gamma, delta)
-            for e in exponents:
+            for e in range(1, 21):
                 if n * pin.coroot(delta, e) * ninv != pin.coroot(image, e):
                     return False
     return True
@@ -435,11 +420,8 @@ def coxeter_lift_fourth_check(pin: Pinning) -> bool:
 # torus bookkeeping
 
 
-def dual_torus_conjugate(pin: Pinning, by, a: int, b: int) -> tuple[int, int]:
-    """Coroot exponents of by * torus(a, b) * by^-1; ``by`` is a Monomial
-    or the SpMatrix of one."""
-    if isinstance(by, SpMatrix):
-        by = as_monomial(pin, by)
+def dual_torus_conjugate(pin: Pinning, by: Monomial, a: int, b: int) -> tuple[int, int]:
+    """Coroot exponents of by * torus(a, b) * by^-1."""
     return pin.torus_exponents(by * pin.torus(a, b) * by.inverse())
 
 
@@ -455,15 +437,15 @@ def twisted_frobenius_power(pin: Pinning, kind: int, a: int, b: int) -> tuple[in
     return pin.torus_exponents(power)
 
 
-def sample_torsion_exponents(order, count, element_orders=(2, 3, 4, 8, 12), seed=0):
-    """Deterministic sample of torus torsion with constrained element order."""
+def sample_torsion_exponents(order, count, seed=0):
+    """Deterministic sample of torus torsion of element order 2, 3, 4, 8 or 12."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
         a = rng.randrange(order)
         b = rng.randrange(order)
         elt_order = order // gcd(gcd(a, b), order) if (a or b) else 1
-        if elt_order in element_orders:
+        if elt_order in (2, 3, 4, 8, 12):
             out.append((a, b))
     return out
 
@@ -477,12 +459,12 @@ def lift_independence_check(pin: Pinning, kind: int, count: int = 200, seed: int
     return True
 
 
-def weyl_action_checks(pin: Pinning, samples=((1, 0), (0, 1), (3, 5), (7, 11))) -> bool:
+def weyl_action_checks(pin: Pinning) -> bool:
     """Conjugation by the two lifts acts as inversion resp. the order-4
-    rotation in the relevant coordinates."""
+    rotation in the relevant coordinates, at four sample points."""
     nhat = pin.longest
     mhat = pin.coxeter
-    for a, b in samples:
+    for a, b in ((1, 0), (0, 1), (3, 5), (7, 11)):
         if dual_torus_conjugate(pin, nhat, a, b) != ((-a) % pin.order, (-b) % pin.order):
             return False
         # rotation is stated in the (long_coroot, long+short coroot) basis:

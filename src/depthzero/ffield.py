@@ -11,6 +11,10 @@ through a precomputed Zech logarithm table.
 The modulus polynomial is the first irreducible in a fixed enumeration
 order offset by the seed, so runs are reproducible and the model choice
 is exercised by tests rather than assumed.
+
+Towers exist in odd characteristic only (the campaigns take odd q), and
+a tower whose top field has more than TABLE_BUDGET elements is refused
+before any table is built.
 """
 
 from __future__ import annotations
@@ -24,10 +28,12 @@ import numpy as np
 
 CACHE_MAGIC = b"ZECH"
 CACHE_VERSION = 2
+# Zech table entries one tower may hold: 200M int64 entries are 1.6 GB
+TABLE_BUDGET = 200_000_000
 
 
 class BudgetExceededError(RuntimeError):
-    """Table construction would exceed the configured entry budget."""
+    """Table construction would exceed the entry budget."""
 
 
 def is_prime(n: int) -> bool:
@@ -257,7 +263,7 @@ def _build_tables(p, modulus, generator):
 class FieldTower:
     """Shared-generator model of f_q < f_{q^2} (< f_{q^4} when max_level=4)."""
 
-    def __init__(self, p, e, max_level, seed, modulus, zech, walk_tables=None):
+    def __init__(self, p, e, max_level, seed, modulus, zech):
         self.p = p
         self.e = e
         self.q = p**e
@@ -267,24 +273,22 @@ class FieldTower:
         self.zech = zech
         self.levels = tuple(m for m in (1, 2, 4) if m <= max_level)
         self.top_order = self.q**max_level - 1
-        self._walk = walk_tables
         self._check_structure()
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def build(cls, p, e, *, seed=0, max_level=4, budget=200_000_000,
-              cache_dir=None, keep_walk=False, allow_char2=False):
+    def build(cls, p, e, *, seed=0, max_level=4, cache_dir=None):
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
-        if p == 2 and not allow_char2:
-            raise ValueError("characteristic 2 is excluded by default")
+        if p == 2:
+            raise ValueError("characteristic 2 is excluded")
         if max_level not in (2, 4):
             raise ValueError(f"max_level must be 2 or 4, got {max_level}")
         entries = p ** (e * max_level)
-        if entries > budget:
+        if entries > TABLE_BUDGET:
             raise BudgetExceededError(
-                f"table would need {entries} entries, budget is {budget}"
+                f"table would need {entries} entries, budget is {TABLE_BUDGET}"
             )
         degree = e * max_level
         modulus = _find_modulus(p, degree, seed)
@@ -295,23 +299,21 @@ class FieldTower:
                 return cls(p, e, max_level, seed, modulus, cached)
 
         generator = _find_primitive(p, modulus)
-        exp_packed, dlog, zech = _build_tables(p, modulus, generator)
+        _exp_packed, _dlog, zech = _build_tables(p, modulus, generator)
         # read-only like a table loaded from the cache, so a tower shared
         # between contexts cannot be altered through one of them
         zech.setflags(write=False)
         if cache_dir is not None:
             _save_cache(Path(cache_dir), p, e, max_level, seed, modulus, zech)
-        walk = (exp_packed, dlog) if keep_walk else None
-        return cls(p, e, max_level, seed, modulus, zech, walk_tables=walk)
+        return cls(p, e, max_level, seed, modulus, zech)
 
     def _check_structure(self):
         group = self.top_order
         assert len(self.zech) == group
         # exactly one k has 1 + g^k = 0 in odd characteristic
         sentinel = int(np.count_nonzero(self.zech < 0))
-        if self.p != 2:
-            assert sentinel == 1, "Zech table must have exactly one zero entry"
-            assert self.zech[group // 2] < 0, "-1 must sit at dlog (q^L-1)/2"
+        assert sentinel == 1, "Zech table must have exactly one zero entry"
+        assert self.zech[group // 2] < 0, "-1 must sit at dlog (q^L-1)/2"
         for m in self.levels:
             assert group % self.group_order(m) == 0
 
@@ -333,12 +335,7 @@ class FieldTower:
         self.scale(level)
         return FFElem(level, 1 % self.group_order(level))
 
-    def elem(self, level: int, dlog: int) -> FFElem:
-        return FFElem(level, dlog % self.group_order(level))
-
     def neg_one_dlog(self, level: int) -> int:
-        if self.p == 2:
-            return 0
         return self.group_order(level) // 2
 
     # -- additive structure (Zech) ------------------------------------------

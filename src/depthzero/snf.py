@@ -1,9 +1,9 @@
 """Integer matrix normal forms and finitely generated abelian group helpers.
 
 Everything here is exact arithmetic on Python ints.  The Smith normal
-form routine tracks the unimodular transformations (and their inverses),
-which is what lets us pull explicit representatives out of kernel and
-quotient computations rather than just orders.
+form routine tracks the unimodular transformations (and the inverse of
+the row one), which is what lets us pull explicit representatives out
+of kernel and quotient computations rather than just orders.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ def mat_vec(a: list[list[int]], v: list[int]) -> list[int]:
 
 
 def smith_normal_form(mat):
-    """Return (D, U, V, Uinv, Vinv) with U . mat . V = D diagonal.
+    """Return (D, U, V, Uinv) with U . mat . V = D diagonal.
 
     U, V are unimodular; the diagonal entries of D are non-negative and
     satisfy the divisibility chain d1 | d2 | ... .
@@ -36,7 +36,7 @@ def smith_normal_form(mat):
     rows = len(m)
     cols = len(m[0]) if rows else 0
     u, uinv = _ident(rows), _ident(rows)
-    v, vinv = _ident(cols), _ident(cols)
+    v = _ident(cols)
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
@@ -49,7 +49,6 @@ def smith_normal_form(mat):
             m[r][i], m[r][j] = m[r][j], m[r][i]
         for r in range(cols):
             v[r][i], v[r][j] = v[r][j], v[r][i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_row(src, dst, c):
         # row_dst += c * row_src
@@ -66,8 +65,6 @@ def smith_normal_form(mat):
             m[r][dst] += c * m[r][src]
         for r in range(cols):
             v[r][dst] += c * v[r][src]
-        for k in range(cols):
-            vinv[src][k] -= c * vinv[dst][k]
 
     def negate_row(i):
         for k in range(cols):
@@ -126,7 +123,7 @@ def smith_normal_form(mat):
         t += 1
 
     d = [row[:] for row in m]
-    return d, u, v, uinv, vinv
+    return d, u, v, uinv
 
 
 def diagonal(d: list[list[int]]) -> list[int]:
@@ -136,7 +133,7 @@ def diagonal(d: list[list[int]]) -> list[int]:
 def kernel_basis(mat) -> list[list[int]]:
     """Integer basis of {x : mat . x = 0} as a list of column vectors."""
     cols = len(mat[0])
-    d, _u, v, _uinv, _vinv = smith_normal_form(mat)
+    d, _u, v, _uinv = smith_normal_form(mat)
     diag = diagonal(d)
     basis = []
     for j in range(cols):
@@ -150,7 +147,7 @@ def solve_exact(mat, b: list[int]):
     """One integer solution x of mat . x = b, or None if none exists."""
     rows = len(mat)
     cols = len(mat[0])
-    d, u, v, _uinv, _vinv = smith_normal_form(mat)
+    d, u, v, _uinv = smith_normal_form(mat)
     ub = mat_vec(u, b)
     diag = diagonal(d)
     y = [0] * cols
@@ -178,7 +175,7 @@ def lattice_basis(gens: list[list[int]]) -> list[list[int]]:
     if not gens:
         return []
     mat = _columns_to_matrix(gens)
-    d, _u, _v, uinv, _vinv = smith_normal_form(mat)
+    d, _u, _v, uinv = smith_normal_form(mat)
     diag = diagonal(d)
     dim = len(gens[0])
     basis = []
@@ -212,7 +209,7 @@ def quotient_structure(big_gens: list[list[int]], small_gens: list[list[int]]):
     if not coords:
         return [(0, basis[i]) for i in range(rank)]
     cmat = _columns_to_matrix(coords)
-    d, _u, _v, uinv, _vinv = smith_normal_form(cmat)
+    d, _u, _v, uinv = smith_normal_form(cmat)
     diag = diagonal(d)
     # adapted basis of the big lattice: columns of bmat . uinv
     adapted = mat_mul(bmat, uinv)

@@ -116,11 +116,17 @@ def coinv_parity_part(a):
     return t2_coinv(a.q, 0, a.v)
 
 
+def parity_rows(kind: int) -> np.ndarray:
+    """The valuation-parity subgroup of the coinvariants (the norm kernel),
+    as coinvariant rows: zero unit columns, the parities in lexicographic
+    order."""
+    rank = 2 if kind == 1 else 1
+    return _lex_grid((1,) * rank + (2,) * rank)
+
+
 def parity_classes(kind: int, q: int):
-    """The valuation-parity subgroup of the coinvariants (the norm kernel)."""
-    if kind == 1:
-        return [t1_coinv(q, 0, 0, v1, v2) for v1, v2 in product((0, 1), repeat=2)]
-    return [t2_coinv(q, 0, v) for v in (0, 1)]
+    """``parity_rows`` as coinvariant classes."""
+    return [coinv_of_row(kind, q, row) for row in parity_rows(kind)]
 
 
 def enumerate_coinvariants(kind: int, q: int):
@@ -775,19 +781,9 @@ def _columns_of(mat):
     return [[mat[i][j] for i in range(len(mat))] for j in range(len(mat[0]))]
 
 
-def _project_vector(kind: int, q: int, vec):
-    """A-model coordinates (d1, v1, d2, v2) -> coinvariant class."""
-    d1, v1, d2, v2 = vec
-    if kind == 1:
-        return t1_coinv(q, d1, d2, v1, v2)
-    level_order = q**4 - 1
-    proj_dlog = (d1 - q * d2) % level_order
-    return t2_coinv(q, proj_dlog, v1 - v2)
-
-
 def tate_cohomology(kind: int, q: int):
     """Orders of H^-1 and H^0 of the Galois action on the E-points model,
-    plus all elements of H^-1 as explicit coinvariant classes.
+    plus all elements of H^-1 as coinvariant rows (one int64 row each).
 
     Computed via Smith normal form on the integer presentation, entirely
     independently of the coinvariant normal form used elsewhere.
@@ -816,11 +812,13 @@ def tate_cohomology(kind: int, q: int):
     h_minus1_order, h_minus1_factors = homology(norm, one_minus)
     h0_order, _h0_factors = homology(one_minus, norm)
 
-    reps = []
+    vecs = []
     exponent_ranges = [range(o) for o, _ in h_minus1_factors]
     for exps in product(*exponent_ranges) if h_minus1_factors else [()]:
         vec = [0, 0, 0, 0]
         for e, (_o, gen) in zip(exps, h_minus1_factors):
             vec = [x + e * g for x, g in zip(vec, gen)]
-        reps.append(_project_vector(kind, q, vec))
+        vecs.append(vec)
+    # the A-model coordinates (d1, v1, d2, v2) are pair-model rows
+    reps = project_to_coinvariants_array(kind, q, np.array(vecs, dtype=np.int64))
     return h_minus1_order, h0_order, reps

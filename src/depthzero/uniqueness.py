@@ -2,15 +2,14 @@
 and non-vanishing of the orbit character sums.
 
 The center of the adjoint group is trivial, so the comparison locus is
-exactly the strongly regular set; CENTER_ORDER records that model-level
-fact once.  All counts are exact and test every element.  On torus 1,
-coordinates (a, b) with 0 <= a, b < q+1 are broadcast as an int32 grid and
-each root value is compared with the few multiples of q+1 it can reach
-(a+b against q+1, 2a+b against q+1 and 2(q+1)), so no cell takes a
-modulo; on torus 2, d = 0 is compared directly and the other three root
-values take one modulo per element.  The counts are cross-checked by
-inclusion-exclusion over the root kernels via Smith normal form solution
-counting.
+exactly the strongly regular set.  All counts are exact and test every
+element.  On torus 1, coordinates (a, b) with 0 <= a, b < q+1 are
+broadcast as an int32 grid and each root value is compared with the few
+multiples of q+1 it can reach (a+b against q+1, 2a+b against q+1 and
+2(q+1)), so no cell takes a modulo; on torus 2, d = 0 is compared
+directly and the other three root values take one modulo per element.
+The counts are cross-checked by inclusion-exclusion over the root
+kernels via Smith normal form solution counting.
 """
 
 from __future__ import annotations
@@ -35,10 +34,6 @@ from .tori import (
     unit_class_order,
     weyl_identity,
 )
-
-# the adjoint group has trivial center, so Z(F) contributes nothing
-CENTER_ORDER = 1
-
 
 def excluded_count(kind: int, q: int) -> int:
     """Number of rational elements with some positive-root value equal to 1."""
@@ -71,7 +66,7 @@ def _kernel_solution_count(rows: list[tuple[int, int]], modulus: int, kind: int,
     else:
         mat = [[(r[0] + q * r[1]) % modulus] for r in rows]
         dims = 1
-    d, _u, _v, _ui, _vi = snf.smith_normal_form(mat)
+    d, _u, _v, _ui = snf.smith_normal_form(mat)
     diag = snf.diagonal(d)
     count = 1
     for i in range(dims):

@@ -106,7 +106,7 @@ def test_criterion_04_rho_shift_cross_validation():
 def test_criterion_05_identity(q):
     with criterion(5, f"formula equals orbit sum exactly at q={q}", "<2min at q=7"):
         for kind in (1, 2):
-            ctx = make_context(kind, q, need_tower=True)
+            ctx = make_context(kind, q)
             chars = enumerate_regular_characters(kind, q)
             gammas = list(iter_strongly_regular(kind, q))
             for chi in chars:
@@ -122,7 +122,7 @@ def test_criterion_06_lift_independence_with_signs():
     with criterion(6, "lift independence incl. the denominator sign identities", "<10s"):
         for kind in (1, 2):
             q = 3
-            ctx = make_context(kind, q, need_tower=True)
+            ctx = make_context(kind, q)
             one = weyl_identity(kind)
             chars = enumerate_regular_characters(kind, q) or list(
                 enumerate_characters(kind, q)
@@ -166,7 +166,7 @@ def test_criterion_09_invariance_suite():
     with criterion(9, "eta-branch, positive-system and representative invariance", "<1min"):
         # eta-branch independence of the identity (kind 2)
         for branch in (1, -1):
-            ctx = make_context(2, 3, eta_branch=branch, need_tower=True)
+            ctx = make_context(2, 3, eta_branch=branch)
             for chi in enumerate_regular_characters(2, 3):
                 cov = cover_character(chi)
                 for gamma in iter_strongly_regular(2, 3):
@@ -176,7 +176,7 @@ def test_criterion_09_invariance_suite():
                         )
         # positive-system independence at q = 3, via the solver route
         for kind in (1, 2):
-            ctx = make_context(kind, 3, need_tower=True)
+            ctx = make_context(kind, 3)
             one = weyl_identity(kind)
             chars = (enumerate_regular_characters(kind, 3)
                      or list(enumerate_characters(kind, 3)))[:4]
@@ -194,7 +194,7 @@ def test_criterion_09_invariance_suite():
         rng = random.Random(0)
         for kind in (1, 2):
             q = 3
-            ctx = make_context(kind, q, need_tower=True)
+            ctx = make_context(kind, q)
             n = q + 1 if kind == 1 else q * q + 1
             group = q ** (2 * kind) - 1
             for c in enumerate_coinvariants(kind, q):
@@ -215,7 +215,7 @@ def test_criterion_09_invariance_suite():
                     assert weyl_denominator_exponent(ctx, rep) == base
         # split form (delta0 times rho-shift) agrees with the combined form
         for kind in (1, 2):
-            ctx = make_context(kind, 3, need_tower=True)
+            ctx = make_context(kind, 3)
             for gamma in iter_strongly_regular(kind, 3):
                 for tw in parity_classes(kind, 3):
                     lift = coinv_mul(lift_of_rational(kind, 3, gamma), tw)

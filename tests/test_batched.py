@@ -94,7 +94,7 @@ def _assert_matches_scalar(ctx, parity=None):
 @pytest.mark.parametrize("branch", [1, -1])
 @pytest.mark.parametrize("kind,q", [(1, 3), (2, 3), (1, 5), (2, 5)])
 def test_tables_match_scalar_on_every_twist(kind, q, branch):
-    ctx = make_context(kind, q, eta_branch=branch, need_tower=True)
+    ctx = make_context(kind, q, eta_branch=branch)
     for tw in parity_classes(kind, q):
         _assert_matches_scalar(ctx, parity=tw)
 
@@ -109,7 +109,7 @@ def test_tables_match_scalar_on_every_twist(kind, q, branch):
 def test_tables_match_scalar_across_summation_and_signs(kind, q, summation,
                                                         epsilon_gt, epsilon_chi):
     ctx = make_context(kind, q, summation=named_summation_subgroup(kind, summation),
-                       epsilon_gt=epsilon_gt, epsilon_chi=epsilon_chi, need_tower=True)
+                       epsilon_gt=epsilon_gt, epsilon_chi=epsilon_chi)
     _assert_matches_scalar(ctx)
 
 
@@ -117,7 +117,7 @@ def test_tables_match_scalar_across_summation_and_signs(kind, q, summation,
 def test_tables_match_scalar_on_every_positive_system(kind, q, branch):
     """The split denominator of each transformed positive system, on every
     twist, with the identity label only."""
-    ctx = make_context(kind, q, eta_branch=branch, need_tower=True)
+    ctx = make_context(kind, q, eta_branch=branch)
     amb, one = ctx.ambient_order, rational_weyl_group(kind)[0]
     for tw in parity_classes(kind, q):
         gammas, tables = _tables(ctx, parity=tw, labels=(one,))
@@ -133,8 +133,7 @@ def test_tables_match_scalar_on_every_positive_system(kind, q, branch):
 @pytest.mark.parametrize("summation", ["full", "rotation", "trivial"])
 @pytest.mark.parametrize("kind", [1, 2])
 def test_packet_classes_match_scalar_packet(kind, summation):
-    ctx = make_context(kind, 3, summation=named_summation_subgroup(kind, summation),
-                       need_tower=True)
+    ctx = make_context(kind, 3, summation=named_summation_subgroup(kind, summation))
     _, tables = _tables(ctx)
     for row, chi in _pool(kind, 3, limit=3):
         assert tables.packet_classes(row) == packet(ctx, cover_character(chi)).classes
@@ -240,9 +239,7 @@ def test_vectorised_weyl_action_rejects_non_rational(cls):
 def _scalar_check(params):
     """The per-element loop of the identity check, kept as its reference."""
     kind, q, branch = params["kind"], params["q"], params["branch"]
-    # the check's context, plus the field tower the scalar denominator needs
     ctx = driver._context_from_params(params)
-    ctx.tower = make_context(kind, q, need_tower=True).tower
     rows, regular_count = driver._character_pool(kind, q)
     chars = [characters.DepthZeroCharacter(kind, q, tuple(row)) for row in rows.tolist()]
     gammas = list(iter_strongly_regular(kind, q))
@@ -305,7 +302,7 @@ def test_tables_follow_odd_denominator_exponents(monkeypatch):
     # the model's denominators are even; an odd one tells D from D^-1
     _break_denominator(monkeypatch, lambda dlog: dlog)
     for kind in (1, 2):
-        _assert_matches_scalar(make_context(kind, 3, need_tower=True))
+        _assert_matches_scalar(make_context(kind, 3))
 
 
 def test_rejects_non_strongly_regular_elements():

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from depthzero import charformula
 from depthzero.characters import (
     DepthZeroCharacter,
     cover_character,
@@ -31,6 +32,7 @@ from depthzero.charformula import (
     weyl_denominator_exponent_array,
     weyl_denominator_valuations,
 )
+from depthzero.ffield import FieldTower, prime_power
 from depthzero.localmodel import CancellationError, unit
 from depthzero.tori import (
     T1Coinv,
@@ -51,18 +53,19 @@ from depthzero.tori import (
     t1_coinv,
     t1_rational,
     t2_coinv,
+    torus_level,
     weyl_identity,
 )
 
 
 @pytest.fixture(scope="module")
 def ctx1():
-    return make_context(1, 3, need_tower=True)
+    return make_context(1, 3)
 
 
 @pytest.fixture(scope="module")
 def ctx2():
-    return make_context(2, 3, need_tower=True)
+    return make_context(2, 3)
 
 
 def _chars(kind, q, limit=None):
@@ -233,7 +236,7 @@ _CLASSES = {1: (T1Rational, T1Coinv), 2: (T2Rational, T2Coinv)}
 @pytest.mark.parametrize("kind,branch", [(1, 1), (2, 1), (2, -1)])
 def test_array_denominators_equal_scalar(q, kind, branch):
     """Both denominator forms on every (gamma, twist) of split-vs-combined."""
-    ctx = make_context(kind, q, eta_branch=branch, need_tower=True)
+    ctx = make_context(kind, q, eta_branch=branch)
     rational_cls, coinv_cls = _CLASSES[kind]
     gammas = list(iter_strongly_regular(kind, q))
     lifts = [coinv_mul(lift_of_rational(kind, q, g), tw)
@@ -255,7 +258,7 @@ def test_denominator_valuations_equal_scalar_factors(q, kind):
     """On every coinvariant class: the array valuations are those of the
     scalar factors, and the array form cancels exactly where the scalar
     one does (the classes whose norm is not strongly regular)."""
-    ctx = make_context(kind, q, need_tower=True)
+    ctx = make_context(kind, q)
     classes = list(enumerate_coinvariants(kind, q))
     expected = []
     for c in classes:
@@ -275,11 +278,35 @@ def test_denominator_valuations_equal_scalar_factors(q, kind):
             weyl_denominator_valuations(ctx, row[None])
 
 
+@pytest.mark.parametrize("q", [3, 5, 9])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_scalar_denominators_do_not_depend_on_the_tower_seed(monkeypatch, kind, q):
+    """The scalar denominators read valuations and dlog equality only, so
+    towers built from different moduli give them the same values on every
+    (gamma, twist) of split-vs-combined."""
+    ctx = make_context(kind, q)
+    moduli, results = [], []
+    for seed in (0, 6, 12):
+        tower = FieldTower.build(*prime_power(q), seed=seed, max_level=torus_level(kind))
+        monkeypatch.setattr(charformula, "_tower", lambda kind, q, tower=tower: tower)
+        values = []
+        for gamma in iter_strongly_regular(kind, q):
+            values.append(delta0_eta_exponent(ctx, gamma))
+            for tw in parity_classes(kind, q):
+                rep = canonical_rep(coinv_mul(lift_of_rational(kind, q, gamma), tw))
+                values.append([f.val for f in denominator_factors(ctx, rep)])
+                values.append(weyl_denominator_exponent(ctx, rep))
+        moduli.append(tower.modulus)
+        results.append(values)
+    assert len(set(moduli)) > 1
+    assert results[1] == results[0] and results[2] == results[0]
+
+
 @pytest.mark.parametrize("q", [3, 5])
 @pytest.mark.parametrize("kind,branch", [(1, 1), (2, 1), (2, -1)])
 def test_array_denominator_on_random_representatives(q, kind, branch):
     """Non-canonical rows: any residue dlog, valuations in [-3, 3]."""
-    ctx = make_context(kind, q, eta_branch=branch, need_tower=True)
+    ctx = make_context(kind, q, eta_branch=branch)
     rng = random.Random(11)
     order = q ** (2 * kind) - 1
     rank = 2 if kind == 1 else 1
@@ -310,7 +337,7 @@ def test_array_denominator_on_random_representatives(q, kind, branch):
 
 @pytest.mark.parametrize("kind,q", [(1, 3), (2, 3), (1, 5), (2, 5)])
 def test_formula_equals_orbit_sum(kind, q):
-    ctx = make_context(kind, q, need_tower=True)
+    ctx = make_context(kind, q)
     for chi in _chars(kind, q):
         cov = cover_character(chi)
         for gamma in iter_strongly_regular(kind, q):
@@ -340,7 +367,7 @@ def test_lift_independence_all_twists(ctx1, ctx2):
 
 def test_eta_branch_independence():
     for branch in (1, -1):
-        ctx = make_context(2, 3, eta_branch=branch, need_tower=True)
+        ctx = make_context(2, 3, eta_branch=branch)
         for chi in _chars(2, 3):
             cov = cover_character(chi)
             for gamma in iter_strongly_regular(2, 3):
@@ -373,15 +400,15 @@ def test_conjugated_formula_matches_conjugated_character(ctx1, ctx2):
 
 
 def test_epsilon_constants_scale_both_sides():
-    ctx = make_context(2, 3, epsilon_gt=-1, need_tower=True)
+    ctx = make_context(2, 3, epsilon_gt=-1)
     chi = _chars(2, 3)[0]
     cov = cover_character(chi)
     gamma = next(iter_strongly_regular(2, 3))
-    base = make_context(2, 3, need_tower=True)
+    base = make_context(2, 3)
     w = weyl_identity(2)
     assert orbit_character_sum(ctx, chi, w, gamma) == -orbit_character_sum(base, chi, w, gamma)
     # epsilon_chi scales theta the same way
-    ctx_chi = make_context(2, 3, need_tower=True)
+    ctx_chi = make_context(2, 3)
     ctx_chi.epsilon_chi = -1
     assert theta(ctx_chi, cov, w, gamma) == -theta(base, cov, w, gamma)
 
@@ -399,7 +426,7 @@ def test_packet_single_class_with_full_group(ctx2):
 
 
 def test_packet_classes_with_trivial_subgroup():
-    ctx = make_context(2, 3, summation=named_summation_subgroup(2, "trivial"), need_tower=True)
+    ctx = make_context(2, 3, summation=named_summation_subgroup(2, "trivial"))
     chi = _chars(2, 3)[0]
     pk = packet(ctx, cover_character(chi))
     # oracle: distinct conjugate characters on the strongly regular set
@@ -414,7 +441,7 @@ def test_packet_classes_with_trivial_subgroup():
 def test_packet_proper_subgroup_kind1():
     rotation = named_summation_subgroup(1, "rotation")
     assert len(rotation) == 4
-    ctx = make_context(1, 5, summation=rotation, need_tower=True)
+    ctx = make_context(1, 5, summation=rotation)
     chi = _chars(1, 5)[0]
     pk = packet(ctx, cover_character(chi))
     # labels in the same right coset of the summation subgroup coincide

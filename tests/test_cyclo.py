@@ -60,21 +60,12 @@ def test_order_mismatch_raises():
         _ = a * b
     with pytest.raises(OrderMismatchError):
         _ = a == b
-    # embedded into a common order the two combine: i * zeta_3 = zeta_12^7
-    assert a.embed(12) * b.embed(12) == root_of_unity(12, 7)
 
 
 def test_roots_have_exact_order():
     for n in ORDERS:
         for k in range(n):
             assert root_of_unity(n, k) ** n == CycInt.one(n)
-
-
-def test_embedding_compatibility():
-    for n in ORDERS:
-        for m in (2, 3):
-            for k in range(n):
-                assert root_of_unity(n, k).embed(m * n) == root_of_unity(m * n, m * k)
 
 
 small_coeffs = st.lists(st.integers(-30, 30), min_size=1, max_size=6)
@@ -110,11 +101,6 @@ def test_coeff_length_checked():
     with pytest.raises(ValueError):
         CycInt(8, (1, 2))
     assert euler_phi(8) == 4
-
-
-def test_approx_is_close_but_never_asserted_on():
-    val = root_of_unity(8, 1).approx()
-    assert abs(val - complex(2**-0.5, 2**-0.5)) < 1e-12
 
 
 # independent oracle: sympy's cyclotomic polynomials and polynomial remainder

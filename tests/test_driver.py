@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from depthzero import charformula, driver, uniqueness
+from depthzero import charformula, driver, tori, uniqueness
 from depthzero.characters import enumerate_characters, enumerate_regular_characters
 from depthzero.charformula import (
     delta0_eta_exponent,
@@ -96,10 +96,13 @@ def test_config_file_unknown_key_named(tmp_path):
     assert "qq" in str(err.value)
 
 
-def test_cache_env_variable(tmp_path, monkeypatch):
+def test_cache_env_variable_is_ignored(tmp_path, monkeypatch):
+    """No campaign builds a field tower, so nothing reads a tower cache:
+    DEPTHZERO_CACHE sets nothing, while --cache-dir still parses."""
     monkeypatch.setenv("DEPTHZERO_CACHE", str(tmp_path))
-    cfg = resolve_config(_args("identity"))
-    assert cfg.cache_dir == str(tmp_path)
+    assert resolve_config(_args("identity")).cache_dir is None
+    flagged = resolve_config(_args("identity", "--cache-dir", str(tmp_path / "flag")))
+    assert flagged.cache_dir == str(tmp_path / "flag")
 
 
 def test_task_ids_unique_and_sorted():
@@ -269,7 +272,7 @@ def test_split_vs_combined_fails_with_the_scalar_witness(monkeypatch, kind, q, f
         monkeypatch.setattr(driver, "delta0_eta_exponent_array", broken_delta0_array)
         sign_fn, delta0_fn = sign, broken_delta0
     params = {"kind": kind, "q": q, "branch": 1, "seed": 0}
-    ctx = make_context(kind, q, need_tower=True)  # the scalar denominators need the tower
+    ctx = make_context(kind, q)
     expected = None
     for gamma in iter_strongly_regular(kind, q):
         for tw in parity_classes(kind, q):
@@ -324,17 +327,28 @@ def test_all_matches_golden_reports(tmp_path):
 
 
 def _refuse_field_towers(monkeypatch):
-    def refuse(cls, *args, **kwargs):
+    """FieldTower.build raises, and so does the scalar denominators' cached
+    tower, which a test run may have built before."""
+    def refuse(*args, **kwargs):
         raise AssertionError("a campaign check built a field tower")
 
     monkeypatch.setattr(FieldTower, "build", classmethod(refuse))
+    monkeypatch.setattr(charformula, "_tower", refuse)
 
 
 def test_campaign_builds_no_field_tower(monkeypatch, tmp_path):
     """The denominators read valuations only: all of `all`, and the
     benchmark's tower tasks (split-vs-combined and rho-shift-unique at
-    q = 27 and 47), PASS with FieldTower.build raising."""
+    q = 27 and 47), PASS with FieldTower.build raising.  The checks work on
+    int64 rows, so they PASS with the torus element classes refusing
+    construction too: only a FAIL witness builds one."""
     _refuse_field_towers(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a passing check built a torus element object")
+
+    for cls in (tori.T1Coinv, tori.T2Coinv, tori.T1Rational, tori.T2Rational):
+        monkeypatch.setattr(cls, "__init__", refuse)
     assert main(["all", "--jobs", "1", "--out", str(tmp_path)]) == 0
     for name in ("report.json", "report.md", "thresholds.csv"):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name

@@ -76,14 +76,13 @@ def test_reflection_lift_squares(pin):
 
 def test_lifts_normalize_torus(pin):
     for root in POSITIVE_ROOTS:
-        n = pin.n_elem(root)
-        conj = dual_torus_conjugate(pin, n, 3, 7)
+        conj = dual_torus_conjugate(pin, pin.lifts[root], 3, 7)
         # lands back in the torus (extraction succeeds) and is a lattice map
         assert isinstance(conj, tuple)
 
 
 def test_coroot_conjugation(pin):
-    assert coroot_conjugation_check(pin, exponents=list(range(1, 21)))
+    assert coroot_conjugation_check(pin)
 
 
 def test_sign_table_and_triple_product(pin):
@@ -98,7 +97,8 @@ def test_headline_lift_identities(pin):
     assert longest_lift_square_check(pin)
     assert coxeter_lift_fourth_check(pin)
     # the longest lift is the square of the Coxeter lift
-    assert sp_eq(pin.longest_lift(), sp_mul(pin.coxeter_lift(), pin.coxeter_lift()))
+    coxeter = pin.matrix(pin.coxeter)
+    assert sp_eq(pin.matrix(pin.longest), sp_mul(coxeter, coxeter))
 
 
 def test_twisted_power_values(pin):
@@ -130,13 +130,12 @@ def test_torsion_sampler_orders():
 def test_weyl_action_on_dual_torus(pin):
     assert weyl_action_checks(pin)
     # inversion, directly
-    nhat = pin.longest_lift()
-    assert dual_torus_conjugate(pin, nhat, 5, 9) == (19, 15)
+    assert dual_torus_conjugate(pin, pin.longest, 5, 9) == (19, 15)
 
 
 def test_extract_coroot_exponents_roundtrip(pin):
     for a, b in ((0, 0), (1, 0), (0, 1), (7, 13), (23, 23)):
-        m = pin.torus_matrix(a, b)
+        m = pin.matrix(pin.torus(a, b))
         assert pin.torus_exponents(as_monomial(pin, m)) == (a, b)
 
 
@@ -152,9 +151,9 @@ def test_cover_class_values_both_kinds():
 def test_products_preserve_form(pin):
     words = [
         sp_mul(pin.n_elem(LONG_SIMPLE), pin.n_elem(SHORT_SIMPLE)),
-        sp_mul(pin.coxeter_lift(), pin.n_elem((1, 1))),
-        sp_mul(pin.torus_matrix(3, 5), pin.longest_lift()),
-        sp_mul(pin.root_subgroup((1, 2), root_of_unity(24, 7)), pin.coxeter_lift()),
+        sp_mul(pin.matrix(pin.coxeter), pin.n_elem((1, 1))),
+        sp_mul(pin.matrix(pin.torus(3, 5)), pin.matrix(pin.longest)),
+        sp_mul(pin.root_subgroup((1, 2), root_of_unity(24, 7)), pin.matrix(pin.coxeter)),
     ]
     for m in words:
         assert pin.is_symplectic(m)
@@ -259,7 +258,7 @@ def test_monomial_roundtrip_through_matrices(pin):
     for letter in [("n", root) for root in ALL_ROOTS] + [("t", 7, 13), ("t", 0, 0)]:
         x = _generator(pin, letter)
         assert as_monomial(pin, pin.matrix(x)) == x
-    assert as_monomial(pin, pin.coxeter_lift()) == pin.coxeter
+    assert as_monomial(pin, pin.matrix(pin.coxeter)) == pin.coxeter
     assert as_monomial(pin, pin.n_elem((1, 1))) == pin.lifts[(1, 1)]
 
 
@@ -280,13 +279,13 @@ def test_as_monomial_rejects_non_monomial_matrices(pin):
 def _frobenius_power_by_matrices(pin, kind, a, b):
     """twisted_frobenius_power on 4x4 matrices, from the root-subgroup lifts."""
     m = sp_mul(pin.n_elem(LONG_SIMPLE), pin.n_elem(SHORT_SIMPLE))
-    x = sp_mul(pin.torus_matrix(a, b), sp_mul(m, m) if kind == 1 else m)
+    x = sp_mul(pin.matrix(pin.torus(a, b)), sp_mul(m, m) if kind == 1 else m)
     power = sp_mul(x, x)
     if kind == 2:
         power = sp_mul(power, power)
     b = pin.zeta.index(power.rows[0][0])
     a = (b + pin.zeta.index(power.rows[1][1])) % pin.order
-    assert sp_eq(power, pin.torus_matrix(a, b))
+    assert sp_eq(power, pin.matrix(pin.torus(a, b)))
     return a, b
 
 

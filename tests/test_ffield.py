@@ -20,22 +20,28 @@ from depthzero.ffield import (
 
 @pytest.fixture(scope="module")
 def tower3():
-    return FieldTower.build(3, 1, seed=0, max_level=4, keep_walk=True)
+    return FieldTower.build(3, 1, seed=0, max_level=4)
+
+
+def _walk(tower):
+    """The (exp_packed, dlog) tables of the walk that built the tower."""
+    p, modulus = tower.p, list(tower.modulus)
+    exp_packed, dlog, _zech = ffield._build_tables(p, modulus, ffield._find_primitive(p, modulus))
+    return exp_packed, dlog
 
 
 def test_rejects_composite_and_char2():
     with pytest.raises(ValueError):
         FieldTower.build(9, 1)
-    with pytest.raises(ValueError):
-        FieldTower.build(2, 1)
-    # explicitly allowed when requested
-    t = FieldTower.build(2, 1, allow_char2=True, max_level=2)
-    assert t.group_order(2) == 3
+    with pytest.raises(ValueError, match="characteristic 2"):
+        FieldTower.build(2, 1, max_level=2)
 
 
-def test_budget_rejection():
-    with pytest.raises(BudgetExceededError):
-        FieldTower.build(47, 1, max_level=4, budget=10_000)
+def test_budget_rejection(monkeypatch):
+    # 127^4 = 260M entries: refused before the modulus search starts
+    monkeypatch.setattr(ffield, "_find_modulus", None)
+    with pytest.raises(BudgetExceededError, match="budget is 200000000"):
+        FieldTower.build(127, 1, max_level=4)
 
 
 def test_q47_level2_group_order():
@@ -45,7 +51,7 @@ def test_q47_level2_group_order():
 
 
 def test_zech_agrees_with_polynomial_addition_full_enumeration(tower3):
-    exp, dlog = tower3._walk
+    exp, dlog = _walk(tower3)
     p = tower3.p
     n = len(tower3.modulus) - 1
     group = tower3.top_order
@@ -220,11 +226,10 @@ def test_zech_table_bytes_pinned(p, e, level, seed):
 
 
 def test_walk_equals_generator_powers():
-    tower = FieldTower.build(3, 3, seed=0, max_level=4, keep_walk=True)  # q = 27
-    exp_packed, dlog = tower._walk
-    p, modulus = tower.p, list(tower.modulus)
+    p, modulus = 3, ffield._find_modulus(3, 12, 0)  # the walk of q = 27 at level 4
     generator = ffield._find_primitive(p, modulus)
-    for k in [0, 1, 2, 729, 730, 731, 1459, 1460, 12345, 265720, tower.top_order - 1]:
+    exp_packed, dlog, _zech = ffield._build_tables(p, modulus, generator)
+    for k in [0, 1, 2, 729, 730, 731, 1459, 1460, 12345, 265720, 27**4 - 2]:
         coeffs = ffield._ppow(generator, k, p, modulus)
         assert int(exp_packed[k]) == sum(c * p**i for i, c in enumerate(coeffs))
         assert int(dlog[exp_packed[k]]) == k

@@ -82,17 +82,9 @@ def _pool_characters(kind, q, limit=None):
     return [DepthZeroCharacter(kind, q, tuple(row)) for row in rows.tolist()]
 
 
-def _oracle_context(params):
-    """The check's context, plus the field tower that the scalar
-    denominators subtract through (the table checks read no tower)."""
-    ctx = _context_from_params(params)
-    ctx.tower = make_context(ctx.kind, ctx.q, need_tower=True, seed=params["seed"]).tower
-    return ctx
-
-
 def oracle_lift_independence_formula(params):
     kind, q = params["kind"], params["q"]
-    ctx = _oracle_context(params)
+    ctx = _context_from_params(params)
     chars = _pool_characters(kind, q, limit=6)
     twists = parity_classes(kind, q)
     one = weyl_identity(kind)
@@ -122,7 +114,7 @@ def oracle_lift_independence_formula(params):
 
 def oracle_denominator_representatives(params):
     kind, q = params["kind"], params["q"]
-    ctx = _oracle_context(params)
+    ctx = _context_from_params(params)
     rng = random.Random(params.get("seed", 0))
     group = q ** (2 * kind) - 1
     unit_mod = q + 1 if kind == 1 else q * q + 1
@@ -147,7 +139,7 @@ def oracle_denominator_representatives(params):
 
 def oracle_positive_systems(params):
     kind, q = params["kind"], params["q"]
-    ctx = _oracle_context(params)
+    ctx = _context_from_params(params)
     chars = _pool_characters(kind, q, limit=6)
     one = weyl_identity(kind)
     systems = positive_system_contexts(kind)
@@ -170,13 +162,13 @@ def oracle_positive_systems(params):
 
 def oracle_packet_conjugation(params):
     kind, q = params["kind"], params["q"]
-    ctx = _oracle_context(params)
+    ctx = _context_from_params(params)
     chars = _pool_characters(kind, q, limit=3)
     gammas = list(iter_strongly_regular(kind, q))
     labels = rational_weyl_group(kind)
     # the one-class claim is about the full summation group, whatever the
     # configured one; the trivial group below separates the conjugates
-    full_ctx = _oracle_context({**params, "summation": "full"})
+    full_ctx = _context_from_params({**params, "summation": "full"})
     for chi in chars:
         cov = cover_character(chi)
         for w in labels:
@@ -193,7 +185,7 @@ def oracle_packet_conjugation(params):
                           "reason": "full summation group must give one class"})
     # with the trivial summation subgroup the classes separate conjugates
     chi = chars[0]
-    trivial_ctx = _oracle_context({**params, "summation": "trivial"})
+    trivial_ctx = _context_from_params({**params, "summation": "trivial"})
     pk = packet(trivial_ctx, cover_character(chi))
     distinct = len({
         tuple(weyl_conjugate(chi, w).eval_exponent(g) for g in gammas)

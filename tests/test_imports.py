@@ -1,9 +1,17 @@
-"""Imports: every imported name is used, and a run loads only what it uses.
+"""Imports and definitions: every imported name is used, every definition
+of the package is named somewhere, and a run loads only what it uses.
 
 The unused-import scan reads the syntax tree only: a name counts as used
 where it appears as a ``Name`` node anywhere in the module, annotations
 included.  ``from __future__`` imports and the re-exports of a package's
 ``__init__`` are allowed.
+
+The dead-definition scan also reads syntax trees only.  A function or
+class of ``src/depthzero`` counts as named where it appears as a ``Name``
+or ``Attribute`` node in the package, the tests or ``perfbench``; a
+method (a function directly in a class body) only as an ``Attribute``.
+The names that ``perfbench/spans.py`` wraps through the strings of its
+``SPANS`` table count too.  Dunder methods are exempt.
 
 The footprint guard runs ``identity`` in a fresh interpreter, because
 pytest itself loads some of the modules it forbids.
@@ -19,7 +27,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SCANNED = sorted((ROOT / "src" / "depthzero").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "depthzero").glob("*.py"))
+SCANNED = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -48,6 +57,67 @@ def test_scan_sees_unused_imports():
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def definitions(source: str) -> list[tuple[str, bool]]:
+    """(name, is a method) of every function and class that ``source``
+    defines, nested ones included, dunder methods left out."""
+    tree = ast.parse(source)
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body}
+    return [(node.name, id(node) in methods) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def references(source: str) -> tuple[set[str], set[str]]:
+    """The ``Name`` ids and the ``Attribute`` names of ``source``."""
+    nodes = list(ast.walk(ast.parse(source)))
+    return ({n.id for n in nodes if isinstance(n, ast.Name)},
+            {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+
+
+def span_names(source: str) -> set[str]:
+    """Every name in the attribute lists of a ``SPANS`` table, with
+    "Class.method" split into both parts."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "SPANS"
+                                                for t in node.targets):
+            for row in node.value.elts:
+                names.update(part for attr in row.elts[2].elts for part in attr.value.split("."))
+    return names
+
+
+def dead_definitions(sources: dict[str, str], referencing: list[str], spans: str) -> list[str]:
+    """``module:name`` of every definition in ``sources`` that no source in
+    ``referencing`` names, sorted."""
+    names, attributes = set(), set(span_names(spans))
+    for source in referencing:
+        ids, attrs = references(source)
+        names |= ids
+        attributes |= attrs
+    return sorted(f"{module}:{name}" for module, source in sources.items()
+                  for name, method in definitions(source)
+                  if name not in attributes and (method or name not in names))
+
+
+def test_scan_sees_dead_definitions():
+    module = (
+        "class A:\n    def used(self): pass\n    def dead(self): pass\n"
+        "    def __repr__(self): pass\n    def wrapped(self): pass\n"
+        "def f():\n    def inner(): pass\n    return A().used(), inner, dead\n"
+        "def g(): pass\n"
+    )
+    spans = 'SPANS = [("group", "m", ["A.wrapped"], TIMED)]\n'
+    assert dead_definitions({"m": module}, [module, "f()"], spans) == ["m:dead", "m:g"]
+
+
+def test_every_package_definition_is_named():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    referencing = [path.read_text() for path in SCANNED + sorted((ROOT / "perfbench").glob("*.py"))]
+    spans = (ROOT / "perfbench" / "spans.py").read_text()
+    assert dead_definitions(sources, referencing, spans) == []
 
 
 # modules the identity campaign does not need, with what each costs in peak

@@ -32,6 +32,7 @@ from depthzero.tori import (
     coinv_of_row,
     coinvariant_coordinates,
     coinvariant_index,
+    coinvariant_norm,
     coinvariant_shape,
     coordinate_array,
     enumerate_coinvariants,
@@ -39,6 +40,7 @@ from depthzero.tori import (
     lift_coordinates,
     lift_of_rational,
     parity_classes,
+    parity_rows,
     rational_of_row,
     strongly_regular_coordinates,
     t1_coinv,
@@ -87,6 +89,15 @@ def test_coinvariant_rows_index_and_witnesses(kind, q):
     assert np.array_equal(coords, coordinate_array(_classes(kind)[1], classes))
     assert np.array_equal(coinvariant_index(kind, q, coords), np.arange(len(classes)))
     assert [coinv_of_row(kind, q, row) for row in coords[::97]] == classes[::97]
+
+
+@pytest.mark.parametrize("kind,q", [(kind, q) for kind, q in POINTS if q <= 9])
+def test_parity_rows_are_the_norm_kernel(kind, q):
+    classes = list(enumerate_coinvariants(kind, q))
+    one = coinvariant_norm(classes[0])  # the first class is the identity
+    kernel = [c for c in classes if coinvariant_norm(c) == one]
+    assert np.array_equal(parity_rows(kind), coordinate_array(_classes(kind)[1], kernel))
+    assert parity_classes(kind, q) == kernel
 
 
 def _coords(c):

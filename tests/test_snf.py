@@ -41,11 +41,11 @@ def test_snf_invariant_factors_match_sympy(m):
 @given(m=matrices)
 def test_snf_transformation_identities(m):
     rows, cols = len(m), len(m[0])
-    d, u, v, uinv, vinv = smith_normal_form(m)
+    d, u, v, uinv = smith_normal_form(m)
     assert mat_mul(mat_mul(u, m), v) == d
     assert mat_mul(u, uinv) == _identity(rows)
     assert mat_mul(uinv, u) == _identity(rows)
-    assert mat_mul(v, vinv) == _identity(cols)
+    assert Matrix(v).det() in (1, -1)  # V is unimodular
     diag = diagonal(d)
     for i in range(len(diag)):
         assert diag[i] >= 0

@@ -12,6 +12,7 @@ from depthzero.tori import (
     T2Coinv,
     T2Rational,
     coinv_mul,
+    coinv_of_row,
     coinv_parity_part,
     coinv_unit_part,
     coinvariant_norm,
@@ -332,12 +333,11 @@ def test_positive_system_transforms_are_root_sets():
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_tate_cohomology_orders(q):
-    h1, h0, reps = tate_cohomology(1, q)
-    assert (h1, h0) == (4, 1)
-    assert set(reps) == set(parity_classes(1, q))
-    h1, h0, reps = tate_cohomology(2, q)
-    assert (h1, h0) == (2, 1)
-    assert set(reps) == set(parity_classes(2, q))
+    for kind, orders in ((1, (4, 1)), (2, (2, 1))):
+        h1, h0, reps = tate_cohomology(kind, q)
+        assert (h1, h0) == orders
+        classes = [coinv_of_row(kind, q, row) for row in reps]
+        assert len(classes) == h1 and set(classes) == set(parity_classes(kind, q))
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])

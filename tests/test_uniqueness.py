@@ -12,7 +12,6 @@ from depthzero.tori import (
     weyl_identity,
 )
 from depthzero.uniqueness import (
-    CENTER_ORDER,
     conjugate_forward_check,
     excluded_count,
     excluded_count_inclusion_exclusion,
@@ -22,10 +21,6 @@ from depthzero.uniqueness import (
     restriction_rigidity_check,
     threshold_scan,
 )
-
-
-def test_center_is_trivial_for_the_adjoint_group():
-    assert CENTER_ORDER == 1
 
 
 def test_excluded_counts_small_q():
