@@ -16,8 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import random
 import resource
+import signal
 import subprocess
 import sys
 import time
@@ -25,7 +27,6 @@ import traceback
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import product
-from math import ceil
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -920,20 +921,78 @@ def _public_params(params: dict) -> dict:
 
 
 def run_campaign(tasks: list[dict], jobs: int = 1):
-    if jobs > 1:
-        # imported here, so that a --jobs 1 run never loads the pool (~1.5 MB)
-        from concurrent.futures import ProcessPoolExecutor
+    """Run ``tasks``; returns the records sorted by id and {id: seconds}.
 
-        # contiguous chunks, four per worker, as multiprocessing.Pool.map
-        # picks them: one round trip per chunk instead of one per task
-        chunksize = max(1, ceil(len(tasks) / (4 * jobs)))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_task, tasks, chunksize=chunksize))
-    else:
-        results = [run_task(t) for t in tasks]
+    With ``jobs`` > 1 the tasks are dealt round-robin into
+    min(jobs, len(tasks)) shares.  This process runs share 0 itself and a
+    forked child runs each other share, so ``jobs`` counts processes, this
+    one included.  Records are sorted by id, so no report depends on
+    ``jobs``."""
+    count = min(jobs, len(tasks))
+    shares = [tasks[s::count] for s in range(count)]
+    results = _run_shares(shares) if len(shares) > 1 else [run_task(t) for t in tasks]
     records = sorted((r for r, _ in results), key=lambda r: r["id"])
     durations = {r["id"]: d for r, d in results}
     return records, durations
+
+
+def _run_shares(shares: list[list[dict]]) -> list[tuple[dict, float]]:
+    """Fork a child per share after the first and run the first here, then
+    collect each child's pickled results from its pipe.  Raises
+    RuntimeError naming a child that exits non-zero or sends a truncated
+    stream; on every way out, a child not yet reaped is killed and reaped."""
+    sys.stdout.flush()  # or a child would print what this process buffered
+    sys.stderr.flush()
+    children = []  # (pid, read end of its pipe) of each child not yet reaped
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_child_share(share, read_end, write_end)
+            os.close(write_end)
+            children.append((pid, read_end))
+        results = [run_task(task) for task in shares[0]]
+        while children:
+            pid, read_end = children[0]
+            with open(read_end, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            os.close(read_end)
+            if status != 0:
+                raise RuntimeError(f"worker process {pid} exited with status {status}")
+            try:
+                results += pickle.loads(data)
+            except (pickle.UnpicklingError, EOFError) as exc:
+                raise RuntimeError(f"worker process {pid} sent a truncated stream "
+                                   f"of {len(data)} bytes") from exc
+        return results
+    finally:
+        for pid, read_end in children:
+            os.close(read_end)
+            os.kill(pid, signal.SIGKILL)  # a zombie takes it without error
+            os.waitpid(pid, 0)
+
+
+def _run_child_share(share: list[dict], read_end: int, write_end: int):
+    """In a forked child: run ``share``, write its pickled
+    [(record, seconds), ...] to the pipe and exit, 0 only if all of it was
+    written.  Never returns, so the child never runs the parent's code."""
+    status = 1
+    try:
+        os.close(read_end)
+        with open(write_end, "wb") as pipe:
+            pickle.dump([run_task(task) for task in share], pipe)
+        status = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
 
 
 # ---------------------------------------------------------------------------
@@ -941,7 +1000,7 @@ def run_campaign(tasks: list[dict], jobs: int = 1):
 
 
 def _peak_rss_mb() -> float:
-    """Peak resident set of this process and of its reaped pool workers."""
+    """Peak resident set of this process and of its reaped forked workers."""
     kib = max(resource.getrusage(who).ru_maxrss
               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     return round(kib / 1024, 1)

@@ -781,9 +781,11 @@ def _columns_of(mat):
     return [[mat[i][j] for i in range(len(mat))] for j in range(len(mat[0]))]
 
 
+@lru_cache(maxsize=None)
 def tate_cohomology(kind: int, q: int):
     """Orders of H^-1 and H^0 of the Galois action on the E-points model,
-    plus all elements of H^-1 as coinvariant rows (one int64 row each).
+    plus all elements of H^-1 as coinvariant rows (one int64 row each,
+    read-only, cached per (kind, q)).
 
     Computed via Smith normal form on the integer presentation, entirely
     independently of the coinvariant normal form used elsewhere.
@@ -821,4 +823,5 @@ def tate_cohomology(kind: int, q: int):
         vecs.append(vec)
     # the A-model coordinates (d1, v1, d2, v2) are pair-model rows
     reps = project_to_coinvariants_array(kind, q, np.array(vecs, dtype=np.int64))
+    reps.flags.writeable = False
     return h_minus1_order, h0_order, reps

@@ -1,7 +1,10 @@
 import importlib.util
 import json
+import os
+import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -304,7 +307,7 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert not (tmp_path / "dup").exists()
 
 
-def test_parallel_jobs_match_serial(tmp_path):
+def test_parallel_jobs_match_serial(tmp_path, monkeypatch):
     argv = ["cohomology", "--q", "3", "--kind", "1"]
     assert main(argv + ["--out", str(tmp_path / "serial"), "--jobs", "1"]) == 0
     assert main(argv + ["--out", str(tmp_path / "par"), "--jobs", "2"]) == 0
@@ -312,18 +315,91 @@ def test_parallel_jobs_match_serial(tmp_path):
     # byte-identical regardless of parallelism
     for name in ("report.json", "report.md"):
         assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
-    # fewer tasks than workers: the pool's chunk size stays at least 1
+    # fewer tasks than processes: one share per task, so a single child
     tasks = build_tasks("cohomology", Config())[:2]
     serial, serial_durations = driver.run_campaign(tasks, jobs=1)
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
     par, par_durations = driver.run_campaign(tasks, jobs=3)
+    assert forks == [os.getpid()]
     assert par == serial
     assert par_durations.keys() == serial_durations.keys() == {t["id"] for t in tasks}
 
 
 def test_all_matches_golden_reports(tmp_path):
-    assert main(["all", "--jobs", "2", "--out", str(tmp_path)]) == 0
-    for name in ("report.json", "report.md", "thresholds.csv"):
-        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    for jobs in ("2", "3"):
+        out = tmp_path / jobs
+        assert main(["all", "--jobs", jobs, "--out", str(out)]) == 0
+        for name in ("report.json", "report.md", "thresholds.csv"):
+            assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), (jobs, name)
+        records = json.loads((out / "report.json").read_text())["checks"]
+        durations = json.loads((out / "run_meta.json").read_text())["durations_seconds"]
+        assert durations.keys() == {r["id"] for r in records}, jobs
+
+
+def _registered_task(monkeypatch, name, check):
+    """A task dict of ``check``, registered as ``name`` for one test."""
+    row = driver.Check(f"cohomology/{name}", name, check, claim=name)
+    monkeypatch.setitem(driver.REGISTRY, name, row)
+    return {"id": row.id, "claim": row.claim, "fn": name, "params": {}}
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_child_that_dies_is_named_and_reaped(monkeypatch):
+    """Round-robin puts the second task in the forked child's share."""
+    parent = os.getpid()
+
+    def dies_in_a_child(params):
+        if os.getpid() != parent:
+            os._exit(7)
+        return driver._ok()
+
+    tasks = [_registered_task(monkeypatch, "passes", lambda params: driver._ok()),
+             _registered_task(monkeypatch, "dies", dies_in_a_child)]
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match=r"worker process \d+ exited with status 7"):
+        driver.run_campaign(tasks, jobs=2)
+    assert time.monotonic() - start < 10
+    _assert_no_child_left()
+
+
+def test_truncated_stream_is_named(monkeypatch):
+    """A child that exits 0 after writing part of its results."""
+    monkeypatch.setattr(pickle, "dump", lambda obj, file: file.write(pickle.dumps(obj)[:-1]))
+    tasks = [_registered_task(monkeypatch, name, lambda params: driver._ok())
+             for name in ("first", "second")]
+    with pytest.raises(RuntimeError, match=r"worker process \d+ sent a truncated stream"):
+        driver.run_campaign(tasks, jobs=2)
+    _assert_no_child_left()
+
+
+def test_interrupt_in_this_process_share_kills_the_children(monkeypatch):
+    """The first task, in this process's share, is interrupted while the
+    child sleeps through the second: the child is killed, not waited for."""
+    def interrupted(params):
+        raise KeyboardInterrupt
+
+    def slow(params):
+        time.sleep(60)
+        return driver._ok()
+
+    tasks = [_registered_task(monkeypatch, "interrupted", interrupted),
+             _registered_task(monkeypatch, "slow", slow)]
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        driver.run_campaign(tasks, jobs=2)
+    assert time.monotonic() - start < 10
+    _assert_no_child_left()
 
 
 def _refuse_field_towers(monkeypatch):

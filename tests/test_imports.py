@@ -13,8 +13,8 @@ method (a function directly in a class body) only as an ``Attribute``.
 The names that ``perfbench/spans.py`` wraps through the strings of its
 ``SPANS`` table count too.  Dunder methods are exempt.
 
-The footprint guard runs ``identity`` in a fresh interpreter, because
-pytest itself loads some of the modules it forbids.
+The footprint guards run ``identity`` and ``all --jobs 2`` in a fresh
+interpreter, because pytest itself loads some of the modules they forbid.
 """
 
 import ast
@@ -122,29 +122,40 @@ def test_every_package_definition_is_named():
 
 # modules the identity campaign does not need, with what each costs in peak
 # RSS after numpy: hashlib and _hashlib load OpenSSL (~3.5 MB); secrets and
-# numpy.random pull hashlib in; the process pool (~1.5 MB) serves --jobs > 1
-# only; fractions serves the threshold and rigidity checks only
-NOT_ON_THE_IDENTITY_PATH = ("hashlib", "_hashlib", "secrets", "numpy.random",
-                            "concurrent.futures.process", "multiprocessing", "fractions")
+# numpy.random pull hashlib in; fractions serves the threshold and rigidity
+# checks only.  No run needs a process pool (~1.5 MB): --jobs > 1 forks.
+NOT_ON_ANY_PATH = ("concurrent.futures", "multiprocessing")
+NOT_ON_THE_IDENTITY_PATH = ("hashlib", "_hashlib", "secrets", "numpy.random", "fractions",
+                            *NOT_ON_ANY_PATH)
 
 FOOTPRINT = """
 import json, sys
 import numpy
 before = set(sys.modules)
 from depthzero.driver import main
-code = main(["identity", "--q", "3", "--kind", "both", "--jobs", "1", "--out", sys.argv[1]])
+code = main(sys.argv[2:] + ["--out", sys.argv[1]])
 print(json.dumps({"exit": code, "added": sorted(set(sys.modules) - before)}))
 """
 
 
-def test_identity_run_loads_no_module_it_does_not_use(tmp_path):
+def loaded_by(tmp_path, argv, forbidden) -> list[str]:
+    """The modules in ``forbidden`` (or under one) that a run of ``argv``
+    in a fresh interpreter loads after numpy; the run must pass."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, "-c", FOOTPRINT, str(tmp_path / "out")],
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT, str(tmp_path / "out"), *argv],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["exit"] == 0
     assert "depthzero.driver" in result["added"]
-    loaded = [name for name in result["added"]
-              if any(name == m or name.startswith(m + ".") for m in NOT_ON_THE_IDENTITY_PATH)]
-    assert loaded == []
+    return [name for name in result["added"]
+            if any(name == m or name.startswith(m + ".") for m in forbidden)]
+
+
+def test_identity_run_loads_no_module_it_does_not_use(tmp_path):
+    argv = ["identity", "--q", "3", "--kind", "both", "--jobs", "1"]
+    assert loaded_by(tmp_path, argv, NOT_ON_THE_IDENTITY_PATH) == []
+
+
+def test_parallel_run_loads_no_process_pool(tmp_path):
+    assert loaded_by(tmp_path, ["all", "--jobs", "2"], NOT_ON_ANY_PATH) == []
