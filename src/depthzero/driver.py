@@ -103,7 +103,8 @@ from .uniqueness import (
 
 SCHEMA_VERSION = 1
 SUMMATIONS = ("full", "rotation", "trivial")
-FORMATS = ("json", "csv", "md")
+REPORT_FILES = {"json": "report.json", "csv": "thresholds.csv", "md": "report.md"}
+FORMATS = tuple(REPORT_FILES)
 
 
 class ConfigError(ValueError):
@@ -1031,13 +1032,13 @@ def emit_report(records, durations, cfg: Config, out_dir) -> dict:
         "checks": records,
     }
     if "json" in cfg.formats:
-        path = out / "report.json"
+        path = out / REPORT_FILES["json"]
         path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         written["json"] = str(path)
     if "csv" in cfg.formats:
         rows = [row for rec in records for row in rec["info"].get("rows", [])]
         if rows:
-            path = out / "thresholds.csv"
+            path = out / REPORT_FILES["csv"]
             header = "kind,q,excluded,torus_order,ratio,bound,holds"
             lines = [header] + [
                 f"{r['kind']},{r['q']},{r['excluded']},{r['torus_order']},"
@@ -1047,7 +1048,7 @@ def emit_report(records, durations, cfg: Config, out_dir) -> dict:
             path.write_text("\n".join(lines) + "\n")
             written["csv"] = str(path)
     if "md" in cfg.formats:
-        path = out / "report.md"
+        path = out / REPORT_FILES["md"]
         lines = [
             "# Verification report",
             "",
@@ -1063,6 +1064,10 @@ def emit_report(records, durations, cfg: Config, out_dir) -> dict:
             )
         path.write_text("\n".join(lines) + "\n")
         written["md"] = str(path)
+    # a reused out_dir keeps no report file of an earlier run
+    for fmt, name in REPORT_FILES.items():
+        if fmt not in written:
+            (out / name).unlink(missing_ok=True)
     meta = {
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "jobs": cfg.jobs,

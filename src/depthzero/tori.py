@@ -14,6 +14,7 @@ claims about the norm exact sequence are machine-checked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -720,65 +721,13 @@ def strongly_regular_coordinates(kind: int, q: int) -> np.ndarray:
 # Tate cohomology on the finitely generated abelian model
 
 
-def _module_data(kind: int, q: int):
-    """Coordinates (d1, v1, d2, v2) with moduli and the Galois matrix."""
-    if kind == 1:
-        m = q * q - 1
-        moduli = [m, 0, m, 0]
-        galois = [
-            [-q, 0, 0, 0],
-            [0, -1, 0, 0],
-            [0, 0, -q, 0],
-            [0, 0, 0, -1],
-        ]
-        order = 2
-    else:
-        m = q**4 - 1
-        moduli = [m, 0, m, 0]
-        galois = [
-            [0, 0, -q, 0],
-            [0, 0, 0, -1],
-            [q, 0, 0, 0],
-            [0, 1, 0, 0],
-        ]
-        order = 4
-    return moduli, galois, order
-
-
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
-
-
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _relation_columns(moduli):
-    cols = []
-    for i, m in enumerate(moduli):
-        if m != 0:
-            col = [0, 0, 0, 0]
-            col[i] = m
-            cols.append(col)
-    return cols
-
-
-def _preimage_lattice(fmat, rel_cols):
-    """Generators of {x : fmat . x is in the relation lattice}."""
-    k = len(fmat)
-    aug = [fmat[i][:] + [-col[i] for col in rel_cols] for i in range(k)]
-    kernel = snf.kernel_basis(aug)
-    gens = [vec[:k] for vec in kernel]
-    gens.extend(col[:] for col in rel_cols)
-    return gens
-
-
-def _columns_of(mat):
-    return [[mat[i][j] for i in range(len(mat))] for j in range(len(mat[0]))]
+# The Galois generator on the E-points rows (d1, v1, d2, v2): Frobenius,
+# q on the two dlog columns, composed with the monomial map of the kind
+# (inversion for torus 1, the order-4 rotation of the pair for torus 2).
+GALOIS_MONOMIAL = {
+    1: ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)),
+    2: ((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0)),
+}
 
 
 @lru_cache(maxsize=None)
@@ -787,41 +736,36 @@ def tate_cohomology(kind: int, q: int):
     plus all elements of H^-1 as coinvariant rows (one int64 row each,
     read-only, cached per (kind, q)).
 
-    Computed via Smith normal form on the integer presentation, entirely
-    independently of the coinvariant normal form used elsewhere.
+    numpy forms the Galois matrix, its norm and 1 - sigma as arrays of
+    Python ints, so no q overflows; ``snf`` computes each group as a
+    quotient of lattices by Smith normal form, entirely independently of
+    the coinvariant normal form used elsewhere.
     """
     _check_kind(kind)
-    moduli, galois, order = _module_data(kind, q)
-    ident = _identity(4)
-    power = ident
-    norm = ident
-    for _ in range(order - 1):
-        power = snf.mat_mul(galois, power)
-        norm = _mat_add(norm, power)
-    one_minus = _mat_add(ident, _mat_scale(galois, -1))
-    rel_cols = _relation_columns(moduli)
+    level = torus_level(kind)
+    galois = np.array(GALOIS_MONOMIAL[kind], dtype=object) * np.array([q, 1, q, 1], dtype=object)
+    ident = np.eye(4, dtype=object)
+    norm = sum(np.linalg.matrix_power(galois, i) for i in range(level))
+    one_minus = ident - galois
+    # the dlog coordinates live modulo q^L - 1, the valuations in Z
+    relations = (q**level - 1) * ident[:, [0, 2]]
 
     def homology(kernel_of, image_of):
-        big = _preimage_lattice(kernel_of, rel_cols)
-        small = _columns_of(image_of) + [c[:] for c in rel_cols]
-        factors = snf.quotient_structure(big, small)
+        """(ker kernel_of) / (im image_of) modulo the relations."""
+        kernel = snf.kernel_basis(np.hstack([kernel_of, -relations]).tolist())
+        preimage = [vec[:4] for vec in kernel] + relations.T.tolist()
+        factors = snf.quotient_structure(preimage, np.hstack([image_of, relations]).T.tolist())
         assert all(o != 0 for o, _ in factors), "Tate group must be finite"
-        total = 1
-        for o, _ in factors:
-            total *= o
-        return total, factors
+        return math.prod(o for o, _ in factors), factors
 
     h_minus1_order, h_minus1_factors = homology(norm, one_minus)
     h0_order, _h0_factors = homology(one_minus, norm)
 
-    vecs = []
-    exponent_ranges = [range(o) for o, _ in h_minus1_factors]
-    for exps in product(*exponent_ranges) if h_minus1_factors else [()]:
-        vec = [0, 0, 0, 0]
-        for e, (_o, gen) in zip(exps, h_minus1_factors):
-            vec = [x + e * g for x, g in zip(vec, gen)]
-        vecs.append(vec)
+    orders = [o for o, _ in h_minus1_factors]
+    exponents = np.array(list(product(*map(range, orders))), dtype=np.int64)
+    generators = np.array([gen for _, gen in h_minus1_factors], dtype=np.int64)
+    vecs = exponents.reshape(h_minus1_order, len(orders)) @ generators.reshape(len(orders), 4)
     # the A-model coordinates (d1, v1, d2, v2) are pair-model rows
-    reps = project_to_coinvariants_array(kind, q, np.array(vecs, dtype=np.int64))
+    reps = project_to_coinvariants_array(kind, q, vecs)
     reps.flags.writeable = False
     return h_minus1_order, h0_order, reps

@@ -229,6 +229,18 @@ def test_threshold_csv_columns(tmp_path):
     assert first[4] == "3/4" and first[5] == "1/8" and first[6] == "false"
 
 
+def test_reused_out_keeps_no_stale_report(tmp_path):
+    out = ["--out", str(tmp_path)]
+    assert main(["thresholds", "--q-max", "30", *out]) == 0
+    assert (tmp_path / "thresholds.csv").exists()
+    # a run with no threshold rows
+    assert main(["chevalley", "--kind", "1", *out]) == 0
+    assert not (tmp_path / "thresholds.csv").exists()
+    # formats that were not requested
+    assert main(["thresholds", "--q-max", "30", "--format", "json", *out]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["report.json", "run_meta.json"]
+
+
 def test_budget_exceeded_yields_skipped_and_exit_3(tmp_path):
     code = main([
         "thresholds", "--q-max", "30", "--out", str(tmp_path), "--budget-evals", "100",
@@ -672,6 +684,22 @@ FAIL_BRANCHES = [  # (label, check, params, break, witness keys)
     ("excluded-crosscheck", "excluded_crosscheck", _TATE,
      _rebind(driver, "excluded_count", _miscount), {"enumeration", "inclusion_exclusion"}),
 ]
+
+
+@pytest.mark.parametrize("kind,monomial,orders", [
+    (1, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), [1, 4]),  # no inversion
+    (2, ((0, 0, -1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)), [1, 2]),  # v1 row +1
+])
+def test_tate_orders_fail_under_a_broken_galois_matrix(monkeypatch, kind, monomial, orders):
+    check, params = driver.REGISTRY["tate_orders"].check, {"kind": kind, "q": 3}
+    assert check(dict(params))[0] == "PASS"
+    monkeypatch.setitem(tori.GALOIS_MONOMIAL, kind, monomial)
+    tori.tate_cohomology.cache_clear()
+    try:
+        outcome, witness, _info = check(dict(params))
+    finally:
+        tori.tate_cohomology.cache_clear()
+    assert outcome == "FAIL" and witness["orders"] == orders
 
 
 @pytest.mark.parametrize("label,name,params,apply,keys", FAIL_BRANCHES,

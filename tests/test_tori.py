@@ -331,13 +331,22 @@ def test_positive_system_transforms_are_root_sets():
 # Tate cohomology
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 9])
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27, 49])
 def test_tate_cohomology_orders(q):
     for kind, orders in ((1, (4, 1)), (2, (2, 1))):
         h1, h0, reps = tate_cohomology(kind, q)
         assert (h1, h0) == orders
+        assert reps.dtype == np.int64 and not reps.flags.writeable
         classes = [coinv_of_row(kind, q, row) for row in reps]
         assert len(classes) == h1 and set(classes) == set(parity_classes(kind, q))
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_tate_representative_row_order(q):
+    # the order in which the cohomology/representatives witness prints them
+    assert tate_cohomology(1, q)[2].tolist() == [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0],
+                                                 [0, 0, 1, 1]]
+    assert tate_cohomology(2, q)[2].tolist() == [[0, 0], [0, 1]]
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
