@@ -194,33 +194,31 @@ def weyl_denominator_valuations(ctx: FormulaContext, coords: np.ndarray) -> np.n
 
     The rows are read as ``canonical_rep`` reads a class: torus 1 as the
     pair (u1, v1), (u2, v2) of level-2 (dlog, val), torus 2 as the level-4
-    (u, v); rows of any other representative are read the same way.
+    (u, v); rows of any other representative are read the same way.  Every
+    factor is x - sigma^kind(x), sigma the Frobenius: torus 1 takes the
+    monomials x = w1^g1 w2^g2 of the positive roots (u @ G, the roots the
+    columns of G), torus 2 the Galois sums t0, t1 + t2, t1, t0 + t1 of
+    t_j = sigma^j(w) (in dlogs, u times 1, q + q^2, q, 1 + q), whose
+    sigma^2 are the subtrahends t2, t3 + t0, t3, t2 + t3 of the scalar form.
+    All four factors go through one ``leading_diff_array``, as one
+    (N, 4, 2, 2) array of (dlog, val) rows of x and sigma^kind(x).
     Raises CancellationError where a factor's leading terms cancel.
     """
     q = ctx.q
     order = q**torus_level(ctx.kind) - 1
     if order * order >= 2**63:
         raise OverflowError(f"q = {q} is too large for int64 denominator rows")
-
-    def rows(dlog, val):
-        return np.stack([dlog % order, val], axis=1)
-
     if ctx.kind == 1:
-        u1, u2, v1, v2 = coords.T
-        pairs = []
-        for g1, g2 in default_positive_roots(1):
-            m, v = (g1 * u1 + g2 * u2) % order, g1 * v1 + g2 * v2
-            pairs.append((rows(m, v), rows(q * m, v)))
+        dlog_cols = val_cols = np.array(default_positive_roots(1)).T
     else:
-        u, v = coords.T
-        t = [(u % order) * pow(q, j, order) for j in range(4)]
-        pairs = (
-            (rows(t[0], v), rows(t[2], v)),
-            (rows(t[1] + t[2], 2 * v), rows(t[0] + t[3], 2 * v)),
-            (rows(t[1], v), rows(t[3], v)),
-            (rows(t[0] + t[1], 2 * v), rows(t[2] + t[3], 2 * v)),
-        )
-    return np.stack([leading_diff_array(a, b) for a, b in pairs], axis=1)
+        dlog_cols = np.array([[1, q + q * q, q, 1 + q]]) % order
+        val_cols = np.array([[1, 2, 1, 2]])
+    rank = len(dlog_cols)
+    dlog = coords[:, :rank] % order @ dlog_cols % order
+    val = coords[:, rank:] @ val_cols
+    twisted = dlog * q**ctx.kind % order
+    pairs = np.stack([dlog, val, twisted, val], axis=-1).reshape(-1, 2, 2)
+    return leading_diff_array(pairs[:, 0], pairs[:, 1]).reshape(-1, 4)
 
 
 def weyl_denominator_exponent_array(ctx: FormulaContext, coords: np.ndarray) -> np.ndarray:
@@ -249,16 +247,14 @@ def delta0_eta_exponent(ctx: FormulaContext, gamma, positive_roots=None) -> int:
 def delta0_eta_exponent_array(ctx: FormulaContext, coords: np.ndarray,
                               positive_roots=None) -> np.ndarray:
     """``delta0_eta_exponent`` on every row of
-    ``coordinate_array(T1Rational | T2Rational, ...)``."""
+    ``coordinate_array(T1Rational | T2Rational, ...)``: the (1, root^-1(gamma))
+    pairs of every root form one (N, R, 2) pair of (dlog, val) arrays."""
     kind, q = ctx.kind, ctx.q
     roots = positive_roots if positive_roots is not None else default_positive_roots(kind)
-    one = mu_unit_array(kind, q, np.zeros(len(coords), dtype=np.int64))
-    total = 0
-    for g in roots:
-        inv_value = mu_unit_array(kind, q, -root_value_coord_array(kind, q, g, coords))
-        total = total + eta_exponent_array(kind, leading_diff_array(one, inv_value),
-                                           ctx.eta_branch)
-    return total % 4
+    inv_value = mu_unit_array(kind, q, -root_value_coord_array(kind, q, roots, coords).ravel())
+    one = np.zeros_like(inv_value)
+    vals = leading_diff_array(one, inv_value).reshape(len(coords), -1)
+    return eta_exponent_array(kind, vals, ctx.eta_branch).sum(axis=1) % 4
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +293,7 @@ def two_rho_eta_exponent_array(ctx: FormulaContext, coords: np.ndarray,
     kind, q = ctx.kind, ctx.q
     roots = positive_roots if positive_roots is not None else default_positive_roots(kind)
     gamma = coinvariant_norm_array(kind, q, coords)
-    coord = root_value_coord_array(kind, q, half_sum_vector(kind, roots), gamma)
+    coord = root_value_coord_array(kind, q, [half_sum_vector(kind, roots)], gamma)[:, 0]
     return eta_exponent_array(kind, mu_unit_array(kind, q, coord)[:, 1], ctx.eta_branch)
 
 

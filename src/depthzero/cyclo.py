@@ -38,16 +38,6 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
 def _poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     """Divide by a monic integer polynomial; exact integer arithmetic."""
     assert den[-1] == 1, "divisor must be monic"
@@ -102,18 +92,19 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _sparse_power_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nonzero (index, coeff) pairs of each row of ``_power_table``."""
+    return tuple(tuple((i, t) for i, t in enumerate(row) if t) for row in _power_table(n))
+
+
 def _reduce(n: int, coeffs) -> tuple[int, ...]:
     """Reduce an arbitrary coefficient sequence mod Phi_n (exponents folded mod n)."""
-    phi = euler_phi(n)
-    table = _power_table(n)
-    out = [0] * phi
+    table = _sparse_power_table(n)
+    out = [0] * euler_phi(n)
     for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        row = table[k % n]
-        for i in range(phi):
-            t = row[i]
-            if t:
+        if c:
+            for i, t in table[k % n]:
                 out[i] += c * t
     return tuple(out)
 
@@ -171,8 +162,16 @@ class CycInt:
         if not isinstance(other, CycInt):
             return NotImplemented
         self._check_order(other)
-        conv = _poly_mul(list(self.coeffs), list(other.coeffs))
-        return CycInt(self.order, _reduce(self.order, conv))
+        n = self.order
+        table = _sparse_power_table(n)
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
+        out = [0] * len(self.coeffs)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in terms:
+                    for k, t in table[(i + j) % n]:
+                        out[k] += a * b * t
+        return CycInt(n, tuple(out))
 
     __rmul__ = __mul__
 
@@ -203,14 +202,14 @@ class CycInt:
 
 def root_of_unity(order: int, k: int) -> CycInt:
     """zeta_order^k in reduced form; k may be any integer."""
-    buckets = [0] * order
-    buckets[k % order] = 1
-    return CycInt(order, _reduce(order, buckets))
+    return CycInt(order, _power_table(order)[k % order])
 
 
 def sum_of_roots(order: int, exponents) -> CycInt:
     """Sum of zeta_order^e over the given exponents, exactly."""
-    buckets = [0] * order
+    table = _sparse_power_table(order)
+    out = [0] * euler_phi(order)
     for e in exponents:
-        buckets[e % order] += 1
-    return CycInt(order, _reduce(order, buckets))
+        for i, t in table[e % order]:
+            out[i] += t
+    return CycInt(order, tuple(out))

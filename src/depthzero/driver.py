@@ -89,6 +89,7 @@ from .tori import (
     strongly_regular_coordinates,
     strongly_regular_mask,
     tate_cohomology,
+    unit_class_order,
     weyl_identity,
 )
 from .uniqueness import (
@@ -482,34 +483,45 @@ def check_lift_independence_formula(params):
     return _ok({"twists": len(twists)})
 
 
+def denominator_representative_rows(rng: random.Random, kind: int, q: int,
+                                    classes: np.ndarray, samples: int) -> np.ndarray:
+    """``samples`` random representatives of each coinvariant class row, as a
+    (classes, samples, 2 * rank) array of rows (dlogs..., vals...).
+
+    One block of little-endian 64-bit words from ``rng.randbytes``, two per
+    (class, sample, slot) in that order: the first picks the unit dlog
+    u + unit_mod * i, i in [0, group / unit_mod), the second the valuation
+    v + 2 s, s in -3..3.  ``randbytes(a) + randbytes(b) == randbytes(a + b)``,
+    so drawing class by class or a block at a time gives the same rows.
+    """
+    rank = 2 if kind == 1 else 1
+    group, unit_mod = q ** (2 * kind) - 1, unit_class_order(kind, q)
+    draws = np.frombuffer(rng.randbytes(16 * len(classes) * samples * rank), dtype="<u8")
+    draws = draws.reshape(len(classes), samples, rank, 2)
+    lift = (draws[..., 0] % np.uint64(group // unit_mod)).astype(np.int64)
+    shift = (draws[..., 1] % np.uint64(7)).astype(np.int64) - 3
+    coords = classes[:, None, :]
+    return np.concatenate([(coords[..., :rank] + unit_mod * lift) % group,
+                           coords[..., rank:] + 2 * shift], axis=-1)
+
+
 def check_denominator_representatives(params):
     """Classes in enumeration order, each against ``samples`` random
-    representatives drawn class by class, sample by sample, slot by slot
-    (unit, then valuation)."""
+    representatives from ``denominator_representative_rows``, one seeded
+    block of draws per block of classes."""
     kind, q = params["kind"], params["q"]
     ctx = _context_from_params(params)
     rng = random.Random(params.get("seed", 0))
     samples = params.get("samples", 100)
-    group = q ** (2 * kind) - 1
-    unit_mod = q + 1 if kind == 1 else q * q + 1
     classes = coinvariant_coordinates(kind, q)
     classes = classes[strongly_regular_mask(kind, q, coinvariant_norm_array(kind, q, classes))]
-
-    def sample(u, v):  # another representative of the class (u, v), as (dlog, val)
-        dlog = (u + unit_mod * rng.randrange(group // unit_mod)) % group
-        return dlog, v + 2 * rng.randrange(-3, 4)
-
-    rank = 2 if kind == 1 else 1
     # blocks of ~1,024 sample rows, as in split-vs-combined: the whole q = 3
     # grid at once (6,400 rows for torus 1) raised the campaign's peak RSS
     step = max(1, 1024 // samples)
     for start in range(0, len(classes), step):
         coords = classes[start : start + step]
-        draws = [x for row in coords.tolist() for _ in range(samples) for slot in range(rank)
-                 for x in sample(row[slot], row[rank + slot])]
-        # (class, sample, slot, (dlog, val)) -> rows (dlogs..., vals...)
-        reps = np.array(draws, dtype=np.int64).reshape(-1, rank, 2).swapaxes(1, 2)
-        got = weyl_denominator_exponent_array(ctx, reps.reshape(-1, 2 * rank))
+        reps = denominator_representative_rows(rng, kind, q, coords, samples)
+        got = weyl_denominator_exponent_array(ctx, reps.reshape(-1, reps.shape[-1]))
         base = weyl_denominator_exponent_array(ctx, coords)
         bad = np.argwhere(got.reshape(len(coords), samples) != base[:, None])
         if len(bad):

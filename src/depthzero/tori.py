@@ -665,19 +665,19 @@ def root_value_coord(kind: int, q: int, root, gamma) -> int:
     return ((g1 + q * g2) * gamma.k) % (q * q + 1)
 
 
-def root_value_coord_array(kind: int, q: int, root, coords: np.ndarray) -> np.ndarray:
-    """``root_value_coord`` on every row of
-    ``coordinate_array(T1Rational | T2Rational, ...)``."""
-    g1, g2 = root
+def root_value_coord_array(kind: int, q: int, roots, coords: np.ndarray) -> np.ndarray:
+    """``root_value_coord`` of each of ``roots`` on every row of
+    ``coordinate_array(T1Rational | T2Rational, ...)``, one column per root."""
+    g = np.array(roots, dtype=np.int64)
     if kind == 1:
-        return (g1 * coords[:, 0] + g2 * coords[:, 1]) % (q + 1)
-    return ((g1 + q * g2) * coords[:, 0]) % (q * q + 1)
+        return coords[:, :2] @ g.T % (q + 1)
+    n = q * q + 1
+    return coords[:, :1] * ((g[:, 0] + q * g[:, 1]) % n) % n
 
 
 def strongly_regular_mask(kind: int, q: int, coords: np.ndarray) -> np.ndarray:
     """``is_strongly_regular`` on every row of rational coordinates."""
-    return np.all([root_value_coord_array(kind, q, g, coords) != 0
-                   for g in default_positive_roots(kind)], axis=0)
+    return (root_value_coord_array(kind, q, default_positive_roots(kind), coords) != 0).all(axis=1)
 
 
 def root_values(kind: int, q: int, gamma):

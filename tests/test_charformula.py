@@ -252,27 +252,46 @@ def test_array_denominators_equal_scalar(q, kind, branch):
         assert moved.tolist() == [delta0_eta_exponent(ctx, g, roots) for g in gammas]
 
 
-@pytest.mark.parametrize("q", [3, 5])
+def _scalar_factor_valuations(ctx, rep):
+    """The valuation of each scalar denominator factor, None where one cancels."""
+    try:
+        return [f.val for f in denominator_factors(ctx, rep)]
+    except CancellationError:
+        return None
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
 @pytest.mark.parametrize("kind", [1, 2])
 def test_denominator_valuations_equal_scalar_factors(q, kind):
-    """On every coinvariant class: the array valuations are those of the
-    scalar factors, and the array form cancels exactly where the scalar
-    one does (the classes whose norm is not strongly regular)."""
+    """Column by column, the array valuations are those of the scalar
+    factors, and the array form cancels exactly where the scalar one does:
+    on every coinvariant class (canonical rows cancel on the classes whose
+    norm is not strongly regular), and on non-canonical random rows, any
+    dlog and valuations in [-3, 3], where a permutation of the columns
+    would show."""
     ctx = make_context(kind, q)
     classes = list(enumerate_coinvariants(kind, q))
-    expected = []
-    for c in classes:
-        try:
-            expected.append([f.val for f in denominator_factors(ctx, canonical_rep(c))])
-        except CancellationError:
-            expected.append(None)
+    expected = [_scalar_factor_valuations(ctx, canonical_rep(c)) for c in classes]
     keep = np.array([e is not None for e in expected])
     assert keep.tolist() == [is_strongly_regular(kind, q, coinvariant_norm(c)) for c in classes]
     assert not keep.all()
     coords = coordinate_array(_CLASSES[kind][1], classes)
+
+    rng = random.Random(q)
+    order = q ** (2 * kind) - 1
+    rank = 2 if kind == 1 else 1
+    rows = np.array([[rng.randrange(order) for _ in range(rank)]
+                     + [rng.randrange(-3, 4) for _ in range(rank)]
+                     for _ in range(200)], dtype=np.int64)
+    for row in rows.tolist():
+        units = [unit(q, 2 * kind, d, v) for d, v in zip(row[:rank], row[rank:])]
+        expected.append(_scalar_factor_valuations(ctx, tuple(units) if kind == 1 else units[0]))
+    coords = np.concatenate([coords, rows])
+    keep = np.array([e is not None for e in expected])
     vals = weyl_denominator_valuations(ctx, coords[keep])
     assert vals.shape == (keep.sum(), 4)
     assert vals.tolist() == [e for e in expected if e is not None]
+    assert len({tuple(v) for v in vals.tolist()}) > 1
     for row in coords[~keep]:
         with pytest.raises(CancellationError):
             weyl_denominator_valuations(ctx, row[None])
@@ -286,7 +305,7 @@ def test_scalar_denominators_do_not_depend_on_the_tower_seed(monkeypatch, kind, 
     (gamma, twist) of split-vs-combined."""
     ctx = make_context(kind, q)
     moduli, results = [], []
-    for seed in (0, 6, 12):
+    for seed in (0, 15, 21):  # distinct moduli at every (p, degree) reached
         tower = FieldTower.build(*prime_power(q), seed=seed, max_level=torus_level(kind))
         monkeypatch.setattr(charformula, "_tower", lambda kind, q, tower=tower: tower)
         values = []
@@ -298,7 +317,7 @@ def test_scalar_denominators_do_not_depend_on_the_tower_seed(monkeypatch, kind, 
                 values.append(weyl_denominator_exponent(ctx, rep))
         moduli.append(tower.modulus)
         results.append(values)
-    assert len(set(moduli)) > 1
+    assert len(set(moduli)) == 3
     assert results[1] == results[0] and results[2] == results[0]
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from depthzero.cyclo import (
     CycInt,
     OrderMismatchError,
+    _power_table,
     _reduce,
     cyclotomic_polynomial,
     euler_phi,
@@ -124,3 +125,38 @@ def test_reduce_matches_sympy_remainder(n, coeffs):
     remainder = [int(c) for c in reversed(sympy.rem(poly, phi).all_coeffs())]
     remainder += [0] * (euler_phi(n) - len(remainder))
     assert _reduce(n, coeffs) == tuple(remainder)
+
+
+# independent of the sparse rows: reduction through every entry of the dense
+# power table, the product as a full convolution, the root sum via buckets
+def _dense_reduce(n, coeffs):
+    table = _power_table(n)
+    out = [0] * euler_phi(n)
+    for k, c in enumerate(coeffs):
+        for i, t in enumerate(table[k % n]):
+            out[i] += c * t
+    return tuple(out)
+
+
+sparse_coeffs = st.integers(-3, 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.sampled_from([8, 12, 20, 24, 48, 52, 120]))
+def test_sparse_reduction_matches_dense_power_table(data, n):
+    phi = euler_phi(n)
+    coeffs = data.draw(st.lists(sparse_coeffs, max_size=3 * n))
+    assert _reduce(n, coeffs) == _dense_reduce(n, coeffs)
+    a, b = (data.draw(st.lists(sparse_coeffs, min_size=phi, max_size=phi)) for _ in range(2))
+    conv = [0] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    assert (CycInt(n, tuple(a)) * CycInt(n, tuple(b))).coeffs == _dense_reduce(n, conv)
+    exponents = data.draw(st.lists(st.integers(-3 * n, 3 * n), max_size=4 * n))
+    buckets = [0] * n
+    for e in exponents:
+        buckets[e % n] += 1
+    assert sum_of_roots(n, exponents).coeffs == _dense_reduce(n, buckets)
+    k = data.draw(st.integers(-3 * n, 3 * n))
+    assert root_of_unity(n, k).coeffs == _dense_reduce(n, [0] * (k % n) + [1])

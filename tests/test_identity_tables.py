@@ -56,7 +56,9 @@ from depthzero.tori import (
     T2Rational,
     canonical_rep,
     coinv_mul,
+    coinvariant_coordinates,
     coinvariant_norm,
+    coinvariant_norm_array,
     coordinate_array,
     enumerate_coinvariants,
     is_strongly_regular,
@@ -66,6 +68,7 @@ from depthzero.tori import (
     rational_of_row,
     rational_weyl_group,
     strongly_regular_coordinates,
+    strongly_regular_mask,
     t1_coinv,
     t2_coinv,
     unit_class_order,
@@ -116,21 +119,19 @@ def oracle_denominator_representatives(params):
     kind, q = params["kind"], params["q"]
     ctx = _context_from_params(params)
     rng = random.Random(params.get("seed", 0))
-    group = q ** (2 * kind) - 1
-    unit_mod = q + 1 if kind == 1 else q * q + 1
-
-    def sample(u, v):  # another representative of the class (u, v)
-        return unit(q, 2 * kind, u + unit_mod * rng.randrange(group // unit_mod),
-                    v + 2 * rng.randrange(-3, 4))
-
+    classes = list(enumerate_coinvariants(kind, q))
+    coords = coordinate_array(T1Coinv if kind == 1 else T2Coinv, classes)
+    rank = 2 if kind == 1 else 1
     checked = 0
-    for c in enumerate_coinvariants(kind, q):
+    for c, row in zip(classes, coords):
         if not is_strongly_regular(kind, q, coinvariant_norm(c)):
             continue
         base = weyl_denominator_exponent(ctx, canonical_rep(c))
-        for _ in range(params.get("samples", 100)):
-            rep = ((sample(c.u1, c.v1), sample(c.u2, c.v2)) if kind == 1
-                   else sample(c.u, c.v))
+        samples = driver.denominator_representative_rows(rng, kind, q, row[None],
+                                                         params.get("samples", 100))[0]
+        for sample in samples.tolist():  # another representative of the class
+            units = [unit(q, 2 * kind, d, v) for d, v in zip(sample[:rank], sample[rank:])]
+            rep = tuple(units) if kind == 1 else units[0]
             if weyl_denominator_exponent(ctx, rep) != base:
                 return _fail({"class": str(c)})
             checked += 1
@@ -272,6 +273,32 @@ def test_table_check_matches_scalar_oracle(name, params):
     got, want = _both(name, params)
     assert got == want
     assert got[0] == "PASS"
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_denominator_representative_draws(kind):
+    """At q = 3, seed 0: the check's draws reach every lift index and every
+    valuation shift, every drawn row lies in its class, and drawing class
+    by class gives the rows of one whole-block draw.  A range slip such as
+    a shift drawn mod 6 still passes the check itself."""
+    q, samples = 3, 100
+    group, unit_mod = q ** (2 * kind) - 1, unit_class_order(kind, q)
+    rank = 2 if kind == 1 else 1
+    classes = coinvariant_coordinates(kind, q)
+    classes = classes[strongly_regular_mask(kind, q, coinvariant_norm_array(kind, q, classes))]
+    block = driver.denominator_representative_rows(random.Random(0), kind, q, classes, samples)
+    assert block.shape == (len(classes), samples, 2 * rank)
+    rng = random.Random(0)
+    per_class = [driver.denominator_representative_rows(rng, kind, q, row[None], samples)
+                 for row in classes]
+    assert np.array_equal(np.concatenate(per_class), block)
+    dlogs, vals = block[..., :rank], block[..., rank:]
+    assert ((0 <= dlogs) & (dlogs < group)).all()
+    lift, unit_part = np.divmod(dlogs - classes[:, None, :rank], unit_mod)
+    shift, parity = np.divmod(vals - classes[:, None, rank:], 2)
+    assert (unit_part == 0).all() and (parity == 0).all()
+    assert set(lift.ravel().tolist()) == set(range(group // unit_mod))
+    assert set(shift.ravel().tolist()) == set(range(-3, 4))
 
 
 # ---------------------------------------------------------------------------
