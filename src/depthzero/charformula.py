@@ -206,13 +206,14 @@ def weyl_denominator_valuations(ctx: FormulaContext, coords: np.ndarray) -> np.n
     """
     q = ctx.q
     order = q**torus_level(ctx.kind) - 1
-    if order * order >= 2**63:
-        raise OverflowError(f"q = {q} is too large for int64 denominator rows")
     if ctx.kind == 1:
         dlog_cols = val_cols = np.array(default_positive_roots(1)).T
     else:
         dlog_cols = np.array([[1, q + q * q, q, 1 + q]]) % order
         val_cols = np.array([[1, 2, 1, 2]])
+    # the largest products formed: a reduced dlog times a |dlog_cols| column sum or q^kind
+    if order * max(q**ctx.kind, int(abs(dlog_cols).sum(axis=0).max())) >= 2**63:
+        raise OverflowError(f"q = {q} is too large for int64 denominator rows")
     rank = len(dlog_cols)
     dlog = coords[:, :rank] % order @ dlog_cols % order
     val = coords[:, rank:] @ val_cols

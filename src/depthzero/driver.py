@@ -651,27 +651,11 @@ def check_packet_conjugation(params):
 
 
 def check_threshold_scan(params):
-    kind, q_max = params["kind"], params["q_max"]
-    report = threshold_scan(kind, q_max, budget=params.get("eval_cap", 100_000_000))
+    kind = params["kind"]
+    rows, empirical_min = threshold_scan(kind, params["q_max"], budget=params["eval_cap"])
     lower = 47 if kind == 1 else 4
-    bad = [row.q for row in report.rows if row.q >= lower and not row.holds]
-    rows_payload = [
-        {
-            "kind": kind,
-            "q": row.q,
-            "excluded": row.excluded,
-            "torus_order": row.torus_order,
-            "ratio": f"{row.ratio.numerator}/{row.ratio.denominator}",
-            "bound": f"{row.bound.numerator}/{row.bound.denominator}",
-            "holds": row.holds,
-        }
-        for row in report.rows
-    ]
-    info = {
-        "rows": rows_payload,
-        "empirical_min": report.empirical_min,
-        "required_from": lower,
-    }
+    bad = [row["q"] for row in rows if row["q"] >= lower and not row["holds"]]
+    info = {"rows": rows, "empirical_min": empirical_min, "required_from": lower}
     if bad:
         return _fail({"failing_q": bad}, info)
     return _ok(info)
@@ -687,17 +671,11 @@ def check_excluded_crosscheck(params):
 
 
 def check_rigidity(params):
-    res = restriction_rigidity_check(
+    pair, info = restriction_rigidity_check(
         params["kind"], params["q"], eval_cap=params["eval_cap"], seed=params["seed"]
     )
-    info = {
-        "exhaustive": res.exhaustive,
-        "coverage": f"{res.coverage.numerator}/{res.coverage.denominator}",
-        "pairs_checked": res.checked_pairs,
-        "regular_characters": res.n_characters,
-    }
-    if not res.passed:
-        return _fail({"pair": [list(res.counterexample[0]), list(res.counterexample[1])]}, info)
+    if pair is not None:
+        return _fail({"pair": [list(row) for row in pair]}, info)
     return _ok(info)
 
 
@@ -707,22 +685,12 @@ def check_forward_conjugate(params):
 
 
 def check_nonvanishing(params):
-    rep = nonvanishing_report(params["kind"], params["q"])
-    return _ok({
-        "witness_character": list(rep.witness_character),
-        "witness_gamma": list(rep.witness_gamma),
-        "note": rep.note,
-    })
+    return _ok(nonvanishing_report(params["kind"], params["q"]))
 
 
 def check_locus_ratio(params):
     row = regular_locus_ratio(params["kind"], params["q"])
-    return _ok({
-        "excluded": row.excluded,
-        "torus_order": row.torus_order,
-        "ratio": f"{row.ratio.numerator}/{row.ratio.denominator}",
-        "holds": row.holds,
-    })
+    return _ok({key: row[key] for key in ("excluded", "torus_order", "ratio", "holds")})
 
 
 # ---------------------------------------------------------------------------

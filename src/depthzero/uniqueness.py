@@ -15,7 +15,6 @@ kernels via Smith normal form solution counting.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
 
@@ -87,45 +86,29 @@ def excluded_count_inclusion_exclusion(kind: int, q: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class ThresholdRow:
-    q: int
-    excluded: int
-    torus_order: int
-    ratio: Fraction
-    bound: Fraction
-    holds: bool
+def _ratio(a: int, b: int) -> str:
+    """a/b in lowest terms, as "a/b"."""
+    g = gcd(a, b)
+    return f"{a // g}/{b // g}"
 
 
-@dataclass
-class ThresholdReport:
-    kind: int
-    rows: list[ThresholdRow] = field(default_factory=list)
-    empirical_min: int | None = None
-
-
-def weyl_order(kind: int) -> int:
-    return len(rational_weyl_group(kind))
-
-
-def regular_locus_ratio(kind: int, q: int) -> ThresholdRow:
-    """One threshold row: the excluded ratio against 1/|W|."""
-    # imported in the two functions that make fractions, not at module level,
-    # so that the identity campaign never loads the module
-    from fractions import Fraction
-
+def regular_locus_ratio(kind: int, q: int) -> dict:
+    """One threshold row: the excluded ratio against 1/|W|, tested exactly
+    as excluded * |W| < total."""
     excluded = excluded_count(kind, q)
     total = rational_order(kind, q)
-    ratio = Fraction(excluded, total)
-    bound = Fraction(1, weyl_order(kind))
-    return ThresholdRow(q, excluded, total, ratio, bound, ratio < bound)
+    w = len(rational_weyl_group(kind))
+    return {"kind": kind, "q": q, "excluded": excluded, "torus_order": total,
+            "ratio": _ratio(excluded, total), "bound": f"1/{w}",
+            "holds": excluded * w < total}
 
 
 def odd_prime_powers(q_max: int) -> list[int]:
     return [q for q in range(3, q_max + 1, 2) if prime_power(q)]
 
 
-def threshold_scan(kind: int, q_max: int, budget: int = 100_000_000) -> ThresholdReport:
+def threshold_scan(kind: int, q_max: int,
+                   budget: int = 100_000_000) -> tuple[list[dict], int | None]:
     """Rows for every odd prime power up to q_max, plus the least q0 such
     that the inequality holds for all tested q >= q0 (reported, never
     asserted to be tight)."""
@@ -137,33 +120,17 @@ def threshold_scan(kind: int, q_max: int, budget: int = 100_000_000) -> Threshol
         raise BudgetExceededError(
             f"threshold scan needs {work} element visits, budget is {budget}"
         )
-    report = ThresholdReport(kind)
-    for q in qs:
-        report.rows.append(regular_locus_ratio(kind, q))
+    rows = [regular_locus_ratio(kind, q) for q in qs]
     empirical = None
-    for row in reversed(report.rows):
-        if row.holds:
-            empirical = row.q
-        else:
+    for row in reversed(rows):
+        if not row["holds"]:
             break
-    report.empirical_min = empirical
-    return report
+        empirical = row["q"]
+    return rows, empirical
 
 
 # ---------------------------------------------------------------------------
 # restriction rigidity
-
-
-@dataclass
-class RigidityResult:
-    kind: int
-    q: int
-    passed: bool
-    counterexample: tuple | None
-    exhaustive: bool
-    coverage: Fraction
-    checked_pairs: int
-    n_characters: int = 0
 
 
 def _identity_tables(kind: int, q: int) -> SumTables:
@@ -180,38 +147,40 @@ def _orbit_sums(tables: SumTables, row) -> tuple:
 
 
 def restriction_rigidity_check(kind: int, q: int, *, eval_cap: int = 100_000_000,
-                               seed: int = 0) -> RigidityResult:
+                               seed: int = 0) -> tuple[tuple | None, dict]:
     """Characters whose summed functions agree on the strongly regular set
     must be Weyl-conjugate; exhaustive below the evaluation cap, sampled
-    deterministically above it."""
-    from fractions import Fraction
-
+    deterministically above it.  Returns the first non-conjugate pair with
+    equal functions (None if there is none) and what the check covered."""
     tables = _identity_tables(kind, q)
     regular = regular_exponent_rows(kind, q)
     chars = [tuple(row) for row in regular.tolist()]
-    per_character = len(tables.gamma_coords) * weyl_order(kind)
+    per_character = len(tables.gamma_coords) * len(rational_weyl_group(kind))
     exhaustive = len(chars) * per_character <= eval_cap
     if not exhaustive:
         rng = random.Random(seed)
         keep = max(2, eval_cap // max(1, per_character))
         chars = rng.sample(chars, min(keep, len(chars)))
-    coverage = Fraction(len(chars), len(regular)) if len(regular) else Fraction(1)
+    info = {
+        "exhaustive": exhaustive,
+        # an empty pool is covered in full
+        "coverage": _ratio(len(chars), len(regular)) if len(regular) else "1/1",
+        "pairs_checked": 0,
+        "regular_characters": len(regular),
+    }
 
     by_function: dict = {}
     for row in chars:
         by_function.setdefault(_orbit_sums(tables, row), []).append(row)
 
-    checked = 0
-    for _key, bucket in by_function.items():
+    for bucket in by_function.values():
         base = bucket[0]
         orbit = {tuple(conj) for conj in conjugate_rows(kind, q, base).tolist()}
         for other in bucket[1:]:
-            checked += 1
+            info["pairs_checked"] += 1
             if other not in orbit:
-                return RigidityResult(
-                    kind, q, False, (base, other), exhaustive, coverage, checked, len(regular),
-                )
-    return RigidityResult(kind, q, True, None, exhaustive, coverage, checked, len(regular))
+                return (base, other), info
+    return None, info
 
 
 def conjugate_forward_check(kind: int, q: int) -> bool:
@@ -235,16 +204,7 @@ NONVANISHING_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class NonvanishingReport:
-    kind: int
-    q: int
-    witness_character: tuple
-    witness_gamma: tuple
-    note: str = NONVANISHING_NOTE
-
-
-def nonvanishing_report(kind: int, q: int) -> NonvanishingReport:
+def nonvanishing_report(kind: int, q: int) -> dict:
     """Exhibit a regular character and a strongly regular element where the
     orbit sum is nonzero; characters are reached lazily and sums reduced
     one gamma at a time, up to the first nonzero one."""
@@ -254,7 +214,8 @@ def nonvanishing_report(kind: int, q: int) -> NonvanishingReport:
         for gamma, terms in zip(tables.gamma_coords.tolist(),
                                 tables.orbit_exponents(row)[:, 0].tolist()):
             if not sum_of_roots(amb, terms).is_zero():
-                return NonvanishingReport(kind, q, tuple(row.tolist()), tuple(gamma))
+                return {"witness_character": row.tolist(), "witness_gamma": gamma,
+                        "note": NONVANISHING_NOTE}
     raise RuntimeError(
         f"every orbit sum vanished on the strongly regular set (kind {kind}, q {q})"
     )

@@ -297,6 +297,40 @@ def test_denominator_valuations_equal_scalar_factors(q, kind):
             weyl_denominator_valuations(ctx, row[None])
 
 
+def _valuations_or_cancellation(ctx, row, dtype):
+    try:
+        return weyl_denominator_valuations(ctx, np.array([row], dtype=dtype)).tolist()
+    except CancellationError:
+        return "cancels"
+
+
+@pytest.mark.parametrize("q", [251, 1447])
+def test_kind2_denominator_valuations_are_exact_up_to_the_int64_bound(q):
+    """Past the old (q^4 - 1)^2 < 2^63 cliff, the int64 rows give what the
+    same rows give in Python integers: 300 random rows, any dlog and
+    valuations in [-3, 3], and as many whose dlog is a multiple of q^2 + 1,
+    so that the first factor cancels and a wrapped product would show."""
+    ctx = make_context(2, q)
+    rng = random.Random(q)
+    order = q**4 - 1
+    rows = [[rng.randrange(-2**62, 2**62), rng.randrange(-3, 4)] for _ in range(300)]
+    lifts = 2**61 // order
+    rows += [[rng.randrange(q * q - 1) * (q * q + 1) + rng.randrange(-lifts, lifts) * order, 0]
+             for _ in range(300)]
+    exact = weyl_denominator_valuations(ctx, np.array(rows[:300], dtype=object))
+    assert weyl_denominator_valuations(ctx, np.array(rows[:300], dtype=np.int64)).tolist() \
+        == exact.tolist()
+    outcomes = [_valuations_or_cancellation(ctx, row, np.int64) for row in rows[300:]]
+    assert outcomes == [_valuations_or_cancellation(ctx, row, object) for row in rows[300:]]
+    assert outcomes == ["cancels"] * 300
+
+
+def test_kind2_denominator_valuations_refuse_past_the_int64_bound():
+    """1451 is the first odd prime power with (q^4 - 1)(q^2 + q) >= 2^63."""
+    with pytest.raises(OverflowError, match="too large for int64 denominator rows"):
+        weyl_denominator_valuations(make_context(2, 1451), np.zeros((1, 2), dtype=np.int64))
+
+
 @pytest.mark.parametrize("q", [3, 5, 9])
 @pytest.mark.parametrize("kind", [1, 2])
 def test_scalar_denominators_do_not_depend_on_the_tower_seed(monkeypatch, kind, q):

@@ -122,11 +122,11 @@ def test_every_package_definition_is_named():
 
 # modules the identity campaign does not need, with what each costs in peak
 # RSS after numpy: hashlib and _hashlib load OpenSSL (~3.5 MB); secrets and
-# numpy.random pull hashlib in; fractions serves the threshold and rigidity
-# checks only.  No run needs a process pool (~1.5 MB): --jobs > 1 forks.
-NOT_ON_ANY_PATH = ("concurrent.futures", "multiprocessing")
-NOT_ON_THE_IDENTITY_PATH = ("hashlib", "_hashlib", "secrets", "numpy.random", "fractions",
-                            *NOT_ON_ANY_PATH)
+# numpy.random pull hashlib in.  No run needs a process pool (~1.5 MB):
+# --jobs > 1 forks.  No run needs fractions: the threshold and rigidity
+# ratios are reduced with integer gcds.
+NOT_ON_ANY_PATH = ("concurrent.futures", "multiprocessing", "fractions")
+NOT_ON_THE_IDENTITY_PATH = ("hashlib", "_hashlib", "secrets", "numpy.random", *NOT_ON_ANY_PATH)
 
 FOOTPRINT = """
 import json, sys

@@ -8,6 +8,7 @@ from depthzero.charformula import make_context, orbit_character_sum
 from depthzero.tori import (
     iter_strongly_regular,
     rational_order,
+    rational_weyl_group,
     strongly_regular_coordinates,
     weyl_identity,
 )
@@ -82,14 +83,27 @@ def test_excluded_count_is_the_complement_of_the_strongly_regular_set(kind):
 
 def test_ratio_rows():
     row = regular_locus_ratio(2, 5)
-    assert (row.excluded, row.torus_order) == (2, 26)
-    assert row.ratio == Fraction(1, 13)
-    assert row.bound == Fraction(1, 4)
-    assert row.holds
+    assert (row["excluded"], row["torus_order"]) == (2, 26)
+    assert row["ratio"] == "1/13"
+    assert row["bound"] == "1/4"
+    assert row["holds"]
     row1 = regular_locus_ratio(1, 3)
-    assert row1.ratio == Fraction(3, 4)
-    assert not row1.holds
-    assert regular_locus_ratio(1, 47).holds
+    assert row1["ratio"] == "3/4"
+    assert not row1["holds"]
+    assert regular_locus_ratio(1, 47)["holds"]
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_ratio_rows_match_fractions(kind):
+    """The integer ratio, bound and test against ``Fraction`` arithmetic."""
+    w = len(rational_weyl_group(kind))
+    for q in odd_prime_powers(401):
+        row = regular_locus_ratio(kind, q)
+        f = Fraction(excluded_count(kind, q), rational_order(kind, q))
+        assert (row["kind"], row["q"]) == (kind, q)
+        assert row["ratio"] == f"{f.numerator}/{f.denominator}", q
+        assert row["bound"] == f"1/{w}"
+        assert row["holds"] == (f < Fraction(1, w)), q
 
 
 def test_odd_prime_powers():
@@ -97,37 +111,39 @@ def test_odd_prime_powers():
 
 
 def test_threshold_scan_kind1():
-    report = threshold_scan(1, 200)
-    by_q = {r.q: r for r in report.rows}
+    rows, empirical_min = threshold_scan(1, 200)
+    by_q = {r["q"]: r for r in rows}
     # the stated sufficient bound holds everywhere above it
-    assert all(r.holds for r in report.rows if r.q > 46)
+    assert all(r["holds"] for r in rows if r["q"] > 46)
     # and is not tight: the inequality already holds from 31 on
-    assert report.empirical_min == 31
-    assert by_q[29].holds is False
-    assert by_q[31].holds is True
+    assert empirical_min == 31
+    assert by_q[29]["holds"] is False
+    assert by_q[31]["holds"] is True
 
 
 def test_threshold_scan_kind2():
-    report = threshold_scan(2, 200)
-    assert all(r.holds for r in report.rows if r.q >= 4)
+    rows, empirical_min = threshold_scan(2, 200)
+    assert all(r["holds"] for r in rows if r["q"] >= 4)
     # the q = 3 row is reported regardless of outcome; it happens to hold
-    q3 = [r for r in report.rows if r.q == 3][0]
-    assert q3.ratio == Fraction(1, 5) and q3.holds
-    assert report.empirical_min == 3
+    q3 = [r for r in rows if r["q"] == 3][0]
+    assert q3["ratio"] == "1/5" and q3["holds"]
+    assert empirical_min == 3
 
 
 @pytest.mark.parametrize("kind,q", [(1, 3), (2, 3), (2, 5)])
 def test_restriction_rigidity(kind, q):
-    res = restriction_rigidity_check(kind, q)
-    assert res.passed and res.counterexample is None
-    assert res.exhaustive
-    assert res.coverage == 1
+    pair, info = restriction_rigidity_check(kind, q)
+    assert pair is None
+    assert info["exhaustive"]
+    # torus 1 at q = 3 has no regular character: the empty pool is covered in full
+    assert (info["regular_characters"] == 0) == ((kind, q) == (1, 3))
+    assert info["coverage"] == "1/1"
 
 
 def test_rigidity_kind1_q5_nonvacuous():
-    res = restriction_rigidity_check(1, 5)
-    assert res.passed
-    assert res.n_characters == 8
+    pair, info = restriction_rigidity_check(1, 5)
+    assert pair is None
+    assert info["regular_characters"] == 8
 
 
 @pytest.mark.parametrize("kind,q", [(1, 5), (2, 3), (2, 5)])
@@ -137,13 +153,13 @@ def test_forward_direction(kind, q):
 
 def test_nonvanishing_kind2_q5():
     rep = nonvanishing_report(2, 5)
-    assert rep.witness_character
-    assert "not re-derived" in rep.note
+    assert rep["witness_character"]
+    assert "not re-derived" in rep["note"]
 
 
 def test_nonvanishing_kind1_q47():
     rep = nonvanishing_report(1, 47)
-    assert rep.witness_gamma
+    assert rep["witness_gamma"]
 
 
 @pytest.mark.parametrize("kind,q", [(1, 5), (1, 7), (2, 3), (2, 5), (1, 47)])
@@ -158,15 +174,15 @@ def test_nonvanishing_witness_is_the_first_nonzero_orbit_sum(kind, q):
         if not orbit_character_sum(ctx, chi, one, gamma).is_zero()
     )
     rep = nonvanishing_report(kind, q)
-    coords = (want[1].k1, want[1].k2) if kind == 1 else (want[1].k,)
-    assert (rep.witness_character, rep.witness_gamma) == (want[0], coords)
+    coords = [want[1].k1, want[1].k2] if kind == 1 else [want[1].k]
+    assert (rep["witness_character"], rep["witness_gamma"]) == (list(want[0]), coords)
 
 
 def test_sampled_mode_reports_coverage():
-    res = restriction_rigidity_check(2, 5, eval_cap=50)
-    assert not res.exhaustive
-    assert res.coverage < 1
-    assert res.passed
+    pair, info = restriction_rigidity_check(2, 5, eval_cap=50)
+    assert not info["exhaustive"]
+    assert Fraction(info["coverage"]) < 1
+    assert pair is None
 
 
 @pytest.mark.parametrize("kind,info", [
