@@ -32,11 +32,11 @@ from .cyclo import CycInt, sum_of_roots
 from .dualgroup import cover_class_values
 from .ffield import FieldTower, prime_power
 from .localmodel import (
+    CancellationError,
     UnitVal,
     eta_exponent,
     eta_exponent_array,
     leading_diff,
-    leading_diff_array,
     uv_galois,
     uv_mul,
     uv_pow,
@@ -190,36 +190,21 @@ def weyl_denominator_exponent(ctx: FormulaContext, rep) -> int:
 def weyl_denominator_valuations(ctx: FormulaContext, coords: np.ndarray) -> np.ndarray:
     """The valuations of the ``denominator_factors`` of every
     ``canonical_rep`` of the rows of ``coordinate_array(T1Coinv | T2Coinv,
-    ...)``, as an (N, 4) int64 array, one column per factor.
+    ...)``, one column per factor; other representatives are read alike.
 
-    The rows are read as ``canonical_rep`` reads a class: torus 1 as the
-    pair (u1, v1), (u2, v2) of level-2 (dlog, val), torus 2 as the level-4
-    (u, v); rows of any other representative are read the same way.  Every
-    factor is x - sigma^kind(x), sigma the Frobenius: torus 1 takes the
-    monomials x = w1^g1 w2^g2 of the positive roots (u @ G, the roots the
-    columns of G), torus 2 the Galois sums t0, t1 + t2, t1, t0 + t1 of
-    t_j = sigma^j(w) (in dlogs, u times 1, q + q^2, q, 1 + q), whose
-    sigma^2 are the subtrahends t2, t3 + t0, t3, t2 + t3 of the scalar form.
-    All four factors go through one ``leading_diff_array``, as one
-    (N, 4, 2, 2) array of (dlog, val) rows of x and sigma^kind(x).
-    Raises CancellationError where a factor's leading terms cancel.
+    Every factor is x - sigma^kind(x), sigma the Frobenius.  The uniformizer
+    lies in F, so both terms have the valuation of x: v @ G at torus 1 (the
+    positive roots the columns of G), v times 1, 2, 1, 2 at torus 2.  They
+    cancel where sigma^kind fixes x, where its dlog (u @ G resp. u times 1,
+    q + q^2, q, 1 + q) is 0 mod q^kind + 1, that is, where the factor's root
+    is 1 on the norm of the class: this raises CancellationError exactly on
+    the rows whose norm is not strongly regular.
     """
-    q = ctx.q
-    order = q**torus_level(ctx.kind) - 1
-    if ctx.kind == 1:
-        dlog_cols = val_cols = np.array(default_positive_roots(1)).T
-    else:
-        dlog_cols = np.array([[1, q + q * q, q, 1 + q]]) % order
-        val_cols = np.array([[1, 2, 1, 2]])
-    # the largest products formed: a reduced dlog times a |dlog_cols| column sum or q^kind
-    if order * max(q**ctx.kind, int(abs(dlog_cols).sum(axis=0).max())) >= 2**63:
-        raise OverflowError(f"q = {q} is too large for int64 denominator rows")
-    rank = len(dlog_cols)
-    dlog = coords[:, :rank] % order @ dlog_cols % order
-    val = coords[:, rank:] @ val_cols
-    twisted = dlog * q**ctx.kind % order
-    pairs = np.stack([dlog, val, twisted, val], axis=-1).reshape(-1, 2, 2)
-    return leading_diff_array(pairs[:, 0], pairs[:, 1]).reshape(-1, 4)
+    kind, q = ctx.kind, ctx.q
+    if not strongly_regular_mask(kind, q, coinvariant_norm_array(kind, q, coords)).all():
+        raise CancellationError("difference vanishes at depth zero (equal valuation and residue)")
+    val_cols = np.array(default_positive_roots(1)).T if kind == 1 else np.array([[1, 2, 1, 2]])
+    return coords[:, len(val_cols):] @ val_cols
 
 
 def weyl_denominator_exponent_array(ctx: FormulaContext, coords: np.ndarray) -> np.ndarray:
@@ -248,14 +233,15 @@ def delta0_eta_exponent(ctx: FormulaContext, gamma, positive_roots=None) -> int:
 def delta0_eta_exponent_array(ctx: FormulaContext, coords: np.ndarray,
                               positive_roots=None) -> np.ndarray:
     """``delta0_eta_exponent`` on every row of
-    ``coordinate_array(T1Rational | T2Rational, ...)``: the (1, root^-1(gamma))
-    pairs of every root form one (N, R, 2) pair of (dlog, val) arrays."""
-    kind, q = ctx.kind, ctx.q
+    ``coordinate_array(T1Rational | T2Rational, ...)``.  Each factor
+    1 - root^-1(gamma) is a difference of two units, so its valuation is 0;
+    it cancels exactly where the root value is 1."""
+    kind = ctx.kind
     roots = positive_roots if positive_roots is not None else default_positive_roots(kind)
-    inv_value = mu_unit_array(kind, q, -root_value_coord_array(kind, q, roots, coords).ravel())
-    one = np.zeros_like(inv_value)
-    vals = leading_diff_array(one, inv_value).reshape(len(coords), -1)
-    return eta_exponent_array(kind, vals, ctx.eta_branch).sum(axis=1) % 4
+    coord = root_value_coord_array(kind, ctx.q, roots, coords)
+    if not coord.all():
+        raise CancellationError("difference vanishes at depth zero (equal valuation and residue)")
+    return eta_exponent_array(kind, np.zeros_like(coord), ctx.eta_branch).sum(axis=1) % 4
 
 
 # ---------------------------------------------------------------------------

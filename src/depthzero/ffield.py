@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +54,7 @@ def prime_power(q: int) -> tuple[int, int] | None:
     """(p, e) with q = p**e for a prime p, or None if q is not a prime power."""
     if q < 2:
         return None
-    p = next(d for d in range(2, q + 1) if q % d == 0)  # least divisor, so prime
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)  # least divisor, so prime
     e = 0
     while q % p == 0:
         q //= p

@@ -88,23 +88,6 @@ def leading_diff(tower: FieldTower, a: UnitVal, b: UnitVal) -> UnitVal:
     return UnitVal(a.level, diff, a.val)
 
 
-def leading_diff_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The valuation of ``leading_diff`` on int64 rows (dlog, val) of one
-    level, dlogs reduced modulo that level's group order.
-
-    The smaller valuation wins, and equal valuations keep theirs unless the
-    residues cancel, so the valuation is min(val a, val b) wherever the
-    difference is defined; eta is unramified, so the residue is never read.
-    Raises CancellationError if any row has equal valuations and equal
-    dlogs, exactly where the scalar form raises.
-    """
-    if (a == b).all(axis=1).any():
-        raise CancellationError(
-            "difference vanishes at depth zero (equal valuation and residue)"
-        )
-    return np.minimum(a[:, 1], b[:, 1])
-
-
 def eta_exponent(kind: int, a: UnitVal, branch: int = 1) -> int:
     """Exponent e mod 4 with eta(a) = zeta_4^e; unramified in both kinds.
 

@@ -667,12 +667,15 @@ def root_value_coord(kind: int, q: int, root, gamma) -> int:
 
 def root_value_coord_array(kind: int, q: int, roots, coords: np.ndarray) -> np.ndarray:
     """``root_value_coord`` of each of ``roots`` on every row of
-    ``coordinate_array(T1Rational | T2Rational, ...)``, one column per root."""
+    ``coordinate_array(T1Rational | T2Rational, ...)``, one column per root;
+    refuses a torus-2 q whose products k (g1 + q g2) could pass int64."""
     g = np.array(roots, dtype=np.int64)
     if kind == 1:
         return coords[:, :2] @ g.T % (q + 1)
-    n = q * q + 1
-    return coords[:, :1] * ((g[:, 0] + q * g[:, 1]) % n) % n
+    n, factor = q * q + 1, g[:, 0] + q * g[:, 1]
+    if n * int(abs(factor).max()) >= 2**63:
+        raise OverflowError(f"q = {q} is too large for int64 root values")
+    return coords[:, :1] * factor % n
 
 
 def strongly_regular_mask(kind: int, q: int, coords: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from . import snf
 from .characters import conjugate_rows, regular_exponent_rows
 from .charformula import SumTables, make_context
 from .cyclo import sum_of_roots
-from .ffield import prime_power
+from .ffield import BudgetExceededError, prime_power
 from .tori import (
     default_positive_roots,
     rational_order,
@@ -103,8 +103,9 @@ def regular_locus_ratio(kind: int, q: int) -> dict:
             "holds": excluded * w < total}
 
 
-def odd_prime_powers(q_max: int) -> list[int]:
-    return [q for q in range(3, q_max + 1, 2) if prime_power(q)]
+def odd_prime_powers(q_max: int):
+    """The odd prime powers up to q_max, in order, as they are tested."""
+    return (q for q in range(3, q_max + 1, 2) if prime_power(q))
 
 
 def threshold_scan(kind: int, q_max: int,
@@ -112,14 +113,13 @@ def threshold_scan(kind: int, q_max: int,
     """Rows for every odd prime power up to q_max, plus the least q0 such
     that the inequality holds for all tested q >= q0 (reported, never
     asserted to be tight)."""
-    from .ffield import BudgetExceededError
-
-    qs = odd_prime_powers(q_max)
-    work = sum(rational_order(kind, q) for q in qs)
-    if work > budget:
-        raise BudgetExceededError(
-            f"threshold scan needs {work} element visits, budget is {budget}"
-        )
+    qs, work = [], 0
+    for q in odd_prime_powers(q_max):  # refused at the first q past the budget
+        work += rational_order(kind, q)
+        if work > budget:
+            raise BudgetExceededError(f"threshold scan passes its budget of "
+                                      f"{budget} element visits at q = {q}")
+        qs.append(q)
     rows = [regular_locus_ratio(kind, q) for q in qs]
     empirical = None
     for row in reversed(rows):

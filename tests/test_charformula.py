@@ -297,38 +297,46 @@ def test_denominator_valuations_equal_scalar_factors(q, kind):
             weyl_denominator_valuations(ctx, row[None])
 
 
-def _valuations_or_cancellation(ctx, row, dtype):
+def _valuations_or_cancellation(ctx, row):
     try:
-        return weyl_denominator_valuations(ctx, np.array([row], dtype=dtype)).tolist()
+        return weyl_denominator_valuations(ctx, np.array([row], dtype=np.int64)).tolist()[0]
     except CancellationError:
         return "cancels"
 
 
-@pytest.mark.parametrize("q", [251, 1447])
+def _kind2_factor_valuations_by_definition(q, row):
+    """The valuations of the kind-2 factors x - sigma^2(x) of the row (u, v),
+    in Python integers: x runs over t0, t1 + t2, t1, t0 + t1, t_j = sigma^j(w),
+    with dlogs u times 1, q + q^2, q, 1 + q mod q^4 - 1 and valuations v
+    times 1, 2, 1, 2; a factor cancels where sigma^2 fixes the dlog of x."""
+    order = q**4 - 1
+    u, v = row
+    dlogs = [u * c % order for c in (1, q + q * q, q, 1 + q)]
+    if any(d == d * q * q % order for d in dlogs):
+        return "cancels"
+    return [v * c for c in (1, 2, 1, 2)]
+
+
+@pytest.mark.parametrize("q", [251, 1447, 1451, 2003, 4001])
 def test_kind2_denominator_valuations_are_exact_up_to_the_int64_bound(q):
-    """Past the old (q^4 - 1)^2 < 2^63 cliff, the int64 rows give what the
-    same rows give in Python integers: 300 random rows, any dlog and
-    valuations in [-3, 3], and as many whose dlog is a multiple of q^2 + 1,
-    so that the first factor cancels and a wrapped product would show."""
+    """Past the old cliffs (q = 251 for (q^4 - 1)^2, 1451 for the sigma^2
+    products), the regular-locus test gives what x and sigma^2(x) give in
+    Python integers: 300 random rows, any dlog and valuations in [-3, 3];
+    150 whose dlog is a multiple of q^2 + 1, where every factor cancels;
+    and 150 at odd multiples of (q^2 + 1) / 2, where only the second and
+    fourth factors (root factors q - 1 and q + 1) cancel."""
     ctx = make_context(2, q)
     rng = random.Random(q)
-    order = q**4 - 1
-    rows = [[rng.randrange(-2**62, 2**62), rng.randrange(-3, 4)] for _ in range(300)]
+    n, order = q * q + 1, q**4 - 1
     lifts = 2**61 // order
-    rows += [[rng.randrange(q * q - 1) * (q * q + 1) + rng.randrange(-lifts, lifts) * order, 0]
-             for _ in range(300)]
-    exact = weyl_denominator_valuations(ctx, np.array(rows[:300], dtype=object))
-    assert weyl_denominator_valuations(ctx, np.array(rows[:300], dtype=np.int64)).tolist() \
-        == exact.tolist()
-    outcomes = [_valuations_or_cancellation(ctx, row, np.int64) for row in rows[300:]]
-    assert outcomes == [_valuations_or_cancellation(ctx, row, object) for row in rows[300:]]
-    assert outcomes == ["cancels"] * 300
-
-
-def test_kind2_denominator_valuations_refuse_past_the_int64_bound():
-    """1451 is the first odd prime power with (q^4 - 1)(q^2 + q) >= 2^63."""
-    with pytest.raises(OverflowError, match="too large for int64 denominator rows"):
-        weyl_denominator_valuations(make_context(2, 1451), np.zeros((1, 2), dtype=np.int64))
+    rows = [[rng.randrange(-2**62, 2**62), rng.randrange(-3, 4)] for _ in range(300)]
+    rows += [[rng.randrange(q * q - 1) * n + rng.randrange(-lifts, lifts) * order, 0]
+             for _ in range(150)]
+    rows += [[(2 * rng.randrange(q * q - 1) + 1) * (n // 2) + rng.randrange(-lifts, lifts) * order,
+              rng.randrange(-3, 4)] for _ in range(150)]
+    expected = [_kind2_factor_valuations_by_definition(q, row) for row in rows]
+    assert [_valuations_or_cancellation(ctx, row) for row in rows] == expected
+    assert expected[300:] == ["cancels"] * 300 and "cancels" not in expected[:300]
 
 
 @pytest.mark.parametrize("q", [3, 5, 9])

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from depthzero.ffield import (
     ff_in_subfield,
     ff_norm,
     is_prime,
+    prime_power,
 )
 
 
@@ -35,6 +37,15 @@ def test_rejects_composite_and_char2():
         FieldTower.build(9, 1)
     with pytest.raises(ValueError, match="characteristic 2"):
         FieldTower.build(2, 1, max_level=2)
+
+
+def test_prime_power_matches_sympy():
+    """Every q below 5,000, then inputs whose divisor search must stop at
+    sqrt(q): a prime near 10^9, two prime powers and a prime times 3."""
+    assert prime_power(0) is None and prime_power(1) is None
+    for q in [*range(2, 5000), 10**9 + 7, 3**19, 101**4, 3 * (10**9 + 7)]:
+        factors = sympy.factorint(q)
+        assert prime_power(q) == (next(iter(factors.items())) if len(factors) == 1 else None), q
 
 
 def test_budget_rejection(monkeypatch):

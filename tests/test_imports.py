@@ -11,13 +11,15 @@ class of ``src/depthzero`` counts as named where it appears as a ``Name``
 or ``Attribute`` node in the package, the tests or ``perfbench``; a
 method (a function directly in a class body) only as an ``Attribute``.
 The names that ``perfbench/spans.py`` wraps through the strings of its
-``SPANS`` table count too.  Dunder methods are exempt.
+``SPANS`` table count too, and each of them must resolve on its module,
+because a traced run wraps it there.  Dunder methods are exempt.
 
 The footprint guards run ``identity`` and ``all --jobs 2`` in a fresh
 interpreter, because pytest itself loads some of the modules they forbid.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -77,16 +79,20 @@ def references(source: str) -> tuple[set[str], set[str]]:
             {n.attr for n in nodes if isinstance(n, ast.Attribute)})
 
 
-def span_names(source: str) -> set[str]:
-    """Every name in the attribute lists of a ``SPANS`` table, with
-    "Class.method" split into both parts."""
-    names = set()
+def span_rows(source: str) -> list[tuple[str, list[str]]]:
+    """(module, attribute names) of every row of a ``SPANS`` table."""
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "SPANS"
                                                 for t in node.targets):
-            for row in node.value.elts:
-                names.update(part for attr in row.elts[2].elts for part in attr.value.split("."))
-    return names
+            return [(row.elts[1].value, [attr.value for attr in row.elts[2].elts])
+                    for row in node.value.elts]
+    return []
+
+
+def span_names(source: str) -> set[str]:
+    """Every name in the attribute lists of a ``SPANS`` table, with
+    "Class.method" split into both parts."""
+    return {part for _, attrs in span_rows(source) for attr in attrs for part in attr.split(".")}
 
 
 def dead_definitions(sources: dict[str, str], referencing: list[str], spans: str) -> list[str]:
@@ -111,6 +117,25 @@ def test_scan_sees_dead_definitions():
     )
     spans = 'SPANS = [("group", "m", ["A.wrapped"], TIMED)]\n'
     assert dead_definitions({"m": module}, [module, "f()"], spans) == ["m:dead", "m:g"]
+
+
+def test_every_span_name_resolves():
+    """The scan above counts the names that ``perfbench/spans.py`` wraps as
+    references, so deleting a span target would pass it and stop every
+    traced run; each must resolve on its module, a "Class.method" through
+    the class ``__dict__`` as the tracer reads it."""
+    rows = span_rows((ROOT / "perfbench" / "spans.py").read_text())
+    missing = []
+    for module, attributes in rows:
+        namespace = vars(importlib.import_module(f"depthzero.{module}"))
+        for attribute in attributes:
+            owner, _, name = attribute.rpartition(".")
+            scope = namespace
+            if owner:
+                scope = vars(namespace[owner]) if owner in namespace else {}
+            if name not in scope:
+                missing.append(f"{module}:{attribute}")
+    assert rows and missing == []
 
 
 def test_every_package_definition_is_named():

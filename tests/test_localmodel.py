@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +7,6 @@ from depthzero.localmodel import (
     CancellationError,
     eta_exponent,
     leading_diff,
-    leading_diff_array,
     one,
     uniformizer,
     unit,
@@ -61,34 +59,6 @@ def test_leading_diff_cases(tower):
     assert d2 == unit(Q, 2, v.residue.dlog + tower.neg_one_dlog(2), 0)
     d3 = leading_diff(tower, unit(Q, 2, 1, -1), v)
     assert d3 == unit(Q, 2, 1, -1)
-
-
-@pytest.mark.parametrize("level", [1, 2, 4])
-def test_leading_diff_array_matches_scalar(tower, level):
-    """Every (a, b) at valuations {-1, 0, 1}: the array valuation is the
-    scalar one on all three branches, and a row cancels in the array form
-    exactly where it cancels in the scalar form."""
-    order = Q**level - 1
-    rows = np.array([(d, v) for d in range(order) for v in (-1, 0, 1)], dtype=np.int64)
-    a = np.repeat(rows, len(rows), axis=0)
-    b = np.tile(rows, (len(rows), 1))
-    expected, cancels = [], []
-    for (da, va), (db, vb) in zip(a.tolist(), b.tolist()):
-        try:
-            d = leading_diff(tower, unit(Q, level, da, va), unit(Q, level, db, vb))
-        except CancellationError:
-            cancels.append(True)
-            expected.append(0)
-            continue
-        cancels.append(False)
-        expected.append(d.val)
-    cancels = np.array(cancels)
-    assert cancels.any() and (a[:, 1] < b[:, 1]).any() and (a[:, 1] > b[:, 1]).any()
-    ok = ~cancels
-    assert np.array_equal(leading_diff_array(a[ok], b[ok]), np.array(expected)[ok])
-    for i in np.flatnonzero(cancels):
-        with pytest.raises(CancellationError):
-            leading_diff_array(a[i : i + 1], b[i : i + 1])
 
 
 def test_leading_diff_keeps_the_subfield_guard():

@@ -1,9 +1,11 @@
+import random
 from itertools import islice, product
 
 import numpy as np
 import pytest
 
 from depthzero import driver, tori
+from depthzero.ffield import prime_power
 from depthzero.localmodel import unit, uv_galois, uv_inv, uv_mul
 from depthzero.tori import (
     NonRationalWeylError,
@@ -325,6 +327,36 @@ def test_positive_system_transforms_are_root_sets():
             assert len(moved) == 4
             # a positive system never contains a root and its negative
             assert not any((-a, -b) in moved for a, b in moved)
+
+
+def _root_values_in_python_ints(q, roots, ks):
+    n = q * q + 1
+    return [[(g1 + q * g2) * k % n for g1, g2 in roots] for k in ks]
+
+
+@pytest.mark.parametrize("q", [3, 5, 46337, 60013, 2097143])
+def test_kind2_root_values_are_exact(q):
+    """On every positive system, against Python integers.  A factor reduced
+    mod q^2 + 1 before the product wrapped int64 on about a third of these
+    rows from q = 60013 on; 2097143 is the last odd prime power that
+    (q^2 + 1)(q + 1) < 2^63 admits."""
+    rng = random.Random(q)
+    ks = [rng.randrange(q * q + 1) for _ in range(500)] + [0, q * q]
+    coords = np.array(ks, dtype=np.int64)[:, None]
+    for w in weyl_group(2):
+        roots = positive_system(2, w)
+        assert tori.root_value_coord_array(2, q, roots, coords).tolist() \
+            == _root_values_in_python_ints(q, roots, ks), w.name
+
+
+def test_kind2_root_values_refuse_past_the_int64_bound():
+    """2097169 is the first odd prime power with (q^2 + 1)(q + 1) >= 2^63,
+    the largest product a positive system forms."""
+    q = 2097169
+    assert prime_power(q) and (q * q + 1) * (q + 1) >= 2**63 > (2097143**2 + 1) * 2097144
+    assert all(prime_power(p) is None for p in range(2097145, q, 2))
+    with pytest.raises(OverflowError, match="too large for int64 root values"):
+        tori.root_value_coord_array(2, q, default_positive_roots(2), np.zeros((1, 1), np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from depthzero import uniqueness
 from depthzero.characters import enumerate_regular_characters
 from depthzero.charformula import make_context, orbit_character_sum
+from depthzero.ffield import BudgetExceededError, prime_power
 from depthzero.tori import (
     iter_strongly_regular,
     rational_order,
@@ -107,7 +109,7 @@ def test_ratio_rows_match_fractions(kind):
 
 
 def test_odd_prime_powers():
-    assert odd_prime_powers(30) == [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29]
+    assert list(odd_prime_powers(30)) == [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29]
 
 
 def test_threshold_scan_kind1():
@@ -128,6 +130,24 @@ def test_threshold_scan_kind2():
     q3 = [r for r in rows if r["q"] == 3][0]
     assert q3["ratio"] == "1/5" and q3["holds"]
     assert empirical_min == 3
+
+
+@pytest.mark.parametrize("kind,first_past", [(1, 1259), (2, 1277)])
+def test_threshold_scan_refuses_at_the_first_q_past_its_budget(monkeypatch, kind, first_past):
+    """The scan sums its work while it enumerates, so q_max = 10^6 is
+    refused after ~630 primality tests, not after every odd number below
+    it; the counting wrapper stops a scan that enumerates first."""
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        assert len(calls) <= 1000, "the scan enumerated past its budget"
+        return prime_power(q)
+
+    monkeypatch.setattr(uniqueness, "prime_power", counting)
+    with pytest.raises(BudgetExceededError, match=f"at q = {first_past}$"):
+        threshold_scan(kind, 10**6)
+    assert calls[-1] == first_past
 
 
 @pytest.mark.parametrize("kind,q", [(1, 3), (2, 3), (2, 5)])
