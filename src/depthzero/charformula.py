@@ -68,6 +68,7 @@ from .tori import (
     rational_weyl_group,
     root_value_coord,
     root_value_coord_array,
+    simple_reflections,
     strongly_regular_mask,
     torus_level,
     unit_class_order,
@@ -103,19 +104,7 @@ class FormulaContext:
             raise ValueError("eta branch must be +1 or -1")
         if not self.summation:
             self.summation = rational_weyl_group(self.kind)
-        self._validate_summation()
-
-    def _validate_summation(self):
-        rational = set(rational_weyl_group(self.kind))
-        elems = set(self.summation)
-        if not elems <= rational:
-            raise ValueError("summation group must consist of rational Weyl elements")
-        if weyl_identity(self.kind) not in elems:
-            raise ValueError("summation group must contain the identity")
-        for x in elems:
-            for y in elems:
-                if weyl_compose(x, y) not in elems:
-                    raise ValueError("summation set is not closed under composition")
+        _check_summation(self.kind, tuple(self.summation))
 
     @property
     def value_order(self) -> int:
@@ -124,6 +113,22 @@ class FormulaContext:
     @property
     def ambient_order(self) -> int:
         return lcm(self.value_order, 4)
+
+
+@lru_cache(maxsize=16)
+def _check_summation(kind: int, summation: tuple[WeylElem, ...]) -> None:
+    """Raise ValueError unless ``summation`` is a subgroup of the rational
+    Weyl group; a passing group is remembered for the 16 latest keys."""
+    rational = set(rational_weyl_group(kind))
+    elems = set(summation)
+    if not elems <= rational:
+        raise ValueError("summation group must consist of rational Weyl elements")
+    if weyl_identity(kind) not in elems:
+        raise ValueError("summation group must contain the identity")
+    for x in elems:
+        for y in elems:
+            if weyl_compose(x, y) not in elems:
+                raise ValueError("summation set is not closed under composition")
 
 
 def make_context(kind, q, *, eta_branch=1, summation=None,
@@ -639,13 +644,13 @@ def named_summation_subgroup(kind: int, name: str):
     if name == "trivial":
         return (weyl_identity(kind),)
     if name == "rotation":
-        by_name = {w.name: w for w in weyl_group(kind)}
-        r = by_name["ab"]
+        r = weyl_compose(*simple_reflections(kind))
         elems = [weyl_identity(kind)]
         cur = r
         while cur != elems[0]:
+            if len(elems) == 8:
+                raise ValueError(f"the rotation {r.mat} has order above 8")
             elems.append(cur)
             cur = weyl_compose(cur, r)
-        subgroup = tuple(w for w in elems if w in group)
-        return subgroup
+        return tuple(w for w in elems if w in group)
     raise ValueError(f"unknown summation subgroup name {name!r}")

@@ -20,7 +20,6 @@ import pickle
 import random
 import resource
 import signal
-import subprocess
 import sys
 import time
 import traceback
@@ -987,14 +986,63 @@ def _peak_rss_mb() -> float:
     return round(kib / 1024, 1)
 
 
-def _git_sha() -> str | None:
-    """HEAD of the git repository holding the package; None without git or
-    outside a repository."""
+def _git_sha(directory: Path = Path(__file__).resolve().parent) -> str | None:
+    """HEAD of the git repository holding ``directory`` (by default, the
+    package's); None outside a repository or without git.
+
+    HEAD is read from the files of the git directory (``_read_head``); only
+    where they do not resolve it (a reftable repository, say) does this ask
+    ``git rev-parse HEAD``."""
+    dot_git = next((d / ".git" for d in (directory, *directory.parents)
+                    if (d / ".git").exists()), None)
+    if dot_git is None:
+        return None
     try:
-        done = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=Path(__file__).resolve().parent,
-            capture_output=True, text=True, timeout=10,
-        )
+        sha = _read_head(dot_git)
+    except OSError:
+        sha = None
+    return sha or _rev_parse_head(directory)
+
+
+def _read_head(dot_git: Path) -> str | None:
+    """The object name of HEAD from a ``.git`` directory, or from the
+    ``gitdir:`` of a ``.git`` file (a linked worktree) with its
+    ``commondir``: a detached HEAD directly, a symbolic one through the
+    loose ref file, then ``packed-refs``.  None where these do not resolve it."""
+    git_dir = dot_git
+    if dot_git.is_file():
+        git_dir = dot_git.parent / dot_git.read_text().partition("gitdir:")[2].strip()
+    common = git_dir
+    if (git_dir / "commondir").is_file():
+        common = git_dir / (git_dir / "commondir").read_text().strip()
+    head = (git_dir / "HEAD").read_text().strip()
+    if not head.startswith("ref:"):
+        return _object_name(head)
+    ref = head[4:].strip()
+    for base in (git_dir, common):
+        if (base / ref).is_file():
+            return _object_name((base / ref).read_text().strip())
+    if (common / "packed-refs").is_file():
+        for line in (common / "packed-refs").read_text().splitlines():
+            sha, _, name = line.partition(" ")
+            if name == ref:
+                return _object_name(sha)
+    return None
+
+
+def _object_name(text: str) -> str | None:
+    """``text`` if it is a SHA-1 or SHA-256 object name in hex."""
+    hexdigits = set("0123456789abcdef")
+    return text if len(text) in (40, 64) and set(text) <= hexdigits else None
+
+
+def _rev_parse_head(cwd: Path) -> str | None:
+    """``git rev-parse HEAD`` in ``cwd``; None if it fails."""
+    import subprocess  # only here: the file reader above resolves HEAD without it
+
+    try:
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=cwd,
+                              capture_output=True, text=True, timeout=10)
     except (OSError, subprocess.SubprocessError):
         return None
     sha = done.stdout.strip()

@@ -8,8 +8,10 @@ matrices of the natural module, normalized so that each (X, X_-) pair
 brackets to the coroot; the reflection lifts n_gamma then agree with the
 image of ((0,1),(-1,0)) under the corresponding SL(2).
 
-The lifts are built and verified as matrices over Z[zeta_N], then turned
-once into :class:`Monomial` pairs by :func:`as_monomial`.  Every identity
+The lifts are built and verified as matrices over Z[zeta_N], all roots at
+once as int64 arrays of power-basis coefficients, then read once into
+:class:`Monomial` pairs; :class:`SpMatrix` builds the same matrices entry
+by entry and stays as the oracle of that construction.  Every identity
 asserted downstream (reflection-lift squares, coroot conjugation, the
 structure-sign table and its triple product, the longest-element and
 Coxeter lift powers, torsion-lift independence) composes those pairs.
@@ -20,10 +22,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
-from .cyclo import CycInt, root_of_unity
+import numpy as np
+
+from .cyclo import CycInt, _power_table, root_of_unity
 
 LONG_SIMPLE = (1, 0)
 SHORT_SIMPLE = (0, 1)
@@ -158,42 +162,44 @@ class Monomial:
 
 
 class Pinning:
-    """Pinned realization: root subgroup maps, coroots, reflection lifts."""
+    """Pinned realization: root subgroup maps, coroots, reflection lifts.
+
+    The construction is built and verified as int64 arrays of power-basis
+    coefficients (``_verify_construction``); the ``SpMatrix`` methods below
+    build the same matrices one product at a time and stay as its oracle.
+    """
 
     def __init__(self, order: int = 24):
         if order % 2 != 0:
             raise ValueError("cyclotomic order must be even to host -1")
         self.order = order
-        self.zeta = [root_of_unity(order, k) for k in range(order)]
-        self.zeta_exponent = {z: k for k, z in enumerate(self.zeta)}
-        self._zero = CycInt.zero(order)
-        self._one = CycInt.one(order)
-        self.identity = self.matrix(self.torus(0, 0))
-        self.form = self._build_form()
         self._n_cache: dict = {}
-        self._verify_construction()
+        lifts = self._verify_construction()
         # the verified lifts as pairs: n_root, m = n_long n_short, n = m^2
-        self.lifts = {root: as_monomial(self, self.n_elem(root)) for root in ALL_ROOTS}
+        self.lifts = dict(zip(ALL_ROOTS, _read_monomials(order, lifts)))
         self.coxeter = self.lifts[LONG_SIMPLE] * self.lifts[SHORT_SIMPLE]
         self.longest = self.coxeter * self.coxeter
 
     # -- basic matrices ------------------------------------------------------
 
-    def _build_form(self) -> SpMatrix:
-        z, o = self._zero, self._one
-        rows = (
-            (z, z, z, o),
-            (z, z, o, z),
-            (z, -o, z, z),
-            (-o, z, z, z),
-        )
-        return SpMatrix(self.order, rows)
+    @cached_property
+    def zeta(self) -> list[CycInt]:
+        return [root_of_unity(self.order, k) for k in range(self.order)]
+
+    @cached_property
+    def identity(self) -> SpMatrix:
+        return self.matrix(self.torus(0, 0))
+
+    @cached_property
+    def form(self) -> SpMatrix:
+        return _scalar_matrix(self.order, _FORM)
 
     def matrix(self, x: Monomial) -> SpMatrix:
         """The 4x4 matrix of a monomial pair."""
+        zero = CycInt.zero(self.order)
         rows = []
         for p, e in zip(x.perm, x.exps):
-            row = [self._zero] * 4
+            row = [zero] * 4
             row[p] = self.zeta[e]
             rows.append(tuple(row))
         return SpMatrix(self.order, tuple(rows))
@@ -236,8 +242,8 @@ class Pinning:
     def n_elem(self, root) -> SpMatrix:
         """Reflection lift x(1) x_-(-1) x(1)."""
         if root not in self._n_cache:
-            one = self._one
-            neg = tuple((-a, -b) for a, b in [root])[0]
+            one = CycInt.one(self.order)
+            neg = (-root[0], -root[1])
             m = sp_mul(
                 sp_mul(self.root_subgroup(root, one), self.root_subgroup(neg, -one)),
                 self.root_subgroup(root, one),
@@ -277,21 +283,40 @@ class Pinning:
 
     # -- construction checks -----------------------------------------------------
 
-    def _verify_construction(self):
-        half = self.order // 2
-        for root in ALL_ROOTS:
-            x1 = self.root_subgroup(root, self._one)
-            if not self.is_symplectic(x1):
+    def _verify_construction(self) -> np.ndarray:
+        """Check the defining identities on the stacked root subgroups, one
+        batched product per identity, and return the reflection lifts
+        x(1) x_-(-1) x(1) as a (root, 4, 4, phi) array in ``ALL_ROOTS`` order."""
+        order = self.order
+        powers = _power_array(order)
+        one, half = powers[0], order // 2
+        ident, form = np.eye(4, dtype=np.int64), np.array(_FORM, dtype=np.int64)
+        ident, form = ident[..., None] * one, form[..., None] * one
+        # x_root(t) for t = 1, 0, zeta, zeta^5, zeta + zeta^5, -1 (outer) and every root
+        nilpotent = np.zeros((len(ALL_ROOTS), 4, 4), dtype=np.int64)
+        for r, root in enumerate(ALL_ROOTS):
+            for i, j, sign in _NILPOTENT[root]:
+                nilpotent[r, i, j] += sign
+        t1, t2 = powers[1], powers[5 % order]
+        params = np.stack([one, np.zeros_like(one), t1, t2, t1 + t2, -one])
+        x1, x0, xt1, xt2, xsum, xneg = ident + nilpotent[..., None] * params[:, None, None, None]
+
+        def preserves_form(m):
+            return _entries_equal(_mat_mul(_transpose_times_form(m), m, powers), form)
+
+        failures = zip(preserves_form(x1), (_det(x1, powers) == one).all(axis=-1),
+                       _entries_equal(x0, ident))
+        for root, (symplectic, unimodular, trivial) in zip(ALL_ROOTS, failures):
+            if not symplectic:
                 raise PinningError(f"x_{root}(1) does not preserve the form")
-            if sp_det(x1) != self._one:
+            if not unimodular:
                 raise PinningError(f"x_{root}(1) has determinant != 1")
-            if not sp_eq(self.root_subgroup(root, self._zero), self.identity):
+            if not trivial:
                 raise PinningError(f"x_{root}(0) is not the identity")
         # additivity in the parameter on a sample
-        t1, t2 = self.zeta[1], self.zeta[5 % self.order]
-        for root in ALL_ROOTS:
-            lhs = sp_mul(self.root_subgroup(root, t1), self.root_subgroup(root, t2))
-            if not sp_eq(lhs, self.root_subgroup(root, t1 + t2)):
+        additive = _entries_equal(_mat_mul(xt1, xt2, powers), xsum)
+        for root, ok in zip(ALL_ROOTS, additive):
+            if not ok:
                 raise PinningError(f"x_{root} is not additive in the parameter")
         # Cartan pairings of the rank-two system with long alpha
         expected = {
@@ -304,9 +329,10 @@ class Pinning:
             if self.pairing(char, cochar) != want:
                 raise PinningError("Cartan pairings are not those of type B2/C2")
         # sl2 normalization: n_root lies in the torus normalizer
-        for root in ALL_ROOTS:
-            n = self.n_elem(root)
-            if not self.is_symplectic(n):
+        negatives = [ALL_ROOTS.index((-a, -b)) for a, b in ALL_ROOTS]
+        lifts = _mat_mul(_mat_mul(x1, xneg[negatives], powers), x1, powers)
+        for root, ok in zip(ALL_ROOTS, preserves_form(lifts)):
+            if not ok:
                 raise PinningError(f"n_{root} does not preserve the form")
         # coroot sum identities, both as vectors and as matrices
         assert _COROOT_F[(1, 1)] == (
@@ -317,13 +343,119 @@ class Pinning:
             _COROOT_F[(1, 0)][0] + _COROOT_F[(0, 1)][0],
             _COROOT_F[(1, 0)][1] + _COROOT_F[(0, 1)][1],
         )
-        for e in (1, 3, half):
-            lhs = self.coroot_matrix((1, 1), e)
-            rhs = sp_mul(self.coroot_matrix((1, 0), 2 * e), self.coroot_matrix((0, 1), e))
-            if not sp_eq(lhs, rhs):
-                raise PinningError("coroot identity (1,1) = 2(1,0)+(0,1) fails")
+
+        def coroots(root, scale):
+            return np.stack([_monomial_matrix(self.coroot(root, scale * e), powers)
+                             for e in (1, 3, half)])
+
+        product = _mat_mul(coroots((1, 0), 2), coroots((0, 1), 1), powers)
+        if not _entries_equal(coroots((1, 1), 1), product).all():
+            raise PinningError("coroot identity (1,1) = 2(1,0)+(0,1) fails")
         if self.reflect_root(LONG_SIMPLE, SHORT_SIMPLE) != (1, 1):
             raise PinningError("long reflection must send short simple to (1,1)")
+        return lifts
+
+
+_FORM = ((0, 0, 0, 1), (0, 0, 1, 0), (0, -1, 0, 0), (-1, 0, 0, 0))
+
+
+def _scalar_matrix(order: int, rows) -> SpMatrix:
+    """An integer 4x4 matrix as an ``SpMatrix``."""
+    one = CycInt.one(order)
+    return SpMatrix(order, tuple(tuple(x * one for x in row) for row in rows))
+
+
+# ---------------------------------------------------------------------------
+# 4x4 matrices over Z[zeta_N] as int64 arrays (..., 4, 4, phi(N)) of
+# power-basis coefficients
+
+
+def _power_array(order: int) -> np.ndarray:
+    """The (order, phi) int64 array of ``_power_table``: row k is the reduced
+    form of x^k."""
+    return np.array(_power_table(order), dtype=np.int64)
+
+
+def _product(a: np.ndarray, b: np.ndarray, shape: tuple, multiply, powers: np.ndarray):
+    """The reduced coefficients of sum_i x^i multiply(a_i, b), where a_i is
+    the coefficient-i slice of ``a`` and ``multiply`` returns a stack of
+    ``shape`` coefficient arrays.  One pass per coefficient that ``a`` uses
+    anywhere in its stack, each added at its shift into a length 2 phi - 1
+    convolution; the powers x^k, k >= phi, that the stack reaches are then
+    reduced through ``powers`` (2 phi - 1 <= order for even order)."""
+    phi = a.shape[-1]
+    conv = np.zeros((*shape, 2 * phi - 1), dtype=np.int64)
+    for i in np.flatnonzero(a.any(axis=tuple(range(a.ndim - 1)))):
+        conv[..., i:i + phi] += multiply(a[..., i], b)
+    high = phi + np.flatnonzero(conv[..., phi:].any(axis=tuple(range(conv.ndim - 1))))
+    return conv[..., :phi] + conv[..., high] @ powers[high]
+
+
+def _ring_mul(a: np.ndarray, b: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """The entrywise ring product of two broadcastable coefficient arrays."""
+    shape = np.broadcast_shapes(a.shape, b.shape)[:-1]
+    return _product(a, b, shape, lambda a_i, b: a_i[..., None] * b, powers)
+
+
+def _mat_mul(a: np.ndarray, b: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """The matrix product of two stacks of 4x4 ring matrices."""
+    shape = (*np.broadcast_shapes(a.shape[:-3], b.shape[:-3]), 4, 4)
+    return _product(a, b, shape, lambda a_i, b: np.einsum("...rm,...mcj->...rcj", a_i, b),
+                    powers)
+
+
+def _transpose_times_form(m: np.ndarray) -> np.ndarray:
+    """M^T J for a stack of ring matrices M; J has integer entries, so no
+    ring product is formed."""
+    return np.einsum("...mrk,mc->...rck", m, np.array(_FORM, dtype=np.int64))
+
+
+_PERMUTATIONS = np.array(list(itertools.permutations(range(4))))
+_PERMUTATION_SIGNS = np.array([(-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
+                               for p in _PERMUTATIONS.tolist()])
+
+
+def _det(m: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """The Leibniz determinant of each matrix of a stack, all 24 terms at once."""
+    factors = m[..., np.arange(4), _PERMUTATIONS, :]  # (..., permutation, row, phi)
+    term = factors[..., 0, :]
+    for row in range(1, 4):
+        term = _ring_mul(term, factors[..., row, :], powers)
+    return (_PERMUTATION_SIGNS[:, None] * term).sum(axis=-2)
+
+
+def _entries_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack: whether every entry of ``a`` equals ``b``'s."""
+    return (a == b).all(axis=(-3, -2, -1))
+
+
+def _monomial_matrix(x: Monomial, powers: np.ndarray) -> np.ndarray:
+    """The (4, 4, phi) array of a monomial pair."""
+    out = np.zeros((4, 4, powers.shape[1]), dtype=np.int64)
+    out[np.arange(4), x.perm] = powers[list(x.exps)]
+    return out
+
+
+def _read_monomials(order: int, stack: np.ndarray) -> list[Monomial]:
+    """The pairs of a stack of (4, 4, phi) monomial matrices whose nonzero
+    entries are powers of zeta; raises as ``as_monomial`` does."""
+    exponent = {row: k for k, row in enumerate(_power_table(order))}
+    pairs = []
+    for m in stack.tolist():
+        perm, exps = [], []
+        for i, row in enumerate(m):
+            cols = [j for j, x in enumerate(row) if any(x)]
+            if len(cols) != 1:
+                raise PinningError(f"row {i} has {len(cols)} nonzero entries; matrix is not monomial")
+            k = exponent.get(tuple(row[cols[0]]))
+            if k is None:
+                raise PinningError("matrix entry is not a power of the fixed root of unity")
+            perm.append(cols[0])
+            exps.append(k)
+        if len(set(perm)) != 4:
+            raise PinningError("two rows share a column; matrix is singular")
+        pairs.append(Monomial(order, tuple(perm), tuple(exps)))
+    return pairs
 
 
 def as_monomial(pin: Pinning, m: SpMatrix) -> Monomial:
@@ -333,19 +465,7 @@ def as_monomial(pin: Pinning, m: SpMatrix) -> Monomial:
     entry, when two rows share a column, or when an entry is not a power
     of the fixed root of unity.
     """
-    perm, exps = [], []
-    for i, row in enumerate(m.rows):
-        cols = [j for j, x in enumerate(row) if not x.is_zero()]
-        if len(cols) != 1:
-            raise PinningError(f"row {i} has {len(cols)} nonzero entries; matrix is not monomial")
-        k = pin.zeta_exponent.get(row[cols[0]])
-        if k is None:
-            raise PinningError("matrix entry is not a power of the fixed root of unity")
-        perm.append(cols[0])
-        exps.append(k)
-    if len(set(perm)) != 4:
-        raise PinningError("two rows share a column; matrix is singular")
-    return Monomial(pin.order, tuple(perm), tuple(exps))
+    return _read_monomials(pin.order, np.array([[[x.coeffs for x in row] for row in m.rows]]))[0]
 
 
 @lru_cache(maxsize=None)

@@ -15,8 +15,9 @@ claims about the norm exact sequence are machine-checked.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import product
 
 import numpy as np
@@ -30,6 +31,10 @@ KINDS = (1, 2)
 
 class NonRationalWeylError(ValueError):
     """A non-rational Weyl element was applied to a Galois-quotient object."""
+
+
+class WeylGroupError(ValueError):
+    """The generator matrices do not close to a group of order 8."""
 
 
 def _check_kind(kind: int) -> None:
@@ -152,9 +157,41 @@ def coinvariant_shape(kind: int, q: int) -> tuple[int, ...]:
     return (unit_class_order(kind, q),) * rank + (2,) * rank
 
 
+# The coordinate grids that the checks of a run share, kept, latest use
+# last, while they take at most TABLE_CACHE_BYTES in all; a larger grid is
+# rebuilt at each call, as if uncached.
+TABLE_CACHE_BYTES = 16 * 2**20
+_tables: OrderedDict = OrderedDict()
+
+
+def _cached_table(build):
+    """Make ``build(*args)`` return its array read-only, from ``_tables``."""
+    @wraps(build)
+    def cached(*args):
+        key = (build.__name__, *args)
+        if key in _tables:
+            _tables.move_to_end(key)
+            return _tables[key]
+        table = build(*args)
+        table.flags.writeable = False
+        if table.nbytes <= TABLE_CACHE_BYTES:
+            _tables[key] = table
+            while sum(t.nbytes for t in _tables.values()) > TABLE_CACHE_BYTES:
+                _tables.popitem(last=False)
+        return table
+    return cached
+
+
+def clear_tables() -> None:
+    """Empty the cache of coordinate grids."""
+    _tables.clear()
+
+
+@_cached_table
 def coinvariant_coordinates(kind: int, q: int) -> np.ndarray:
     """``coordinate_array`` of ``enumerate_coinvariants(kind, q)``, built
-    directly: (Z/n)^rank x (Z/2)^rank in lexicographic order."""
+    directly: (Z/n)^rank x (Z/2)^rank in lexicographic order.  Read-only,
+    cached within ``TABLE_CACHE_BYTES``."""
     return _lex_grid(coinvariant_shape(kind, q))
 
 
@@ -383,8 +420,12 @@ def weyl_group(kind: int) -> tuple[WeylElem, ...]:
                 if prod_mat not in seen:
                     seen[prod_mat] = seen[mat] + g
                     nxt.append(prod_mat)
+                    if len(seen) > 8:  # broken generators may generate an infinite group
+                        raise WeylGroupError(f"the kind-{kind} generators give more than 8 "
+                                             f"elements, among them {prod_mat}")
         frontier = nxt
-    assert len(seen) == 8, "rank-two Weyl group must have order 8"
+    if len(seen) != 8:
+        raise WeylGroupError(f"the kind-{kind} generators give {len(seen)} elements, not 8")
     elems = [WeylElem(kind, name, mat) for mat, name in seen.items()]
     elems.sort(key=lambda e: (len(e.name), e.name))
     return tuple(elems)
@@ -393,6 +434,12 @@ def weyl_group(kind: int) -> tuple[WeylElem, ...]:
 @lru_cache(maxsize=None)
 def _by_matrix(kind: int):
     return {e.mat: e for e in weyl_group(kind)}
+
+
+def simple_reflections(kind: int) -> tuple[WeylElem, WeylElem]:
+    """The Weyl elements of the two generator matrices, found by matrix."""
+    by_matrix = _by_matrix(kind)
+    return tuple(by_matrix[mat] for mat in _GENERATOR_MATS[kind].values())
 
 
 def weyl_identity(kind: int) -> WeylElem:
@@ -712,9 +759,11 @@ def iter_strongly_regular(kind: int, q: int):
             yield gamma
 
 
+@_cached_table
 def strongly_regular_coordinates(kind: int, q: int) -> np.ndarray:
     """``coordinate_array`` of ``iter_strongly_regular(kind, q)``, built
-    directly: the rational grid in ``iter_rational`` order, masked."""
+    directly: the rational grid in ``iter_rational`` order, masked.
+    Read-only, cached within ``TABLE_CACHE_BYTES``."""
     _check_kind(kind)
     grid = _lex_grid((unit_class_order(kind, q),) * (2 if kind == 1 else 1))
     return grid[strongly_regular_mask(kind, q, grid)]

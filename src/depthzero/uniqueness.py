@@ -6,8 +6,9 @@ exactly the strongly regular set.  All counts are exact and test every
 element.  On torus 1, coordinates (a, b) with 0 <= a, b < q+1 are
 broadcast as an int32 grid and each root value is compared with the few
 multiples of q+1 it can reach (a+b against q+1, 2a+b against q+1 and
-2(q+1)), so no cell takes a modulo; on torus 2, d = 0 is compared
-directly and the other three root values take one modulo per element.
+2(q+1)), so no cell takes a modulo; on torus 2 one modulo per element,
+d(q-1) mod q^2+1, gives the other two root values as sums compared with
+the multiples of q^2+1 they can reach.
 The counts are cross-checked by inclusion-exclusion over the root
 kernels via Smith normal form solution counting.
 """
@@ -46,13 +47,14 @@ def excluded_count(kind: int, q: int) -> int:
         bad = (a == 0) | (b == 0) | (a + b == n) | (twice == n) | (twice == 2 * n)
         return int(np.count_nonzero(bad))
     n = q * q + 1
-    d = np.arange(n)
-    bad = (
-        (d == 0)
-        | ((d * (q - 1)) % n == 0)
-        | ((d * q) % n == 0)
-        | ((d * (q + 1)) % n == 0)
-    )
+    # r = d(q-1) mod n is the one modulo: then dq = r + d mod n with r + d in
+    # [0, 2n), and d(q+1) = r + 2d mod n with r + 2d in [0, 3n); d(q-1) < nq.
+    # d = 0 mod n only at d = 0, where r = 0 already, as are both sums' 0 cases
+    d = np.arange(n, dtype=np.int32 if n * q < 2**31 else np.int64)
+    r = d * (q - 1) % n
+    once = r + d
+    twice = once + d
+    bad = (r == 0) | (once == n) | (twice == n) | (twice == 2 * n)
     return int(np.count_nonzero(bad))
 
 

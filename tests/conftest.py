@@ -1,6 +1,14 @@
 import pytest
 
-from depthzero import charformula, driver
+from depthzero import charformula, driver, tori
+
+
+@pytest.fixture(autouse=True)
+def fresh_tables():
+    """Empty table caches for every test, so that no table an earlier test
+    filled hides what a test patches (a negative control above all)."""
+    tori.clear_tables()
+    charformula._check_summation.cache_clear()
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import pickle
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -203,12 +204,94 @@ def test_small_run_and_report_files(tmp_path):
         assert "wall" not in json.dumps(rec) and "duration" not in json.dumps(rec)
 
 
-def test_git_sha_is_null_without_git(monkeypatch):
+# ---------------------------------------------------------------------------
+# the git sha of run_meta.json, read from the files of temporary repositories
+
+
+def _git(cwd, *args) -> str:
+    env = dict(os.environ, GIT_CONFIG_GLOBAL=os.devnull, GIT_CONFIG_NOSYSTEM="1",
+               GIT_AUTHOR_NAME="a", GIT_AUTHOR_EMAIL="a@example.com",
+               GIT_COMMITTER_NAME="a", GIT_COMMITTER_EMAIL="a@example.com")
+    return subprocess.run(["git", *args], cwd=cwd, env=env, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+@pytest.fixture
+def repo(tmp_path):
+    """A repository with two commits on main; ``src/pkg`` stands for the package."""
+    root = tmp_path / "repo"
+    (root / "src" / "pkg").mkdir(parents=True)
+    _git(root, "init", "-q", "-b", "main")
+    for text in ("one", "two"):
+        (root / "src" / "pkg" / "f.txt").write_text(text)
+        _git(root, "add", "-A")
+        _git(root, "commit", "-q", "-m", text)
+    return root
+
+
+def _forbid_subprocesses(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a subprocess was started")
+
+    for name in ("run", "Popen"):
+        monkeypatch.setattr(subprocess, name, forbidden)
+
+
+def _checkout(repo, layout):
+    """The package directory of ``repo`` laid out as ``layout``."""
+    if layout.startswith("worktree"):
+        _git(repo, "worktree", "add", "-q", "-b", "side", str(repo.parent / "wt"), "HEAD~1")
+        repo = repo.parent / "wt"
+        assert (repo / ".git").is_file()
+    if layout.endswith("packed"):
+        _git(repo, "pack-refs", "--all")
+        assert not (repo.parent / "repo" / ".git" / "refs" / "heads" / "main").exists()
+    if layout == "detached":
+        _git(repo, "checkout", "-q", "--detach", "HEAD~1")
+    return repo / "src" / "pkg"
+
+
+@pytest.mark.parametrize("layout", ["loose", "packed", "detached", "worktree",
+                                    "worktree-packed"])
+def test_git_sha_reads_head_from_the_repository_files(monkeypatch, repo, layout):
+    package = _checkout(repo, layout)
+    head = _git(package, "rev-parse", "HEAD")
+    _forbid_subprocesses(monkeypatch)
+    assert driver._git_sha(package) == head
+
+
+def test_git_sha_is_null_outside_a_repository(monkeypatch, tmp_path):
+    with pytest.raises(subprocess.CalledProcessError):
+        _git(tmp_path, "rev-parse", "HEAD")
+    _forbid_subprocesses(monkeypatch)
+    assert driver._git_sha(tmp_path) is None
+
+
+def test_git_sha_is_null_without_git(monkeypatch, tmp_path):
+    """An unborn branch has no ref in the files, so git is asked; without
+    git, or where it fails, the sha is null."""
+    _git(tmp_path, "init", "-q", "-b", "main")
+    assert driver._git_sha(tmp_path) is None
+    calls = []
+
     def missing(*args, **kwargs):
+        calls.append(args[0])
         raise FileNotFoundError("git")
 
-    monkeypatch.setattr(driver.subprocess, "run", missing)
-    assert driver._git_sha() is None
+    monkeypatch.setattr(subprocess, "run", missing)
+    assert driver._git_sha(tmp_path) is None
+    assert calls == [["git", "rev-parse", "HEAD"]]
+
+
+@pytest.mark.parametrize("layout", ["loose", "packed"])
+def test_identity_run_starts_no_subprocess(monkeypatch, repo, tmp_path, layout):
+    package = _checkout(repo, layout)
+    head = _git(package, "rev-parse", "HEAD")
+    monkeypatch.setattr(driver, "_git_sha", partial(driver._git_sha, package))
+    _forbid_subprocesses(monkeypatch)
+    assert main(["identity", "--q", "3", "--kind", "1", "--out", str(tmp_path / "out")]) == 0
+    meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+    assert meta["environment"]["git_sha"] == head
 
 
 def test_determinism_bytes(tmp_path):

@@ -1,13 +1,15 @@
 import itertools
 import random
+import tracemalloc
 from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthzero import driver, dualgroup
-from depthzero.cyclo import CycInt, root_of_unity
+from depthzero.cyclo import CycInt, _power_table, root_of_unity
 from depthzero.dualgroup import (
     ALL_ROOTS,
     LONG_SIMPLE,
@@ -371,3 +373,101 @@ def test_checks_make_no_matrix_products(monkeypatch, pin):
     # the counter sees the matrix path
     assert pin.is_symplectic(pin.identity)
     assert calls
+
+
+# ---------------------------------------------------------------------------
+# the array construction against the SpMatrix oracle
+
+
+@pytest.mark.parametrize("order", [8, 12, 24, 48, 120, 1000])
+def test_array_pinning_matches_the_scalar_oracle(order):
+    pin_n = Pinning(order)
+    for root in ALL_ROOTS:
+        assert pin_n.lifts[root] == as_monomial(pin_n, pin_n.n_elem(root))
+        assert sp_eq(pin_n.matrix(pin_n.lifts[root]), pin_n.n_elem(root))
+    coxeter = sp_mul(pin_n.n_elem(LONG_SIMPLE), pin_n.n_elem(SHORT_SIMPLE))
+    assert pin_n.coxeter == as_monomial(pin_n, coxeter)
+    assert pin_n.longest == as_monomial(pin_n, sp_mul(coxeter, coxeter))
+
+
+def test_array_pinning_memory_is_linear_in_phi():
+    """The products add one used coefficient at a time into a convolution:
+    at order 1000 (phi = 400) the build peaks near 10 MB, where a
+    (phi, phi, phi) multiplication tensor alone takes 512 MB."""
+    _power_table(1000)  # shared with the scalar ring, not counted
+    tracemalloc.start()
+    try:
+        Pinning(1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def _coefficients(m):
+    return np.array([[x.coeffs for x in row] for row in m.rows])
+
+
+@pytest.mark.parametrize("order", [8, 24])
+@pytest.mark.parametrize("density", [0.15, 1.0])
+def test_array_products_match_the_scalar_ones(order, density):
+    rng = random.Random(order + int(density * 100))
+    powers = dualgroup._power_array(order)
+    pairs = [(_random_matrix(rng, order, density), _random_matrix(rng, order, density))
+             for _ in range(6)]
+    a = np.stack([_coefficients(x) for x, _ in pairs])
+    b = np.stack([_coefficients(y) for _, y in pairs])
+    assert (dualgroup._mat_mul(a, b, powers)
+            == np.stack([_coefficients(sp_mul(x, y)) for x, y in pairs])).all()
+    assert (dualgroup._det(a, powers) == np.array([sp_det(x).coeffs for x, _ in pairs])).all()
+
+
+def test_array_pinning_makes_no_scalar_products(monkeypatch):
+    calls = []
+    for name in ("sp_mul", "sp_det"):
+        real = getattr(dualgroup, name)
+        monkeypatch.setattr(dualgroup, name,
+                            lambda *args, real=real: calls.append(1) or real(*args))
+    Pinning(24)
+    assert calls == []
+    assert sp_eq(Pinning(24).n_elem(LONG_SIMPLE), build_pinning(24).n_elem(LONG_SIMPLE))
+    assert calls  # the counter sees the oracle
+
+
+# (table, key, broken value, the error it raises): every error a single
+# entry of _NILPOTENT, _COROOT_F or _ROOT_E can reach
+TABLE_BREAKS = [
+    ("_NILPOTENT", (1, 0), ((0, 2, 1),), "x_\\(1, 0\\)\\(1\\) does not preserve the form"),
+    ("_NILPOTENT", (0, -1), ((1, 0, 1), (3, 1, -1)),
+     "x_\\(0, -1\\)\\(1\\) does not preserve the form"),
+    ("_NILPOTENT", (1, 0), ((1, 2, -1),), "row 1 has 2 nonzero entries; matrix is not monomial"),
+    ("_NILPOTENT", (1, 2), ((0, 3, 2),), "row 3 has 2 nonzero entries; matrix is not monomial"),
+    ("_COROOT_F", (1, 0), (0, 2), "Cartan pairings are not those of type B2/C2"),
+    ("_COROOT_F", (1, 1), (1, 2), None),  # the vector identity, a bare assert
+    ("_ROOT_E", (1, 1), (1, 2), "reflection left the root system"),
+]
+
+
+@pytest.mark.parametrize("table,key,value,message", TABLE_BREAKS,
+                         ids=[f"{t}{k}" for t, k, _, _ in TABLE_BREAKS])
+def test_broken_table_entry_raises(monkeypatch, table, key, value, message):
+    monkeypatch.setitem(getattr(dualgroup, table), key, value)
+    with pytest.raises(AssertionError, match=message) as caught:
+        Pinning(24)
+    assert isinstance(caught.value, PinningError) == (message is not None)
+
+
+def test_unreachable_branches_still_raise(monkeypatch):
+    """A form-preserving x(1) has determinant 1, and x(0) is the identity
+    for any nilpotent table, so no entry reaches these branches; a broken
+    determinant or coroot map does."""
+    det = dualgroup._det
+    monkeypatch.setattr(dualgroup, "_det", lambda m, powers: 2 * det(m, powers))
+    with pytest.raises(PinningError, match="x_\\(1, 0\\)\\(1\\) has determinant != 1"):
+        Pinning(24)
+    monkeypatch.undo()
+    coroot = Pinning.coroot
+    monkeypatch.setattr(Pinning, "coroot", lambda self, root, e: coroot(
+        self, root, e + (root == (1, 1))))
+    with pytest.raises(PinningError, match="coroot identity"):
+        Pinning(24)

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from depthzero import characters, charformula, driver, tori, uniqueness
+from depthzero import characters, charformula, driver, dualgroup, tori, uniqueness
 from depthzero.characters import (
     DepthZeroCharacter,
     character_to_descriptor,
@@ -566,11 +566,13 @@ SCALAR_OBJECTS = [((charformula, driver, tori), ("iter_strongly_regular", "enume
                   ((characters, driver, uniqueness), ("is_regular", "weyl_conjugate",
                                                       "enumerate_characters",
                                                       "enumerate_regular_characters"))]
+# the pinning is built and verified on arrays; the SpMatrix products are its oracle
+SCALAR_PINNING = [((dualgroup,), ("sp_mul", "sp_det"))]
 # (argv, expected record count or None to compare with the golden report, forbidden paths)
 CAMPAIGNS = {
     "identity": (["identity", "--q", "3,5", "--kind", "both", "--eta-branch", "both"], 21,
-                 SCALAR_EVALUATORS + SCALAR_OBJECTS),
-    "all": (["all", "--jobs", "1"], None, SCALAR_EVALUATORS + SCALAR_OBJECTS),
+                 SCALAR_EVALUATORS + SCALAR_OBJECTS + SCALAR_PINNING),
+    "all": (["all", "--jobs", "1"], None, SCALAR_EVALUATORS + SCALAR_OBJECTS + SCALAR_PINNING),
     "all-pair-model": (["all", "--jobs", "1"], None, SCALAR_PAIR_MODEL),
 }
 
@@ -579,7 +581,9 @@ def _forbid(monkeypatch, paths):
     def forbidden(*args, **kwargs):
         raise AssertionError("scalar path called")
 
-    characters.regular_exponent_rows.cache_clear()  # rebuild the pool under the guard
+    # rebuild the pool and the pinning under the guard
+    for cache in (characters.regular_exponent_rows, dualgroup.build_pinning, cover_class_values):
+        cache.cache_clear()
 
     for owners, names in paths:
         for name in names:

@@ -1,10 +1,15 @@
+import json
+import os
 import random
+import signal
+from dataclasses import replace
 from itertools import islice, product
 
 import numpy as np
 import pytest
 
-from depthzero import driver, tori
+from depthzero import charformula, driver, tori
+from depthzero.charformula import named_summation_subgroup
 from depthzero.ffield import prime_power
 from depthzero.localmodel import unit, uv_galois, uv_inv, uv_mul
 from depthzero.tori import (
@@ -17,6 +22,7 @@ from depthzero.tori import (
     coinv_of_row,
     coinv_parity_part,
     coinv_unit_part,
+    coinvariant_coordinates,
     coinvariant_norm,
     coinvariant_norm_array,
     coinvariant_order,
@@ -47,6 +53,8 @@ from depthzero.tori import (
     rational_order,
     rational_weyl_group,
     root_values,
+    simple_reflections,
+    strongly_regular_coordinates,
     t1_coinv,
     t1_rational,
     t2_coinv,
@@ -98,6 +106,136 @@ def test_group_inverses():
     for kind in (1, 2):
         for w in weyl_group(kind):
             assert weyl_compose(w, weyl_inverse(w)) == weyl_identity(kind)
+
+
+def test_simple_reflections_are_the_generator_matrices():
+    for kind in (1, 2):
+        mats = list(tori._GENERATOR_MATS[kind].values())
+        assert [w.mat for w in simple_reflections(kind)] == mats
+        assert [w.name for w in simple_reflections(kind)] == ["a", "b"]
+
+
+WEYL_CACHES = (tori.weyl_group, tori._by_matrix, tori.rational_weyl_group, tori.weyl_matrix)
+
+
+@pytest.fixture
+def fresh_weyl_group():
+    """Empty Weyl caches before and after the test, which patches the group."""
+    for cache in WEYL_CACHES:
+        cache.cache_clear()
+    yield
+    for cache in WEYL_CACHES:
+        cache.cache_clear()
+
+
+def test_rotation_is_found_by_matrix(monkeypatch, fresh_weyl_group):
+    """Reversed reduced-word names swap "ab" and "ba"; the rotation
+    subgroup, found as the product of the two generator matrices, keeps
+    its elements and their order."""
+    want = {kind: [w.mat for w in named_summation_subgroup(kind, "rotation")] for kind in (1, 2)}
+    named = tori.weyl_group
+    monkeypatch.setattr(tori, "weyl_group", lambda kind: tuple(
+        replace(w, name=w.name[::-1]) for w in named.__wrapped__(kind)))
+    for cache in WEYL_CACHES:
+        cache.cache_clear()
+    for kind in (1, 2):
+        assert [w.mat for w in named_summation_subgroup(kind, "rotation")] == want[kind]
+        assert "ba" in [w.name for w in named_summation_subgroup(kind, "rotation")]
+
+
+def _in_forked_child(fn, seconds=20):
+    """``fn()`` in a forked child under an alarm of ``seconds``: its JSON
+    result, or {"raised": message}; a child that the alarm stops fails."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns into the test run
+        status = 1
+        try:
+            os.close(read_end)
+            signal.alarm(seconds)
+            try:
+                payload = fn()
+            except Exception as exc:
+                payload = {"raised": f"{type(exc).__name__}: {exc}"}
+            with os.fdopen(write_end, "w") as pipe:
+                json.dump(payload, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    with os.fdopen(read_end) as pipe:
+        data = pipe.read()
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    assert status == 0, f"child ended with {status} (-{int(signal.SIGALRM)}: the alarm)"
+    return json.loads(data)
+
+
+def _clear_weyl_caches():
+    for cache in (*WEYL_CACHES, charformula._check_summation):
+        cache.cache_clear()
+
+
+def _unbounded_generator_run():
+    """A kind-1 generator whose product with b has trace 2 and so infinite
+    order: the closure raises, and the identity task that needs it FAILs."""
+    tori._GENERATOR_MATS[1]["a"] = ((-1, 0), (4, 1))
+    _clear_weyl_caches()
+    try:
+        tori.weyl_group(1)
+        raised = None
+    except tori.WeylGroupError as exc:
+        raised = str(exc)
+    task = driver.build_tasks("identity", driver.Config(qs=[3], kinds=[1]))[0]
+    record, _ = driver.run_task(task)
+    return {"raised": raised, "outcome": record["outcome"], "witness": record["witness"]}
+
+
+def test_unbounded_weyl_closure_fails_its_checks():
+    got = _in_forked_child(_unbounded_generator_run)
+    assert got["raised"].startswith("the kind-1 generators give more than 8 elements")
+    assert got["outcome"] == "FAIL"
+    assert got["witness"]["error"].startswith("WeylGroupError: the kind-1 generators")
+
+
+def _endless_rotation_run():
+    """A composition that never returns to the identity."""
+    _clear_weyl_caches()
+    a, _b = simple_reflections(1)
+    charformula.weyl_compose = lambda x, y: a
+    try:
+        named_summation_subgroup(1, "rotation")
+    except ValueError as exc:
+        return {"raised": str(exc)}
+    return {"raised": None}
+
+
+def test_rotation_loop_stops_after_eight_steps():
+    assert _in_forked_child(_endless_rotation_run)["raised"].endswith("has order above 8")
+
+
+def test_table_caches_are_bounded_and_read_only(monkeypatch):
+    tables = {"coinvariants": coinvariant_coordinates(1, 3),
+              "regular": strongly_regular_coordinates(2, 5)}
+    for name, array in tables.items():
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 1
+    # a second call returns the cached array
+    assert coinvariant_coordinates(1, 3) is tables["coinvariants"]
+    assert strongly_regular_coordinates(2, 5) is tables["regular"]
+    # the cache keeps the latest grids that fit its budget, and no larger one
+    budget = coinvariant_coordinates(1, 5).nbytes + coinvariant_coordinates(1, 7).nbytes
+    monkeypatch.setattr(tori, "TABLE_CACHE_BYTES", budget)
+    tori.clear_tables()
+    first, second = coinvariant_coordinates(1, 5), coinvariant_coordinates(1, 7)
+    assert coinvariant_coordinates(1, 5) is first  # both fit; (1, 5) is now the latest
+    coinvariant_coordinates(1, 3)  # evicts (1, 7), the oldest
+    assert coinvariant_coordinates(1, 5) is first
+    assert coinvariant_coordinates(1, 7) is not second
+    big = coinvariant_coordinates(1, 11)
+    assert big.nbytes > budget and not big.flags.writeable
+    assert coinvariant_coordinates(1, 11) is not big
+    assert sum(table.nbytes for table in tori._tables.values()) <= budget
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,22 @@ def test_excluded_count_matches_the_modulo_grid(kind):
         assert excluded_count(kind, q) == _excluded_count_by_modulo(kind, q), q
 
 
+def test_kind2_excluded_count_matches_both_oracles():
+    """One modulo per element gives the three-modulo count and the
+    inclusion-exclusion count."""
+    for q in odd_prime_powers(200):
+        assert excluded_count(2, q) == _excluded_count_by_modulo(2, q), q
+        assert excluded_count(2, q) == excluded_count_inclusion_exclusion(2, q), q
+
+
+@pytest.mark.parametrize("q", [1289, 1291, 1331])
+def test_kind2_excluded_count_across_the_int32_bound(q):
+    """(q^2 + 1) q passes 2^31 between 1289 and 1291, where the grid turns
+    int64; 1331 is the first odd prime power that an int32 grid miscounts."""
+    assert prime_power(q) is not None
+    assert excluded_count(2, q) == _excluded_count_by_modulo(2, q) == 2
+
+
 @pytest.mark.parametrize("kind", [1, 2])
 def test_excluded_count_is_the_complement_of_the_strongly_regular_set(kind):
     """The threshold count and the strongly regular mask of ``tori`` are two
