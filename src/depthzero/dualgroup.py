@@ -292,27 +292,22 @@ class Pinning:
         one, half = powers[0], order // 2
         ident, form = np.eye(4, dtype=np.int64), np.array(_FORM, dtype=np.int64)
         ident, form = ident[..., None] * one, form[..., None] * one
-        # x_root(t) for t = 1, 0, zeta, zeta^5, zeta + zeta^5, -1 (outer) and every root
+        # x_root(t) for t = 1, zeta, zeta^5, zeta + zeta^5, -1 (outer) and every root
         nilpotent = np.zeros((len(ALL_ROOTS), 4, 4), dtype=np.int64)
         for r, root in enumerate(ALL_ROOTS):
             for i, j, sign in _NILPOTENT[root]:
                 nilpotent[r, i, j] += sign
         t1, t2 = powers[1], powers[5 % order]
-        params = np.stack([one, np.zeros_like(one), t1, t2, t1 + t2, -one])
-        x1, x0, xt1, xt2, xsum, xneg = ident + nilpotent[..., None] * params[:, None, None, None]
+        params = np.stack([one, t1, t2, t1 + t2, -one])
+        x1, xt1, xt2, xsum, xneg = ident + nilpotent[..., None] * params[:, None, None, None]
 
         def preserves_form(m):
             return _entries_equal(_mat_mul(_transpose_times_form(m), m, powers), form)
 
-        failures = zip(preserves_form(x1), (_det(x1, powers) == one).all(axis=-1),
-                       _entries_equal(x0, ident))
-        for root, (symplectic, unimodular, trivial) in zip(ALL_ROOTS, failures):
-            if not symplectic:
+        # a form-preserving x(1) has determinant 1: Pf(M^T J M) = det(M) Pf(J)
+        for root, ok in zip(ALL_ROOTS, preserves_form(x1)):
+            if not ok:
                 raise PinningError(f"x_{root}(1) does not preserve the form")
-            if not unimodular:
-                raise PinningError(f"x_{root}(1) has determinant != 1")
-            if not trivial:
-                raise PinningError(f"x_{root}(0) is not the identity")
         # additivity in the parameter on a sample
         additive = _entries_equal(_mat_mul(xt1, xt2, powers), xsum)
         for root, ok in zip(ALL_ROOTS, additive):
@@ -335,14 +330,10 @@ class Pinning:
             if not ok:
                 raise PinningError(f"n_{root} does not preserve the form")
         # coroot sum identities, both as vectors and as matrices
-        assert _COROOT_F[(1, 1)] == (
-            2 * _COROOT_F[(1, 0)][0] + _COROOT_F[(0, 1)][0],
-            2 * _COROOT_F[(1, 0)][1] + _COROOT_F[(0, 1)][1],
-        )
-        assert _COROOT_F[(1, 2)] == (
-            _COROOT_F[(1, 0)][0] + _COROOT_F[(0, 1)][0],
-            _COROOT_F[(1, 0)][1] + _COROOT_F[(0, 1)][1],
-        )
+        long, short = _COROOT_F[LONG_SIMPLE], _COROOT_F[SHORT_SIMPLE]
+        for root, scale in (((1, 1), 2), ((1, 2), 1)):
+            if _COROOT_F[root] != tuple(scale * a + b for a, b in zip(long, short)):
+                raise PinningError(f"coroot vector identity {root} = {scale} (1,0) + (0,1) fails")
 
         def coroots(root, scale):
             return np.stack([_monomial_matrix(self.coroot(root, scale * e), powers)
@@ -376,52 +367,25 @@ def _power_array(order: int) -> np.ndarray:
     return np.array(_power_table(order), dtype=np.int64)
 
 
-def _product(a: np.ndarray, b: np.ndarray, shape: tuple, multiply, powers: np.ndarray):
-    """The reduced coefficients of sum_i x^i multiply(a_i, b), where a_i is
-    the coefficient-i slice of ``a`` and ``multiply`` returns a stack of
-    ``shape`` coefficient arrays.  One pass per coefficient that ``a`` uses
-    anywhere in its stack, each added at its shift into a length 2 phi - 1
-    convolution; the powers x^k, k >= phi, that the stack reaches are then
-    reduced through ``powers`` (2 phi - 1 <= order for even order)."""
+def _mat_mul(a: np.ndarray, b: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """The matrix product of two stacks of 4x4 ring matrices: one pass per
+    power-basis coefficient that ``a`` uses anywhere in its stack, each
+    added at its shift into a length 2 phi - 1 convolution; the powers x^k,
+    k >= phi, that the stack reaches are then reduced through ``powers``
+    (2 phi - 1 <= order for even order)."""
     phi = a.shape[-1]
-    conv = np.zeros((*shape, 2 * phi - 1), dtype=np.int64)
+    conv = np.zeros((*np.broadcast_shapes(a.shape[:-3], b.shape[:-3]), 4, 4, 2 * phi - 1),
+                    dtype=np.int64)
     for i in np.flatnonzero(a.any(axis=tuple(range(a.ndim - 1)))):
-        conv[..., i:i + phi] += multiply(a[..., i], b)
+        conv[..., i:i + phi] += np.einsum("...rm,...mcj->...rcj", a[..., i], b)
     high = phi + np.flatnonzero(conv[..., phi:].any(axis=tuple(range(conv.ndim - 1))))
     return conv[..., :phi] + conv[..., high] @ powers[high]
-
-
-def _ring_mul(a: np.ndarray, b: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """The entrywise ring product of two broadcastable coefficient arrays."""
-    shape = np.broadcast_shapes(a.shape, b.shape)[:-1]
-    return _product(a, b, shape, lambda a_i, b: a_i[..., None] * b, powers)
-
-
-def _mat_mul(a: np.ndarray, b: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """The matrix product of two stacks of 4x4 ring matrices."""
-    shape = (*np.broadcast_shapes(a.shape[:-3], b.shape[:-3]), 4, 4)
-    return _product(a, b, shape, lambda a_i, b: np.einsum("...rm,...mcj->...rcj", a_i, b),
-                    powers)
 
 
 def _transpose_times_form(m: np.ndarray) -> np.ndarray:
     """M^T J for a stack of ring matrices M; J has integer entries, so no
     ring product is formed."""
     return np.einsum("...mrk,mc->...rck", m, np.array(_FORM, dtype=np.int64))
-
-
-_PERMUTATIONS = np.array(list(itertools.permutations(range(4))))
-_PERMUTATION_SIGNS = np.array([(-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
-                               for p in _PERMUTATIONS.tolist()])
-
-
-def _det(m: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """The Leibniz determinant of each matrix of a stack, all 24 terms at once."""
-    factors = m[..., np.arange(4), _PERMUTATIONS, :]  # (..., permutation, row, phi)
-    term = factors[..., 0, :]
-    for row in range(1, 4):
-        term = _ring_mul(term, factors[..., row, :], powers)
-    return (_PERMUTATION_SIGNS[:, None] * term).sum(axis=-2)
 
 
 def _entries_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -34,7 +34,13 @@ class NonRationalWeylError(ValueError):
 
 
 class WeylGroupError(ValueError):
-    """The generator matrices do not close to a group of order 8."""
+    """The generator matrices do not close to a group of order 8, or the
+    Galois matrix commutes with another number of its elements than the
+    rational Weyl group's order."""
+
+
+class GaloisActionError(AssertionError):
+    """The Galois action fails an identity that the model rests on."""
 
 
 def _check_kind(kind: int) -> None:
@@ -322,7 +328,8 @@ def pair_norm(kind: int, q: int, pair: tuple[UnitVal, UnitVal]):
         cur = pair_galois(kind, q, cur)
         acc = (uv_mul(q, acc[0], cur[0]), uv_mul(q, acc[1], cur[1]))
     x, y = acc
-    assert y == uv_galois(q, x, 1), "norm must land on the twisted diagonal"
+    if y != uv_galois(q, x, 1):
+        raise GaloisActionError("norm must land on the twisted diagonal")
     return t2_rational(q, mu_coordinate(2, q, x))
 
 
@@ -467,7 +474,9 @@ def rational_weyl_group(kind: int) -> tuple[WeylElem, ...]:
         e for e in weyl_group(kind) if _mat_mul2(e.mat, s) == _mat_mul2(s, e.mat)
     )
     expected = 8 if kind == 1 else 4
-    assert len(out) == expected
+    if len(out) != expected:
+        raise WeylGroupError(f"the kind-{kind} Galois matrix commutes with {len(out)} "
+                             f"Weyl elements, not {expected}")
     return out
 
 
@@ -568,18 +577,31 @@ def _pair_order(kind: int, q: int) -> int:
     return order
 
 
+def galois_matrix(kind: int, q: int) -> np.ndarray:
+    """The Galois generator on pair rows (dlog_w, val_w, dlog_z, val_z), as
+    the int64 matrix G taking a row x to G x: ``_GALOIS_MATS[kind]`` on the
+    two slots, tensored with Frobenius, diag(q, 1), on (dlog, val).  That
+    is kron(_GALOIS_MATS[kind], I_2) with the dlog columns scaled by q; it
+    has one nonzero entry per row."""
+    _check_kind(kind)
+    return np.kron(np.array(_GALOIS_MATS[kind], dtype=np.int64), [[q, 0], [0, 1]])
+
+
 def pair_galois_array(kind: int, q: int, rows: np.ndarray) -> np.ndarray:
     """``pair_galois`` on every row of pair-model coordinates."""
     order = _pair_order(kind, q)
-    dw, vw, dz, vz = rows.T
-    if kind == 1:
-        return np.stack([(-q * dw) % order, -vw, (-q * dz) % order, -vz], axis=1)
-    return np.stack([(-q * dz) % order, -vz, (q * dw) % order, vw], axis=1)
+    out = rows @ galois_matrix(kind, q).T
+    out[:, 0::2] %= order
+    return out
 
 
 # Quadruples (a, b, c, d) are rows (dlog_a, val_a, dlog_b, val_b, dlog_c,
 # val_c, dlog_d, val_d) at the same level.  quad_galois applies Frobenius to
-# every slot and then reads the slots in this order.
+# every slot and then reads the slots in this order.  It is the only order
+# that makes the quadruple model equivariant for ``galois_matrix``, but it
+# is entered by hand: solved for, it would make ``pair-quad-roundtrip``
+# compare the pair model with itself, and that check is the one that fails
+# a broken ``_GALOIS_MATS`` with a witness pair.
 _QUAD_GALOIS_SLOTS = {1: [3, 2, 1, 0], 2: [2, 0, 3, 1]}
 
 
@@ -643,9 +665,8 @@ def pair_norm_array(kind: int, q: int, rows: np.ndarray) -> np.ndarray:
         return np.stack(
             [mu_coordinate_array(1, q, dw, vw), mu_coordinate_array(1, q, dz, vz)], axis=1
         )
-    assert np.array_equal(dz, (q * dw) % order) and np.array_equal(vz, vw), (
-        "norm must land on the twisted diagonal"
-    )
+    if not (np.array_equal(dz, (q * dw) % order) and np.array_equal(vz, vw)):
+        raise GaloisActionError("norm must land on the twisted diagonal")
     return mu_coordinate_array(2, q, dw, vw)[:, None]
 
 
@@ -773,41 +794,39 @@ def strongly_regular_coordinates(kind: int, q: int) -> np.ndarray:
 # Tate cohomology on the finitely generated abelian model
 
 
-# The Galois generator on the E-points rows (d1, v1, d2, v2): Frobenius,
-# q on the two dlog columns, composed with the monomial map of the kind
-# (inversion for torus 1, the order-4 rotation of the pair for torus 2).
-GALOIS_MONOMIAL = {
-    1: ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)),
-    2: ((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0)),
-}
-
-
 @lru_cache(maxsize=None)
 def tate_cohomology(kind: int, q: int):
     """Orders of H^-1 and H^0 of the Galois action on the E-points model,
     plus all elements of H^-1 as coinvariant rows (one int64 row each,
     read-only, cached per (kind, q)).
 
-    numpy forms the Galois matrix, its norm and 1 - sigma as arrays of
+    numpy forms ``galois_matrix``, its norm and 1 - sigma as arrays of
     Python ints, so no q overflows; ``snf`` computes each group as a
     quotient of lattices by Smith normal form, entirely independently of
     the coinvariant normal form used elsewhere.
     """
     _check_kind(kind)
     level = torus_level(kind)
-    galois = np.array(GALOIS_MONOMIAL[kind], dtype=object) * np.array([q, 1, q, 1], dtype=object)
+    galois = galois_matrix(kind, q).astype(object)
     ident = np.eye(4, dtype=object)
     norm = sum(np.linalg.matrix_power(galois, i) for i in range(level))
     one_minus = ident - galois
-    # the dlog coordinates live modulo q^L - 1, the valuations in Z
-    relations = (q**level - 1) * ident[:, [0, 2]]
+    # the dlog coordinates live modulo q^L - 1, the valuations in Z; both
+    # groups need sigma^L = 1 there, or im(1 - sigma) leaves ker(norm)
+    order = q**level - 1
+    relations = order * ident[:, [0, 2]]
+    cycle = np.linalg.matrix_power(galois, level) - ident
+    cycle[[0, 2]] %= order
+    if cycle.any():
+        raise GaloisActionError(f"sigma^{level} is not the identity on the E-points model")
 
     def homology(kernel_of, image_of):
         """(ker kernel_of) / (im image_of) modulo the relations."""
         kernel = snf.kernel_basis(np.hstack([kernel_of, -relations]).tolist())
         preimage = [vec[:4] for vec in kernel] + relations.T.tolist()
         factors = snf.quotient_structure(preimage, np.hstack([image_of, relations]).T.tolist())
-        assert all(o != 0 for o, _ in factors), "Tate group must be finite"
+        if any(o == 0 for o, _ in factors):
+            raise GaloisActionError("Tate group must be finite")
         return math.prod(o for o, _ in factors), factors
 
     h_minus1_order, h_minus1_factors = homology(norm, one_minus)

@@ -1,6 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from depthzero import charformula, driver, tori
+
+TESTS = Path(__file__).resolve().parent
 
 
 @pytest.fixture(autouse=True)
@@ -25,3 +33,17 @@ def certificates(monkeypatch):
     for module in (charformula, driver):
         monkeypatch.setattr(module, "same_terms", spy)
     return results
+
+
+@pytest.fixture
+def run_optimized():
+    """Run a script under ``python -O``, which strips every ``assert``, with
+    ``src`` and ``tests`` on the path: the JSON of its last printed line."""
+    def run(script):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)]))
+        script = f"if __debug__:\n    raise SystemExit('asserts are on')\n{script}"
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+    return run

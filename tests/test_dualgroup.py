@@ -419,7 +419,6 @@ def test_array_products_match_the_scalar_ones(order, density):
     b = np.stack([_coefficients(y) for _, y in pairs])
     assert (dualgroup._mat_mul(a, b, powers)
             == np.stack([_coefficients(sp_mul(x, y)) for x, y in pairs])).all()
-    assert (dualgroup._det(a, powers) == np.array([sp_det(x).coeffs for x, _ in pairs])).all()
 
 
 def test_array_pinning_makes_no_scalar_products(monkeypatch):
@@ -443,7 +442,8 @@ TABLE_BREAKS = [
     ("_NILPOTENT", (1, 0), ((1, 2, -1),), "row 1 has 2 nonzero entries; matrix is not monomial"),
     ("_NILPOTENT", (1, 2), ((0, 3, 2),), "row 3 has 2 nonzero entries; matrix is not monomial"),
     ("_COROOT_F", (1, 0), (0, 2), "Cartan pairings are not those of type B2/C2"),
-    ("_COROOT_F", (1, 1), (1, 2), None),  # the vector identity, a bare assert
+    ("_COROOT_F", (1, 1), (1, 2), "coroot vector identity \\(1, 1\\)"),
+    ("_COROOT_F", (1, 2), (1, 1), "coroot vector identity \\(1, 2\\)"),
     ("_ROOT_E", (1, 1), (1, 2), "reflection left the root system"),
 ]
 
@@ -452,20 +452,32 @@ TABLE_BREAKS = [
                          ids=[f"{t}{k}" for t, k, _, _ in TABLE_BREAKS])
 def test_broken_table_entry_raises(monkeypatch, table, key, value, message):
     monkeypatch.setitem(getattr(dualgroup, table), key, value)
-    with pytest.raises(AssertionError, match=message) as caught:
+    with pytest.raises(PinningError, match=message):
         Pinning(24)
-    assert isinstance(caught.value, PinningError) == (message is not None)
+
+
+def test_coroot_vector_identity_survives_python_O(run_optimized):
+    """Every +-1 change of the (1, 2) coroot, which the coroot matrix
+    identity does not read, still raises with asserts stripped."""
+    got = run_optimized("""
+import json
+from depthzero import dualgroup
+raised = []
+for delta in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+    dualgroup._COROOT_F[(1, 2)] = (1 + delta[0], delta[1])
+    try:
+        dualgroup.Pinning(24)
+        raised.append(None)
+    except dualgroup.PinningError as exc:
+        raised.append(str(exc))
+print(json.dumps(raised))
+""")
+    assert got == ["coroot vector identity (1, 2) = 1 (1,0) + (0,1) fails"] * 4
 
 
 def test_unreachable_branches_still_raise(monkeypatch):
-    """A form-preserving x(1) has determinant 1, and x(0) is the identity
-    for any nilpotent table, so no entry reaches these branches; a broken
-    determinant or coroot map does."""
-    det = dualgroup._det
-    monkeypatch.setattr(dualgroup, "_det", lambda m, powers: 2 * det(m, powers))
-    with pytest.raises(PinningError, match="x_\\(1, 0\\)\\(1\\) has determinant != 1"):
-        Pinning(24)
-    monkeypatch.undo()
+    """No single table entry breaks the coroot matrix identity alone (the
+    vector identity fires first); a broken coroot map does."""
     coroot = Pinning.coroot
     monkeypatch.setattr(Pinning, "coroot", lambda self, root, e: coroot(
         self, root, e + (root == (1, 1))))

@@ -3,7 +3,7 @@ import os
 import random
 import signal
 from dataclasses import replace
-from itertools import islice, product
+from itertools import islice, permutations, product
 
 import numpy as np
 import pytest
@@ -694,3 +694,83 @@ def test_broken_quadruple_model_fails_with_scalar_witness(monkeypatch, brk, reas
     got = driver.check_pair_quad_roundtrip(params)
     assert got == _scalar_roundtrip(kind, q)
     assert got[0] == "FAIL" and got[1].get("reason") == reason
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_quad_galois_slots_are_the_only_equivariant_order(monkeypatch, kind, q):
+    params = {"kind": kind, "q": q}
+    passing = []
+    for slots in permutations(range(4)):
+        monkeypatch.setitem(tori._QUAD_GALOIS_SLOTS, kind, list(slots))
+        if driver.check_pair_quad_roundtrip(params)[0] == "PASS":
+            passing.append(list(slots))
+    monkeypatch.undo()
+    assert passing == [tori._QUAD_GALOIS_SLOTS[kind]]
+
+
+# ---------------------------------------------------------------------------
+# _GALOIS_MATS is the one Galois table of the array and Tate paths
+
+
+def galois_mutants():
+    """Every single-entry +-1 change of ``_GALOIS_MATS``, as (kind, matrix)."""
+    for kind, mat in tori._GALOIS_MATS.items():
+        for i, j, delta in product(range(2), range(2), (1, -1)):
+            rows = [list(row) for row in mat]
+            rows[i][j] += delta
+            yield kind, tuple(map(tuple, rows))
+
+
+def records_under(kind, mat, subcommand):
+    """{check id: record} of the ``subcommand`` tasks at this kind and
+    q = 3, run with ``_GALOIS_MATS[kind] = mat``."""
+    saved = tori._GALOIS_MATS[kind]
+    tori._GALOIS_MATS[kind] = mat
+    try:
+        _clear_weyl_caches()
+        tori.tate_cohomology.cache_clear()
+        tasks = driver.build_tasks(subcommand, driver.Config(qs=[3], kinds=[kind]))
+        records = [driver.run_task(task)[0] for task in tasks]
+    finally:
+        tori._GALOIS_MATS[kind] = saved
+        _clear_weyl_caches()
+        tori.tate_cohomology.cache_clear()
+    return {r["id"]: r for r in records}
+
+
+def cohomology_verdicts():
+    """Per mutant: the outcome and witness keys of the round trip, and the
+    outcome and error type of the Tate orders."""
+    verdicts = []
+    for kind, mat in galois_mutants():
+        got = records_under(kind, mat, "cohomology")
+        trip, orders = (got[f"cohomology/{name}-k{kind}-q3"]
+                        for name in ("pair-quad-roundtrip", "orders"))
+        verdicts.append([[trip["outcome"], sorted(trip["witness"] or ())],
+                         [orders["outcome"], (orders["witness"] or {}).get("error", "")
+                          .partition(":")[0]]])
+    return verdicts
+
+
+# a counterexample pair from the round trip; the Tate group refuses the matrix
+MUTANT_VERDICT = [["FAIL", ["pair", "reason"]], ["FAIL", "GaloisActionError"]]
+
+
+def test_every_galois_table_mutant_fails_the_cohomology_checks():
+    for kind in (1, 2):
+        records = records_under(kind, tori._GALOIS_MATS[kind], "cohomology").values()
+        assert {r["outcome"] for r in records} == {"PASS"}
+    assert cohomology_verdicts() == [MUTANT_VERDICT] * 16
+
+
+def test_galois_table_guards_survive_python_O(run_optimized):
+    got = run_optimized("""
+import json
+from test_tori import cohomology_verdicts, records_under
+identity = records_under(2, ((0, 0), (1, 0)), "identity").values()
+print(json.dumps({"identity": sorted({r["outcome"] for r in identity}),
+                  "cohomology": cohomology_verdicts()}))
+""")
+    assert got["identity"] == ["FAIL"]
+    assert got["cohomology"] == [MUTANT_VERDICT] * 16
