@@ -86,7 +86,8 @@ class NotStronglyRegularError(ValueError):
 
 
 class RhoShiftError(RuntimeError):
-    """The rho-shift solver found no or several solutions: model inconsistency."""
+    """The rho-shift solver found no or several solutions, or a solution
+    whose values are not signs: model inconsistency."""
 
 
 @dataclass
@@ -331,12 +332,14 @@ def rho_shift_solve(ctx: FormulaContext, positive_roots=None) -> np.ndarray:
     is trivial on the unit-class subgroup; returns its values as a +-1
     array aligned with the rows of ``coinvariant_coordinates``.
 
-    Raises RhoShiftError when zero or several characters qualify: either
-    outcome signals a model inconsistency and must abort verification.
+    Raises RhoShiftError when zero or several characters qualify, or when
+    the one that does takes a value other than +-1: each signals a model
+    inconsistency and must abort verification.
     """
     kind, q, amb = ctx.kind, ctx.q, ctx.ambient_order
     exps = coinvariant_coordinates(kind, q) @ _rho_shift_character(ctx, positive_roots) % amb
-    assert np.isin(exps, (0, amb // 2)).all(), "rho-shift values must be signs"
+    if not np.isin(exps, (0, amb // 2)).all():
+        raise RhoShiftError("rho-shift values must be signs")
     return np.where(exps == 0, 1, -1)
 
 

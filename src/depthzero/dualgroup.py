@@ -8,11 +8,15 @@ matrices of the natural module, normalized so that each (X, X_-) pair
 brackets to the coroot; the reflection lifts n_gamma then agree with the
 image of ((0,1),(-1,0)) under the corresponding SL(2).
 
-The lifts are built and verified as matrices over Z[zeta_N], all roots at
-once as int64 arrays of power-basis coefficients, then read once into
-:class:`Monomial` pairs; :class:`SpMatrix` builds the same matrices entry
-by entry and stays as the oracle of that construction.  Every identity
-asserted downstream (reflection-lift squares, coroot conjugation, the
+The root subgroups x(t) = I + t X have integer nilpotents X, so the
+construction is checked on integer 4x4 matrices, all roots stacked:
+x(1) = I + X preserves the form, and x(s) x(t) = x(s + t) + st X^2 with st
+a unit makes additivity the same statement as X^2 = 0.  The reflection
+lifts x(1) x_-(-1) x(1) are then signed permutation matrices, read once
+into :class:`Monomial` pairs, and no array of length phi(N) is formed;
+:class:`SpMatrix` builds the same matrices over Z[zeta_N] entry by entry
+and stays as the oracle of that construction.  Every identity asserted
+downstream (reflection-lift squares, coroot conjugation, the
 structure-sign table and its triple product, the longest-element and
 Coxeter lift powers, torsion-lift independence) composes those pairs.
 """
@@ -27,7 +31,7 @@ from math import gcd
 
 import numpy as np
 
-from .cyclo import CycInt, _power_table, root_of_unity
+from .cyclo import CycInt, root_of_unity
 
 LONG_SIMPLE = (1, 0)
 SHORT_SIMPLE = (0, 1)
@@ -164,9 +168,10 @@ class Monomial:
 class Pinning:
     """Pinned realization: root subgroup maps, coroots, reflection lifts.
 
-    The construction is built and verified as int64 arrays of power-basis
-    coefficients (``_verify_construction``); the ``SpMatrix`` methods below
-    build the same matrices one product at a time and stay as its oracle.
+    The construction is built and verified on integer matrices
+    (``_verify_construction``); the ``SpMatrix`` methods below build the
+    same matrices over Z[zeta_N] one product at a time and stay as its
+    oracle.
     """
 
     def __init__(self, order: int = 24):
@@ -174,9 +179,8 @@ class Pinning:
             raise ValueError("cyclotomic order must be even to host -1")
         self.order = order
         self._n_cache: dict = {}
-        lifts = self._verify_construction()
         # the verified lifts as pairs: n_root, m = n_long n_short, n = m^2
-        self.lifts = dict(zip(ALL_ROOTS, _read_monomials(order, lifts)))
+        self.lifts = dict(zip(ALL_ROOTS, self._verify_construction()))
         self.coxeter = self.lifts[LONG_SIMPLE] * self.lifts[SHORT_SIMPLE]
         self.longest = self.coxeter * self.coxeter
 
@@ -283,35 +287,22 @@ class Pinning:
 
     # -- construction checks -----------------------------------------------------
 
-    def _verify_construction(self) -> np.ndarray:
-        """Check the defining identities on the stacked root subgroups, one
-        batched product per identity, and return the reflection lifts
-        x(1) x_-(-1) x(1) as a (root, 4, 4, phi) array in ``ALL_ROOTS`` order."""
-        order = self.order
-        powers = _power_array(order)
-        one, half = powers[0], order // 2
-        ident, form = np.eye(4, dtype=np.int64), np.array(_FORM, dtype=np.int64)
-        ident, form = ident[..., None] * one, form[..., None] * one
-        # x_root(t) for t = 1, zeta, zeta^5, zeta + zeta^5, -1 (outer) and every root
+    def _verify_construction(self) -> list[Monomial]:
+        """Check the defining identities on the integer matrices of the root
+        subgroups, all roots stacked, and return the reflection lifts
+        x(1) x_-(-1) x(1) as pairs in ``ALL_ROOTS`` order."""
         nilpotent = np.zeros((len(ALL_ROOTS), 4, 4), dtype=np.int64)
         for r, root in enumerate(ALL_ROOTS):
             for i, j, sign in _NILPOTENT[root]:
                 nilpotent[r, i, j] += sign
-        t1, t2 = powers[1], powers[5 % order]
-        params = np.stack([one, t1, t2, t1 + t2, -one])
-        x1, xt1, xt2, xsum, xneg = ident + nilpotent[..., None] * params[:, None, None, None]
-
-        def preserves_form(m):
-            return _entries_equal(_mat_mul(_transpose_times_form(m), m, powers), form)
-
+        ident = np.eye(4, dtype=np.int64)
+        x1 = ident + nilpotent
         # a form-preserving x(1) has determinant 1: Pf(M^T J M) = det(M) Pf(J)
-        for root, ok in zip(ALL_ROOTS, preserves_form(x1)):
-            if not ok:
-                raise PinningError(f"x_{root}(1) does not preserve the form")
-        # additivity in the parameter on a sample
-        additive = _entries_equal(_mat_mul(xt1, xt2, powers), xsum)
-        for root, ok in zip(ALL_ROOTS, additive):
-            if not ok:
+        _check_form(x1, "x_{}(1)")
+        # x(s) x(t) = x(s + t) + st X^2 and st is a unit for s, t in mu_N, so
+        # additivity in the parameter holds exactly when X^2 = 0
+        for root, square in zip(ALL_ROOTS, nilpotent @ nilpotent):
+            if square.any():
                 raise PinningError(f"x_{root} is not additive in the parameter")
         # Cartan pairings of the rank-two system with long alpha
         expected = {
@@ -325,26 +316,21 @@ class Pinning:
                 raise PinningError("Cartan pairings are not those of type B2/C2")
         # sl2 normalization: n_root lies in the torus normalizer
         negatives = [ALL_ROOTS.index((-a, -b)) for a, b in ALL_ROOTS]
-        lifts = _mat_mul(_mat_mul(x1, xneg[negatives], powers), x1, powers)
-        for root, ok in zip(ALL_ROOTS, preserves_form(lifts)):
-            if not ok:
-                raise PinningError(f"n_{root} does not preserve the form")
-        # coroot sum identities, both as vectors and as matrices
+        lifts = x1 @ (ident - nilpotent[negatives]) @ x1
+        _check_form(lifts, "n_{}")
+        # coroot sum identities, both as vectors and as torus elements
         long, short = _COROOT_F[LONG_SIMPLE], _COROOT_F[SHORT_SIMPLE]
         for root, scale in (((1, 1), 2), ((1, 2), 1)):
             if _COROOT_F[root] != tuple(scale * a + b for a, b in zip(long, short)):
                 raise PinningError(f"coroot vector identity {root} = {scale} (1,0) + (0,1) fails")
-
-        def coroots(root, scale):
-            return np.stack([_monomial_matrix(self.coroot(root, scale * e), powers)
-                             for e in (1, 3, half)])
-
-        product = _mat_mul(coroots((1, 0), 2), coroots((0, 1), 1), powers)
-        if not _entries_equal(coroots((1, 1), 1), product).all():
-            raise PinningError("coroot identity (1,1) = 2(1,0)+(0,1) fails")
+        for e in (1, 3, self.order // 2):
+            if self.coroot((1, 0), 2 * e) * self.coroot((0, 1), e) != self.coroot((1, 1), e):
+                raise PinningError("coroot identity (1,1) = 2(1,0)+(0,1) fails")
         if self.reflect_root(LONG_SIMPLE, SHORT_SIMPLE) != (1, 1):
             raise PinningError("long reflection must send short simple to (1,1)")
-        return lifts
+        # the only integers in mu_N are 1 = zeta^0 and -1 = zeta^(N/2)
+        signs = {1: 0, -1: self.order // 2}
+        return [_read_monomial(self.order, m, 0, signs) for m in lifts.tolist()]
 
 
 _FORM = ((0, 0, 0, 1), (0, 0, 1, 0), (0, -1, 0, 0), (-1, 0, 0, 0))
@@ -356,70 +342,31 @@ def _scalar_matrix(order: int, rows) -> SpMatrix:
     return SpMatrix(order, tuple(tuple(x * one for x in row) for row in rows))
 
 
-# ---------------------------------------------------------------------------
-# 4x4 matrices over Z[zeta_N] as int64 arrays (..., 4, 4, phi(N)) of
-# power-basis coefficients
+def _check_form(stack: np.ndarray, name: str) -> None:
+    """Raise PinningError for the first matrix M of an integer stack, one per
+    root in ``ALL_ROOTS`` order, with M^T J M != J."""
+    form = np.array(_FORM, dtype=np.int64)
+    for root, m in zip(ALL_ROOTS, stack):
+        if (m.T @ form @ m != form).any():
+            raise PinningError(f"{name.format(root)} does not preserve the form")
 
 
-def _power_array(order: int) -> np.ndarray:
-    """The (order, phi) int64 array of ``_power_table``: row k is the reduced
-    form of x^k."""
-    return np.array(_power_table(order), dtype=np.int64)
-
-
-def _mat_mul(a: np.ndarray, b: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """The matrix product of two stacks of 4x4 ring matrices: one pass per
-    power-basis coefficient that ``a`` uses anywhere in its stack, each
-    added at its shift into a length 2 phi - 1 convolution; the powers x^k,
-    k >= phi, that the stack reaches are then reduced through ``powers``
-    (2 phi - 1 <= order for even order)."""
-    phi = a.shape[-1]
-    conv = np.zeros((*np.broadcast_shapes(a.shape[:-3], b.shape[:-3]), 4, 4, 2 * phi - 1),
-                    dtype=np.int64)
-    for i in np.flatnonzero(a.any(axis=tuple(range(a.ndim - 1)))):
-        conv[..., i:i + phi] += np.einsum("...rm,...mcj->...rcj", a[..., i], b)
-    high = phi + np.flatnonzero(conv[..., phi:].any(axis=tuple(range(conv.ndim - 1))))
-    return conv[..., :phi] + conv[..., high] @ powers[high]
-
-
-def _transpose_times_form(m: np.ndarray) -> np.ndarray:
-    """M^T J for a stack of ring matrices M; J has integer entries, so no
-    ring product is formed."""
-    return np.einsum("...mrk,mc->...rck", m, np.array(_FORM, dtype=np.int64))
-
-
-def _entries_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per matrix of a stack: whether every entry of ``a`` equals ``b``'s."""
-    return (a == b).all(axis=(-3, -2, -1))
-
-
-def _monomial_matrix(x: Monomial, powers: np.ndarray) -> np.ndarray:
-    """The (4, 4, phi) array of a monomial pair."""
-    out = np.zeros((4, 4, powers.shape[1]), dtype=np.int64)
-    out[np.arange(4), x.perm] = powers[list(x.exps)]
-    return out
-
-
-def _read_monomials(order: int, stack: np.ndarray) -> list[Monomial]:
-    """The pairs of a stack of (4, 4, phi) monomial matrices whose nonzero
-    entries are powers of zeta; raises as ``as_monomial`` does."""
-    exponent = {row: k for k, row in enumerate(_power_table(order))}
-    pairs = []
-    for m in stack.tolist():
-        perm, exps = [], []
-        for i, row in enumerate(m):
-            cols = [j for j, x in enumerate(row) if any(x)]
-            if len(cols) != 1:
-                raise PinningError(f"row {i} has {len(cols)} nonzero entries; matrix is not monomial")
-            k = exponent.get(tuple(row[cols[0]]))
-            if k is None:
-                raise PinningError("matrix entry is not a power of the fixed root of unity")
-            perm.append(cols[0])
-            exps.append(k)
-        if len(set(perm)) != 4:
-            raise PinningError("two rows share a column; matrix is singular")
-        pairs.append(Monomial(order, tuple(perm), tuple(exps)))
-    return pairs
+def _read_monomial(order: int, rows, zero, exponents: dict) -> Monomial:
+    """The pair of a monomial matrix given by its rows; ``exponents`` maps
+    each power of zeta that may occur as an entry to its exponent."""
+    perm, exps = [], []
+    for i, row in enumerate(rows):
+        cols = [j for j, x in enumerate(row) if x != zero]
+        if len(cols) != 1:
+            raise PinningError(f"row {i} has {len(cols)} nonzero entries; matrix is not monomial")
+        k = exponents.get(row[cols[0]])
+        if k is None:
+            raise PinningError("matrix entry is not a power of the fixed root of unity")
+        perm.append(cols[0])
+        exps.append(k)
+    if len(set(perm)) != 4:
+        raise PinningError("two rows share a column; matrix is singular")
+    return Monomial(order, tuple(perm), tuple(exps))
 
 
 def as_monomial(pin: Pinning, m: SpMatrix) -> Monomial:
@@ -429,7 +376,8 @@ def as_monomial(pin: Pinning, m: SpMatrix) -> Monomial:
     entry, when two rows share a column, or when an entry is not a power
     of the fixed root of unity.
     """
-    return _read_monomials(pin.order, np.array([[[x.coeffs for x in row] for row in m.rows]]))[0]
+    exponents = {z: k for k, z in enumerate(pin.zeta)}
+    return _read_monomial(pin.order, m.rows, CycInt.zero(pin.order), exponents)
 
 
 @lru_cache(maxsize=None)
@@ -522,16 +470,17 @@ def twisted_frobenius_power(pin: Pinning, kind: int, a: int, b: int) -> tuple[in
 
 
 def sample_torsion_exponents(order, count, seed=0):
-    """Deterministic sample of torus torsion of element order 2, 3, 4, 8 or 12."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        a = rng.randrange(order)
-        b = rng.randrange(order)
-        elt_order = order // gcd(gcd(a, b), order) if (a or b) else 1
-        if elt_order in (2, 3, 4, 8, 12):
-            out.append((a, b))
-    return out
+    """Deterministic uniform sample, with replacement, of the torus torsion
+    (a, b) of element order 2, 3, 4, 8 or 12.
+
+    Each such order divides 24, so a and b are multiples of
+    order // gcd(order, 24): the candidates, at most 24^2 pairs, are
+    enumerated in lexicographic order and drawn from directly.
+    """
+    step = order // gcd(order, 24)
+    candidates = [(a, b) for a in range(0, order, step) for b in range(0, order, step)
+                  if order // gcd(gcd(a, b), order) in (2, 3, 4, 8, 12)]
+    return random.Random(seed).choices(candidates, k=count)
 
 
 def lift_independence_check(pin: Pinning, kind: int, count: int = 200, seed: int = 0) -> bool:

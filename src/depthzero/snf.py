@@ -9,6 +9,10 @@ of kernel and quotient computations rather than just orders.
 from __future__ import annotations
 
 
+class SublatticeError(ValueError):
+    """The small lattice of a quotient is not contained in the big one."""
+
+
 def _ident(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -188,14 +192,15 @@ def lattice_basis(gens: list[list[int]]) -> list[list[int]]:
 def quotient_structure(big_gens: list[list[int]], small_gens: list[list[int]]):
     """Structure of (lattice spanned by big_gens) / (lattice spanned by small_gens).
 
-    The small lattice must be contained in the big one.  Returns a list
-    of (order, representative) pairs, one per nontrivial cyclic factor;
-    order 0 marks an infinite factor.  Representatives are column
-    vectors in the ambient coordinates.
+    The small lattice must be contained in the big one, else
+    SublatticeError is raised.  Returns a list of (order, representative)
+    pairs, one per nontrivial cyclic factor; order 0 marks an infinite
+    factor.  Representatives are column vectors in the ambient coordinates.
     """
     basis = lattice_basis(big_gens)
     if not basis:
-        assert all(not any(g) for g in small_gens), "small lattice escapes big one"
+        if any(any(g) for g in small_gens):
+            raise SublatticeError("small lattice escapes big one")
         return []
     bmat = _columns_to_matrix(basis)
     coords = []
@@ -203,7 +208,8 @@ def quotient_structure(big_gens: list[list[int]], small_gens: list[list[int]]):
         if not any(g):
             continue
         c = solve_exact(bmat, g)
-        assert c is not None, "small lattice is not contained in the big lattice"
+        if c is None:
+            raise SublatticeError("small lattice is not contained in the big lattice")
         coords.append(c)
     rank = len(basis)
     if not coords:

@@ -132,6 +132,35 @@ def test_rho_shift_solver_error_paths(monkeypatch):
     )
 
 
+
+# zeta_4 on the first unit generator of torus 1 at q = 3 (ambient order 4)
+_NON_SIGN_ROW = [1, 0, 0, 2]
+
+
+def test_rho_shift_solver_rejects_non_sign_values(monkeypatch, run_optimized):
+    """A rho-shift character with a value other than +-1 raises, also with
+    asserts stripped, where it would otherwise be read as -1."""
+    import depthzero.charformula as cf
+
+    monkeypatch.setattr(cf, "_rho_shift_character",
+                        lambda ctx, positive_roots=None: np.array(_NON_SIGN_ROW))
+    with pytest.raises(RhoShiftError, match="rho-shift values must be signs"):
+        cf.rho_shift_solve(make_context(1, 3))
+    got = run_optimized("""
+import json
+import numpy as np
+from depthzero import charformula as cf
+from test_charformula import _NON_SIGN_ROW
+cf._rho_shift_character = lambda ctx, positive_roots=None: np.array(_NON_SIGN_ROW)
+try:
+    cf.rho_shift_solve(cf.make_context(1, 3))
+    print(json.dumps(None))
+except cf.RhoShiftError as exc:
+    print(json.dumps(str(exc)))
+""")
+    assert got == "rho-shift values must be signs"
+
+
 # ---------------------------------------------------------------------------
 # denominators
 

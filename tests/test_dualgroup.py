@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthzero import driver, dualgroup
-from depthzero.cyclo import CycInt, _power_table, root_of_unity
+from depthzero import cyclo, driver, dualgroup
+from depthzero.cyclo import CycInt, root_of_unity
 from depthzero.dualgroup import (
     ALL_ROOTS,
     LONG_SIMPLE,
@@ -120,13 +120,25 @@ def test_lift_independence_sampled(pin):
     assert lift_independence_check(pin, 2, count=60, seed=1)
 
 
-def test_torsion_sampler_orders():
-    samples = sample_torsion_exponents(24, 50, seed=3)
+def _torsion_by_brute_force(order):
+    """Every (a, b) in (Z/order)^2 of element order 2, 3, 4, 8 or 12."""
+    b = np.arange(order)
+    return {(a, int(y)) for a in range(order)
+            for y in b[np.isin(order // np.gcd(np.gcd(a, b), order), (2, 3, 4, 8, 12))]}
+
+
+@pytest.mark.parametrize("order,count", [(24, 3000), (2018, 50)])
+def test_torsion_sampler_orders(order, count):
+    """The sample covers exactly the torsion of the five orders: 167 pairs
+    at N = 24, and the 3 elements of order 2 at N = 2 * 1009, where a draw
+    from all of mu_N^2 would be accepted with probability 3 / N^2."""
     from math import gcd
 
+    samples = sample_torsion_exponents(order, count, seed=3)
+    assert len(samples) == count
     for a, b in samples:
-        order = 24 // gcd(gcd(a, b), 24)
-        assert order in (2, 3, 4, 8, 12)
+        assert order // gcd(gcd(a, b), order) in (2, 3, 4, 8, 12)
+    assert set(samples) == _torsion_by_brute_force(order)
 
 
 def test_weyl_action_on_dual_torus(pin):
@@ -342,7 +354,7 @@ def test_lift_independence_exhaustive(order):
                 assert twisted_frobenius_power(pin_n, kind, a, b) == base, (kind, a, b)
 
 
-@pytest.mark.parametrize("order", [4, 6, 8, 12, 48, 120])
+@pytest.mark.parametrize("order", [4, 6, 8, 12, 48, 120, 1000, 2018])
 def test_chevalley_campaign_passes_at_order(order):
     tasks = driver.build_tasks("chevalley", driver.Config(cyclotomic_order=order))
     records = [driver.run_task(t)[0] for t in tasks]
@@ -391,10 +403,10 @@ def test_array_pinning_matches_the_scalar_oracle(order):
 
 
 def test_array_pinning_memory_is_linear_in_phi():
-    """The products add one used coefficient at a time into a convolution:
-    at order 1000 (phi = 400) the build peaks near 10 MB, where a
-    (phi, phi, phi) multiplication tensor alone takes 512 MB."""
-    _power_table(1000)  # shared with the scalar ring, not counted
+    """The construction multiplies integer 4x4 matrices and reads signed
+    permutations, so at order 1000 (phi = 400) nothing grows with phi: the
+    build stays far below the bound, where a (phi, phi, phi)
+    multiplication tensor alone takes 512 MB."""
     tracemalloc.start()
     try:
         Pinning(1000)
@@ -404,21 +416,19 @@ def test_array_pinning_memory_is_linear_in_phi():
     assert peak < 32 * 2**20
 
 
-def _coefficients(m):
-    return np.array([[x.coeffs for x in row] for row in m.rows])
+def test_pinning_forms_no_power_table():
+    """No coefficient vector of Z[zeta_N] is formed: Pinning(2018) never
+    asks for the powers of zeta that the scalar ring reduces through."""
+    def calls():
+        info = cyclo._power_table.cache_info()
+        return info.hits + info.misses
 
-
-@pytest.mark.parametrize("order", [8, 24])
-@pytest.mark.parametrize("density", [0.15, 1.0])
-def test_array_products_match_the_scalar_ones(order, density):
-    rng = random.Random(order + int(density * 100))
-    powers = dualgroup._power_array(order)
-    pairs = [(_random_matrix(rng, order, density), _random_matrix(rng, order, density))
-             for _ in range(6)]
-    a = np.stack([_coefficients(x) for x, _ in pairs])
-    b = np.stack([_coefficients(y) for _, y in pairs])
-    assert (dualgroup._mat_mul(a, b, powers)
-            == np.stack([_coefficients(sp_mul(x, y)) for x, y in pairs])).all()
+    before = calls()
+    pin_n = Pinning(2018)
+    assert twisted_frobenius_power(pin_n, 2, 0, 0) == (0, 1009)
+    assert calls() == before
+    root_of_unity(8, 5)
+    assert calls() == before + 1  # the counter sees the scalar ring
 
 
 def test_array_pinning_makes_no_scalar_products(monkeypatch):
@@ -483,3 +493,74 @@ def test_unreachable_branches_still_raise(monkeypatch):
         self, root, e + (root == (1, 1))))
     with pytest.raises(PinningError, match="coroot identity"):
         Pinning(24)
+
+
+# (i, j, sign) entries of x_(1,0)(1) x_(0,1)(1) - I: not a root direction,
+# so I + X preserves the form while X^2 != 0
+_NON_ADDITIVE = ((1, 2, 1), (0, 1, 1), (2, 3, -1), (1, 3, -1))
+
+
+def test_nilpotent_with_nonzero_square_is_not_additive(monkeypatch):
+    monkeypatch.setitem(dualgroup._NILPOTENT, (1, 0), _NON_ADDITIVE)
+    with pytest.raises(PinningError, match="x_\\(1, 0\\) is not additive in the parameter"):
+        Pinning(24)
+
+
+# (guard, lift, entries set, message) for the guards on the lifts that no
+# table entry reaches: once every x(1) preserves the form and X^2 = 0, the
+# lifts are products of form-preserving integer matrices, and a
+# form-preserving monomial integer matrix has distinct columns and entries +-1
+CRAFTED_LIFTS = [
+    ("form", 5, {(0, 0): 2}, "n_(0, -1) does not preserve the form"),
+    ("read", 2, {(1, 1): 2}, "matrix entry is not a power of the fixed root of unity"),
+    ("read", 2, {(1, 1): -2}, "matrix entry is not a power of the fixed root of unity"),
+    ("read", 0, {(3, 3): 0, (3, 0): 1}, "two rows share a column; matrix is singular"),
+]
+
+
+def _run_lift_guard(guard, lift, entries):
+    """Run one guard of the construction on eight identity lifts, one of
+    them with the given entries set."""
+    stack = np.array([np.eye(4, dtype=np.int64)] * len(ALL_ROOTS))
+    for cell, value in entries.items():
+        stack[lift][cell] = value
+    if guard == "form":
+        dualgroup._check_form(stack, "n_{}")
+    else:
+        for m in stack.tolist():
+            dualgroup._read_monomial(24, m, 0, {1: 0, -1: 12})
+
+
+@pytest.mark.parametrize("guard,lift,entries,message", CRAFTED_LIFTS,
+                         ids=["form", "entry+2", "entry-2", "column"])
+def test_crafted_lift_raises(guard, lift, entries, message):
+    _run_lift_guard(guard, lift, {})  # the identity lifts pass
+    with pytest.raises(PinningError) as err:
+        _run_lift_guard(guard, lift, entries)
+    assert str(err.value) == message
+
+
+def test_construction_guards_survive_python_O(run_optimized):
+    """The crafted-lift guards and the additivity guard raise PinningError
+    with asserts stripped."""
+    got = run_optimized("""
+import json
+from depthzero import dualgroup
+from test_dualgroup import CRAFTED_LIFTS, _NON_ADDITIVE, _run_lift_guard
+messages = []
+for guard, lift, entries, _ in CRAFTED_LIFTS:
+    try:
+        _run_lift_guard(guard, lift, entries)
+        messages.append(None)
+    except dualgroup.PinningError as exc:
+        messages.append(str(exc))
+dualgroup._NILPOTENT[(1, 0)] = _NON_ADDITIVE
+try:
+    dualgroup.Pinning(24)
+    messages.append(None)
+except dualgroup.PinningError as exc:
+    messages.append(str(exc))
+print(json.dumps(messages))
+""")
+    assert got == [message for *_, message in CRAFTED_LIFTS] + [
+        "x_(1, 0) is not additive in the parameter"]

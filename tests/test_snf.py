@@ -1,9 +1,11 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
 from depthzero.snf import (
+    SublatticeError,
     diagonal,
     kernel_basis,
     lattice_basis,
@@ -110,3 +112,25 @@ def test_quotient_of_sublattice():
     # lattice 2Z x 4Z modulo 4Z x 4Z has order 2
     factors = quotient_structure([[2, 0], [0, 4]], [[4, 0], [0, 4]])
     assert [o for o, _ in factors] == [2]
+
+
+def test_quotient_rejects_a_small_lattice_outside_the_big_one(run_optimized):
+    """Both guards raise SublatticeError, also with asserts stripped."""
+    with pytest.raises(SublatticeError, match="small lattice is not contained"):
+        quotient_structure([[2, 0]], [[0, 1]])
+    with pytest.raises(SublatticeError, match="small lattice escapes big one"):
+        quotient_structure([[0, 0]], [[0, 1]])
+    got = run_optimized("""
+import json
+from depthzero.snf import SublatticeError, quotient_structure
+messages = []
+for big in ([[2, 0]], [[0, 0]]):
+    try:
+        quotient_structure(big, [[0, 1]])
+        messages.append(None)
+    except SublatticeError as exc:
+        messages.append(str(exc))
+print(json.dumps(messages))
+""")
+    assert got == ["small lattice is not contained in the big lattice",
+                   "small lattice escapes big one"]
