@@ -21,7 +21,6 @@ enumeration in the tests rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import gcd
 
@@ -33,6 +32,7 @@ from .tori import (
     T1Rational,
     T2Rational,
     WeylElem,
+    _cached_table,
     coinv_parity_part,
     coinv_unit_part,
     coinvariant_norm,
@@ -125,7 +125,7 @@ def conjugate_rows(kind: int, q: int, rows) -> np.ndarray:
 _conjugate_rows = conjugate_rows  # the pool's own name, out of reach of a rebinding
 
 
-@lru_cache(maxsize=None)
+@_cached_table
 def regular_exponent_rows(kind: int, q: int) -> np.ndarray:
     """The read-only exponent rows of the regular characters, in
     ``enumerate_characters`` order: those whose ``conjugate_rows`` are
@@ -134,9 +134,7 @@ def regular_exponent_rows(kind: int, q: int) -> np.ndarray:
     rows = exponent_rows(kind, q)
     # each conjugate's row packed as one integer in base n
     keys = np.sort(_conjugate_rows(kind, q, rows) @ n ** np.arange(rank - 1, -1, -1), axis=0)
-    regular = rows[(np.diff(keys, axis=0) != 0).all(axis=0)]
-    regular.flags.writeable = False
-    return regular
+    return rows[(np.diff(keys, axis=0) != 0).all(axis=0)]
 
 
 def enumerate_regular_characters(kind: int, q: int):

@@ -16,7 +16,7 @@ inverse root of unity, hence stays inside the ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import lcm
@@ -98,7 +98,6 @@ class FormulaContext:
     summation: tuple[WeylElem, ...] = ()
     epsilon_gt: int = 1
     epsilon_chi: int = 1
-    _rho_tables: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.eta_branch not in (1, -1):
@@ -343,13 +342,6 @@ def rho_shift_solve(ctx: FormulaContext, positive_roots=None) -> np.ndarray:
     return np.where(exps == 0, 1, -1)
 
 
-def rho_shift_table(ctx: FormulaContext, positive_roots=None) -> np.ndarray:
-    key = tuple(positive_roots) if positive_roots is not None else None
-    if key not in ctx._rho_tables:
-        ctx._rho_tables[key] = rho_shift_solve(ctx, positive_roots)
-    return ctx._rho_tables[key]
-
-
 # ---------------------------------------------------------------------------
 # the two character sums
 
@@ -381,7 +373,7 @@ def theta(ctx: FormulaContext, chi: CoverCharacter, w: WeylElem, gamma,
     else:
         den4 = delta0_eta_exponent(ctx, gamma, positive_roots)
         index = coinvariant_index(ctx.kind, ctx.q, coordinate_array(type(lift), [lift]))
-        if rho_shift_table(ctx, positive_roots)[index[0]] < 0:
+        if rho_shift_solve(ctx, positive_roots)[index[0]] < 0:
             den4 = (den4 + 2) % 4
     shift = (-den4 * (amb // 4)) % amb
     if ctx.epsilon_chi < 0:
@@ -505,12 +497,11 @@ class SumTables:
     def denominator_exponents(self, positive_roots=None) -> np.ndarray:
         """The Weyl denominator of each lift as a zeta_4 exponent: the
         combined difference form on the default positive system, else
-        delta0 of gamma plus the rho-shift sign of the lift."""
+        delta0 of gamma plus the rho-shift sign of the lift (1 - sign: 0 or 2)."""
         if positive_roots is None:
             return weyl_denominator_exponent_array(self.ctx, self.lift_coords)
-        rho = rho_shift_table(self.ctx, positive_roots)
-        signs = np.where(rho[coinvariant_index(self.ctx.kind, self.ctx.q, self.lift_coords)] < 0,
-                         2, 0)
+        rho = rho_shift_solve(self.ctx, positive_roots)
+        signs = 1 - rho[coinvariant_index(self.ctx.kind, self.ctx.q, self.lift_coords)]
         delta0 = delta0_eta_exponent_array(self.ctx, self.gamma_coords, positive_roots)
         return (delta0 + signs) % 4
 

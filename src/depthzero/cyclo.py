@@ -76,14 +76,15 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Reduced form of x^k mod Phi_n for every k in [0, n)."""
+def _power_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nonzero (index, coeff) pairs of x^k mod Phi_n for every k in
+    [0, n); only the row being built is dense, so memory follows the nonzeros."""
     phi = euler_phi(n)
     phi_poly = cyclotomic_polynomial(n)
     rows = []
     cur = [1] + [0] * (phi - 1)
     for _ in range(n):
-        rows.append(tuple(cur))
+        rows.append(tuple((i, t) for i, t in enumerate(cur) if t))
         over = cur[phi - 1]
         cur = [0] + cur[: phi - 1]
         if over:
@@ -92,15 +93,9 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _sparse_power_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The nonzero (index, coeff) pairs of each row of ``_power_table``."""
-    return tuple(tuple((i, t) for i, t in enumerate(row) if t) for row in _power_table(n))
-
-
 def _reduce(n: int, coeffs) -> tuple[int, ...]:
     """Reduce an arbitrary coefficient sequence mod Phi_n (exponents folded mod n)."""
-    table = _sparse_power_table(n)
+    table = _power_table(n)
     out = [0] * euler_phi(n)
     for k, c in enumerate(coeffs):
         if c:
@@ -163,7 +158,7 @@ class CycInt:
             return NotImplemented
         self._check_order(other)
         n = self.order
-        table = _sparse_power_table(n)
+        table = _power_table(n)
         terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         out = [0] * len(self.coeffs)
         for i, a in enumerate(self.coeffs):
@@ -202,12 +197,12 @@ class CycInt:
 
 def root_of_unity(order: int, k: int) -> CycInt:
     """zeta_order^k in reduced form; k may be any integer."""
-    return CycInt(order, _power_table(order)[k % order])
+    return CycInt.from_coeffs(order, [0] * (k % order) + [1])
 
 
 def sum_of_roots(order: int, exponents) -> CycInt:
     """Sum of zeta_order^e over the given exponents, exactly."""
-    table = _sparse_power_table(order)
+    table = _power_table(order)
     out = [0] * euler_phi(order)
     for e in exponents:
         for i, t in table[e % order]:

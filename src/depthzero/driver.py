@@ -111,6 +111,19 @@ class ConfigError(ValueError):
     pass
 
 
+class DuplicateCheckError(ValueError):
+    """Two campaign rows share a check name, or two tasks share an id."""
+
+
+def _by_key(items, key, what: str) -> dict:
+    """``items`` by ``key(item)``, refusing a key that two items share."""
+    table = {}
+    for item in items:
+        if table.setdefault(key(item), item) is not item:
+            raise DuplicateCheckError(f"{what}: {key(item)!r}")
+    return table
+
+
 # ---------------------------------------------------------------------------
 # configuration: every option is declared once, as a Config field
 
@@ -662,11 +675,13 @@ def check_threshold_scan(params):
 
 def check_excluded_crosscheck(params):
     kind, q = params["kind"], params["q"]
-    a = excluded_count(kind, q)
-    b = excluded_count_inclusion_exclusion(kind, q)
-    if a != b:
-        return _fail({"enumeration": a, "inclusion_exclusion": b})
-    return _ok({"excluded": a})
+    # the last count is the complement of the locus every identity check sums over
+    counts = {"enumeration": excluded_count(kind, q),
+              "inclusion_exclusion": excluded_count_inclusion_exclusion(kind, q),
+              "regular_locus": rational_order(kind, q) - len(strongly_regular_coordinates(kind, q))}
+    if len(set(counts.values())) > 1:
+        return _fail(counts)
+    return _ok({"excluded": counts["enumeration"]})
 
 
 def check_rigidity(params):
@@ -813,7 +828,8 @@ CHECKS = (
           claim="orbit sum of a regular character is not identically zero"),
 )
 SUBCOMMANDS = (*dict.fromkeys(row.id.partition("/")[0] for row in CHECKS), "all")
-REGISTRY = {row.name: row for row in CHECKS}
+# a name on two rows would run the first row's tasks on the second row's check
+REGISTRY = _by_key(CHECKS, lambda row: row.name, "check name on two rows")
 
 
 def _grid(row: Check, cfg: Config):
@@ -855,8 +871,7 @@ def build_tasks(subcommand: str, cfg: Config) -> list[dict]:
         if subcommand in ("all", row.id.partition("/")[0])
         for task in expand(row, cfg)
     ]
-    ids = [t["id"] for t in tasks]
-    assert len(ids) == len(set(ids)), "duplicate check ids"
+    _by_key(tasks, lambda t: t["id"], "check id on two tasks")
     return sorted(tasks, key=lambda t: t["id"])
 
 

@@ -25,7 +25,6 @@ from depthzero.charformula import (
     positive_system_contexts,
     rho_shift_closed_sign,
     rho_shift_solve,
-    rho_shift_table,
     theta,
     weyl_denominator_exponent,
 )
@@ -181,7 +180,7 @@ def test_criterion_09_invariance_suite():
             chars = (enumerate_regular_characters(kind, 3)
                      or list(enumerate_characters(kind, 3)))[:4]
             for _name, roots in positive_system_contexts(kind):
-                rho_shift_table(ctx, roots)
+                rho_shift_solve(ctx, roots)
                 for chi in chars:
                     cov = cover_character(chi)
                     for gamma in iter_strongly_regular(kind, 3):

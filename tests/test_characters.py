@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from depthzero import characters
+from depthzero import characters, tori
 from depthzero.characters import (
     CoverCharacter,
     DepthZeroCharacter,
@@ -126,7 +126,7 @@ def test_pool_reads_no_rebound_name(monkeypatch):
 
     for name in ("weyl_conjugate", "conjugate_rows", "is_regular"):
         monkeypatch.setattr(characters, name, forbidden)
-    regular_exponent_rows.cache_clear()
+    tori.clear_tables()
     assert [enumerate_regular_characters(kind, 5) for kind in (1, 2)] == want
     for kind, cls in ((1, T1Rational), (2, T2Rational)):
         for w in rational_weyl_group(kind):

@@ -1,3 +1,6 @@
+import tracemalloc
+from functools import lru_cache
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -127,10 +130,21 @@ def test_reduce_matches_sympy_remainder(n, coeffs):
     assert _reduce(n, coeffs) == tuple(remainder)
 
 
-# independent of the sparse rows: reduction through every entry of the dense
-# power table, the product as a full convolution, the root sum via buckets
+# independent of the sparse rows: x^k mod Phi_n by sympy's remainder, every
+# entry of each row kept; the product as a full convolution, the root sum
+# via buckets
+@lru_cache(maxsize=None)
+def _dense_rows(n):
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, _X), _X)
+    rows = []
+    for k in range(n):
+        rem = [int(c) for c in reversed(sympy.rem(sympy.Poly(_X**k, _X), phi).all_coeffs())]
+        rows.append(tuple(rem + [0] * (euler_phi(n) - len(rem))))
+    return tuple(rows)
+
+
 def _dense_reduce(n, coeffs):
-    table = _power_table(n)
+    table = _dense_rows(n)
     out = [0] * euler_phi(n)
     for k, c in enumerate(coeffs):
         for i, t in enumerate(table[k % n]):
@@ -138,11 +152,37 @@ def _dense_reduce(n, coeffs):
     return tuple(out)
 
 
+SPARSE_ORDERS = [8, 12, 20, 24, 48, 52, 120]
+
+
+@pytest.mark.parametrize("n", SPARSE_ORDERS)
+def test_power_table_rows_are_the_dense_nonzeros(n):
+    assert _power_table(n) == tuple(
+        tuple((i, t) for i, t in enumerate(row) if t) for row in _dense_rows(n)
+    )
+
+
+def test_power_table_memory_follows_nonzeros():
+    """At n = 1684 = 4 * 421 the dense n x phi(n) table would take ~11 MB;
+    the sparse rows, built one dense row at a time, stay under 1 MB."""
+    n = 1684
+    _power_table.cache_clear()
+    cyclotomic_polynomial(n)  # cached separately; not part of the table
+    tracemalloc.start()
+    try:
+        table = _power_table(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _power_table.cache_clear()
+    assert len(table) == n and peak < 2**20, peak
+
+
 sparse_coeffs = st.integers(-3, 3)
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), n=st.sampled_from([8, 12, 20, 24, 48, 52, 120]))
+@given(data=st.data(), n=st.sampled_from(SPARSE_ORDERS))
 def test_sparse_reduction_matches_dense_power_table(data, n):
     phi = euler_phi(n)
     coeffs = data.draw(st.lists(sparse_coeffs, max_size=3 * n))

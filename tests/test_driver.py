@@ -121,6 +121,41 @@ def test_task_ids_unique_and_sorted():
         assert task["fn"] in driver.REGISTRY
 
 
+_DUPLICATES = """
+import importlib.util
+import json
+from depthzero import driver
+
+def load_with(row):
+    # the driver module run from its source with one more campaign row
+    spec = importlib.util.find_spec("depthzero.driver")
+    source = spec.loader.get_source(spec.name).replace(
+        "\\nSUBCOMMANDS = ", f"\\nCHECKS = CHECKS + (CHECKS[0]._replace({row}),)\\nSUBCOMMANDS = ")
+    exec(compile(source, spec.origin, "exec"), importlib.util.module_from_spec(spec).__dict__)
+
+raised = []
+try:  # the loaded module raises its own class of the name
+    load_with("id='chevalley/again'")
+except ValueError as exc:
+    raised.append(f"{type(exc).__name__}: {exc}")
+driver.CHECKS = driver.CHECKS + (driver.CHECKS[0]._replace(name="again"),)
+try:
+    driver.build_tasks("chevalley", driver.Config())
+except driver.DuplicateCheckError as exc:
+    raised.append(f"{type(exc).__name__}: {exc}")
+print(json.dumps(raised))
+"""
+
+
+def test_duplicate_check_names_and_ids_raise(run_optimized):
+    """A check name on two campaign rows, or a check id on two tasks,
+    raises a named error, with asserts stripped too."""
+    assert run_optimized(_DUPLICATES) == [
+        "DuplicateCheckError: check name on two rows: 'pinning'",
+        "DuplicateCheckError: check id on two tasks: 'chevalley/pinning'",
+    ]
+
+
 # id lists recorded from the hand-written task builders the check table replaced
 def test_task_ids_of_irregular_grids():
     assert _task_ids("identity", "--q", "3,11", "--kind", "2", "--eta-branch", "minus") == [
@@ -765,8 +800,36 @@ FAIL_BRANCHES = [  # (label, check, params, break, witness keys)
     ("thresholds-scan", "threshold_scan", {"kind": 2, "q_max": 9, "eval_cap": 100_000_000},
      _rebind(uniqueness, "excluded_count", _exclude_everything), {"failing_q"}),
     ("excluded-crosscheck", "excluded_crosscheck", _TATE,
-     _rebind(driver, "excluded_count", _miscount), {"enumeration", "inclusion_exclusion"}),
+     _rebind(driver, "excluded_count", _miscount),
+     {"enumeration", "inclusion_exclusion", "regular_locus"}),
 ]
+
+
+def _misread_root(original):
+    """The kind-1 root (2, 1) read as (1, 1): a wrong strongly regular locus."""
+
+    def root_values(kind, q, roots, coords):
+        if kind == 1:
+            roots = [(1, 1) if tuple(root) == (2, 1) else root for root in roots]
+        return original(kind, q, roots, coords)
+
+    return root_values
+
+
+def test_excluded_crosscheck_fails_on_a_wrong_regular_locus(monkeypatch):
+    """The locus the identity checks sum over is counted against both
+    excluded-locus counts, so a misread root fails every kind-1 record."""
+    broken = _misread_root(tori.root_value_coord_array)
+    for module in (tori, charformula):
+        monkeypatch.setattr(module, "root_value_coord_array", broken)
+    tasks = [task for task in build_tasks("uniqueness", resolve_config(_args("uniqueness")))
+             if task["id"].startswith("uniqueness/excluded-crosscheck-k1-q")]
+    assert len(tasks) == 4
+    for task in tasks:
+        record, _seconds = driver.run_task(task)
+        assert record["outcome"] == "FAIL", task["id"]
+        counts = record["witness"]
+        assert counts["regular_locus"] != counts["enumeration"] == counts["inclusion_exclusion"]
 
 
 @pytest.mark.parametrize("kind,mat,orders", [

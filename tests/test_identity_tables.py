@@ -3,12 +3,12 @@ replaced.
 
 The ``oracle_*`` functions are the per-element bodies of
 ``lift-independence``, ``denominator-representatives``,
-``positive-systems``, ``packet-conjugation`` and ``rho-shift-unique`` as
-they were written on ``theta``, ``packet``, ``weyl_conjugate``, the scalar
-Weyl denominator and the scalar 2-rho target.  They take the check's pooled
-exponent rows as ``DepthZeroCharacter`` objects.  ``rigidity`` and
-``forward-conjugate`` keep their bodies and take their summed functions
-from ``orbit_character_sum``.  The table checks must return the same
+``positive-systems``, ``packet-conjugation``, ``rho-shift-unique`` and
+``forward-conjugate`` as they were written on ``theta``, ``packet``,
+``weyl_conjugate``, ``orbit_character_sum``, the scalar Weyl denominator
+and the scalar 2-rho target.  They take the check's pooled exponent rows
+as ``DepthZeroCharacter`` objects.  ``rigidity`` keeps its body and takes
+its summed functions from ``orbit_character_sum``.  The table checks must return the same
 record (outcome, witness and info) on a grid of configurations, and under
 each deliberate break of the model, applied to both sides, the same FAIL
 and witness.  A break of the Weyl conjugation rebinds ``conjugate_rows``
@@ -32,6 +32,7 @@ from depthzero.characters import (
     DepthZeroCharacter,
     character_to_descriptor,
     cover_character,
+    regular_exponent_rows,
     weyl_conjugate,
 )
 from depthzero.charformula import (
@@ -219,6 +220,18 @@ def _scalar_orbit_sums(tables, row):
                  for row in tables.gamma_coords)
 
 
+def oracle_forward_conjugate(params):
+    kind, q = params["kind"], params["q"]
+    tables = uniqueness._identity_tables(kind, q)
+    for row in regular_exponent_rows(kind, q)[:4]:
+        chi = DepthZeroCharacter(kind, q, tuple(row.tolist()))
+        base_fn = _scalar_orbit_sums(tables, row)
+        for w in rational_weyl_group(kind):
+            if _scalar_orbit_sums(tables, weyl_conjugate(chi, w).exponents) != base_fn:
+                return _fail({"reason": "conjugate characters gave distinct sums"})
+    return _ok()
+
+
 def _on_scalar_orbit_sums(check):
     def oracle(params):
         with pytest.MonkeyPatch.context() as m:
@@ -235,7 +248,7 @@ ORACLES = {
     "packet_conjugation": oracle_packet_conjugation,
     "rho_shift_unique": oracle_rho_shift_unique,
     "rigidity": _on_scalar_orbit_sums(driver.check_rigidity),
-    "forward_conjugate": _on_scalar_orbit_sums(driver.check_forward_conjugate),
+    "forward_conjugate": oracle_forward_conjugate,
 }
 
 
@@ -319,18 +332,19 @@ def _gamma(kind, q, index):
 def _flip_rho_sign(monkeypatch, kind, q):
     """The rho-shift sign of the last element's lift flipped, on every
     transformed positive system.  Both sides read the sign array of
-    ``rho_shift_table``: the tables at the lift rows, ``theta`` at the
+    ``rho_shift_solve``: the tables at the lift rows, ``theta`` at the
     row of its lift."""
     target = lift_of_rational(kind, q, _gamma(kind, q, -1))
     index = list(enumerate_coinvariants(kind, q)).index(target)
-    original = charformula.rho_shift_table
+    original = charformula.rho_shift_solve
 
     def broken(ctx, positive_roots=None):
-        table = original(ctx, positive_roots).copy()
-        table[index] = -table[index]
+        table = original(ctx, positive_roots)
+        if positive_roots is not None:
+            table[index] = -table[index]
         return table
 
-    _patch(monkeypatch, "rho_shift_table", broken)
+    _patch(monkeypatch, "rho_shift_solve", broken)
 
 
 def _shift_delta0(index, by=2):
@@ -582,7 +596,8 @@ def _forbid(monkeypatch, paths):
         raise AssertionError("scalar path called")
 
     # rebuild the pool and the pinning under the guard
-    for cache in (characters.regular_exponent_rows, dualgroup.build_pinning, cover_class_values):
+    tori.clear_tables()
+    for cache in (dualgroup.build_pinning, cover_class_values):
         cache.cache_clear()
 
     for owners, names in paths:
