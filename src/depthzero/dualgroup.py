@@ -26,15 +26,19 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import gcd
 
 import numpy as np
 
-from .cyclo import CycInt, root_of_unity
+from .cyclo import CycInt, OrderMismatchError, root_of_unity
+from .tori import ELLIPTIC_WORD, KINDS, cartan_matrix, torus_level
 
 LONG_SIMPLE = (1, 0)
 SHORT_SIMPLE = (0, 1)
+
+# the letters of a Weyl word as dual simple roots (coroots of the torus side's)
+LETTER_ROOTS = {"a": LONG_SIMPLE, "b": SHORT_SIMPLE}
 
 POSITIVE_ROOTS = ((1, 0), (0, 1), (1, 1), (1, 2))
 ALL_ROOTS = POSITIVE_ROOTS + tuple((-a, -b) for a, b in POSITIVE_ROOTS)
@@ -84,7 +88,8 @@ class SpMatrix:
 
 def sp_mul(a: SpMatrix, b: SpMatrix) -> SpMatrix:
     """The matrix product; zero entries of either factor are skipped."""
-    assert a.order == b.order
+    if a.order != b.order:
+        raise OrderMismatchError(f"matrices of orders {a.order} and {b.order}")
     b_terms = [[(j, y) for j, y in enumerate(row) if not y.is_zero()] for row in b.rows]
     rows = []
     for row in a.rows:
@@ -99,10 +104,6 @@ def sp_mul(a: SpMatrix, b: SpMatrix) -> SpMatrix:
 
 def sp_eq(a: SpMatrix, b: SpMatrix) -> bool:
     return a.order == b.order and a.rows == b.rows
-
-
-def sp_transpose(a: SpMatrix) -> SpMatrix:
-    return SpMatrix(a.order, tuple(tuple(a.rows[j][i] for j in range(4)) for i in range(4)))
 
 
 def sp_det(a: SpMatrix) -> CycInt:
@@ -141,7 +142,8 @@ class Monomial:
     exps: tuple
 
     def __mul__(self, other: Monomial) -> Monomial:
-        assert self.order == other.order
+        if self.order != other.order:
+            raise OrderMismatchError(f"monomials of orders {self.order} and {other.order}")
         n = self.order
         return Monomial(
             n,
@@ -181,6 +183,7 @@ class Pinning:
         self._n_cache: dict = {}
         # the verified lifts as pairs: n_root, m = n_long n_short, n = m^2
         self.lifts = dict(zip(ALL_ROOTS, self._verify_construction()))
+        self._word_lifts: dict = {}
         self.coxeter = self.lifts[LONG_SIMPLE] * self.lifts[SHORT_SIMPLE]
         self.longest = self.coxeter * self.coxeter
 
@@ -193,10 +196,6 @@ class Pinning:
     @cached_property
     def identity(self) -> SpMatrix:
         return self.matrix(self.torus(0, 0))
-
-    @cached_property
-    def form(self) -> SpMatrix:
-        return _scalar_matrix(self.order, _FORM)
 
     def matrix(self, x: Monomial) -> SpMatrix:
         """The 4x4 matrix of a monomial pair."""
@@ -228,6 +227,13 @@ class Pinning:
             raise PinningError("diagonal is not of symplectic torus shape")
         return a, b
 
+    def lift(self, word: str) -> Monomial:
+        """The reflection lifts of the letters of a Weyl word, multiplied in word order."""
+        if word not in self._word_lifts:
+            lifts = (self.lifts[LETTER_ROOTS[letter]] for letter in word)
+            self._word_lifts[word] = reduce(Monomial.__mul__, lifts, self.torus(0, 0))
+        return self._word_lifts[word]
+
     def root_subgroup(self, root, t: CycInt) -> SpMatrix:
         """x_root(t) = I + t * X_root."""
         if root not in _NILPOTENT:
@@ -238,10 +244,6 @@ class Pinning:
         for i, j, sign in _NILPOTENT[root]:
             rows[i][j] = rows[i][j] + (sign * t)
         return SpMatrix(self.order, tuple(tuple(r) for r in rows))
-
-    def coroot_matrix(self, root, exponent: int) -> SpMatrix:
-        """root_coroot(zeta^exponent) as a diagonal matrix."""
-        return self.matrix(self.coroot(root, exponent))
 
     def n_elem(self, root) -> SpMatrix:
         """Reflection lift x(1) x_-(-1) x(1)."""
@@ -254,15 +256,6 @@ class Pinning:
             )
             self._n_cache[root] = m
         return self._n_cache[root]
-
-    def is_symplectic(self, m: SpMatrix) -> bool:
-        return sp_eq(sp_mul(sp_mul(sp_transpose(m), self.form), m), self.form)
-
-    def sp_inverse(self, m: SpMatrix) -> SpMatrix:
-        """Inverse from the form identity: M^-1 = J^-1 M^T J with J^2 = -I."""
-        jt = sp_mul(self.form, sp_mul(sp_transpose(m), self.form))
-        rows = tuple(tuple(-x for x in row) for row in jt.rows)
-        return SpMatrix(self.order, rows)
 
     # -- root geometry ---------------------------------------------------------
 
@@ -304,15 +297,10 @@ class Pinning:
         for root, square in zip(ALL_ROOTS, nilpotent @ nilpotent):
             if square.any():
                 raise PinningError(f"x_{root} is not additive in the parameter")
-        # Cartan pairings of the rank-two system with long alpha
-        expected = {
-            (LONG_SIMPLE, LONG_SIMPLE): 2,
-            (SHORT_SIMPLE, SHORT_SIMPLE): 2,
-            (SHORT_SIMPLE, LONG_SIMPLE): -1,
-            (LONG_SIMPLE, SHORT_SIMPLE): -2,
-        }
-        for (char, cochar), want in expected.items():
-            if self.pairing(char, cochar) != want:
+        # the pairings are the transpose of the torus side's Cartan matrix
+        for kind, ((i, char), (j, cochar)) in itertools.product(
+                KINDS, itertools.product(enumerate(LETTER_ROOTS.values()), repeat=2)):
+            if self.pairing(char, cochar) != cartan_matrix(kind)[j][i]:
                 raise PinningError("Cartan pairings are not those of type B2/C2")
         # sl2 normalization: n_root lies in the torus normalizer
         negatives = [ALL_ROOTS.index((-a, -b)) for a, b in ALL_ROOTS]
@@ -334,12 +322,6 @@ class Pinning:
 
 
 _FORM = ((0, 0, 0, 1), (0, 0, 1, 0), (0, -1, 0, 0), (-1, 0, 0, 0))
-
-
-def _scalar_matrix(order: int, rows) -> SpMatrix:
-    """An integer 4x4 matrix as an ``SpMatrix``."""
-    one = CycInt.one(order)
-    return SpMatrix(order, tuple(tuple(x * one for x in row) for row in rows))
 
 
 def _check_form(stack: np.ndarray, name: str) -> None:
@@ -458,15 +440,11 @@ def dual_torus_conjugate(pin: Pinning, by: Monomial, a: int, b: int) -> tuple[in
 
 
 def twisted_frobenius_power(pin: Pinning, kind: int, a: int, b: int) -> tuple[int, int]:
-    """Coroot exponents of (t n)^2 for kind 1 or (t m)^4 for kind 2,
-    where t is the torus element with the given coroot exponents."""
-    if kind == 1:
-        power = (pin.torus(a, b) * pin.longest) ** 2
-    elif kind == 2:
-        power = (pin.torus(a, b) * pin.coxeter) ** 4
-    else:
-        raise ValueError(f"kind must be 1 or 2, got {kind}")
-    return pin.torus_exponents(power)
+    """Coroot exponents of (t lift(ELLIPTIC_WORD[kind]))^L for the torus
+    level L, where t is the torus element with the given coroot exponents:
+    (t n)^2 for kind 1, (t m)^4 for kind 2."""
+    level = torus_level(kind)
+    return pin.torus_exponents((pin.torus(a, b) * pin.lift(ELLIPTIC_WORD[kind])) ** level)
 
 
 def sample_torsion_exponents(order, count, seed=0):
@@ -493,28 +471,21 @@ def lift_independence_check(pin: Pinning, kind: int, count: int = 200, seed: int
 
 
 def weyl_action_checks(pin: Pinning) -> bool:
-    """Conjugation by the two lifts acts as inversion resp. the order-4
-    rotation in the relevant coordinates, at four sample points."""
-    nhat = pin.longest
-    mhat = pin.coxeter
-    for a, b in ((1, 0), (0, 1), (3, 5), (7, 11)):
-        if dual_torus_conjugate(pin, nhat, a, b) != ((-a) % pin.order, (-b) % pin.order):
-            return False
-        # rotation is stated in the (long_coroot, long+short coroot) basis:
-        # (w, z) -> (1/z, w); converting to (a, b) = (w z exponents) coords
-        abar, bbar = (a - b) % pin.order, b
-        want_abar, want_bbar = (-bbar) % pin.order, abar
-        want_a, want_b = (want_abar + want_bbar) % pin.order, want_bbar
-        if dual_torus_conjugate(pin, mhat, a, b) != (want_a, want_b):
-            return False
-    # order of the Coxeter image in the Weyl group is 4
-    seen = (1 % pin.order, 2 % pin.order)
-    cur = seen
-    for step in range(1, 5):
-        cur = dual_torus_conjugate(pin, mhat, *cur)
-        if cur == seen and step != 4:
-            return False
-    return cur == seen
+    """At four sample points of the (long, short) coroot exponents, each
+    letter's lift acts by conjugation as the simple reflection s_j (column i
+    e_i - C[i][j] e_j, C the torus side's Cartan matrix), and each kind's
+    elliptic word's lift as the product of those in word order."""
+    points = ((1, 0), (0, 1), (3, 5), (7, 11))
+    for kind, elliptic in ELLIPTIC_WORD.items():
+        c = cartan_matrix(kind)
+        for word, point in itertools.product(("a", "b", elliptic), points):
+            image = list(point)
+            for j in ("ab".index(letter) for letter in reversed(word)):
+                image[j] -= c[0][j] * image[0] + c[1][j] * image[1]  # s_j moves coordinate j only
+            image = tuple(x % pin.order for x in image)
+            if dual_torus_conjugate(pin, pin.lift(word), *point) != image:
+                return False
+    return True
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import snf
 from .ffield import FFElem
-from .localmodel import UnitVal, uv_galois, uv_inv, uv_mul, uv_pow
+from .localmodel import UnitVal, uv_galois, uv_inv, uv_mul
 
 KINDS = (1, 2)
 
@@ -34,9 +34,10 @@ class NonRationalWeylError(ValueError):
 
 
 class WeylGroupError(ValueError):
-    """The generator matrices do not close to a group of order 8, or the
-    Galois matrix commutes with another number of its elements than the
-    rational Weyl group's order."""
+    """The positive roots give no rank-two root datum, the reflections no
+    group of order 8, or the Galois matrix commutes with another number of
+    its elements than the rational Weyl group's order; or a Weyl element
+    does not compose or invert."""
 
 
 class GaloisActionError(AssertionError):
@@ -355,17 +356,6 @@ def quad_galois(kind: int, q: int, quad):
     return (g(c), g(a), g(d), g(b))
 
 
-def quad_weyl(gen: str, quad):
-    """Simple reflections on quadruples: 'a' swaps slots (1,2) and (3,4),
-    'b' swaps slots (2,3)."""
-    a, b, c, d = quad
-    if gen == "a":
-        return (b, a, d, c)
-    if gen == "b":
-        return (a, c, b, d)
-    raise ValueError(f"unknown generator {gen!r}")
-
-
 def pair_from_quad(kind: int, q: int, quad):
     _check_kind(kind)
     a, b, c, d = quad
@@ -403,39 +393,82 @@ def _mat_mul2(a, b):
     )
 
 
-_GENERATOR_MATS = {
-    1: {"a": ((-1, 0), (2, 1)), "b": ((1, 1), (0, -1))},
-    2: {"a": ((-1, 0), (0, 1)), "b": ((0, 1), (1, 0))},
-}
+# The root datum of each kind, entered once: the positive roots, and the word
+# in the simple reflections "a", "b" of the element that the Frobenius acts by
+# (w0 = -1 on torus 1, the Coxeter element on torus 2).  The reflections, the
+# Cartan matrix and the Galois action on both sides are derived from them.
+_POSITIVE_ROOTS = {1: ((1, 0), (0, 1), (1, 1), (2, 1)), 2: ((1, 0), (-1, 1), (0, 1), (1, 1))}
+ELLIPTIC_WORD = {1: "abab", 2: "ab"}
 
-_GALOIS_MATS = {1: ((-1, 0), (0, -1)), 2: ((0, -1), (1, 0))}
+
+def default_positive_roots(kind: int):
+    """Exponent vectors on the pair model for the standard positive system."""
+    _check_kind(kind)
+    return _POSITIVE_ROOTS[kind]
+
+
+@lru_cache(maxsize=None)
+def simple_coroots(kind: int):
+    """(root, coroot) of "a" and "b", the positive roots that are no sum of
+    two, in listed order.  adj(K), K the sum of r^T r over the eight roots,
+    is Weyl-invariant, so the coroot is 2 adj(K) alpha / alpha adj(K) alpha."""
+    positive = default_positive_roots(kind)
+    roots = set(positive) | {(-x, -y) for x, y in positive}
+    if len(roots - {(0, 0)}) != 8:
+        raise WeylGroupError(f"the kind-{kind} roots {positive} are not 8 distinct nonzero ones")
+    sums = {(s[0] + t[0], s[1] + t[1]) for s in positive for t in positive}
+    simple = [r for r in positive if r not in sums]
+    if len(simple) != 2:
+        raise WeylGroupError(f"the kind-{kind} roots {positive} have {len(simple)} simple roots")
+    k00, k01, k11 = (sum(r[i] * r[j] for r in roots) for i, j in ((0, 0), (0, 1), (1, 1)))
+    pairs = []
+    for x, y in simple:
+        v = (2 * (k11 * x - k01 * y), 2 * (k00 * y - k01 * x))
+        norm = (x * v[0] + y * v[1]) // 2
+        if norm == 0 or v[0] % norm or v[1] % norm:
+            raise WeylGroupError(f"the kind-{kind} coroot of {(x, y)} is not integral")
+        c1, c2 = v[0] // norm, v[1] // norm
+        if {(r - (r * c1 + t * c2) * x, t - (r * c1 + t * c2) * y) for r, t in roots} != roots:
+            raise WeylGroupError(f"the kind-{kind} reflection in {(x, y)} moves a root off")
+        pairs.append(((x, y), (c1, c2)))
+    return tuple(pairs)
+
+
+def cartan_matrix(kind: int):
+    """C[i][j] = <simple root i, simple coroot j>, i and j running over "a", "b"."""
+    pairs = simple_coroots(kind)
+    return tuple(tuple(r[0] * c[0] + r[1] * c[1] for _, c in pairs) for r, _ in pairs)
+
+
+def reflection_matrices(kind: int) -> dict:
+    """{letter: I - coroot root} for the simple roots "a" and "b"."""
+    return {letter: ((1 - c1 * x, -c1 * y), (-c2 * x, 1 - c2 * y))
+            for letter, ((x, y), (c1, c2)) in zip("ab", simple_coroots(kind))}
+
+
+@lru_cache(maxsize=None)
+def word_matrix(kind: int, word: str):
+    """The product of the reflections that the letters of ``word`` name, in word order."""
+    if not word:
+        return ((1, 0), (0, 1))
+    return _mat_mul2(word_matrix(kind, word[:-1]), reflection_matrices(kind)[word[-1]])
 
 
 @lru_cache(maxsize=None)
 def weyl_group(kind: int) -> tuple[WeylElem, ...]:
-    """All eight abstract Weyl elements with reduced-word names."""
+    """All eight abstract Weyl elements, each named by its first word in
+    shortlex order, which is a reduced word; they must close to a group."""
     _check_kind(kind)
-    gens = _GENERATOR_MATS[kind]
-    identity = ((1, 0), (0, 1))
-    seen = {identity: ""}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for mat in frontier:
-            for g, gm in gens.items():
-                prod_mat = _mat_mul2(mat, gm)
-                if prod_mat not in seen:
-                    seen[prod_mat] = seen[mat] + g
-                    nxt.append(prod_mat)
-                    if len(seen) > 8:  # broken generators may generate an infinite group
-                        raise WeylGroupError(f"the kind-{kind} generators give more than 8 "
-                                             f"elements, among them {prod_mat}")
-        frontier = nxt
-    if len(seen) != 8:
-        raise WeylGroupError(f"the kind-{kind} generators give {len(seen)} elements, not 8")
-    elems = [WeylElem(kind, name, mat) for mat, name in seen.items()]
-    elems.sort(key=lambda e: (len(e.name), e.name))
-    return tuple(elems)
+    names = {}
+    for word in ("".join(w) for length in range(5) for w in product("ab", repeat=length)):
+        names.setdefault(word_matrix(kind, word), word)
+        if len(names) > 8:  # broken generators may generate an infinite group
+            raise WeylGroupError(f"the kind-{kind} generators give more than 8 elements, "
+                                 f"among them {word_matrix(kind, word)}")
+    gens = reflection_matrices(kind).values()
+    if len(names) != 8 or any(_mat_mul2(m, g) not in names for m in names for g in gens):
+        raise WeylGroupError(f"the kind-{kind} generators give {len(names)} elements, not 8")
+    return tuple(WeylElem(kind, name, mat) for mat, name in names.items())
 
 
 @lru_cache(maxsize=None)
@@ -444,9 +477,9 @@ def _by_matrix(kind: int):
 
 
 def simple_reflections(kind: int) -> tuple[WeylElem, WeylElem]:
-    """The Weyl elements of the two generator matrices, found by matrix."""
+    """The Weyl elements of the two reflection matrices, found by matrix."""
     by_matrix = _by_matrix(kind)
-    return tuple(by_matrix[mat] for mat in _GENERATOR_MATS[kind].values())
+    return tuple(by_matrix[mat] for mat in reflection_matrices(kind).values())
 
 
 def weyl_identity(kind: int) -> WeylElem:
@@ -454,14 +487,16 @@ def weyl_identity(kind: int) -> WeylElem:
 
 
 def weyl_compose(x: WeylElem, y: WeylElem) -> WeylElem:
-    assert x.kind == y.kind
+    if x.kind != y.kind:
+        raise WeylGroupError(f"cannot compose a kind-{x.kind} with a kind-{y.kind} element")
     return _by_matrix(x.kind)[_mat_mul2(x.mat, y.mat)]
 
 
 def weyl_inverse(x: WeylElem) -> WeylElem:
     (a, b), (c, d) = x.mat
     det = a * d - b * c
-    assert det in (1, -1)
+    if det not in (1, -1):
+        raise WeylGroupError(f"{x.mat} has determinant {det}, not +-1")
     inv = ((d // det, -b // det), (-c // det, a // det))
     return _by_matrix(x.kind)[inv]
 
@@ -469,7 +504,7 @@ def weyl_inverse(x: WeylElem) -> WeylElem:
 @lru_cache(maxsize=None)
 def rational_weyl_group(kind: int) -> tuple[WeylElem, ...]:
     """Subgroup whose action commutes with the Galois action on E-points."""
-    s = _GALOIS_MATS[kind]
+    s = word_matrix(kind, ELLIPTIC_WORD[kind])
     out = tuple(
         e for e in weyl_group(kind) if _mat_mul2(e.mat, s) == _mat_mul2(s, e.mat)
     )
@@ -579,12 +614,13 @@ def _pair_order(kind: int, q: int) -> int:
 
 def galois_matrix(kind: int, q: int) -> np.ndarray:
     """The Galois generator on pair rows (dlog_w, val_w, dlog_z, val_z), as
-    the int64 matrix G taking a row x to G x: ``_GALOIS_MATS[kind]`` on the
-    two slots, tensored with Frobenius, diag(q, 1), on (dlog, val).  That
-    is kron(_GALOIS_MATS[kind], I_2) with the dlog columns scaled by q; it
-    has one nonzero entry per row."""
+    the int64 matrix G taking a row x to G x: the Weyl element F of
+    ``ELLIPTIC_WORD[kind]`` on the two slots, tensored with Frobenius,
+    diag(q, 1), on (dlog, val).  That is kron(F, I_2) with the dlog columns
+    scaled by q; it has one nonzero entry per row."""
     _check_kind(kind)
-    return np.kron(np.array(_GALOIS_MATS[kind], dtype=np.int64), [[q, 0], [0, 1]])
+    frobenius = word_matrix(kind, ELLIPTIC_WORD[kind])
+    return np.kron(np.array(frobenius, dtype=np.int64), [[q, 0], [0, 1]])
 
 
 def pair_galois_array(kind: int, q: int, rows: np.ndarray) -> np.ndarray:
@@ -601,7 +637,7 @@ def pair_galois_array(kind: int, q: int, rows: np.ndarray) -> np.ndarray:
 # that makes the quadruple model equivariant for ``galois_matrix``, but it
 # is entered by hand: solved for, it would make ``pair-quad-roundtrip``
 # compare the pair model with itself, and that check is the one that fails
-# a broken ``_GALOIS_MATS`` with a witness pair.
+# a wrong ``ELLIPTIC_WORD`` with a witness pair.
 _QUAD_GALOIS_SLOTS = {1: [3, 2, 1, 0], 2: [2, 0, 3, 1]}
 
 
@@ -689,26 +725,8 @@ def coinvariant_norm_array(kind: int, q: int, coords: np.ndarray) -> np.ndarray:
     return (-coords[:, :1]) % (q * q + 1)
 
 
-def weyl_apply_pair(q: int, w: WeylElem, pair):
-    """Monomial action on the pair model of the E-points."""
-    m = w.mat
-
-    def mono(e1, e2):
-        return uv_mul(q, uv_pow(q, pair[0], e1), uv_pow(q, pair[1], e2))
-
-    return (mono(m[0][0], m[0][1]), mono(m[1][0], m[1][1]))
-
-
 # ---------------------------------------------------------------------------
 # roots, regular locus
-
-
-def default_positive_roots(kind: int):
-    """Exponent vectors on the pair model for the standard positive system."""
-    _check_kind(kind)
-    if kind == 1:
-        return ((1, 0), (0, 1), (1, 1), (2, 1))
-    return ((1, 0), (-1, 1), (0, 1), (1, 1))
 
 
 def positive_system(kind: int, w: WeylElem):

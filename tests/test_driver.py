@@ -832,14 +832,14 @@ def test_excluded_crosscheck_fails_on_a_wrong_regular_locus(monkeypatch):
         assert counts["regular_locus"] != counts["enumeration"] == counts["inclusion_exclusion"]
 
 
-@pytest.mark.parametrize("kind,mat,orders", [
-    (1, ((1, 0), (0, 1)), [1, 4]),  # no inversion
-    (2, ((0, 1), (1, 0)), [1, 2]),  # a swap, not the rotation
+@pytest.mark.parametrize("kind,word,orders", [
+    (1, "", [1, 4]),  # no inversion
+    (2, "b", [1, 2]),  # a swap, not the rotation
 ])
-def test_tate_orders_fail_under_a_broken_galois_matrix(monkeypatch, kind, mat, orders):
+def test_tate_orders_fail_under_a_broken_galois_matrix(monkeypatch, kind, word, orders):
     check, params = driver.REGISTRY["tate_orders"].check, {"kind": kind, "q": 3}
     assert check(dict(params))[0] == "PASS"
-    monkeypatch.setitem(tori._GALOIS_MATS, kind, mat)
+    monkeypatch.setitem(tori.ELLIPTIC_WORD, kind, word)
     tori.tate_cohomology.cache_clear()
     try:
         outcome, witness, _info = check(dict(params))

@@ -43,13 +43,35 @@ def pin():
     return build_pinning(24)
 
 
+def _transpose(a: SpMatrix) -> SpMatrix:
+    return SpMatrix(a.order, tuple(tuple(a.rows[j][i] for j in range(4)) for i in range(4)))
+
+
+def _form(pin) -> SpMatrix:
+    """The symplectic form as an ``SpMatrix``."""
+    one = CycInt.one(pin.order)
+    return SpMatrix(pin.order, tuple(tuple(x * one for x in row) for row in dualgroup._FORM))
+
+
+def _is_symplectic(pin, m: SpMatrix) -> bool:
+    form = _form(pin)
+    return sp_eq(dualgroup.sp_mul(dualgroup.sp_mul(_transpose(m), form), m), form)
+
+
+def _sp_inverse(pin, m: SpMatrix) -> SpMatrix:
+    """Inverse from the form identity: M^-1 = J^-1 M^T J with J^2 = -I."""
+    form = _form(pin)
+    jt = dualgroup.sp_mul(form, dualgroup.sp_mul(_transpose(m), form))
+    return SpMatrix(pin.order, tuple(tuple(-x for x in row) for row in jt.rows))
+
+
 def test_pinning_constructs_and_verifies(pin):
     # construction itself runs the symplectic/Cartan/coroot checks
     assert pin.order == 24
     one = CycInt.one(24)
     for root in ALL_ROOTS:
         x = pin.root_subgroup(root, one)
-        assert pin.is_symplectic(x)
+        assert _is_symplectic(pin, x)
         assert sp_det(x) == one
 
 
@@ -73,7 +95,7 @@ def test_reflection_lift_squares(pin):
     half = pin.order // 2
     for root in (LONG_SIMPLE, SHORT_SIMPLE):
         n = pin.n_elem(root)
-        assert sp_eq(sp_mul(n, n), pin.coroot_matrix(root, half))
+        assert sp_eq(sp_mul(n, n), pin.matrix(pin.coroot(root, half)))
 
 
 def test_lifts_normalize_torus(pin):
@@ -170,7 +192,7 @@ def test_products_preserve_form(pin):
         sp_mul(pin.root_subgroup((1, 2), root_of_unity(24, 7)), pin.matrix(pin.coxeter)),
     ]
     for m in words:
-        assert pin.is_symplectic(m)
+        assert _is_symplectic(pin, m)
         assert sp_det(m) == CycInt.one(24)
 
 
@@ -248,7 +270,7 @@ def _word_mismatches(pin, letters):
     bad = []
     if not sp_eq(pin.matrix(word), matrix):
         bad.append("product")
-    if not sp_eq(pin.matrix(word.inverse()), pin.sp_inverse(matrix)):
+    if not sp_eq(pin.matrix(word.inverse()), _sp_inverse(pin, matrix)):
         bad.append("inverse")
     if word ** -1 != word.inverse():
         bad.append("power -1")
@@ -383,7 +405,7 @@ def test_checks_make_no_matrix_products(monkeypatch, pin):
     assert coxeter_lift_fourth_check(pin)
     assert calls == []
     # the counter sees the matrix path
-    assert pin.is_symplectic(pin.identity)
+    assert _is_symplectic(pin, pin.identity)
     assert calls
 
 
@@ -564,3 +586,83 @@ print(json.dumps(messages))
 """)
     assert got == [message for *_, message in CRAFTED_LIFTS] + [
         "x_(1, 0) is not additive in the parameter"]
+
+
+# ---------------------------------------------------------------------------
+# the dual root datum is read off the torus side's
+
+
+def test_word_lifts_are_the_coxeter_and_longest_lifts(pin):
+    assert pin.lift("ab") == pin.coxeter
+    assert pin.lift("abab") == pin.longest
+    assert pin.lift("") == pin.torus(0, 0)
+
+
+def _conjugation_matrix(pin, word):
+    """Conjugation by the word's lift on (long, short) coroot exponents,
+    column by column, exponents read in -order/2..order/2."""
+    half = pin.order // 2
+    columns = [dual_torus_conjugate(pin, pin.lift(word), *e) for e in ((1, 0), (0, 1))]
+    return [[(columns[j][i] + half) % pin.order - half for j in range(2)] for i in range(2)]
+
+
+def test_letter_and_word_lifts_act_as_the_reflections(pin):
+    assert _conjugation_matrix(pin, "a") == [[-1, 2], [0, 1]]
+    assert _conjugation_matrix(pin, "b") == [[1, 0], [1, -1]]
+    assert _conjugation_matrix(pin, "ab") == [[1, -2], [1, -1]]
+    assert _conjugation_matrix(pin, "abab") == [[-1, 0], [0, -1]]
+
+
+def test_pairings_are_checked_against_the_torus_cartan_matrix(monkeypatch):
+    """The transposed Cartan matrix is refused at construction, and a
+    Cartan matrix that disagrees with the lifts fails the Weyl action."""
+    pin_n = Pinning(24)
+    transposed = lambda kind: ((2, -2), (-1, 2))
+    monkeypatch.setattr(dualgroup, "cartan_matrix", transposed)
+    assert not weyl_action_checks(pin_n)
+    with pytest.raises(PinningError, match="Cartan pairings are not those of type B2/C2"):
+        Pinning(24)
+
+
+def test_elliptic_word_drives_the_frobenius_power(monkeypatch, pin):
+    """The power reads the kind's word: the Coxeter lift squared is no torus
+    element, and the longest lift to the fourth power is the identity."""
+    monkeypatch.setitem(dualgroup.ELLIPTIC_WORD, 1, "ab")
+    with pytest.raises(PinningError, match="matrix is not diagonal"):
+        twisted_frobenius_power(pin, 1, 0, 0)
+    monkeypatch.setitem(dualgroup.ELLIPTIC_WORD, 2, "abab")
+    assert twisted_frobenius_power(pin, 2, 0, 0) == (0, 0)
+
+
+def test_every_positive_coroot_mutant_raises():
+    """Each single-entry +-1 change of a positive coroot in _COROOT_F."""
+    messages = []
+    for root, i, delta in itertools.product(POSITIVE_ROOTS, range(2), (1, -1)):
+        coroot = list(dualgroup._COROOT_F[root])
+        coroot[i] += delta
+        saved, dualgroup._COROOT_F[root] = dualgroup._COROOT_F[root], tuple(coroot)
+        try:
+            with pytest.raises(PinningError) as err:
+                Pinning(24)
+            messages.append(str(err.value))
+        finally:
+            dualgroup._COROOT_F[root] = saved
+    assert len(messages) == 16
+
+
+def test_order_guards_raise_named_errors(run_optimized):
+    got = run_optimized("""
+import json
+from depthzero import cyclo, dualgroup
+pin8, pin24 = dualgroup.build_pinning(8), dualgroup.build_pinning(24)
+raised = []
+for call in (lambda: dualgroup.sp_mul(pin8.identity, pin24.identity),
+             lambda: pin8.torus(1, 0) * pin24.torus(1, 0)):
+    try:
+        call()
+        raised.append(None)
+    except cyclo.OrderMismatchError as exc:
+        raised.append(str(exc))
+print(json.dumps(raised))
+""")
+    assert got == ["matrices of orders 8 and 24", "monomials of orders 8 and 24"]

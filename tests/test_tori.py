@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import resource
 import signal
 from dataclasses import replace
 from itertools import islice, permutations, product
@@ -8,10 +9,10 @@ from itertools import islice, permutations, product
 import numpy as np
 import pytest
 
-from depthzero import charformula, driver, tori
+from depthzero import charformula, driver, dualgroup, tori
 from depthzero.charformula import named_summation_subgroup
 from depthzero.ffield import prime_power
-from depthzero.localmodel import unit, uv_galois, uv_inv, uv_mul
+from depthzero.localmodel import unit, uv_galois, uv_inv, uv_mul, uv_pow
 from depthzero.tori import (
     NonRationalWeylError,
     T1Coinv,
@@ -49,7 +50,6 @@ from depthzero.tori import (
     quad_from_pair_array,
     quad_galois,
     quad_galois_array,
-    quad_weyl,
     rational_order,
     rational_weyl_group,
     root_values,
@@ -61,7 +61,6 @@ from depthzero.tori import (
     t2_rational,
     tate_cohomology,
     weyl_apply,
-    weyl_apply_pair,
     weyl_compose,
     weyl_group,
     weyl_identity,
@@ -108,14 +107,64 @@ def test_group_inverses():
             assert weyl_compose(w, weyl_inverse(w)) == weyl_identity(kind)
 
 
+# the reflection and Frobenius matrices as they were entered by hand before
+# both were derived from the positive roots and the elliptic words
+GENERATOR_MATS = {
+    1: {"a": ((-1, 0), (2, 1)), "b": ((1, 1), (0, -1))},
+    2: {"a": ((-1, 0), (0, 1)), "b": ((0, 1), (1, 0))},
+}
+GALOIS_MATS = {1: ((-1, 0), (0, -1)), 2: ((0, -1), (1, 0))}
+
+
 def test_simple_reflections_are_the_generator_matrices():
     for kind in (1, 2):
-        mats = list(tori._GENERATOR_MATS[kind].values())
-        assert [w.mat for w in simple_reflections(kind)] == mats
+        assert tori.reflection_matrices(kind) == GENERATOR_MATS[kind]
+        assert [w.mat for w in simple_reflections(kind)] == list(GENERATOR_MATS[kind].values())
         assert [w.name for w in simple_reflections(kind)] == ["a", "b"]
+        assert tori.word_matrix(kind, tori.ELLIPTIC_WORD[kind]) == GALOIS_MATS[kind]
+        assert np.array_equal(tori.galois_matrix(kind, 5),
+                              np.kron(GALOIS_MATS[kind], [[5, 0], [0, 1]]))
 
 
-WEYL_CACHES = (tori.weyl_group, tori._by_matrix, tori.rational_weyl_group, tori.weyl_matrix)
+def test_root_datum_of_both_kinds():
+    """Simple roots in listed order, integral coroots, and the Cartan
+    matrix of type B2 with "a" long at both kinds."""
+    assert tori.simple_coroots(1) == (((1, 0), (2, -2)), ((0, 1), (-1, 2)))
+    assert tori.simple_coroots(2) == (((1, 0), (2, 0)), ((-1, 1), (-1, 1)))
+    assert tori.cartan_matrix(1) == tori.cartan_matrix(2) == ((2, -1), (-2, 2))
+
+
+def test_weyl_guards_raise_named_errors(run_optimized):
+    got = run_optimized("""
+import json
+from depthzero import tori
+a1, a2 = tori.simple_reflections(1)[0], tori.simple_reflections(2)[0]
+raised = []
+for call in (lambda: tori.weyl_compose(a1, a2),
+             lambda: tori.weyl_inverse(tori.WeylElem(1, "x", ((2, 0), (0, 1))))):
+    try:
+        call()
+        raised.append(None)
+    except tori.WeylGroupError as exc:
+        raised.append(str(exc))
+print(json.dumps(raised))
+""")
+    assert got == ["cannot compose a kind-1 with a kind-2 element",
+                   "((2, 0), (0, 1)) has determinant 2, not +-1"]
+
+
+@pytest.mark.parametrize("q", [q for q in range(3, 62, 2) if prime_power(q)])
+def test_rational_order_is_the_frobenius_determinant(q):
+    """|T^F| = |det(q F - 1)| for the Weyl element F of the elliptic word
+    (Carter, Finite Groups of Lie Type, 3.3)."""
+    for kind, rank in ((1, 2), (2, 1)):
+        (a, b), (c, d) = tori.word_matrix(kind, tori.ELLIPTIC_WORD[kind])
+        det = abs((q * a - 1) * (q * d - 1) - (q * b) * (q * c))
+        assert det == rational_order(kind, q) == tori.unit_class_order(kind, q) ** rank
+
+
+WEYL_CACHES = (tori.simple_coroots, tori.word_matrix, tori.weyl_group, tori._by_matrix,
+               tori.rational_weyl_group, tori.weyl_matrix)
 
 
 @pytest.fixture
@@ -143,15 +192,20 @@ def test_rotation_is_found_by_matrix(monkeypatch, fresh_weyl_group):
         assert "ba" in [w.name for w in named_summation_subgroup(kind, "rotation")]
 
 
-def _in_forked_child(fn, seconds=20):
-    """``fn()`` in a forked child under an alarm of ``seconds``: its JSON
-    result, or {"raised": message}; a child that the alarm stops fails."""
+def _in_forked_child(fn, seconds=20, address_space=None):
+    """``fn()`` in a forked child under an alarm of ``seconds`` and, if
+    given, a cap of ``address_space`` bytes on the child alone, its stderr
+    discarded: its JSON result, or {"raised": message}; a child that the
+    alarm or the cap stops fails."""
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child never returns into the test run
         status = 1
         try:
             os.close(read_end)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 2)
+            if address_space:
+                resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
             signal.alarm(seconds)
             try:
                 payload = fn()
@@ -166,19 +220,24 @@ def _in_forked_child(fn, seconds=20):
     with os.fdopen(read_end) as pipe:
         data = pipe.read()
     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    assert status == 0, f"child ended with {status} (-{int(signal.SIGALRM)}: the alarm)"
+    if status != 0:  # raised, not asserted: the sweep also runs under python -O
+        raise AssertionError(f"child ended with {status} (-{int(signal.SIGALRM)}: the alarm)")
     return json.loads(data)
 
 
 def _clear_weyl_caches():
-    for cache in (*WEYL_CACHES, charformula._check_summation):
+    """Empty every cache that holds something derived from the root datum."""
+    for cache in (*WEYL_CACHES, charformula._check_summation, tori.tate_cohomology,
+                  dualgroup.build_pinning, dualgroup.cover_class_values):
         cache.cache_clear()
+    tori.clear_tables()
 
 
 def _unbounded_generator_run():
     """A kind-1 generator whose product with b has trace 2 and so infinite
     order: the closure raises, and the identity task that needs it FAILs."""
-    tori._GENERATOR_MATS[1]["a"] = ((-1, 0), (4, 1))
+    derived = tori.reflection_matrices(1)
+    tori.reflection_matrices = lambda kind: {**derived, "a": ((-1, 0), (4, 1))}
     _clear_weyl_caches()
     try:
         tori.weyl_group(1)
@@ -342,6 +401,20 @@ def test_pair_quad_roundtrip_and_equivariance(kind):
         assert pair_from_quad(kind, Q, quad) == pair
         lhs = pair_from_quad(kind, Q, quad_galois(kind, Q, quad))
         assert lhs == pair_galois(kind, Q, pair)
+
+
+def quad_weyl(gen: str, quad):
+    """Simple reflections on quadruples: 'a' swaps slots (1,2) and (3,4),
+    'b' swaps slots (2,3)."""
+    a, b, c, d = quad
+    return (b, a, d, c) if gen == "a" else (a, c, b, d)
+
+
+def weyl_apply_pair(q: int, w, pair):
+    """Monomial action on the pair model of the E-points."""
+    (m00, m01), (m10, m11) = w.mat
+    mono = lambda e1, e2: uv_mul(q, uv_pow(q, pair[0], e1), uv_pow(q, pair[1], e2))
+    return (mono(m00, m01), mono(m10, m11))
 
 
 @pytest.mark.parametrize("kind", [1, 2])
@@ -710,67 +783,115 @@ def test_quad_galois_slots_are_the_only_equivariant_order(monkeypatch, kind, q):
 
 
 # ---------------------------------------------------------------------------
-# _GALOIS_MATS is the one Galois table of the array and Tate paths
+# the positive roots and the elliptic words are the one source of the Weyl
+# and Galois data: a single-entry change of a root, or another Weyl element
+# as the Frobenius, must fail records
 
 
-def galois_mutants():
-    """Every single-entry +-1 change of ``_GALOIS_MATS``, as (kind, matrix)."""
-    for kind, mat in tori._GALOIS_MATS.items():
-        for i, j, delta in product(range(2), range(2), (1, -1)):
-            rows = [list(row) for row in mat]
-            rows[i][j] += delta
-            yield kind, tuple(map(tuple, rows))
+def root_mutants():
+    """Every single-entry +-1 change of ``default_positive_roots``, as (kind, roots)."""
+    out = []
+    for kind, r, i, delta in product(tori.KINDS, range(4), range(2), (1, -1)):
+        roots = [list(root) for root in tori.default_positive_roots(kind)]
+        roots[r][i] += delta
+        out.append((kind, tuple(map(tuple, roots))))
+    return out
 
 
-def records_under(kind, mat, subcommand):
+def word_mutants():
+    """Per kind, the reduced word of every Weyl element other than the one
+    that ``ELLIPTIC_WORD`` names, as (kind, word)."""
+    return [(kind, w.name) for kind, word in tori.ELLIPTIC_WORD.items()
+            for w in weyl_group(kind) if w.mat != tori.word_matrix(kind, word)]
+
+
+def records_under(kind, subcommand, roots=None, word=None, qs=(3,)):
     """{check id: record} of the ``subcommand`` tasks at this kind and
-    q = 3, run with ``_GALOIS_MATS[kind] = mat``."""
-    saved = tori._GALOIS_MATS[kind]
-    tori._GALOIS_MATS[kind] = mat
+    ``qs`` (None: each check's own), run with the kind's positive roots
+    and elliptic word replaced where given."""
+    saved = tori._POSITIVE_ROOTS[kind], tori.ELLIPTIC_WORD[kind]
+    tori._POSITIVE_ROOTS[kind] = saved[0] if roots is None else roots
+    tori.ELLIPTIC_WORD[kind] = saved[1] if word is None else word
     try:
         _clear_weyl_caches()
-        tori.tate_cohomology.cache_clear()
-        tasks = driver.build_tasks(subcommand, driver.Config(qs=[3], kinds=[kind]))
-        records = [driver.run_task(task)[0] for task in tasks]
+        config = driver.Config(qs=None if qs is None else list(qs), kinds=[kind])
+        records = [driver.run_task(task)[0] for task in driver.build_tasks(subcommand, config)]
     finally:
-        tori._GALOIS_MATS[kind] = saved
+        tori._POSITIVE_ROOTS[kind], tori.ELLIPTIC_WORD[kind] = saved
         _clear_weyl_caches()
-        tori.tate_cohomology.cache_clear()
     return {r["id"]: r for r in records}
 
 
+def mutant_sweep(mutants, qs=None, seconds=60, address_space=2**31):
+    """[kind, mutant, records not PASS] of the ``all`` task list of each
+    (kind, roots) or (kind, word) mutant, each in a forked child under an
+    alarm and an address-space cap; raises if a child hangs or is killed."""
+    out = []
+    for kind, mutant in mutants:
+        change = {"word" if isinstance(mutant, str) else "roots": mutant}
+        failed = _in_forked_child(lambda: sum(
+            r["outcome"] != "PASS" for r in records_under(kind, "all", qs=qs, **change).values()),
+            seconds, address_space)
+        out.append([kind, mutant, failed])
+    return out
+
+
+def test_every_root_mutant_is_refused(monkeypatch, fresh_weyl_group):
+    reasons = []
+    for kind, roots in root_mutants():
+        monkeypatch.setitem(tori._POSITIVE_ROOTS, kind, roots)
+        for cache in WEYL_CACHES:
+            cache.cache_clear()
+        with pytest.raises(tori.WeylGroupError) as raised:
+            weyl_group(kind)
+        reasons.append(str(raised.value).rsplit(") ", 1)[-1])
+    assert len(reasons) == 32
+    assert set(reasons) == {"are not 8 distinct nonzero ones", "have 3 simple roots",
+                            "have 4 simple roots", "is not integral"}
+
+
+def test_every_kind2_root_mutant_fails_a_record_at_q3():
+    """Before the reflections were derived from the roots, 10 of these 16
+    left every kind-2 record of ``all`` PASS.  The unmutated roots, swept
+    alike, pass every record under the same alarm and cap."""
+    control = (2, tori.default_positive_roots(2))
+    swept = mutant_sweep([control] + [m for m in root_mutants() if m[0] == 2], qs=(3,))
+    assert swept[0][2] == 0
+    assert len(swept) == 17 and all(failed > 0 for _, _, failed in swept[1:])
+
+
 def cohomology_verdicts():
-    """Per mutant: the outcome and witness keys of the round trip, and the
-    outcome and error type of the Tate orders."""
+    """Per word mutant: the outcome and witness keys of the round trip."""
     verdicts = []
-    for kind, mat in galois_mutants():
-        got = records_under(kind, mat, "cohomology")
-        trip, orders = (got[f"cohomology/{name}-k{kind}-q3"]
-                        for name in ("pair-quad-roundtrip", "orders"))
-        verdicts.append([[trip["outcome"], sorted(trip["witness"] or ())],
-                         [orders["outcome"], (orders["witness"] or {}).get("error", "")
-                          .partition(":")[0]]])
+    for kind, word in word_mutants():
+        records = records_under(kind, "cohomology", word=word)
+        trip = records[f"cohomology/pair-quad-roundtrip-k{kind}-q3"]
+        verdicts.append([trip["outcome"], sorted(trip["witness"] or ())])
     return verdicts
 
 
-# a counterexample pair from the round trip; the Tate group refuses the matrix
-MUTANT_VERDICT = [["FAIL", ["pair", "reason"]], ["FAIL", "GaloisActionError"]]
+# a counterexample pair from the round trip
+MUTANT_VERDICT = ["FAIL", ["pair", "reason"]]
 
 
-def test_every_galois_table_mutant_fails_the_cohomology_checks():
+def test_every_word_mutant_fails_the_cohomology_checks():
     for kind in (1, 2):
-        records = records_under(kind, tori._GALOIS_MATS[kind], "cohomology").values()
-        assert {r["outcome"] for r in records} == {"PASS"}
-    assert cohomology_verdicts() == [MUTANT_VERDICT] * 16
+        assert {r["outcome"] for r in records_under(kind, "cohomology").values()} == {"PASS"}
+    assert cohomology_verdicts() == [MUTANT_VERDICT] * 14
 
 
-def test_galois_table_guards_survive_python_O(run_optimized):
+def test_swapped_words_fail():
+    for kind, word in ((1, "ab"), (2, "abab")):
+        assert "FAIL" in {r["outcome"] for r in records_under(kind, "all", word=word).values()}
+
+
+def test_word_guards_survive_python_O(run_optimized):
     got = run_optimized("""
 import json
 from test_tori import cohomology_verdicts, records_under
-identity = records_under(2, ((0, 0), (1, 0)), "identity").values()
+identity = records_under(2, "identity", word="b").values()
 print(json.dumps({"identity": sorted({r["outcome"] for r in identity}),
                   "cohomology": cohomology_verdicts()}))
 """)
-    assert got["identity"] == ["FAIL"]
-    assert got["cohomology"] == [MUTANT_VERDICT] * 16
+    assert "FAIL" in got["identity"]
+    assert got["cohomology"] == [MUTANT_VERDICT] * 14
