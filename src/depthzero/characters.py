@@ -28,6 +28,7 @@ import numpy as np
 
 from .dualgroup import cover_class_values
 from .tori import (
+    ELLIPTIC_WORD,
     T1Coinv,
     T1Rational,
     T2Rational,
@@ -40,6 +41,7 @@ from .tori import (
     unit_class_order,
     weyl_inverse,
     weyl_matrix,
+    word_matrix,
 )
 
 
@@ -198,19 +200,14 @@ class InertiaDatum:
         return self.q**2 - 1 if self.kind == 1 else self.q**4 - 1
 
 
-def _dual_action(kind: int, s1: int, s2: int) -> tuple[int, int]:
-    """The dual-torus automorphism matching the torus kind (inversion for
-    kind 1, the order-4 rotation for kind 2) on character exponents."""
-    if kind == 1:
-        return (-s1, -s2)
-    return (-s2, s1)
-
-
 def check_equivariance(datum: InertiaDatum) -> None:
-    n = datum.source_order()
-    lhs = ((datum.q * datum.s1) % n, (datum.q * datum.s2) % n)
-    r1, r2 = _dual_action(datum.kind, datum.s1, datum.s2)
-    if lhs != (r1 % n, r2 % n):
+    """Raise unless q s = F^-T s on the exponents s = (s1, s2), where F is
+    the Weyl element of ``ELLIPTIC_WORD``: the dual torus carries the
+    contragredient action (inversion for kind 1, the rotation for kind 2)."""
+    n, s1, s2 = datum.source_order(), datum.s1, datum.s2
+    (a, b), (c, d) = word_matrix(datum.kind, ELLIPTIC_WORD[datum.kind])
+    det = a * d - b * c  # +-1, so F^-T = det (d, -c; -b, a)
+    if (datum.q * s1 - det * (d * s1 - c * s2)) % n or (datum.q * s2 - det * (a * s2 - b * s1)) % n:
         raise EquivarianceError(
             f"datum {datum} is not Frobenius-equivariant for kind {datum.kind}"
         )

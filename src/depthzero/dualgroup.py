@@ -32,7 +32,7 @@ from math import gcd
 import numpy as np
 
 from .cyclo import CycInt, OrderMismatchError, root_of_unity
-from .tori import ELLIPTIC_WORD, KINDS, cartan_matrix, torus_level
+from .tori import ELLIPTIC_WORD, cartan_matrix, torus_level
 
 LONG_SIMPLE = (1, 0)
 SHORT_SIMPLE = (0, 1)
@@ -104,6 +104,10 @@ def sp_mul(a: SpMatrix, b: SpMatrix) -> SpMatrix:
 
 def sp_eq(a: SpMatrix, b: SpMatrix) -> bool:
     return a.order == b.order and a.rows == b.rows
+
+
+def sp_transpose(a: SpMatrix) -> SpMatrix:
+    return SpMatrix(a.order, tuple(tuple(a.rows[j][i] for j in range(4)) for i in range(4)))
 
 
 def sp_det(a: SpMatrix) -> CycInt:
@@ -181,11 +185,10 @@ class Pinning:
             raise ValueError("cyclotomic order must be even to host -1")
         self.order = order
         self._n_cache: dict = {}
-        # the verified lifts as pairs: n_root, m = n_long n_short, n = m^2
+        # the verified lifts as pairs: n_root, and the words' products
         self.lifts = dict(zip(ALL_ROOTS, self._verify_construction()))
         self._word_lifts: dict = {}
-        self.coxeter = self.lifts[LONG_SIMPLE] * self.lifts[SHORT_SIMPLE]
-        self.longest = self.coxeter * self.coxeter
+        self.coxeter, self.longest = self.lift("ab"), self.lift("abab")
 
     # -- basic matrices ------------------------------------------------------
 
@@ -196,6 +199,10 @@ class Pinning:
     @cached_property
     def identity(self) -> SpMatrix:
         return self.matrix(self.torus(0, 0))
+
+    @cached_property
+    def form(self) -> SpMatrix:
+        return _scalar_matrix(self.order, _FORM)
 
     def matrix(self, x: Monomial) -> SpMatrix:
         """The 4x4 matrix of a monomial pair."""
@@ -245,6 +252,10 @@ class Pinning:
             rows[i][j] = rows[i][j] + (sign * t)
         return SpMatrix(self.order, tuple(tuple(r) for r in rows))
 
+    def coroot_matrix(self, root, exponent: int) -> SpMatrix:
+        """root_coroot(zeta^exponent) as a diagonal matrix."""
+        return self.matrix(self.coroot(root, exponent))
+
     def n_elem(self, root) -> SpMatrix:
         """Reflection lift x(1) x_-(-1) x(1)."""
         if root not in self._n_cache:
@@ -256,6 +267,15 @@ class Pinning:
             )
             self._n_cache[root] = m
         return self._n_cache[root]
+
+    def is_symplectic(self, m: SpMatrix) -> bool:
+        return sp_eq(sp_mul(sp_mul(sp_transpose(m), self.form), m), self.form)
+
+    def sp_inverse(self, m: SpMatrix) -> SpMatrix:
+        """Inverse from the form identity: M^-1 = J^-1 M^T J with J^2 = -I."""
+        jt = sp_mul(self.form, sp_mul(sp_transpose(m), self.form))
+        rows = tuple(tuple(-x for x in row) for row in jt.rows)
+        return SpMatrix(self.order, rows)
 
     # -- root geometry ---------------------------------------------------------
 
@@ -298,9 +318,9 @@ class Pinning:
             if square.any():
                 raise PinningError(f"x_{root} is not additive in the parameter")
         # the pairings are the transpose of the torus side's Cartan matrix
-        for kind, ((i, char), (j, cochar)) in itertools.product(
-                KINDS, itertools.product(enumerate(LETTER_ROOTS.values()), repeat=2)):
-            if self.pairing(char, cochar) != cartan_matrix(kind)[j][i]:
+        cartan = cartan_matrix()
+        for (i, char), (j, cochar) in itertools.product(enumerate(LETTER_ROOTS.values()), repeat=2):
+            if self.pairing(char, cochar) != cartan[j][i]:
                 raise PinningError("Cartan pairings are not those of type B2/C2")
         # sl2 normalization: n_root lies in the torus normalizer
         negatives = [ALL_ROOTS.index((-a, -b)) for a, b in ALL_ROOTS]
@@ -322,6 +342,12 @@ class Pinning:
 
 
 _FORM = ((0, 0, 0, 1), (0, 0, 1, 0), (0, -1, 0, 0), (-1, 0, 0, 0))
+
+
+def _scalar_matrix(order: int, rows) -> SpMatrix:
+    """An integer 4x4 matrix as an ``SpMatrix``."""
+    one = CycInt.one(order)
+    return SpMatrix(order, tuple(tuple(x * one for x in row) for row in rows))
 
 
 def _check_form(stack: np.ndarray, name: str) -> None:
@@ -473,18 +499,16 @@ def lift_independence_check(pin: Pinning, kind: int, count: int = 200, seed: int
 def weyl_action_checks(pin: Pinning) -> bool:
     """At four sample points of the (long, short) coroot exponents, each
     letter's lift acts by conjugation as the simple reflection s_j (column i
-    e_i - C[i][j] e_j, C the torus side's Cartan matrix), and each kind's
-    elliptic word's lift as the product of those in word order."""
-    points = ((1, 0), (0, 1), (3, 5), (7, 11))
-    for kind, elliptic in ELLIPTIC_WORD.items():
-        c = cartan_matrix(kind)
-        for word, point in itertools.product(("a", "b", elliptic), points):
-            image = list(point)
-            for j in ("ab".index(letter) for letter in reversed(word)):
-                image[j] -= c[0][j] * image[0] + c[1][j] * image[1]  # s_j moves coordinate j only
-            image = tuple(x % pin.order for x in image)
-            if dual_torus_conjugate(pin, pin.lift(word), *point) != image:
-                return False
+    e_i - C[i][j] e_j, C the torus side's Cartan matrix), and each elliptic
+    word's lift as the product of those in word order."""
+    c = cartan_matrix()
+    for word, point in itertools.product(("a", "b", *ELLIPTIC_WORD.values()),
+                                         ((1, 0), (0, 1), (3, 5), (7, 11))):
+        image = list(point)
+        for j in ("ab".index(letter) for letter in reversed(word)):
+            image[j] -= c[0][j] * image[0] + c[1][j] * image[1]  # s_j moves coordinate j only
+        if dual_torus_conjugate(pin, pin.lift(word), *point) != tuple(x % pin.order for x in image):
+            return False
     return True
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import snf
 from .ffield import FFElem
-from .localmodel import UnitVal, uv_galois, uv_inv, uv_mul
+from .localmodel import UnitVal, uv_galois, uv_inv, uv_mul, uv_pow
 
 KINDS = (1, 2)
 
@@ -356,6 +356,17 @@ def quad_galois(kind: int, q: int, quad):
     return (g(c), g(a), g(d), g(b))
 
 
+def quad_weyl(gen: str, quad):
+    """Simple reflections on quadruples: 'a' swaps slots (1,2) and (3,4),
+    'b' swaps slots (2,3)."""
+    a, b, c, d = quad
+    if gen == "a":
+        return (b, a, d, c)
+    if gen == "b":
+        return (a, c, b, d)
+    raise ValueError(f"unknown generator {gen!r}")
+
+
 def pair_from_quad(kind: int, q: int, quad):
     _check_kind(kind)
     a, b, c, d = quad
@@ -434,10 +445,14 @@ def simple_coroots(kind: int):
     return tuple(pairs)
 
 
-def cartan_matrix(kind: int):
-    """C[i][j] = <simple root i, simple coroot j>, i and j running over "a", "b"."""
-    pairs = simple_coroots(kind)
-    return tuple(tuple(r[0] * c[0] + r[1] * c[1] for _, c in pairs) for r, _ in pairs)
+def cartan_matrix():
+    """C[i][j] = <simple root i, simple coroot j>, i and j running over "a"
+    and "b"; both tori lie in one group, so both kinds must give it."""
+    c1, c2 = (tuple(tuple(r[0] * c[0] + r[1] * c[1] for _, c in pairs) for r, _ in pairs)
+              for pairs in map(simple_coroots, KINDS))
+    if c1 != c2:
+        raise WeylGroupError(f"the kinds give the Cartan matrices {c1} and {c2}")
+    return c1
 
 
 def reflection_matrices(kind: int) -> dict:
@@ -723,6 +738,16 @@ def coinvariant_norm_array(kind: int, q: int, coords: np.ndarray) -> np.ndarray:
     if kind == 1:
         return (-coords[:, :2]) % (q + 1)
     return (-coords[:, :1]) % (q * q + 1)
+
+
+def weyl_apply_pair(q: int, w: WeylElem, pair):
+    """Monomial action on the pair model of the E-points."""
+    m = w.mat
+
+    def mono(e1, e2):
+        return uv_mul(q, uv_pow(q, pair[0], e1), uv_pow(q, pair[1], e2))
+
+    return (mono(m[0][0], m[0][1]), mono(m[1][0], m[1][1]))
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,17 @@ def test_non_equivariant_rejected():
         check_equivariance(InertiaDatum(2, Q, 1, 1))
 
 
+@pytest.mark.parametrize("kind,word", [(1, ""), (1, "a"), (2, "ba"), (2, "abab")])
+def test_equivariance_reads_the_elliptic_word(monkeypatch, kind, word):
+    """The dual action is the contragredient of the Frobenius's Weyl
+    element: under another element the solved data are refused."""
+    data = enumerate_inertia_data(kind, Q)
+    monkeypatch.setitem(tori.ELLIPTIC_WORD, kind, word)
+    with pytest.raises(EquivarianceError):
+        for datum in data:
+            check_equivariance(datum)
+
+
 # ---------------------------------------------------------------------------
 # depth-zero characters and regularity
 

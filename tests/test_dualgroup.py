@@ -43,35 +43,13 @@ def pin():
     return build_pinning(24)
 
 
-def _transpose(a: SpMatrix) -> SpMatrix:
-    return SpMatrix(a.order, tuple(tuple(a.rows[j][i] for j in range(4)) for i in range(4)))
-
-
-def _form(pin) -> SpMatrix:
-    """The symplectic form as an ``SpMatrix``."""
-    one = CycInt.one(pin.order)
-    return SpMatrix(pin.order, tuple(tuple(x * one for x in row) for row in dualgroup._FORM))
-
-
-def _is_symplectic(pin, m: SpMatrix) -> bool:
-    form = _form(pin)
-    return sp_eq(dualgroup.sp_mul(dualgroup.sp_mul(_transpose(m), form), m), form)
-
-
-def _sp_inverse(pin, m: SpMatrix) -> SpMatrix:
-    """Inverse from the form identity: M^-1 = J^-1 M^T J with J^2 = -I."""
-    form = _form(pin)
-    jt = dualgroup.sp_mul(form, dualgroup.sp_mul(_transpose(m), form))
-    return SpMatrix(pin.order, tuple(tuple(-x for x in row) for row in jt.rows))
-
-
 def test_pinning_constructs_and_verifies(pin):
     # construction itself runs the symplectic/Cartan/coroot checks
     assert pin.order == 24
     one = CycInt.one(24)
     for root in ALL_ROOTS:
         x = pin.root_subgroup(root, one)
-        assert _is_symplectic(pin, x)
+        assert pin.is_symplectic(x)
         assert sp_det(x) == one
 
 
@@ -95,7 +73,7 @@ def test_reflection_lift_squares(pin):
     half = pin.order // 2
     for root in (LONG_SIMPLE, SHORT_SIMPLE):
         n = pin.n_elem(root)
-        assert sp_eq(sp_mul(n, n), pin.matrix(pin.coroot(root, half)))
+        assert sp_eq(sp_mul(n, n), pin.coroot_matrix(root, half))
 
 
 def test_lifts_normalize_torus(pin):
@@ -192,7 +170,7 @@ def test_products_preserve_form(pin):
         sp_mul(pin.root_subgroup((1, 2), root_of_unity(24, 7)), pin.matrix(pin.coxeter)),
     ]
     for m in words:
-        assert _is_symplectic(pin, m)
+        assert pin.is_symplectic(m)
         assert sp_det(m) == CycInt.one(24)
 
 
@@ -270,7 +248,7 @@ def _word_mismatches(pin, letters):
     bad = []
     if not sp_eq(pin.matrix(word), matrix):
         bad.append("product")
-    if not sp_eq(pin.matrix(word.inverse()), _sp_inverse(pin, matrix)):
+    if not sp_eq(pin.matrix(word.inverse()), pin.sp_inverse(matrix)):
         bad.append("inverse")
     if word ** -1 != word.inverse():
         bad.append("power -1")
@@ -405,7 +383,7 @@ def test_checks_make_no_matrix_products(monkeypatch, pin):
     assert coxeter_lift_fourth_check(pin)
     assert calls == []
     # the counter sees the matrix path
-    assert _is_symplectic(pin, pin.identity)
+    assert pin.is_symplectic(pin.identity)
     assert calls
 
 
@@ -617,7 +595,7 @@ def test_pairings_are_checked_against_the_torus_cartan_matrix(monkeypatch):
     """The transposed Cartan matrix is refused at construction, and a
     Cartan matrix that disagrees with the lifts fails the Weyl action."""
     pin_n = Pinning(24)
-    transposed = lambda kind: ((2, -2), (-1, 2))
+    transposed = lambda: ((2, -2), (-1, 2))
     monkeypatch.setattr(dualgroup, "cartan_matrix", transposed)
     assert not weyl_action_checks(pin_n)
     with pytest.raises(PinningError, match="Cartan pairings are not those of type B2/C2"):

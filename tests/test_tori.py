@@ -12,7 +12,7 @@ import pytest
 from depthzero import charformula, driver, dualgroup, tori
 from depthzero.charformula import named_summation_subgroup
 from depthzero.ffield import prime_power
-from depthzero.localmodel import unit, uv_galois, uv_inv, uv_mul, uv_pow
+from depthzero.localmodel import unit, uv_galois, uv_inv, uv_mul
 from depthzero.tori import (
     NonRationalWeylError,
     T1Coinv,
@@ -50,6 +50,7 @@ from depthzero.tori import (
     quad_from_pair_array,
     quad_galois,
     quad_galois_array,
+    quad_weyl,
     rational_order,
     rational_weyl_group,
     root_values,
@@ -61,6 +62,7 @@ from depthzero.tori import (
     t2_rational,
     tate_cohomology,
     weyl_apply,
+    weyl_apply_pair,
     weyl_compose,
     weyl_group,
     weyl_identity,
@@ -131,7 +133,16 @@ def test_root_datum_of_both_kinds():
     matrix of type B2 with "a" long at both kinds."""
     assert tori.simple_coroots(1) == (((1, 0), (2, -2)), ((0, 1), (-1, 2)))
     assert tori.simple_coroots(2) == (((1, 0), (2, 0)), ((-1, 1), (-1, 1)))
-    assert tori.cartan_matrix(1) == tori.cartan_matrix(2) == ((2, -1), (-2, 2))
+    assert tori.cartan_matrix() == ((2, -1), (-2, 2))
+
+
+def test_kinds_that_disagree_on_the_cartan_matrix_are_refused(monkeypatch):
+    derived = tori.simple_coroots
+    swapped = lambda kind: derived(kind)[::-1] if kind == 2 else derived(kind)
+    monkeypatch.setattr(tori, "simple_coroots", swapped)
+    with pytest.raises(tori.WeylGroupError, match="the kinds give the Cartan matrices "
+                       r"\(\(2, -1\), \(-2, 2\)\) and \(\(2, -2\), \(-1, 2\)\)"):
+        tori.cartan_matrix()
 
 
 def test_weyl_guards_raise_named_errors(run_optimized):
@@ -401,20 +412,6 @@ def test_pair_quad_roundtrip_and_equivariance(kind):
         assert pair_from_quad(kind, Q, quad) == pair
         lhs = pair_from_quad(kind, Q, quad_galois(kind, Q, quad))
         assert lhs == pair_galois(kind, Q, pair)
-
-
-def quad_weyl(gen: str, quad):
-    """Simple reflections on quadruples: 'a' swaps slots (1,2) and (3,4),
-    'b' swaps slots (2,3)."""
-    a, b, c, d = quad
-    return (b, a, d, c) if gen == "a" else (a, c, b, d)
-
-
-def weyl_apply_pair(q: int, w, pair):
-    """Monomial action on the pair model of the E-points."""
-    (m00, m01), (m10, m11) = w.mat
-    mono = lambda e1, e2: uv_mul(q, uv_pow(q, pair[0], e1), uv_pow(q, pair[1], e2))
-    return (mono(m00, m01), mono(m10, m11))
 
 
 @pytest.mark.parametrize("kind", [1, 2])
@@ -822,18 +819,43 @@ def records_under(kind, subcommand, roots=None, word=None, qs=(3,)):
     return {r["id"]: r for r in records}
 
 
+def _records_not_passing(kind, qs, change):
+    """How many records of the ``all`` task list do not PASS under the
+    change.  A record that ran out of memory raises instead: it would count
+    as catching the mutant, and it says nothing of the mutant."""
+    records = records_under(kind, "all", qs=qs, **change).values()
+    starved = [r["id"] for r in records if isinstance(r["witness"], dict)
+               and r["witness"].get("error", "").startswith("MemoryError")]
+    if starved:
+        raise MemoryError(f"out of memory in {starved}")
+    return sum(r["outcome"] != "PASS" for r in records)
+
+
 def mutant_sweep(mutants, qs=None, seconds=60, address_space=2**31):
     """[kind, mutant, records not PASS] of the ``all`` task list of each
     (kind, roots) or (kind, word) mutant, each in a forked child under an
-    alarm and an address-space cap; raises if a child hangs or is killed."""
+    alarm and an address-space cap.  Raises AssertionError if a child
+    hangs, is killed, raises, or runs out of memory in some record."""
     out = []
     for kind, mutant in mutants:
         change = {"word" if isinstance(mutant, str) else "roots": mutant}
-        failed = _in_forked_child(lambda: sum(
-            r["outcome"] != "PASS" for r in records_under(kind, "all", qs=qs, **change).values()),
-            seconds, address_space)
+        failed = _in_forked_child(lambda: _records_not_passing(kind, qs, change),
+                                  seconds, address_space)
+        if isinstance(failed, dict):
+            raise AssertionError(f"the kind-{kind} mutant {mutant} raised {failed['raised']}")
         out.append([kind, mutant, failed])
     return out
+
+
+@pytest.mark.parametrize("records", [
+    lambda *args, **kwargs: {"x": {"id": "x", "outcome": "FAIL",
+                                   "witness": {"error": "MemoryError: "}}},
+    lambda *args, **kwargs: {}["a mutant that breaks the sweep itself"],
+])
+def test_mutant_sweep_refuses_children_that_raise_or_starve(monkeypatch, records):
+    monkeypatch.setitem(globals(), "records_under", records)
+    with pytest.raises(AssertionError, match="the kind-1 mutant ab raised (MemoryError|KeyError)"):
+        mutant_sweep([(1, "ab")])
 
 
 def test_every_root_mutant_is_refused(monkeypatch, fresh_weyl_group):
@@ -861,23 +883,41 @@ def test_every_kind2_root_mutant_fails_a_record_at_q3():
 
 
 def cohomology_verdicts():
-    """Per word mutant: the outcome and witness keys of the round trip."""
+    """Per word mutant, [kind, word, round trip, Tate orders]: the round
+    trip's outcome and witness keys, and the orders check's outcome with the
+    orders it found or the type of the error that refused the word."""
     verdicts = []
     for kind, word in word_mutants():
         records = records_under(kind, "cohomology", word=word)
-        trip = records[f"cohomology/pair-quad-roundtrip-k{kind}-q3"]
-        verdicts.append([trip["outcome"], sorted(trip["witness"] or ())])
+        trip, orders = (records[f"cohomology/{name}-k{kind}-q3"]
+                        for name in ("pair-quad-roundtrip", "orders"))
+        found = orders["witness"] or {}
+        verdicts.append([kind, word, [trip["outcome"], sorted(trip["witness"] or ())],
+                         [orders["outcome"], found.get("orders", found.get("error", "")
+                                                       .partition(":")[0])]])
     return verdicts
 
 
-# a counterexample pair from the round trip
-MUTANT_VERDICT = ["FAIL", ["pair", "reason"]]
+# The round trip fails every word with a counterexample pair.  The orders
+# check reports the orders [H^-1, H^0] it found; at kind 1 the order-4 words
+# give sigma^2 != 1 and tate_cohomology refuses them.  At kind 2 the inverse
+# Coxeter element "ba" has the Coxeter element's orders and passes.
+ORDERS_VERDICTS = {
+    (1, ""): ["FAIL", [1, 4]], (1, "a"): ["FAIL", [2, 2]], (1, "b"): ["FAIL", [1, 1]],
+    (1, "ab"): ["FAIL", "GaloisActionError"], (1, "ba"): ["FAIL", "GaloisActionError"],
+    (1, "aba"): ["FAIL", [1, 1]], (1, "bab"): ["FAIL", [2, 2]],
+    (2, ""): ["FAIL", [1, 16]], (2, "a"): ["FAIL", [2, 4]], (2, "b"): ["FAIL", [1, 2]],
+    (2, "ba"): ["PASS", ""], (2, "aba"): ["FAIL", [1, 2]], (2, "bab"): ["FAIL", [2, 4]],
+    (2, "abab"): ["FAIL", [4, 1]],
+}
+WORD_VERDICTS = [[kind, word, ["FAIL", ["pair", "reason"]], orders]
+                 for (kind, word), orders in ORDERS_VERDICTS.items()]
 
 
 def test_every_word_mutant_fails_the_cohomology_checks():
     for kind in (1, 2):
         assert {r["outcome"] for r in records_under(kind, "cohomology").values()} == {"PASS"}
-    assert cohomology_verdicts() == [MUTANT_VERDICT] * 14
+    assert cohomology_verdicts() == WORD_VERDICTS
 
 
 def test_swapped_words_fail():
@@ -894,4 +934,4 @@ print(json.dumps({"identity": sorted({r["outcome"] for r in identity}),
                   "cohomology": cohomology_verdicts()}))
 """)
     assert "FAIL" in got["identity"]
-    assert got["cohomology"] == [MUTANT_VERDICT] * 14
+    assert got["cohomology"] == WORD_VERDICTS
