@@ -29,6 +29,7 @@ import numpy as np
 from .dualgroup import cover_class_values
 from .tori import (
     ELLIPTIC_WORD,
+    KindMismatchError,
     T1Coinv,
     T1Rational,
     T2Rational,
@@ -72,12 +73,12 @@ class DepthZeroCharacter:
     def eval_exponent(self, gamma) -> int:
         """Exponent e with value zeta_value_order^e on the rational element."""
         n = unit_class_order(self.kind, self.q)
+        if not isinstance(gamma, T1Rational if self.kind == 1 else T2Rational):
+            raise KindMismatchError(f"a kind-{self.kind} character cannot evaluate {gamma}")
         if self.kind == 1:
-            assert isinstance(gamma, T1Rational)
             a1, a2 = self.exponents
             raw = (a1 * gamma.k1 + a2 * gamma.k2) % n
             return raw * (value_order(1, self.q) // n)
-        assert isinstance(gamma, T2Rational)
         raw = (self.exponents[0] * gamma.k) % n
         return raw * (value_order(2, self.q) // n)
 
@@ -260,13 +261,15 @@ def character_from_inertia(datum: InertiaDatum) -> DepthZeroCharacter:
         exps = []
         for s in (datum.s1, datum.s2):
             raw = (s * j) % n
-            assert raw % step == 0, "equivariant datum must land on the mu-line"
+            if raw % step:
+                raise EquivarianceError(f"datum {datum} does not land on the mu-line")
             exps.append((raw // step) % (q + 1))
         return DepthZeroCharacter(1, q, tuple(exps))
     j = _solve_congruence((1 - q * q) % n, (q * q - 1) % n, n)
     step = q * q - 1
     raw = (datum.s1 * j) % n
-    assert raw % step == 0, "equivariant datum must land on the mu-line"
+    if raw % step:
+        raise EquivarianceError(f"datum {datum} does not land on the mu-line")
     return DepthZeroCharacter(2, q, ((raw // step) % (q * q + 1),))
 
 

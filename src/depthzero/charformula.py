@@ -42,6 +42,7 @@ from .localmodel import (
     uv_pow,
 )
 from .tori import (
+    KindMismatchError,
     T1Coinv,
     T1Rational,
     T2Coinv,
@@ -256,8 +257,9 @@ def delta0_eta_exponent_array(ctx: FormulaContext, coords: np.ndarray,
 def rho_shift_closed_sign(ctx: FormulaContext, c) -> int:
     """Closed-form rho-shift on a coinvariant class: a sign depending only
     on the valuation parities (eta is unramified)."""
+    if not isinstance(c, T1Coinv if ctx.kind == 1 else T2Coinv):
+        raise KindMismatchError(f"a kind-{ctx.kind} context cannot sign {c}")
     if ctx.kind == 1:
-        assert isinstance(c, T1Coinv)
         return -1 if c.v2 else 1
     return -1 if c.v else 1
 

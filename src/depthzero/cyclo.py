@@ -20,6 +20,11 @@ class OrderMismatchError(ValueError):
     every value of one computation lives in one order."""
 
 
+class PolynomialDivisionError(ArithmeticError):
+    """A divisor that is not monic, or a cyclotomic division of x^n - 1
+    that leaves a remainder."""
+
+
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
@@ -40,7 +45,8 @@ def euler_phi(n: int) -> int:
 
 def _poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     """Divide by a monic integer polynomial; exact integer arithmetic."""
-    assert den[-1] == 1, "divisor must be monic"
+    if den[-1] != 1:
+        raise PolynomialDivisionError(f"divisor must be monic, got leading coefficient {den[-1]}")
     num = list(num)
     dd = len(den) - 1
     if len(num) - 1 < dd:
@@ -70,7 +76,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     for d in range(1, n):
         if n % d == 0:
             quot, rem = _poly_divmod_monic(num, list(cyclotomic_polynomial(d)))
-            assert all(c == 0 for c in rem), "cyclotomic division must be exact"
+            if any(rem):
+                raise PolynomialDivisionError(f"dividing x^{n} - 1 by Phi_{d} leaves {rem}")
             num = quot
     return tuple(num)
 

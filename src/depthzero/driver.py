@@ -14,6 +14,7 @@ Exit codes: 0 all passed, 1 some check failed, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import pickle
@@ -1001,6 +1002,22 @@ def _peak_rss_mb() -> float:
     return round(kib / 1024, 1)
 
 
+def _openblas_threads() -> int | None:
+    """Threads of the OpenBLAS that numpy loaded, asked of the library
+    through numpy's core extension, which links it: the package pins
+    OPENBLAS_NUM_THREADS only where it loads before numpy.  None where
+    numpy links no OpenBLAS."""
+    core = (sys.modules.get("numpy._core._multiarray_umath")
+            or sys.modules["numpy.core._multiarray_umath"])
+    library = ctypes.CDLL(core.__file__)
+    for prefix, suffix in product(("scipy_", ""), ("64_", "")):
+        getter = getattr(library, f"{prefix}openblas_get_num_threads{suffix}", None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter()
+    return None
+
+
 def _git_sha(directory: Path = Path(__file__).resolve().parent) -> str | None:
     """HEAD of the git repository holding ``directory`` (by default, the
     package's); None outside a repository or without git.
@@ -1120,6 +1137,7 @@ def emit_report(records, durations, cfg: Config, out_dir) -> dict:
             "python": ".".join(map(str, sys.version_info[:3])),
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
+            "openblas_threads": _openblas_threads(),
             "git_sha": _git_sha(),
         },
     }

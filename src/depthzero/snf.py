@@ -13,13 +13,19 @@ class SublatticeError(ValueError):
     """The small lattice of a quotient is not contained in the big one."""
 
 
+class ShapeMismatchError(ValueError):
+    """The columns of a matrix product's left factor are not the rows of
+    its right factor."""
+
+
 def _ident(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     rows, inner, cols = len(a), len(b), len(b[0])
-    assert len(a[0]) == inner
+    if len(a[0]) != inner:
+        raise ShapeMismatchError(f"cannot multiply {rows}x{len(a[0])} by {inner}x{cols}")
     return [
         [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
         for i in range(rows)

@@ -40,6 +40,10 @@ class WeylGroupError(ValueError):
     does not compose or invert."""
 
 
+class KindMismatchError(TypeError):
+    """An element of one torus was handed to the other torus's function."""
+
+
 class GaloisActionError(AssertionError):
     """The Galois action fails an identity that the model rests on."""
 

@@ -24,6 +24,7 @@ from depthzero.characters import (
     weyl_conjugate,
 )
 from depthzero.tori import (
+    KindMismatchError,
     T1Rational,
     T2Rational,
     coinv_mul,
@@ -73,6 +74,46 @@ def test_non_equivariant_rejected():
         character_from_inertia(InertiaDatum(1, Q, 1, 0))
     with pytest.raises(EquivarianceError):
         check_equivariance(InertiaDatum(2, Q, 1, 1))
+
+
+# one call per guard of ``characters``: a rational element of the other
+# torus, then a datum off the mu-line, which only a disabled equivariance
+# check lets through
+GUARDED_CALLS = (
+    lambda: DepthZeroCharacter(1, Q, (1, 2)).eval_exponent(T2Rational(Q, 1)),
+    lambda: DepthZeroCharacter(2, Q, (1,)).eval_exponent(T1Rational(Q, 1, 1)),
+    lambda: character_from_inertia(InertiaDatum(1, Q, 1, 0)),
+    lambda: character_from_inertia(InertiaDatum(2, Q, 1, 0)),
+)
+
+
+def test_guards_raise_named_errors(monkeypatch, run_optimized):
+    """Each guarded call raises its named error, also with asserts stripped."""
+    monkeypatch.setattr(characters, "check_equivariance", lambda datum: None)
+    expected = [KindMismatchError, KindMismatchError, EquivarianceError, EquivarianceError]
+    for call, error in zip(GUARDED_CALLS, expected, strict=True):
+        with pytest.raises(error):
+            call()
+    got = run_optimized("""
+import json
+from depthzero import characters
+from test_characters import GUARDED_CALLS
+characters.check_equivariance = lambda datum: None
+raised = []
+for call in GUARDED_CALLS:
+    try:
+        call()
+        raised.append(None)
+    except (characters.KindMismatchError, characters.EquivarianceError) as exc:
+        raised.append(str(exc))
+print(json.dumps(raised))
+""")
+    assert got == [
+        "a kind-1 character cannot evaluate T2Rational(q=3, k=1)",
+        "a kind-2 character cannot evaluate T1Rational(q=3, k1=1, k2=1)",
+        "datum InertiaDatum(kind=1, q=3, s1=1, s2=0) does not land on the mu-line",
+        "datum InertiaDatum(kind=2, q=3, s1=1, s2=0) does not land on the mu-line",
+    ]
 
 
 @pytest.mark.parametrize("kind,word", [(1, ""), (1, "a"), (2, "ba"), (2, "abab")])

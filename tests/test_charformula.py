@@ -34,6 +34,7 @@ from depthzero.charformula import (
 from depthzero.ffield import FieldTower, prime_power
 from depthzero.localmodel import CancellationError, unit
 from depthzero.tori import (
+    KindMismatchError,
     T1Coinv,
     T1Rational,
     T2Coinv,
@@ -82,6 +83,25 @@ def test_rho_shift_closed_values(ctx1, ctx2):
     assert rho_shift_closed_sign(ctx1, t1_coinv(3, 2, 1, 0, 0)) == 1
     assert rho_shift_closed_sign(ctx2, t2_coinv(3, 0, 1)) == -1
     assert rho_shift_closed_sign(ctx2, t2_coinv(3, 5, 0)) == 1
+
+
+def test_rho_shift_closed_sign_refuses_the_other_torus(ctx1, ctx2, run_optimized):
+    """A coinvariant class of the other torus raises KindMismatchError,
+    also with asserts stripped."""
+    with pytest.raises(KindMismatchError, match="kind-1 context cannot sign T2Coinv"):
+        rho_shift_closed_sign(ctx1, t2_coinv(3, 0, 1))
+    with pytest.raises(KindMismatchError, match="kind-2 context cannot sign T1Coinv"):
+        rho_shift_closed_sign(ctx2, t1_coinv(3, 0, 0, 0, 1))
+    got = run_optimized("""
+import json
+from depthzero import charformula as cf
+from depthzero.tori import t2_coinv
+try:
+    print(json.dumps(cf.rho_shift_closed_sign(cf.make_context(1, 3), t2_coinv(3, 0, 1))))
+except cf.KindMismatchError as exc:
+    print(json.dumps(str(exc)))
+""")
+    assert got == "a kind-1 context cannot sign T2Coinv(q=3, u=0, v=1)"
 
 
 @pytest.mark.parametrize("kind,q", [(1, 3), (2, 3), (1, 5), (2, 5)])

@@ -6,9 +6,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depthzero import cyclo
 from depthzero.cyclo import (
     CycInt,
     OrderMismatchError,
+    PolynomialDivisionError,
+    _poly_divmod_monic,
     _power_table,
     _reduce,
     cyclotomic_polynomial,
@@ -27,6 +30,35 @@ def test_cyclotomic_polynomials_known():
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(8) == (1, 0, 0, 0, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def test_division_guards_raise_named_errors(monkeypatch, run_optimized):
+    """A divisor that is not monic, and a factor Phi_d that does not divide
+    x^n - 1 (here Phi_2 replaced by x - 2), raise PolynomialDivisionError,
+    also with asserts stripped."""
+    with pytest.raises(PolynomialDivisionError, match="divisor must be monic"):
+        _poly_divmod_monic([1, 0, 1], [1, 2])
+    original = cyclotomic_polynomial
+    monkeypatch.setattr(cyclo, "cyclotomic_polynomial",
+                        lambda d: (-2, 1) if d == 2 else original(d))
+    with pytest.raises(PolynomialDivisionError, match="by Phi_2 leaves"):
+        original.__wrapped__(4)
+    got = run_optimized("""
+import json
+from depthzero import cyclo
+original = cyclo.cyclotomic_polynomial
+cyclo.cyclotomic_polynomial = lambda d: (-2, 1) if d == 2 else original(d)
+messages = []
+for call in (lambda: cyclo._poly_divmod_monic([1, 0, 1], [1, 2]), lambda: original(4)):
+    try:
+        call()
+        messages.append(None)
+    except cyclo.PolynomialDivisionError as exc:
+        messages.append(str(exc))
+print(json.dumps(messages))
+""")
+    assert got == ["divisor must be monic, got leading coefficient 2",
+                   "dividing x^4 - 1 by Phi_2 leaves [15]"]
 
 
 def test_root_of_unity_examples():

@@ -227,7 +227,8 @@ def test_small_run_and_report_files(tmp_path):
     assert set(meta["durations_seconds"]) == {r["id"] for r in report["checks"]}
     assert meta["jobs"] == 1 and "jobs" not in report["config_echo"]
     assert meta["peak_rss_mb"] > 0
-    assert set(meta["environment"]) == {"python", "numpy", "cpu_count", "git_sha"}
+    assert set(meta["environment"]) == {"python", "numpy", "cpu_count", "openblas_threads",
+                                       "git_sha"}
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT / "src" / "depthzero",
                           capture_output=True, text=True)
     assert meta["environment"]["git_sha"] == (head.stdout.strip() if head.returncode == 0

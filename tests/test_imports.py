@@ -16,6 +16,8 @@ because a traced run wraps it there.  Dunder methods are exempt.
 
 The footprint guards run ``identity`` and ``all --jobs 2`` in a fresh
 interpreter, because pytest itself loads some of the modules they forbid.
+So does the BLAS probe, which counts the threads of an interpreter that
+has imported the package, since this one has OPENBLAS_NUM_THREADS set.
 """
 
 import ast
@@ -184,3 +186,57 @@ def test_identity_run_loads_no_module_it_does_not_use(tmp_path):
 
 def test_parallel_run_loads_no_process_pool(tmp_path):
     assert loaded_by(tmp_path, ["all", "--jobs", "2"], NOT_ON_ANY_PATH) == []
+
+
+# ---------------------------------------------------------------------------
+# the OpenBLAS pool: importing the package pins it to one thread before
+# numpy loads, since no check calls BLAS
+
+BLAS_PROBE = """
+import importlib, json, os, sys
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+from depthzero.driver import _openblas_threads
+print(json.dumps({"threads": len(os.listdir("/proc/self/task")),
+                  "openblas_threads": _openblas_threads(),
+                  "env": os.environ.get("OPENBLAS_NUM_THREADS")}))
+"""
+
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
+
+
+def after_imports(modules, openblas_num_threads=None) -> dict:
+    """The thread count of a fresh interpreter that has imported ``modules``
+    in order, the OpenBLAS pool size that ``run_meta.json`` records, and
+    OPENBLAS_NUM_THREADS.  The variable is taken out of the interpreter's
+    environment (conftest has set it in this one) unless it is given."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if openblas_num_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_num_threads
+    done = subprocess.run([sys.executable, "-c", BLAS_PROBE, *modules], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@linux_only
+def test_import_starts_no_blas_pool():
+    assert after_imports(["depthzero.driver"]) == {"threads": 1, "openblas_threads": 1,
+                                                   "env": "1"}
+
+
+@linux_only
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS starts no pool on one core")
+def test_numpy_loaded_first_starts_the_pool():
+    """The control: loaded before the package, numpy starts the pool, and
+    ``run_meta.json`` reports it although the variable now reads 1."""
+    probe = after_imports(["numpy", "depthzero.driver"])
+    assert probe["threads"] >= 2 and probe["openblas_threads"] == probe["threads"]
+    assert probe["env"] == "1"
+
+
+@linux_only
+def test_an_explicit_blas_thread_count_wins():
+    probe = after_imports(["depthzero.driver"], openblas_num_threads="2")
+    assert probe["env"] == "2" and probe["openblas_threads"] == probe["threads"]

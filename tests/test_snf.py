@@ -5,6 +5,7 @@ from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
 from depthzero.snf import (
+    ShapeMismatchError,
     SublatticeError,
     diagonal,
     kernel_basis,
@@ -112,6 +113,23 @@ def test_quotient_of_sublattice():
     # lattice 2Z x 4Z modulo 4Z x 4Z has order 2
     factors = quotient_structure([[2, 0], [0, 4]], [[4, 0], [0, 4]])
     assert [o for o, _ in factors] == [2]
+
+
+def test_mat_mul_refuses_mismatched_shapes(run_optimized):
+    """A left factor with more columns than the right factor has rows
+    raises, also with asserts stripped, where the product would otherwise
+    read only the first columns."""
+    with pytest.raises(ShapeMismatchError, match="cannot multiply 1x2 by 1x1"):
+        mat_mul([[1, 2]], [[3]])
+    got = run_optimized("""
+import json
+from depthzero.snf import ShapeMismatchError, mat_mul
+try:
+    print(json.dumps(mat_mul([[1, 2]], [[3]])))
+except ShapeMismatchError as exc:
+    print(json.dumps(str(exc)))
+""")
+    assert got == "cannot multiply 1x2 by 1x1"
 
 
 def test_quotient_rejects_a_small_lattice_outside_the_big_one(run_optimized):
