@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import gc
 import json
 import os
 import pickle
@@ -1002,6 +1003,15 @@ def _peak_rss_mb() -> float:
     return round(kib / 1024, 1)
 
 
+def _gc_counts() -> dict[str, list[int]]:
+    """The collections the garbage collector has run in this process, and
+    the objects they collected, per generation (youngest first).  Forked
+    workers count their own and are not included."""
+    stats = gc.get_stats()
+    return {"collections": [g["collections"] for g in stats],
+            "collected": [g["collected"] for g in stats]}
+
+
 def _openblas_threads() -> int | None:
     """Threads of the OpenBLAS that numpy loaded, asked of the library
     through numpy's core extension, which links it: the package pins
@@ -1133,6 +1143,7 @@ def emit_report(records, durations, cfg: Config, out_dir) -> dict:
         "jobs": cfg.jobs,
         "durations_seconds": {k: round(v, 6) for k, v in sorted(durations.items())},
         "peak_rss_mb": _peak_rss_mb(),
+        "gc": _gc_counts(),
         "environment": {
             "python": ".".join(map(str, sys.version_info[:3])),
             "numpy": np.__version__,

@@ -37,6 +37,10 @@ class BudgetExceededError(RuntimeError):
     """Table construction would exceed the entry budget."""
 
 
+class TowerTableError(ValueError):
+    """A Zech table that does not have the structure of its tower."""
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -310,13 +314,18 @@ class FieldTower:
 
     def _check_structure(self):
         group = self.top_order
-        assert len(self.zech) == group
+        if len(self.zech) != group:
+            raise TowerTableError(f"Zech table has {len(self.zech)} entries, not q^L - 1 = {group}")
         # exactly one k has 1 + g^k = 0 in odd characteristic
         sentinel = int(np.count_nonzero(self.zech < 0))
-        assert sentinel == 1, "Zech table must have exactly one zero entry"
-        assert self.zech[group // 2] < 0, "-1 must sit at dlog (q^L-1)/2"
+        if sentinel != 1:
+            raise TowerTableError(f"Zech table must have exactly one zero entry, has {sentinel}")
+        if self.zech[group // 2] >= 0:
+            raise TowerTableError(f"-1 must sit at dlog (q^L-1)/2 = {group // 2}")
         for m in self.levels:
-            assert group % self.group_order(m) == 0
+            if group % self.group_order(m):
+                raise TowerTableError(f"level {m} has group order {self.group_order(m)}, "
+                                      f"which does not divide {group}")
 
     # -- structure ---------------------------------------------------------
 
@@ -353,7 +362,8 @@ class FieldTower:
         if z < 0:
             return None
         d = (a + z) % self.top_order
-        assert d % s == 0, "sum escaped the subfield, table corrupt"
+        if d % s:
+            raise TowerTableError(f"sum escaped the subfield of level {x.level}, table corrupt")
         return FFElem(x.level, d // s)
 
     def neg(self, x: FFElem) -> FFElem:

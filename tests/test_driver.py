@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import json
 import os
@@ -227,13 +228,17 @@ def test_small_run_and_report_files(tmp_path):
     assert set(meta["durations_seconds"]) == {r["id"] for r in report["checks"]}
     assert meta["jobs"] == 1 and "jobs" not in report["config_echo"]
     assert meta["peak_rss_mb"] > 0
+    # per generation, youngest first; this process has collected something
+    assert set(meta["gc"]) == {"collections", "collected"}
+    assert [len(counts) for counts in meta["gc"].values()] == [len(gc.get_stats())] * 2
+    assert meta["gc"]["collections"][0] > 0
     assert set(meta["environment"]) == {"python", "numpy", "cpu_count", "openblas_threads",
                                        "git_sha"}
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT / "src" / "depthzero",
                           capture_output=True, text=True)
     assert meta["environment"]["git_sha"] == (head.stdout.strip() if head.returncode == 0
                                               else None)
-    assert not {"peak_rss_mb", "environment"} & set(report)
+    assert not {"peak_rss_mb", "gc", "environment"} & set(report)
     assert "git_sha" not in (tmp_path / "rep" / "report.json").read_text()
     # no timing data inside the check records themselves
     for rec in report["checks"]:
@@ -472,6 +477,26 @@ def test_all_matches_golden_reports(tmp_path):
         records = json.loads((out / "report.json").read_text())["checks"]
         durations = json.loads((out / "run_meta.json").read_text())["durations_seconds"]
         assert durations.keys() == {r["id"] for r in records}, jobs
+
+
+def test_cli_output_survives_the_frozen_exit(tmp_path):
+    """``python -m depthzero`` in a process of its own, with stdout piped
+    and so block-buffered, so its exit runs the package's ``gc.freeze`` and
+    then flushes the stream: every outcome line and report file is complete."""
+    out = tmp_path / "out"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    done = subprocess.run([sys.executable, "-m", "depthzero", "all", "--jobs", "2",
+                           "--out", str(out)], cwd=tmp_path, capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    *outcomes, files = done.stdout.splitlines()
+    records = json.loads((out / "report.json").read_text())["checks"]
+    assert len(records) == 109
+    assert outcomes == [f"{r['outcome']:7s} {r['id']}" for r in records]
+    assert files.startswith("report files: ") and str(out / "run_meta.json") in files
+    for name in ("report.json", "report.md", "thresholds.csv"):
+        assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def _registered_task(monkeypatch, name, check):

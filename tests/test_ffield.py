@@ -1,4 +1,5 @@
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,62 @@ def test_budget_rejection(monkeypatch):
     monkeypatch.setattr(ffield, "_find_modulus", None)
     with pytest.raises(BudgetExceededError, match="budget is 200000000"):
         FieldTower.build(127, 1, max_level=4)
+
+
+# Each corruption of the q = 3 tower, whose Zech table has 80 entries: its
+# entry 0 is dlog(1 + 1) = dlog(-1) = 40 and its one sentinel is at 40.  The
+# script prints the TowerTableError message of each (null if none is raised);
+# it imports no test module, so python -O compiles no sympy to run it.
+TABLE_CORRUPTIONS = """
+import json
+import numpy as np
+from depthzero.ffield import FFElem, FieldTower, TowerTableError
+
+tower = FieldTower.build(3, 1, seed=0, max_level=4)
+good = np.array(tower.zech)
+
+def with_zech(zech, max_level=4):
+    return lambda: FieldTower(3, 1, max_level, 0, tower.modulus, zech)
+
+two_zeros, moved, off_subfield = good.copy(), good.copy(), good.copy()
+two_zeros[0] = -1
+moved[[0, 40]] = moved[[40, 0]]
+off_subfield[0] = 1
+# a made-up level 3: q^3 - 1 = 26 entries with the sentinel at 13, but
+# level 2's group of order q^2 - 1 = 8 is no subgroup of that
+level3 = np.zeros(26, dtype=np.int64)
+level3[13] = -1
+one = FFElem(1, 0)
+messages = []
+for corrupted in (with_zech(good[:-1]), with_zech(two_zeros), with_zech(moved),
+                  with_zech(level3, max_level=3),
+                  lambda: with_zech(off_subfield)().add(one, one)):
+    try:
+        corrupted()
+        messages.append(None)
+    except TowerTableError as exc:
+        messages.append(str(exc))
+print(json.dumps(messages))
+"""
+
+TABLE_GUARD_MESSAGES = [
+    "Zech table has 79 entries, not q^L - 1 = 80",
+    "Zech table must have exactly one zero entry, has 2",
+    "-1 must sit at dlog (q^L-1)/2 = 40",
+    "level 2 has group order 8, which does not divide 26",
+    "sum escaped the subfield of level 1, table corrupt",
+]
+
+
+def test_table_guards_raise_named_errors(capsys, run_optimized):
+    """Each structural guard of a tower's table raises TowerTableError, also
+    with asserts stripped; the untouched table passes them all."""
+    tower = FieldTower.build(3, 1, seed=0, max_level=4)
+    one = FFElem(1, 0)
+    assert tower.add(one, one) == FFElem(1, 1)  # 1 + 1 = -1, of dlog 1 in F_3^*
+    exec(TABLE_CORRUPTIONS, {})
+    assert json.loads(capsys.readouterr().out) == TABLE_GUARD_MESSAGES
+    assert run_optimized(TABLE_CORRUPTIONS) == TABLE_GUARD_MESSAGES
 
 
 def test_q47_level2_group_order():

@@ -17,7 +17,8 @@ because a traced run wraps it there.  Dunder methods are exempt.
 The footprint guards run ``identity`` and ``all --jobs 2`` in a fresh
 interpreter, because pytest itself loads some of the modules they forbid.
 So does the BLAS probe, which counts the threads of an interpreter that
-has imported the package, since this one has OPENBLAS_NUM_THREADS set.
+has imported the package, since this one has OPENBLAS_NUM_THREADS set, and
+the exit probe, since only an interpreter's own exit runs its atexit hooks.
 """
 
 import ast
@@ -237,6 +238,46 @@ def test_numpy_loaded_first_starts_the_pool():
 
 
 @linux_only
+def test_an_empty_blas_thread_count_is_pinned():
+    """OpenBLAS reads an empty value as unset, so the package pins it too."""
+    assert after_imports(["depthzero.driver"], openblas_num_threads="") == {
+        "threads": 1, "openblas_threads": 1, "env": "1"}
+
+
+@linux_only
 def test_an_explicit_blas_thread_count_wins():
     probe = after_imports(["depthzero.driver"], openblas_num_threads="2")
     assert probe["env"] == "2" and probe["openblas_threads"] == probe["threads"]
+
+
+# ---------------------------------------------------------------------------
+# the exit: importing the package registers gc.freeze at exit, so the
+# collections of interpreter shutdown skip the heap alive at exit
+
+# atexit hooks run last in, first out, so this one runs after any hook that
+# the imported modules register
+FREEZE_PROBE = """
+import atexit, gc, importlib, sys
+atexit.register(lambda: print(gc.get_freeze_count()))
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+"""
+
+
+def frozen_at_exit(modules) -> int:
+    """The objects in the permanent generation of a fresh interpreter that
+    has imported ``modules``, once every atexit hook they registered has run."""
+    done = subprocess.run([sys.executable, "-c", FREEZE_PROBE, *modules],
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout)
+
+
+def test_exit_freezes_the_heap():
+    assert frozen_at_exit(["depthzero.driver"]) > 0
+
+
+def test_numpy_alone_freezes_nothing_at_exit():
+    """The control: the freeze comes from the package, not from numpy."""
+    assert frozen_at_exit(["numpy"]) == 0

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthzero.ffield import FieldTower
+from depthzero.ffield import FieldTower, TowerTableError
 from depthzero.localmodel import (
     CancellationError,
     eta_exponent,
@@ -64,7 +64,7 @@ def test_leading_diff_cases(tower):
 def test_leading_diff_keeps_the_subfield_guard():
     tower = FieldTower.build(3, 1, seed=0, max_level=4)
     tower.zech = tower.zech + 1  # every nonzero sum now lands off the subfield
-    with pytest.raises(AssertionError, match="escaped the subfield"):
+    with pytest.raises(TowerTableError, match="escaped the subfield"):
         leading_diff(tower, unit(Q, 2, 1, 0), unit(Q, 2, 2, 0))
 
 
