@@ -35,10 +35,12 @@ from .tori import (
     T2Rational,
     WeylElem,
     _cached_table,
+    _lex_grid,
     coinv_parity_part,
     coinv_unit_part,
     coinvariant_norm,
     rational_weyl_group,
+    torus_rank,
     unit_class_order,
     weyl_inverse,
     weyl_matrix,
@@ -56,7 +58,7 @@ def value_order(kind: int, q: int) -> int:
     q is odd, so q+1 is even and the kind-1 values (including signs)
     live in mu_(q+1); for kind 2 the signs force a factor of 2.
     """
-    return q + 1 if kind == 1 else 2 * (q * q + 1)
+    return unit_class_order(kind, q) * (1 if kind == 1 else 2)
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,7 @@ def is_regular(chi: DepthZeroCharacter) -> bool:
 
 def exponent_rows(kind: int, q: int) -> np.ndarray:
     """The int64 exponent rows of every character, in ``enumerate_characters`` order."""
-    n, rank = unit_class_order(kind, q), 2 if kind == 1 else 1
-    return np.stack(np.unravel_index(np.arange(n**rank, dtype=np.int64), (n,) * rank), axis=1)
+    return _lex_grid((unit_class_order(kind, q),) * torus_rank(kind, q))
 
 
 def conjugate_rows(kind: int, q: int, rows) -> np.ndarray:
@@ -119,8 +120,7 @@ def conjugate_rows(kind: int, q: int, rows) -> np.ndarray:
     every rational Weyl element, as (W, ..., rank) in ``rational_weyl_group``
     order: w_* chi = chi o w^-1 has the row x @ M mod n, M the
     ``weyl_matrix`` of w^-1 on rational rows."""
-    cls = T1Rational if kind == 1 else T2Rational
-    mats = np.stack([weyl_matrix(q, weyl_inverse(w), cls)[0] for w in rational_weyl_group(kind)])
+    mats = np.stack([weyl_matrix(q, weyl_inverse(w), False)[0] for w in rational_weyl_group(kind)])
     conj = np.tensordot(np.asarray(rows, dtype=np.int64), mats, axes=([-1], [1]))
     return np.moveaxis(conj % unit_class_order(kind, q), -2, 0)
 
@@ -133,7 +133,7 @@ def regular_exponent_rows(kind: int, q: int) -> np.ndarray:
     """The read-only exponent rows of the regular characters, in
     ``enumerate_characters`` order: those whose ``conjugate_rows`` are
     pairwise distinct (``is_regular``).  No rebinding of either reaches it."""
-    n, rank = unit_class_order(kind, q), 2 if kind == 1 else 1
+    n, rank = unit_class_order(kind, q), torus_rank(kind, q)
     rows = exponent_rows(kind, q)
     # each conjugate's row packed as one integer in base n
     keys = np.sort(_conjugate_rows(kind, q, rows) @ n ** np.arange(rank - 1, -1, -1), axis=0)

@@ -44,9 +44,7 @@ from .localmodel import (
 from .tori import (
     KindMismatchError,
     T1Coinv,
-    T1Rational,
     T2Coinv,
-    T2Rational,
     WeylElem,
     canonical_rep,
     coinv_mul,
@@ -72,6 +70,7 @@ from .tori import (
     simple_reflections,
     strongly_regular_mask,
     torus_level,
+    torus_rank,
     unit_class_order,
     weyl_apply,
     weyl_compose,
@@ -464,10 +463,9 @@ class SumTables:
         kind, q = ctx.kind, ctx.q
         self.ctx = ctx
         self.labels = tuple(labels) if labels is not None else rational_weyl_group(kind)
-        n, rank = unit_class_order(kind, q), 2 if kind == 1 else 1
+        n, rank = unit_class_order(kind, q), torus_rank(kind, q)
         if ctx.ambient_order * n**rank >= 2**63:
             raise OverflowError(f"q = {q} exceeds the int64 range of the tables")
-        rational_cls, coinv_cls = (T1Rational, T1Coinv) if kind == 1 else (T2Rational, T2Coinv)
         self.gamma_coords = np.asarray(gamma_rows, dtype=np.int64)
         regular = strongly_regular_mask(kind, q, self.gamma_coords)
         if not regular.all():
@@ -477,15 +475,15 @@ class SumTables:
         inverses = [[weyl_inverse(weyl_compose(s, w)) for s in ctx.summation]
                     for w in self.labels]
 
-        def moved(cls, coords):
+        def moved(coinvariant, coords):
             """Coordinate-first (d, G, W, S) array of the moved elements."""
-            mats = np.array([[weyl_matrix(q, m, cls)[0] for m in row] for row in inverses])
-            moduli = weyl_matrix(q, inverses[0][0], cls)[1]
+            mats = np.array([[weyl_matrix(q, m, coinvariant)[0] for m in row] for row in inverses])
+            moduli = weyl_matrix(q, inverses[0][0], coinvariant)[1]
             table = mats @ coords.T % moduli[:, None]  # (W, S, d, G)
             return np.ascontiguousarray(table.transpose(2, 3, 0, 1))
 
-        self.moved_gamma = moved(rational_cls, self.gamma_coords)
-        moved_lift = moved(coinv_cls, self.lift_coords)
+        self.moved_gamma = moved(False, self.gamma_coords)
+        moved_lift = moved(True, self.lift_coords)
         self.moved_units = moved_lift[:rank]
         # every cover character of the kind takes the same signs on the
         # parity classes: zeta_ambient exponents indexed by the parity columns

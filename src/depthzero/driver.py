@@ -90,6 +90,7 @@ from .tori import (
     strongly_regular_coordinates,
     strongly_regular_mask,
     tate_cohomology,
+    torus_rank,
     unit_class_order,
     weyl_identity,
 )
@@ -326,7 +327,7 @@ def check_exact_sequence(params):
 def check_tate_representatives(params):
     kind, q = params["kind"], params["q"]
     _h1, _h0, reps = tate_cohomology(kind, q)
-    expected = set(map(tuple, parity_rows(kind).tolist()))
+    expected = set(map(tuple, parity_rows(kind, q).tolist()))
     if set(map(tuple, reps.tolist())) != expected or len(reps) != len(expected):
         return _fail({"representatives": [str(coinv_of_row(kind, q, r)) for r in reps]})
     return _ok({"count": len(reps)})
@@ -463,8 +464,8 @@ def check_lift_independence_formula(params):
     kind, q = params["kind"], params["q"]
     ctx = _context_from_params(params)
     chars, _ = _character_pool(kind, q, limit=6)
-    twists = parity_rows(kind)
-    parities = twists[:, 2 if kind == 1 else 1:]
+    twists = parity_rows(kind, q)
+    parities = twists[:, torus_rank(kind, q):]
     labels = (weyl_identity(kind),)
     profile_expected = [1, 1, 2, 3] if kind == 1 else [1, 2, 1, 2]
     gammas = strongly_regular_coordinates(kind, q)
@@ -508,7 +509,7 @@ def denominator_representative_rows(rng: random.Random, kind: int, q: int,
     v + 2 s, s in -3..3.  ``randbytes(a) + randbytes(b) == randbytes(a + b)``,
     so drawing class by class or a block at a time gives the same rows.
     """
-    rank = 2 if kind == 1 else 1
+    rank = torus_rank(kind, q)
     group, unit_mod = q ** (2 * kind) - 1, unit_class_order(kind, q)
     draws = np.frombuffer(rng.randbytes(16 * len(classes) * samples * rank), dtype="<u8")
     draws = draws.reshape(len(classes), samples, rank, 2)
@@ -547,8 +548,7 @@ def check_split_vs_combined(params):
     kind, q = params["kind"], params["q"]
     ctx = _context_from_params(params)
     gammas = strongly_regular_coordinates(kind, q)
-    twist_rows = parity_rows(kind)
-    rank = 2 if kind == 1 else 1
+    twist_rows, rank = parity_rows(kind, q), torus_rank(kind, q)
     # the closed-form sign depends only on the valuation parities, which
     # each lift shares with its twist
     signs = np.where(rho_shift_closed_sign_array(ctx, twist_rows) < 0, 2, 0)

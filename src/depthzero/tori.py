@@ -5,8 +5,9 @@ quartic one.  Both are handled through the identification of their
 E-points with pairs (w, z) in E* x E*, on which the Weyl group acts by
 monomial maps (2x2 integer matrices on exponents; on coordinate rows,
 the cached ``weyl_matrix``) and the Galois group acts by Frobenius
-composed with a monomial map.  Coinvariants are kept in normal form:
-unit class (dlog modulo q+1 resp. q^2+1) plus valuation parity.  Tate
+composed with a monomial map.  The rational points are Z^2 / (q F - 1) Z^2,
+F the Weyl element of the elliptic word (``torus_quotient``, which the array
+layer reads); coinvariants are kept in normal form: unit class plus parity.  Tate
 cohomology of the E-points is computed independently on the finitely
 generated abelian-group model via Smith normal form, so the structural
 claims about the norm exact sequence are machine-checked.
@@ -60,7 +61,13 @@ def torus_level(kind: int) -> int:
 
 
 def unit_class_order(kind: int, q: int) -> int:
-    return q + 1 if kind == 1 else q * q + 1
+    """n, the rational points and the unit classes being (Z/n)^rank."""
+    return torus_quotient(kind, q)[0]
+
+
+def torus_rank(kind: int, q: int) -> int:
+    """The rank of the rational points (Z/n)^rank: 2 for torus 1, 1 for torus 2."""
+    return len(torus_quotient(kind, q)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -133,17 +140,17 @@ def coinv_parity_part(a):
     return t2_coinv(a.q, 0, a.v)
 
 
-def parity_rows(kind: int) -> np.ndarray:
+def parity_rows(kind: int, q: int) -> np.ndarray:
     """The valuation-parity subgroup of the coinvariants (the norm kernel),
     as coinvariant rows: zero unit columns, the parities in lexicographic
     order."""
-    rank = 2 if kind == 1 else 1
+    rank = torus_rank(kind, q)
     return _lex_grid((1,) * rank + (2,) * rank)
 
 
 def parity_classes(kind: int, q: int):
     """``parity_rows`` as coinvariant classes."""
-    return [coinv_of_row(kind, q, row) for row in parity_rows(kind)]
+    return [coinv_of_row(kind, q, row) for row in parity_rows(kind, q)]
 
 
 def enumerate_coinvariants(kind: int, q: int):
@@ -164,7 +171,7 @@ def _lex_grid(shape) -> np.ndarray:
 
 def coinvariant_shape(kind: int, q: int) -> tuple[int, ...]:
     """The box (Z/n)^rank x (Z/2)^rank of the coinvariant normal forms."""
-    rank = 2 if kind == 1 else 1
+    rank = torus_rank(kind, q)
     return (unit_class_order(kind, q),) * rank + (2,) * rank
 
 
@@ -223,11 +230,11 @@ def coinv_of_row(kind: int, q: int, row):
 
 
 def coinvariant_order(kind: int, q: int) -> int:
-    return (2 * (q + 1)) ** 2 if kind == 1 else 2 * (q * q + 1)
+    return (2 * unit_class_order(kind, q)) ** torus_rank(kind, q)
 
 
 def rational_order(kind: int, q: int) -> int:
-    return (q + 1) ** 2 if kind == 1 else q * q + 1
+    return unit_class_order(kind, q) ** torus_rank(kind, q)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +285,6 @@ def lift_of_rational(kind: int, q: int, gamma, parity=None):
 def lift_coordinates(kind: int, q: int, gamma_rows: np.ndarray, parity=None) -> np.ndarray:
     """``lift_of_rational`` of every row of rational coordinates, as
     coinvariant rows: (-gamma) mod n next to the parity columns."""
-    _check_kind(kind)
     rows = np.asarray(gamma_rows, dtype=np.int64)
     bits = np.broadcast_to(np.atleast_1d(0 if parity is None else parity) % 2, rows.shape)
     return np.concatenate([(-rows) % unit_class_order(kind, q), bits], axis=1)
@@ -538,6 +544,34 @@ def is_rational(w: WeylElem) -> bool:
     return w in rational_weyl_group(w.kind)
 
 
+@lru_cache(maxsize=None)
+def torus_quotient(kind: int, q: int):
+    """The rational points T(F_q) = Z^2 / (q F - 1) Z^2 (Carter, Finite Groups
+    of Lie Type, 3.3), F the matrix of ``ELLIPTIC_WORD[kind]``, as (n, E, P):
+    the group (Z/n)^rank, its embedding E (2 x rank) in pair coordinates and
+    the projection P (rank x 2) onto it, each with an identity leading block.
+    If q F - 1 is g > 1 times a unimodular matrix: rank 2, n = g, E = P = I.
+    Else rank 1, n = |det(q F - 1)|, and E and P are the first column and row
+    of adj(q F - 1) scaled to lead with 1, in the symmetric range mod n.
+    Raises WeylGroupError if F fixes a vector or the quotient is not so."""
+    _check_kind(kind)
+    word = ELLIPTIC_WORD[kind]
+    (a, b), (c, d) = word_matrix(kind, word)
+    where = f"the kind-{kind} word {word!r} at q = {q}"
+    if (a - 1) * (d - 1) == b * c:
+        raise WeylGroupError(f"{where} is not elliptic: F fixes a vector")
+    a, b, c, d = q * a - 1, q * b, q * c, q * d - 1
+    n, g = abs(a * d - b * c), math.gcd(a, b, c, d)
+    if g > 1:
+        if n != g * g:
+            raise WeylGroupError(f"{where} gives a quotient that is no (Z/n)^rank")
+        return g, ((1, 0), (0, 1)), ((1, 0), (0, 1))
+    if math.gcd(d, n) != 1:
+        raise WeylGroupError(f"{where}: adj(q F - 1) cannot be scaled to lead with 1")
+    e, p = ((x * pow(d, -1, n) + n // 2) % n - n // 2 for x in (-c, -b))
+    return n, ((1,), (e,)), ((1, p),)
+
+
 def weyl_apply(q: int, w: WeylElem, x):
     """Action of a Weyl element on rational points or coinvariant classes.
 
@@ -595,23 +629,23 @@ def coordinate_array(cls, xs) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def weyl_matrix(q: int, w: WeylElem, cls) -> tuple[np.ndarray, np.ndarray]:
+def weyl_matrix(q: int, w: WeylElem, coinvariant: bool) -> tuple[np.ndarray, np.ndarray]:
     """The integer matrix M and column moduli of ``weyl_apply(q, w, .)`` on
-    ``coordinate_array(cls, ...)`` rows: x goes to x @ M.T % moduli.  Both
-    are read-only int64, cached per (q, w, cls).  Torus-2 coinvariants use
-    the pair-model projection on the normal form: u -> (m00 - q m10) u mod
-    q^2+1, v -> (m00 - m10) v mod 2."""
-    if cls in (T2Rational, T2Coinv) and not is_rational(w):
-        raise NonRationalWeylError(f"{w.name!r} does not act on {cls.__name__}")
-    (a, b), (c, d) = w.mat
-    n1, n2 = q + 1, q * q + 1
-    forms = {T1Rational: ([[a, b], [c, d]], [n1, n1]),
-             T1Coinv: ([[a, b, 0, 0], [c, d, 0, 0], [0, 0, a, b], [0, 0, c, d]], [n1, n1, 2, 2]),
-             T2Rational: ([[a + q * b]], [n2]),
-             T2Coinv: ([[a - q * c, 0], [0, a - c]], [n2, 2])}
-    if cls not in forms:
-        raise TypeError(f"cannot apply Weyl element to {cls.__name__}")
-    out = tuple(np.array(x, dtype=np.int64) for x in forms[cls])
+    rational, or if ``coinvariant`` coinvariant, rows: x goes to x @ M.T %
+    moduli; read-only int64, cached.  With (n, E, P) the ``torus_quotient``,
+    M is W E on rational rows (torus 2: a + q b), and on both blocks of a
+    coinvariant row the L with P W = L P (torus 2: a - q c, a - c mod 2)."""
+    if not is_rational(w):
+        raise NonRationalWeylError(f"{w.name!r} does not act on the rational points")
+    n, embed, project = torus_quotient(w.kind, q)
+    rank = len(project)
+    if coinvariant:  # L: the leading columns of P W
+        unit = [[x * u + y * v for u, v in zip(*w.mat)][:rank] for x, y in project]
+        mat = [r + [0] * rank for r in unit] + [[0] * rank + r for r in unit]
+        moduli = [n] * rank + [2] * rank
+    else:  # the leading rows of W E, which E's identity block determines
+        mat, moduli = [[r * x + s * y for x, y in zip(*embed)] for r, s in w.mat][:rank], [n] * rank
+    out = np.array(mat, dtype=np.int64), np.array(moduli, dtype=np.int64)
     for array in out:
         array.flags.writeable = False
     return out
@@ -624,7 +658,6 @@ def weyl_matrix(q: int, w: WeylElem, cls) -> tuple[np.ndarray, np.ndarray]:
 
 def _pair_order(kind: int, q: int) -> int:
     """The dlog modulus q^L - 1; no intermediate value exceeds q times it."""
-    _check_kind(kind)
     order = q ** torus_level(kind) - 1
     if q * order >= 2**63:
         raise OverflowError(f"q = {q} is too large for int64 pair-model rows")
@@ -691,20 +724,20 @@ def quad_galois_array(kind: int, q: int, quads: np.ndarray) -> np.ndarray:
 def mu_coordinate_array(kind: int, q: int, dlog: np.ndarray, val: np.ndarray) -> np.ndarray:
     """``mu_coordinate`` on arrays of reduced dlogs and valuations; raises
     as it does if any element is off the norm-one subgroup."""
-    _check_kind(kind)
+    n = unit_class_order(kind, q)
     if np.any(val != 0):
         raise ValueError("norm-one elements have valuation zero")
-    step = q - 1 if kind == 1 else q * q - 1
+    step = (q ** torus_level(kind) - 1) // n
     if np.any(dlog % step != 0):
         raise ValueError("residue is not in the norm-one subgroup")
-    return (dlog // step) % unit_class_order(kind, q)
+    return (dlog // step) % n
 
 
 def mu_unit_array(kind: int, q: int, k: np.ndarray) -> np.ndarray:
     """``mu_unit`` of every mu-coordinate in ``k``, as (dlog, val) rows."""
-    _check_kind(kind)
-    step = q - 1 if kind == 1 else q * q - 1
-    return np.stack([(k * step) % (q ** torus_level(kind) - 1), np.zeros_like(k)], axis=1)
+    order = q ** torus_level(kind) - 1
+    step = order // unit_class_order(kind, q)
+    return np.stack([(k * step) % order, np.zeros_like(k)], axis=1)
 
 
 def pair_norm_array(kind: int, q: int, rows: np.ndarray) -> np.ndarray:
@@ -727,21 +760,17 @@ def pair_norm_array(kind: int, q: int, rows: np.ndarray) -> np.ndarray:
 
 def project_to_coinvariants_array(kind: int, q: int, rows: np.ndarray) -> np.ndarray:
     """``project_to_coinvariants`` on every row, as ``T1Coinv`` resp.
-    ``T2Coinv`` coordinates; torus 2 classes w * tau(z)^(-1)."""
+    ``T2Coinv`` coordinates: the ``torus_quotient`` projection P on the
+    dlogs mod n and on the valuations mod 2 (torus 2: w * tau(z)^(-1))."""
     _pair_order(kind, q)
-    dw, vw, dz, vz = rows.T
-    if kind == 1:
-        n = q + 1
-        return np.stack([dw % n, dz % n, vw % 2, vz % 2], axis=1)
-    return np.stack([(dw - q * dz) % (q * q + 1), (vw - vz) % 2], axis=1)
+    n, _embed, project = torus_quotient(kind, q)
+    p = np.array(project, dtype=np.int64).T
+    return np.concatenate([rows[:, 0::2] @ p % n, rows[:, 1::2] @ p % 2], axis=1)
 
 
 def coinvariant_norm_array(kind: int, q: int, coords: np.ndarray) -> np.ndarray:
     """``coinvariant_norm`` on every row of coinvariant coordinates."""
-    _check_kind(kind)
-    if kind == 1:
-        return (-coords[:, :2]) % (q + 1)
-    return (-coords[:, :1]) % (q * q + 1)
+    return (-coords[:, :torus_rank(kind, q)]) % unit_class_order(kind, q)
 
 
 def weyl_apply_pair(q: int, w: WeylElem, pair):
@@ -782,15 +811,14 @@ def root_value_coord(kind: int, q: int, root, gamma) -> int:
 
 def root_value_coord_array(kind: int, q: int, roots, coords: np.ndarray) -> np.ndarray:
     """``root_value_coord`` of each of ``roots`` on every row of
-    ``coordinate_array(T1Rational | T2Rational, ...)``, one column per root;
-    refuses a torus-2 q whose products k (g1 + q g2) could pass int64."""
-    g = np.array(roots, dtype=np.int64)
-    if kind == 1:
-        return coords[:, :2] @ g.T % (q + 1)
-    n, factor = q * q + 1, g[:, 0] + q * g[:, 1]
-    if n * int(abs(factor).max()) >= 2**63:
+    ``coordinate_array(T1Rational | T2Rational, ...)``, one column per root:
+    coords @ (roots E).T mod n, (n, E) of the ``torus_quotient``; refuses a
+    q whose sums of products could pass int64 (torus 2: k (g1 + q g2))."""
+    n, embed, _project = torus_quotient(kind, q)
+    factor = [[g1 * x + g2 * y for x, y in zip(*embed)] for g1, g2 in roots]
+    if n * int(max(sum(map(abs, row)) for row in factor)) >= 2**63:
         raise OverflowError(f"q = {q} is too large for int64 root values")
-    return coords[:, :1] * factor % n
+    return coords[:, :len(embed[0])] @ np.array(factor, dtype=np.int64).T % n
 
 
 def strongly_regular_mask(kind: int, q: int, coords: np.ndarray) -> np.ndarray:
@@ -832,8 +860,7 @@ def strongly_regular_coordinates(kind: int, q: int) -> np.ndarray:
     """``coordinate_array`` of ``iter_strongly_regular(kind, q)``, built
     directly: the rational grid in ``iter_rational`` order, masked.
     Read-only, cached within ``TABLE_CACHE_BYTES``."""
-    _check_kind(kind)
-    grid = _lex_grid((unit_class_order(kind, q),) * (2 if kind == 1 else 1))
+    grid = _lex_grid((unit_class_order(kind, q),) * torus_rank(kind, q))
     return grid[strongly_regular_mask(kind, q, grid)]
 
 
@@ -852,7 +879,6 @@ def tate_cohomology(kind: int, q: int):
     quotient of lattices by Smith normal form, entirely independently of
     the coinvariant normal form used elsewhere.
     """
-    _check_kind(kind)
     level = torus_level(kind)
     galois = galois_matrix(kind, q).astype(object)
     ident = np.eye(4, dtype=object)

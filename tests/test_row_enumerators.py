@@ -96,7 +96,7 @@ def test_parity_rows_are_the_norm_kernel(kind, q):
     classes = list(enumerate_coinvariants(kind, q))
     one = coinvariant_norm(classes[0])  # the first class is the identity
     kernel = [c for c in classes if coinvariant_norm(c) == one]
-    assert np.array_equal(parity_rows(kind), coordinate_array(_classes(kind)[1], kernel))
+    assert np.array_equal(parity_rows(kind, q), coordinate_array(_classes(kind)[1], kernel))
     assert parity_classes(kind, q) == kernel
 
 

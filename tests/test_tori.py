@@ -9,7 +9,7 @@ from itertools import islice, permutations, product
 import numpy as np
 import pytest
 
-from depthzero import charformula, driver, dualgroup, tori
+from depthzero import characters, charformula, driver, dualgroup, tori
 from depthzero.charformula import named_summation_subgroup
 from depthzero.ffield import prime_power
 from depthzero.localmodel import unit, uv_galois, uv_inv, uv_mul
@@ -164,7 +164,10 @@ print(json.dumps(raised))
                    "((2, 0), (0, 1)) has determinant 2, not +-1"]
 
 
-@pytest.mark.parametrize("q", [q for q in range(3, 62, 2) if prime_power(q)])
+ODD_PRIME_POWERS = [q for q in range(3, 62, 2) if prime_power(q)]
+
+
+@pytest.mark.parametrize("q", ODD_PRIME_POWERS)
 def test_rational_order_is_the_frobenius_determinant(q):
     """|T^F| = |det(q F - 1)| for the Weyl element F of the elliptic word
     (Carter, Finite Groups of Lie Type, 3.3)."""
@@ -174,8 +177,43 @@ def test_rational_order_is_the_frobenius_determinant(q):
         assert det == rational_order(kind, q) == tori.unit_class_order(kind, q) ** rank
 
 
+@pytest.mark.parametrize("q", ODD_PRIME_POWERS)
+def test_torus_quotient_is_the_hand_entered_arithmetic(q):
+    """The quotient read from the elliptic words against the forms that were
+    entered by hand before it, which live only here: n = q + 1, E = P = I at
+    kind 1; n = q^2 + 1, E = (1, q)^T, P = (1, -q) at kind 2.  Every rational
+    Weyl matrix, each row reduced by its column modulus, is the old literal."""
+    eye = ((1, 0), (0, 1))
+    assert tori.torus_quotient(1, q) == (q + 1, eye, eye)
+    assert tori.torus_quotient(2, q) == (q * q + 1, ((1,), (q,)), ((1, -q),))
+    n1, n2 = q + 1, q * q + 1
+    for kind in (1, 2):
+        for w in rational_weyl_group(kind):
+            (a, b), (c, d) = w.mat
+            forms = {(1, False): ([[a, b], [c, d]], [n1, n1]),
+                     (1, True): ([[a, b, 0, 0], [c, d, 0, 0], [0, 0, a, b], [0, 0, c, d]],
+                                 [n1, n1, 2, 2]),
+                     (2, False): ([[a + q * b]], [n2]),
+                     (2, True): ([[a - q * c, 0], [0, a - c]], [n2, 2])}
+            for coinvariant in (False, True):
+                mat, moduli = (np.array(x) for x in forms[kind, coinvariant])
+                got, got_moduli = tori.weyl_matrix(q, w, coinvariant)
+                assert got_moduli.tolist() == moduli.tolist()
+                assert np.array_equal(got % moduli[:, None], mat % moduli[:, None]), w.name
+
+
+@pytest.mark.parametrize("kind", [0, 3])
+@pytest.mark.parametrize("module,name", [
+    (tori, "unit_class_order"), (tori, "rational_order"), (tori, "coinvariant_order"),
+    (characters, "value_order"), (tori, "parity_rows"), (tori, "torus_quotient")])
+def test_an_unknown_kind_raises(module, name, kind):
+    """Each once returned the kind-2 numbers (or rows) for any kind but 1."""
+    with pytest.raises(ValueError, match=f"kind must be 1 or 2, got {kind}"):
+        getattr(module, name)(kind, 5)
+
+
 WEYL_CACHES = (tori.simple_coroots, tori.word_matrix, tori.weyl_group, tori._by_matrix,
-               tori.rational_weyl_group, tori.weyl_matrix)
+               tori.rational_weyl_group, tori.weyl_matrix, tori.torus_quotient)
 
 
 @pytest.fixture
@@ -882,6 +920,63 @@ def test_every_kind2_root_mutant_fails_a_record_at_q3():
     assert len(swept) == 17 and all(failed > 0 for _, _, failed in swept[1:])
 
 
+# The words of the identity and the four reflections, whose matrices fix a
+# vector, and the word mutants whose torus_quotient is well defined, with the
+# value it takes at q: the inverse Coxeter element gives the Coxeter quotient
+# with q replaced by -q, and w0 = -1 at kind 2 gives torus 1's quotient.
+NOT_ELLIPTIC = ("", "a", "b", "aba", "bab")
+ELLIPTIC_MUTANTS = {(2, "ba"): lambda q: (q * q + 1, ((1,), (-q,)), ((1, q),)),
+                    (2, "abab"): lambda q: (q + 1, ((1, 0), (0, 1)), ((1, 0), (0, 1)))}
+
+
+@pytest.mark.parametrize("q", [3, 5, 61])
+def test_torus_quotient_refuses_the_other_words(monkeypatch, fresh_weyl_group, q):
+    """The identity and the reflections fix a vector; at kind 1 the Coxeter
+    words give a cyclic quotient of order q^2 + 1 on which adj(q F - 1) leads
+    with q - 1 resp. -q - 1, both even, so no unit.  Each raises
+    WeylGroupError, not the ValueError of ``pow``."""
+    for kind, word in word_mutants():
+        monkeypatch.setitem(tori.ELLIPTIC_WORD, kind, word)
+        tori.torus_quotient.cache_clear()
+        if (kind, word) in ELLIPTIC_MUTANTS:
+            assert tori.torus_quotient(kind, q) == ELLIPTIC_MUTANTS[kind, word](q)
+            continue
+        reason = "is not elliptic" if word in NOT_ELLIPTIC else "cannot be scaled to lead with 1"
+        with pytest.raises(tori.WeylGroupError, match=reason):
+            tori.torus_quotient(kind, q)
+
+
+def test_torus_quotient_refuses_a_quotient_of_another_shape(monkeypatch, fresh_weyl_group):
+    """An F with no eigenvalue 1 whose q F - 1 is 2 times a matrix of
+    determinant 4 at q = 3: Z/2 x Z/8, which is no (Z/n)^rank."""
+    monkeypatch.setattr(tori, "word_matrix", lambda kind, word: ((-1, 2), (0, -1)))
+    with pytest.raises(tori.WeylGroupError, match="is no"):
+        tori.torus_quotient(1, 3)
+
+
+# The kind-2 word mutants that leave every kind-2 ``identity`` record at
+# q = 3, 5 PASS, each with the records of ``all`` that it fails instead.
+IDENTITY_EQUIVALENT = {
+    # F^-1 has the Coxeter element's rational points, rational Weyl group and
+    # denominators; only the pair model tells the two Frobenius maps apart
+    "ba": ["cohomology/norm-consistency-k2-q3", "cohomology/pair-quad-roundtrip-k2-q3"],
+}
+
+
+def test_kind2_word_mutants_fail_every_identity_record():
+    """While nothing on the identity path read the elliptic word, "a", "b",
+    "aba" and "bab" each failed only lift-independence-k2-q3 of these 12."""
+    for kind, word in word_mutants():
+        if kind != 2:
+            continue
+        records = records_under(2, "identity", word=word, qs=(3, 5)).values()
+        failed = sum(r["outcome"] != "PASS" for r in records)
+        assert (len(records), failed) == (12, 0 if word in IDENTITY_EQUIVALENT else 12), word
+    for word, caught in IDENTITY_EQUIVALENT.items():
+        records = records_under(2, "cohomology", word=word).values()
+        assert sorted(r["id"] for r in records if r["outcome"] != "PASS") == caught
+
+
 def cohomology_verdicts():
     """Per word mutant, [kind, word, round trip, Tate orders]: the round
     trip's outcome and witness keys, and the orders check's outcome with the
@@ -899,19 +994,19 @@ def cohomology_verdicts():
 
 
 # The round trip fails every word with a counterexample pair.  The orders
-# check reports the orders [H^-1, H^0] it found; at kind 1 the order-4 words
-# give sigma^2 != 1 and tate_cohomology refuses them.  At kind 2 the inverse
-# Coxeter element "ba" has the Coxeter element's orders and passes.
+# check reports the orders [H^-1, H^0] it found, or the error that refused
+# the word: ``torus_quotient``, which projects the representatives, refuses
+# the identity and the four reflections of each kind (F fixes a vector),
+# and at kind 1 the order-4 words give sigma^2 != 1, which tate_cohomology
+# refuses.  At kind 2 the inverse Coxeter element "ba" has the Coxeter
+# element's orders and passes.
 ORDERS_VERDICTS = {
-    (1, ""): ["FAIL", [1, 4]], (1, "a"): ["FAIL", [2, 2]], (1, "b"): ["FAIL", [1, 1]],
+    **{(kind, word): ["FAIL", "WeylGroupError"] for kind in (1, 2) for word in NOT_ELLIPTIC},
     (1, "ab"): ["FAIL", "GaloisActionError"], (1, "ba"): ["FAIL", "GaloisActionError"],
-    (1, "aba"): ["FAIL", [1, 1]], (1, "bab"): ["FAIL", [2, 2]],
-    (2, ""): ["FAIL", [1, 16]], (2, "a"): ["FAIL", [2, 4]], (2, "b"): ["FAIL", [1, 2]],
-    (2, "ba"): ["PASS", ""], (2, "aba"): ["FAIL", [1, 2]], (2, "bab"): ["FAIL", [2, 4]],
-    (2, "abab"): ["FAIL", [4, 1]],
+    (2, "ba"): ["PASS", ""], (2, "abab"): ["FAIL", [4, 1]],
 }
-WORD_VERDICTS = [[kind, word, ["FAIL", ["pair", "reason"]], orders]
-                 for (kind, word), orders in ORDERS_VERDICTS.items()]
+WORD_VERDICTS = [[kind, word, ["FAIL", ["pair", "reason"]], ORDERS_VERDICTS[kind, word]]
+                 for kind, word in word_mutants()]
 
 
 def test_every_word_mutant_fails_the_cohomology_checks():
