@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache, reduce, wraps
 from itertools import product
 
 import numpy as np
@@ -544,30 +544,33 @@ def is_rational(w: WeylElem) -> bool:
     return w in rational_weyl_group(w.kind)
 
 
-@lru_cache(maxsize=None)
 def torus_quotient(kind: int, q: int):
+    """``_quotient`` of the matrix F of ``ELLIPTIC_WORD[kind]`` at the level L."""
+    return _quotient(torus_level(kind), word_matrix(kind, ELLIPTIC_WORD[kind]), q)
+
+
+@lru_cache(maxsize=None)
+def _quotient(level: int, frobenius, q: int):
     """The rational points T(F_q) = Z^2 / (q F - 1) Z^2 (Carter, Finite Groups
-    of Lie Type, 3.3), F the matrix of ``ELLIPTIC_WORD[kind]``, as (n, E, P):
+    of Lie Type, 3.3) of the torus whose Frobenius acts by F, as (n, E, P):
     the group (Z/n)^rank, its embedding E (2 x rank) in pair coordinates and
     the projection P (rank x 2) onto it, each with an identity leading block.
-    If q F - 1 is g > 1 times a unimodular matrix: rank 2, n = g, E = P = I.
-    Else rank 1, n = |det(q F - 1)|, and E and P are the first column and row
-    of adj(q F - 1) scaled to lead with 1, in the symmetric range mod n.
-    Raises WeylGroupError if F fixes a vector or the quotient is not so."""
-    _check_kind(kind)
-    word = ELLIPTIC_WORD[kind]
-    (a, b), (c, d) = word_matrix(kind, word)
-    where = f"the kind-{kind} word {word!r} at q = {q}"
-    if (a - 1) * (d - 1) == b * c:
-        raise WeylGroupError(f"{where} is not elliptic: F fixes a vector")
+    F must be elliptic of the pair model's order L: F^(L/2) = -1.  Then either
+    F = -1 and q F - 1 is g = q + 1 times a unimodular matrix: rank 2, n = g,
+    E = P = I; or q F - 1 has coprime entries: rank 1, n = |det(q F - 1)|, and
+    E and P are the first column and row of adj(q F - 1) scaled to lead with
+    1, in the symmetric range mod n.  Raises WeylGroupError if F is not so."""
+    if reduce(_mat_mul2, [frobenius] * (level // 2)) != ((-1, 0), (0, -1)):
+        raise WeylGroupError(f"F = {frobenius} has F^{level // 2} != -1: it is no "
+                             f"elliptic element of order {level}")
+    (a, b), (c, d) = frobenius
     a, b, c, d = q * a - 1, q * b, q * c, q * d - 1
     n, g = abs(a * d - b * c), math.gcd(a, b, c, d)
     if g > 1:
-        if n != g * g:
-            raise WeylGroupError(f"{where} gives a quotient that is no (Z/n)^rank")
         return g, ((1, 0), (0, 1)), ((1, 0), (0, 1))
     if math.gcd(d, n) != 1:
-        raise WeylGroupError(f"{where}: adj(q F - 1) cannot be scaled to lead with 1")
+        raise WeylGroupError(f"F = {frobenius} at q = {q}: adj(q F - 1) cannot be "
+                             "scaled to lead with 1")
     e, p = ((x * pow(d, -1, n) + n // 2) % n - n // 2 for x in (-c, -b))
     return n, ((1,), (e,)), ((1, p),)
 
@@ -871,8 +874,8 @@ def strongly_regular_coordinates(kind: int, q: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def tate_cohomology(kind: int, q: int):
     """Orders of H^-1 and H^0 of the Galois action on the E-points model,
-    plus all elements of H^-1 as coinvariant rows (one int64 row each,
-    read-only, cached per (kind, q)).
+    plus all elements of H^-1 as pair-model rows (d1, v1, d2, v2), one
+    int64 row each, read-only, cached per (kind, q).
 
     numpy forms ``galois_matrix``, its norm and 1 - sigma as arrays of
     Python ints, so no q overflows; ``snf`` computes each group as a
@@ -909,7 +912,5 @@ def tate_cohomology(kind: int, q: int):
     exponents = np.array(list(product(*map(range, orders))), dtype=np.int64)
     generators = np.array([gen for _, gen in h_minus1_factors], dtype=np.int64)
     vecs = exponents.reshape(h_minus1_order, len(orders)) @ generators.reshape(len(orders), 4)
-    # the A-model coordinates (d1, v1, d2, v2) are pair-model rows
-    reps = project_to_coinvariants_array(kind, q, vecs)
-    reps.flags.writeable = False
-    return h_minus1_order, h0_order, reps
+    vecs.flags.writeable = False
+    return h_minus1_order, h0_order, vecs

@@ -213,7 +213,7 @@ def test_an_unknown_kind_raises(module, name, kind):
 
 
 WEYL_CACHES = (tori.simple_coroots, tori.word_matrix, tori.weyl_group, tori._by_matrix,
-               tori.rational_weyl_group, tori.weyl_matrix, tori.torus_quotient)
+               tori.rational_weyl_group, tori.weyl_matrix)
 
 
 @pytest.fixture
@@ -612,9 +612,10 @@ def test_kind2_root_values_refuse_past_the_int64_bound():
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27, 49])
 def test_tate_cohomology_orders(q):
     for kind, orders in ((1, (4, 1)), (2, (2, 1))):
-        h1, h0, reps = tate_cohomology(kind, q)
+        h1, h0, vecs = tate_cohomology(kind, q)
         assert (h1, h0) == orders
-        assert reps.dtype == np.int64 and not reps.flags.writeable
+        assert vecs.dtype == np.int64 and not vecs.flags.writeable
+        reps = project_to_coinvariants_array(kind, q, vecs)
         classes = [coinv_of_row(kind, q, row) for row in reps]
         assert len(classes) == h1 and set(classes) == set(parity_classes(kind, q))
 
@@ -622,9 +623,10 @@ def test_tate_cohomology_orders(q):
 @pytest.mark.parametrize("q", [3, 5])
 def test_tate_representative_row_order(q):
     # the order in which the cohomology/representatives witness prints them
-    assert tate_cohomology(1, q)[2].tolist() == [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0],
-                                                 [0, 0, 1, 1]]
-    assert tate_cohomology(2, q)[2].tolist() == [[0, 0], [0, 1]]
+    reps = {kind: project_to_coinvariants_array(kind, q, tate_cohomology(kind, q)[2]).tolist()
+            for kind in (1, 2)}
+    assert reps == {1: [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 0, 1, 1]],
+                    2: [[0, 0], [0, 1]]}
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
@@ -920,38 +922,43 @@ def test_every_kind2_root_mutant_fails_a_record_at_q3():
     assert len(swept) == 17 and all(failed > 0 for _, _, failed in swept[1:])
 
 
-# The words of the identity and the four reflections, whose matrices fix a
-# vector, and the word mutants whose torus_quotient is well defined, with the
-# value it takes at q: the inverse Coxeter element gives the Coxeter quotient
-# with q replaced by -q, and w0 = -1 at kind 2 gives torus 1's quotient.
-NOT_ELLIPTIC = ("", "a", "b", "aba", "bab")
-ELLIPTIC_MUTANTS = {(2, "ba"): lambda q: (q * q + 1, ((1,), (-q,)), ((1, q),)),
-                    (2, "abab"): lambda q: (q + 1, ((1, 0), (0, 1)), ((1, 0), (0, 1)))}
+# The one word mutant whose torus_quotient is well defined, with the value it
+# takes at q: the inverse Coxeter element gives the Coxeter quotient with q
+# replaced by -q.
+ELLIPTIC_MUTANTS = {(2, "ba"): lambda q: (q * q + 1, ((1,), (-q,)), ((1, q),))}
 
 
 @pytest.mark.parametrize("q", [3, 5, 61])
 def test_torus_quotient_refuses_the_other_words(monkeypatch, fresh_weyl_group, q):
-    """The identity and the reflections fix a vector; at kind 1 the Coxeter
-    words give a cyclic quotient of order q^2 + 1 on which adj(q F - 1) leads
-    with q - 1 resp. -q - 1, both even, so no unit.  Each raises
-    WeylGroupError, not the ValueError of ``pow``."""
+    """The identity and the reflections fix a vector, the kind-1 Coxeter
+    words have order 4 and w0 = -1 has order 2 at kind 2: none has
+    F^(L/2) = -1 at its pair model's level L, so each raises WeylGroupError
+    (before this guard, adj(q F - 1) of the kind-1 Coxeter words led with
+    q - 1 resp. -q - 1, both even, and ``pow`` raised a bare ValueError)."""
     for kind, word in word_mutants():
         monkeypatch.setitem(tori.ELLIPTIC_WORD, kind, word)
-        tori.torus_quotient.cache_clear()
         if (kind, word) in ELLIPTIC_MUTANTS:
             assert tori.torus_quotient(kind, q) == ELLIPTIC_MUTANTS[kind, word](q)
             continue
-        reason = "is not elliptic" if word in NOT_ELLIPTIC else "cannot be scaled to lead with 1"
-        with pytest.raises(tori.WeylGroupError, match=reason):
+        with pytest.raises(tori.WeylGroupError, match="no elliptic element of order"):
             tori.torus_quotient(kind, q)
 
 
-def test_torus_quotient_refuses_a_quotient_of_another_shape(monkeypatch, fresh_weyl_group):
-    """An F with no eigenvalue 1 whose q F - 1 is 2 times a matrix of
-    determinant 4 at q = 3: Z/2 x Z/8, which is no (Z/n)^rank."""
-    monkeypatch.setattr(tori, "word_matrix", lambda kind, word: ((-1, 2), (0, -1)))
-    with pytest.raises(tori.WeylGroupError, match="is no"):
-        tori.torus_quotient(1, 3)
+def test_torus_quotient_refuses_an_adjugate_that_cannot_lead(monkeypatch, fresh_weyl_group):
+    """F = ((3, 1), (-10, -3)) has F^2 = -1, but at q = 3 the entry -q*3 - 1
+    = -10 of adj(q F - 1) that would scale E and P is no unit mod n = 10."""
+    monkeypatch.setattr(tori, "word_matrix", lambda kind, word: ((3, 1), (-10, -3)))
+    with pytest.raises(tori.WeylGroupError, match="cannot be scaled to lead with 1"):
+        tori.torus_quotient(2, 3)
+
+
+def test_an_elliptic_word_of_the_wrong_order_fails_the_exact_sequence():
+    """w0 = -1 as torus 2's word: the pair model runs at level 4, where F has
+    order 2, and the quotient of -q - 1 would be torus 1's.  Both checks that
+    compare the Tate groups with the coinvariants fail at every q."""
+    records = records_under(2, "cohomology", word="abab", qs=(3, 5, 7, 9))
+    for name, q in product(("exact-sequence", "representatives"), (3, 5, 7, 9)):
+        assert records[f"cohomology/{name}-k2-q{q}"]["outcome"] == "FAIL", (name, q)
 
 
 # The kind-2 word mutants that leave every kind-2 ``identity`` record at
@@ -994,19 +1001,19 @@ def cohomology_verdicts():
 
 
 # The round trip fails every word with a counterexample pair.  The orders
-# check reports the orders [H^-1, H^0] it found, or the error that refused
-# the word: ``torus_quotient``, which projects the representatives, refuses
-# the identity and the four reflections of each kind (F fixes a vector),
-# and at kind 1 the order-4 words give sigma^2 != 1, which tate_cohomology
-# refuses.  At kind 2 the inverse Coxeter element "ba" has the Coxeter
-# element's orders and passes.
+# check reports the orders [H^-1, H^0] it found; at kind 1 the order-4 words
+# give sigma^2 != 1 and tate_cohomology refuses them.  At kind 2 the inverse
+# Coxeter element "ba" has the Coxeter element's orders and passes.
 ORDERS_VERDICTS = {
-    **{(kind, word): ["FAIL", "WeylGroupError"] for kind in (1, 2) for word in NOT_ELLIPTIC},
+    (1, ""): ["FAIL", [1, 4]], (1, "a"): ["FAIL", [2, 2]], (1, "b"): ["FAIL", [1, 1]],
     (1, "ab"): ["FAIL", "GaloisActionError"], (1, "ba"): ["FAIL", "GaloisActionError"],
-    (2, "ba"): ["PASS", ""], (2, "abab"): ["FAIL", [4, 1]],
+    (1, "aba"): ["FAIL", [1, 1]], (1, "bab"): ["FAIL", [2, 2]],
+    (2, ""): ["FAIL", [1, 16]], (2, "a"): ["FAIL", [2, 4]], (2, "b"): ["FAIL", [1, 2]],
+    (2, "ba"): ["PASS", ""], (2, "aba"): ["FAIL", [1, 2]], (2, "bab"): ["FAIL", [2, 4]],
+    (2, "abab"): ["FAIL", [4, 1]],
 }
-WORD_VERDICTS = [[kind, word, ["FAIL", ["pair", "reason"]], ORDERS_VERDICTS[kind, word]]
-                 for kind, word in word_mutants()]
+WORD_VERDICTS = [[kind, word, ["FAIL", ["pair", "reason"]], orders]
+                 for (kind, word), orders in ORDERS_VERDICTS.items()]
 
 
 def test_every_word_mutant_fails_the_cohomology_checks():
