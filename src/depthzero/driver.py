@@ -72,6 +72,7 @@ from .dualgroup import (
 from .ffield import BudgetExceededError, prime_power
 from .localmodel import unit
 from .tori import (
+    ELLIPTIC_WORD,
     coinv_of_row,
     coinvariant_coordinates,
     coinvariant_norm_array,
@@ -90,6 +91,7 @@ from .tori import (
     strongly_regular_coordinates,
     strongly_regular_mask,
     tate_cohomology,
+    torus_level,
     torus_rank,
     unit_class_order,
     weyl_identity,
@@ -357,7 +359,7 @@ _PAIR_BLOCK_ROWS = 8192
 
 def _pair_grid(kind, q, full):
     """The dlogs and valuations sampled in each slot of the pair model."""
-    level_order = q ** (2 * kind) - 1
+    level_order = q ** torus_level(kind) - 1
     if full:
         return range(level_order), (-1, 0, 1)
     return range(0, level_order, max(1, level_order // 7)), (0, 1)
@@ -384,16 +386,17 @@ def _pair_blocks(kind, q, full):
 
 def _pair_of_row(kind, q, row):
     d1, v1, d2, v2 = (int(x) for x in row)
-    return (unit(q, 2 * kind, d1, v1), unit(q, 2 * kind, d2, v2))
+    return (unit(q, torus_level(kind), d1, v1), unit(q, torus_level(kind), d2, v2))
 
 
 def check_pair_quad_roundtrip(params):
     kind, q = params["kind"], params["q"]
+    slots = build_pinning().lift(ELLIPTIC_WORD[kind]).inverse().perm
     count = 0
     for rows in _pair_blocks(kind, q, full=(q == 3 and kind == 1)):
         quads = quad_from_pair_array(kind, q, rows)
         broken = (pair_from_quad_array(kind, q, quads) != rows).any(axis=1)
-        lhs = pair_from_quad_array(kind, q, quad_galois_array(kind, q, quads))
+        lhs = pair_from_quad_array(kind, q, quad_galois_array(kind, q, quads, slots))
         bad = np.flatnonzero(broken | (lhs != pair_galois_array(kind, q, rows)).any(axis=1))
         if bad.size:
             # the first failing sample, tested in the order of the scalar loop
@@ -510,7 +513,7 @@ def denominator_representative_rows(rng: random.Random, kind: int, q: int,
     so drawing class by class or a block at a time gives the same rows.
     """
     rank = torus_rank(kind, q)
-    group, unit_mod = q ** (2 * kind) - 1, unit_class_order(kind, q)
+    group, unit_mod = q ** torus_level(kind) - 1, unit_class_order(kind, q)
     draws = np.frombuffer(rng.randbytes(16 * len(classes) * samples * rank), dtype="<u8")
     draws = draws.reshape(len(classes), samples, rank, 2)
     lift = (draws[..., 0] % np.uint64(group // unit_mod)).astype(np.int64)

@@ -36,9 +36,8 @@ class NonRationalWeylError(ValueError):
 
 class WeylGroupError(ValueError):
     """The positive roots give no rank-two root datum, the reflections no
-    group of order 8, or the Galois matrix commutes with another number of
-    its elements than the rational Weyl group's order; or a Weyl element
-    does not compose or invert."""
+    group of order 8, or the elliptic word no elliptic element of its
+    level; or a Weyl element does not compose or invert."""
 
 
 class KindMismatchError(TypeError):
@@ -528,16 +527,11 @@ def weyl_inverse(x: WeylElem) -> WeylElem:
 
 @lru_cache(maxsize=None)
 def rational_weyl_group(kind: int) -> tuple[WeylElem, ...]:
-    """Subgroup whose action commutes with the Galois action on E-points."""
+    """Subgroup whose action commutes with the Galois action on E-points:
+    the centralizer of F, all 8 elements for F = -1 and 4 for a Coxeter F,
+    the only words that ``torus_quotient``'s guard F^(L/2) = -1 admits."""
     s = word_matrix(kind, ELLIPTIC_WORD[kind])
-    out = tuple(
-        e for e in weyl_group(kind) if _mat_mul2(e.mat, s) == _mat_mul2(s, e.mat)
-    )
-    expected = 8 if kind == 1 else 4
-    if len(out) != expected:
-        raise WeylGroupError(f"the kind-{kind} Galois matrix commutes with {len(out)} "
-                             f"Weyl elements, not {expected}")
-    return out
+    return tuple(e for e in weyl_group(kind) if _mat_mul2(e.mat, s) == _mat_mul2(s, e.mat))
 
 
 def is_rational(w: WeylElem) -> bool:
@@ -687,13 +681,8 @@ def pair_galois_array(kind: int, q: int, rows: np.ndarray) -> np.ndarray:
 
 
 # Quadruples (a, b, c, d) are rows (dlog_a, val_a, dlog_b, val_b, dlog_c,
-# val_c, dlog_d, val_d) at the same level.  quad_galois applies Frobenius to
-# every slot and then reads the slots in this order.  It is the only order
-# that makes the quadruple model equivariant for ``galois_matrix``, but it
-# is entered by hand: solved for, it would make ``pair-quad-roundtrip``
-# compare the pair model with itself, and that check is the one that fails
-# a wrong ``ELLIPTIC_WORD`` with a witness pair.
-_QUAD_GALOIS_SLOTS = {1: [3, 2, 1, 0], 2: [2, 0, 3, 1]}
+# val_c, dlog_d, val_d) at the same level: the diagonal torus of the dual
+# group, whose Weyl elements permute the four slots.
 
 
 def quad_from_pair_array(kind: int, q: int, rows: np.ndarray) -> np.ndarray:
@@ -717,11 +706,16 @@ def pair_from_quad_array(kind: int, q: int, quads: np.ndarray) -> np.ndarray:
     return np.stack([(da - db) % order, va - vb, (da - dc) % order, va - vc], axis=1)
 
 
-def quad_galois_array(kind: int, q: int, quads: np.ndarray) -> np.ndarray:
-    """``quad_galois`` on every row of quadruple coordinates."""
+def quad_galois_array(kind: int, q: int, quads: np.ndarray, slots: tuple) -> np.ndarray:
+    """``quad_galois`` on every row of quadruple coordinates: Frobenius on
+    every slot after conjugation by the inverse of ``dualgroup``'s lift of
+    ``ELLIPTIC_WORD[kind]``, which reads the slots in the order ``slots``,
+    the inverse of the lift's permutation.  The caller passes it, as
+    ``dualgroup`` imports this module; the lift is built from the dual root
+    datum, so ``pair-quad-roundtrip`` checks it against F."""
     order = _pair_order(kind, q)
-    slots = quads.reshape(-1, 4, 2)[:, _QUAD_GALOIS_SLOTS[kind]]
-    return np.stack([(q * slots[..., 0]) % order, slots[..., 1]], axis=-1).reshape(-1, 8)
+    moved = quads.reshape(-1, 4, 2)[:, list(slots)]
+    return np.stack([(q * moved[..., 0]) % order, moved[..., 1]], axis=-1).reshape(-1, 8)
 
 
 def mu_coordinate_array(kind: int, q: int, dlog: np.ndarray, val: np.ndarray) -> np.ndarray:
@@ -744,21 +738,19 @@ def mu_unit_array(kind: int, q: int, k: np.ndarray) -> np.ndarray:
 
 
 def pair_norm_array(kind: int, q: int, rows: np.ndarray) -> np.ndarray:
-    """``pair_norm`` on every row: the product of the Galois orbit, as
-    ``T1Rational`` resp. ``T2Rational`` coordinates."""
+    """``pair_norm`` on every row: the product of the Galois orbit, which
+    must be fixed by ``pair_galois_array``, as the mu-coordinates of its
+    first ``torus_rank`` slots (``T1Rational`` resp. ``T2Rational``)."""
     order = _pair_order(kind, q)
     cur = acc = rows
     for _ in range(torus_level(kind) - 1):
         cur = pair_galois_array(kind, q, cur)
         acc = acc + cur
-    dw, vw, dz, vz = acc[:, 0] % order, acc[:, 1], acc[:, 2] % order, acc[:, 3]
-    if kind == 1:
-        return np.stack(
-            [mu_coordinate_array(1, q, dw, vw), mu_coordinate_array(1, q, dz, vz)], axis=1
-        )
-    if not (np.array_equal(dz, (q * dw) % order) and np.array_equal(vz, vw)):
-        raise GaloisActionError("norm must land on the twisted diagonal")
-    return mu_coordinate_array(2, q, dw, vw)[:, None]
+    acc[:, 0::2] %= order
+    if not np.array_equal(pair_galois_array(kind, q, acc), acc):
+        raise GaloisActionError("the norm is not fixed by the Galois action")
+    rank = torus_rank(kind, q)
+    return mu_coordinate_array(kind, q, acc[:, 0:2 * rank:2], acc[:, 1:2 * rank:2])
 
 
 def project_to_coinvariants_array(kind: int, q: int, rows: np.ndarray) -> np.ndarray:

@@ -651,6 +651,12 @@ def _as_rows(tuples):
     return [[c for u in units for c in (u.residue.dlog, u.val)] for units in tuples]
 
 
+def lift_slots(kind):
+    """The quadruple slot order of ``check_pair_quad_roundtrip``: the inverse
+    permutation of the dual lift of the kind's elliptic word."""
+    return dualgroup.build_pinning().lift(tori.ELLIPTIC_WORD[kind]).inverse().perm
+
+
 @pytest.mark.parametrize("kind,q,full,stride", [
     (1, 3, True, 1), (1, 5, True, 1), (2, 3, False, 1), (2, 5, False, 1), (2, 3, True, 97),
 ])
@@ -684,7 +690,7 @@ def test_pair_arrays_match_scalar_pair_model(kind, q, full, stride):
         np.testing.assert_array_equal(pair_from_quad_array(kind, q, quad_rows),
                                       _as_rows(pair_from_quad(kind, q, x) for x in quads))
         quads = [quad_galois(kind, q, x) for x in quads]
-        quad_rows = quad_galois_array(kind, q, quad_rows)
+        quad_rows = quad_galois_array(kind, q, quad_rows, lift_slots(kind))
         np.testing.assert_array_equal(quad_rows, _as_rows(quads))
 
 
@@ -727,15 +733,16 @@ def test_mu_coordinate_array_guards(kind, step):
 
 
 def test_pair_norm_guards_the_twisted_diagonal(monkeypatch):
-    # a kind-2 orbit under the kind-1 Galois action leaves the diagonal
+    # a kind-2 orbit under the kind-1 Galois action leaves the scalar oracle's
+    # twisted diagonal, and the array path's orbit product is not Galois-fixed
     pair = (unit(Q, 4, 1, 0), unit(Q, 4, 2, 0))
     rows = np.array([[1, 0, 2, 0]])
     monkeypatch.setattr(tori, "pair_galois", lambda kind, q, p: pair_galois(1, q, p))
-    with pytest.raises(AssertionError, match="twisted diagonal"):
+    with pytest.raises(tori.GaloisActionError, match="twisted diagonal"):
         pair_norm(2, Q, pair)
     monkeypatch.setattr(tori, "pair_galois_array",
                         lambda kind, q, r: pair_galois_array(1, q, r))
-    with pytest.raises(AssertionError, match="twisted diagonal"):
+    with pytest.raises(tori.GaloisActionError, match="not fixed by the Galois action"):
         pair_norm_array(2, Q, rows)
 
 
@@ -743,7 +750,8 @@ def test_pair_arrays_refuse_int64_overflow():
     pairs, quads = np.zeros((1, 4), dtype=np.int64), np.zeros((1, 8), dtype=np.int64)
     cases = [(pair_galois_array, pairs), (pair_norm_array, pairs),
              (project_to_coinvariants_array, pairs), (quad_from_pair_array, pairs),
-             (pair_from_quad_array, quads), (quad_galois_array, quads)]
+             (pair_from_quad_array, quads),
+             (lambda kind, q, r: quad_galois_array(kind, q, r, lift_slots(kind)), quads)]
     for fn, rows in cases:
         with pytest.raises(OverflowError):
             fn(2, 10007, rows)
@@ -786,10 +794,16 @@ def _break_pair_from_quad(monkeypatch):
     monkeypatch.setattr(driver, "pair_from_quad_array", _times_c_pair_from_quad_array)
 
 
+def _with_slots(monkeypatch, slots):
+    """``check_pair_quad_roundtrip`` with the quadruple slots read in this order."""
+    monkeypatch.setattr(driver, "quad_galois_array",
+                        lambda kind, q, quads, _lift: quad_galois_array(kind, q, quads, slots))
+
+
 def _break_quad_galois(monkeypatch):
     """The kind-2 quad_galois with the kind-1 slot order."""
     monkeypatch.setattr(tori, "quad_galois", lambda kind, q, quad: quad_galois(1, q, quad))
-    monkeypatch.setitem(tori._QUAD_GALOIS_SLOTS, 2, tori._QUAD_GALOIS_SLOTS[1])
+    _with_slots(monkeypatch, lift_slots(1))
 
 
 @pytest.mark.parametrize("brk,reason", [
@@ -809,14 +823,16 @@ def test_broken_quadruple_model_fails_with_scalar_witness(monkeypatch, brk, reas
 @pytest.mark.parametrize("kind", [1, 2])
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_quad_galois_slots_are_the_only_equivariant_order(monkeypatch, kind, q):
+    """Of the 24 slot orders, only the inverse permutation of the dual lift
+    of the kind's word makes the quadruple model Galois-equivariant."""
     params = {"kind": kind, "q": q}
     passing = []
     for slots in permutations(range(4)):
-        monkeypatch.setitem(tori._QUAD_GALOIS_SLOTS, kind, list(slots))
+        _with_slots(monkeypatch, slots)
         if driver.check_pair_quad_roundtrip(params)[0] == "PASS":
-            passing.append(list(slots))
+            passing.append(slots)
     monkeypatch.undo()
-    assert passing == [tori._QUAD_GALOIS_SLOTS[kind]]
+    assert passing == [lift_slots(kind)] == [{1: (3, 2, 1, 0), 2: (2, 0, 3, 1)}[kind]]
 
 
 # ---------------------------------------------------------------------------
@@ -835,11 +851,19 @@ def root_mutants():
     return out
 
 
+def conjugacy_class(kind, word):
+    """The matrices of the Weyl conjugates of ``word``'s element."""
+    f = tori.word_matrix(kind, word)
+    return {tori._mat_mul2(tori._mat_mul2(x.mat, f), weyl_inverse(x).mat)
+            for x in weyl_group(kind)}
+
+
 def word_mutants():
-    """Per kind, the reduced word of every Weyl element other than the one
-    that ``ELLIPTIC_WORD`` names, as (kind, word)."""
+    """Per kind, the reduced word of every Weyl element outside the conjugacy
+    class of the one that ``ELLIPTIC_WORD`` names, as (kind, word); the
+    class is the torus, so its other words are no mutants."""
     return [(kind, w.name) for kind, word in tori.ELLIPTIC_WORD.items()
-            for w in weyl_group(kind) if w.mat != tori.word_matrix(kind, word)]
+            for w in weyl_group(kind) if w.mat not in conjugacy_class(kind, word)]
 
 
 def records_under(kind, subcommand, roots=None, word=None, qs=(3,)):
@@ -922,12 +946,6 @@ def test_every_kind2_root_mutant_fails_a_record_at_q3():
     assert len(swept) == 17 and all(failed > 0 for _, _, failed in swept[1:])
 
 
-# The one word mutant whose torus_quotient is well defined, with the value it
-# takes at q: the inverse Coxeter element gives the Coxeter quotient with q
-# replaced by -q.
-ELLIPTIC_MUTANTS = {(2, "ba"): lambda q: (q * q + 1, ((1,), (-q,)), ((1, q),))}
-
-
 @pytest.mark.parametrize("q", [3, 5, 61])
 def test_torus_quotient_refuses_the_other_words(monkeypatch, fresh_weyl_group, q):
     """The identity and the reflections fix a vector, the kind-1 Coxeter
@@ -937,9 +955,6 @@ def test_torus_quotient_refuses_the_other_words(monkeypatch, fresh_weyl_group, q
     q - 1 resp. -q - 1, both even, and ``pow`` raised a bare ValueError)."""
     for kind, word in word_mutants():
         monkeypatch.setitem(tori.ELLIPTIC_WORD, kind, word)
-        if (kind, word) in ELLIPTIC_MUTANTS:
-            assert tori.torus_quotient(kind, q) == ELLIPTIC_MUTANTS[kind, word](q)
-            continue
         with pytest.raises(tori.WeylGroupError, match="no elliptic element of order"):
             tori.torus_quotient(kind, q)
 
@@ -961,15 +976,6 @@ def test_an_elliptic_word_of_the_wrong_order_fails_the_exact_sequence():
         assert records[f"cohomology/{name}-k2-q{q}"]["outcome"] == "FAIL", (name, q)
 
 
-# The kind-2 word mutants that leave every kind-2 ``identity`` record at
-# q = 3, 5 PASS, each with the records of ``all`` that it fails instead.
-IDENTITY_EQUIVALENT = {
-    # F^-1 has the Coxeter element's rational points, rational Weyl group and
-    # denominators; only the pair model tells the two Frobenius maps apart
-    "ba": ["cohomology/norm-consistency-k2-q3", "cohomology/pair-quad-roundtrip-k2-q3"],
-}
-
-
 def test_kind2_word_mutants_fail_every_identity_record():
     """While nothing on the identity path read the elliptic word, "a", "b",
     "aba" and "bab" each failed only lift-independence-k2-q3 of these 12."""
@@ -978,10 +984,19 @@ def test_kind2_word_mutants_fail_every_identity_record():
             continue
         records = records_under(2, "identity", word=word, qs=(3, 5)).values()
         failed = sum(r["outcome"] != "PASS" for r in records)
-        assert (len(records), failed) == (12, 0 if word in IDENTITY_EQUIVALENT else 12), word
-    for word, caught in IDENTITY_EQUIVALENT.items():
-        records = records_under(2, "cohomology", word=word).values()
-        assert sorted(r["id"] for r in records if r["outcome"] != "PASS") == caught
+        assert (len(records), failed) == (12, 12), word
+
+
+def test_the_other_coxeter_word_gives_the_same_records():
+    """The torus is the conjugacy class of its word: "ba", the inverse of
+    the Coxeter element "ab", gives every record of the kind-2 ``all`` list
+    at the default qs, outcome, witness and info, equal to those of "ab".
+    Before the quadruple slots and the norm test were read from the word, it
+    failed norm-consistency and pair-quad-roundtrip at q = 3 to 9."""
+    assert conjugacy_class(2, "ab") == {tori.word_matrix(2, w) for w in ("ab", "ba")}
+    expected = records_under(2, "all", qs=None)
+    assert {r["outcome"] for r in expected.values()} == {"PASS"}
+    assert records_under(2, "all", word="ba", qs=None) == expected
 
 
 def cohomology_verdicts():
@@ -1000,19 +1015,22 @@ def cohomology_verdicts():
     return verdicts
 
 
-# The round trip fails every word with a counterexample pair.  The orders
-# check reports the orders [H^-1, H^0] it found; at kind 1 the order-4 words
-# give sigma^2 != 1 and tate_cohomology refuses them.  At kind 2 the inverse
-# Coxeter element "ba" has the Coxeter element's orders and passes.
+# The orders check reports the orders [H^-1, H^0] it found; at kind 1 the
+# order-4 words give sigma^2 != 1 and tate_cohomology refuses them.
 ORDERS_VERDICTS = {
     (1, ""): ["FAIL", [1, 4]], (1, "a"): ["FAIL", [2, 2]], (1, "b"): ["FAIL", [1, 1]],
     (1, "ab"): ["FAIL", "GaloisActionError"], (1, "ba"): ["FAIL", "GaloisActionError"],
     (1, "aba"): ["FAIL", [1, 1]], (1, "bab"): ["FAIL", [2, 2]],
     (2, ""): ["FAIL", [1, 16]], (2, "a"): ["FAIL", [2, 4]], (2, "b"): ["FAIL", [1, 2]],
-    (2, "ba"): ["PASS", ""], (2, "aba"): ["FAIL", [1, 2]], (2, "bab"): ["FAIL", [2, 4]],
-    (2, "abab"): ["FAIL", [4, 1]],
+    (2, "aba"): ["FAIL", [1, 2]], (2, "bab"): ["FAIL", [2, 4]], (2, "abab"): ["FAIL", [4, 1]],
 }
-WORD_VERDICTS = [[kind, word, ["FAIL", ["pair", "reason"]], orders]
+# The round trip reads the word on both sides: the pair model's Galois action
+# from F, the quadruple slots from the dual lift of the same word.  So it
+# passes the words of determinant 1 ("", the Coxeter words, w0), and fails
+# the four reflections a, b, aba and bab with a counterexample pair.
+ROUNDTRIP_PASSES = {(1, ""), (1, "ab"), (1, "ba"), (2, ""), (2, "abab")}
+WORD_VERDICTS = [[kind, word, ["PASS", []] if (kind, word) in ROUNDTRIP_PASSES
+                  else ["FAIL", ["pair", "reason"]], orders]
                  for (kind, word), orders in ORDERS_VERDICTS.items()]
 
 
