@@ -12,20 +12,21 @@ valuation-parity subgroup.  Values are exponents of a root of unity of
 order ``value_order``, so sums assemble exactly; ``CoverCharacter``
 serves only the scalar oracle ``charformula.theta``.
 
-The inertia-datum machinery realizes the bijection between equivariant
-homomorphisms from the residue multiplicative group into dual-torus
-torsion and depth-zero characters; the bijection is exercised by full
-enumeration in the tests rather than assumed.
+The inertia data, the equivariant maps from the residue multiplicative
+group of level L into dual-torus torsion, are the kernel of q - F^-T on
+(Z/(q^L - 1))^2, found by Smith normal form; each gives its character
+through the pair-model norm.  The tests check the correspondence by full
+enumeration rather than assume it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import gcd
 
 import numpy as np
 
+from . import snf
 from .dualgroup import cover_class_values
 from .tori import (
     ELLIPTIC_WORD,
@@ -40,6 +41,7 @@ from .tori import (
     coinv_unit_part,
     coinvariant_norm,
     rational_weyl_group,
+    torus_level,
     torus_rank,
     unit_class_order,
     weyl_inverse,
@@ -189,7 +191,7 @@ def cover_character(base: DepthZeroCharacter) -> CoverCharacter:
 
 @dataclass(frozen=True)
 class InertiaDatum:
-    """Equivariant homomorphism from the degree-n residue multiplicative
+    """Equivariant homomorphism from the degree-L residue multiplicative
     group into dual-torus torsion, recorded by its two exponents."""
 
     kind: int
@@ -198,79 +200,62 @@ class InertiaDatum:
     s2: int
 
     def source_order(self) -> int:
-        return self.q**2 - 1 if self.kind == 1 else self.q**4 - 1
+        return self.q ** torus_level(self.kind) - 1
+
+
+def _dual_relation(kind: int, q: int):
+    """q - F^-T, F the Weyl element of ``ELLIPTIC_WORD``: the dual torus
+    carries the contragredient action (inversion for kind 1, the rotation
+    for kind 2), so the equivariant exponents are its kernel."""
+    (a, b), (c, d) = word_matrix(kind, ELLIPTIC_WORD[kind])
+    det = a * d - b * c  # +-1, so F^-T = det (d, -c; -b, a)
+    return [[q - det * d, det * c], [det * b, q - det * a]]
 
 
 def check_equivariance(datum: InertiaDatum) -> None:
-    """Raise unless q s = F^-T s on the exponents s = (s1, s2), where F is
-    the Weyl element of ``ELLIPTIC_WORD``: the dual torus carries the
-    contragredient action (inversion for kind 1, the rotation for kind 2)."""
-    n, s1, s2 = datum.source_order(), datum.s1, datum.s2
-    (a, b), (c, d) = word_matrix(datum.kind, ELLIPTIC_WORD[datum.kind])
-    det = a * d - b * c  # +-1, so F^-T = det (d, -c; -b, a)
-    if (datum.q * s1 - det * (d * s1 - c * s2)) % n or (datum.q * s2 - det * (a * s2 - b * s1)) % n:
+    """Raise unless q s = F^-T s on the exponents s = (s1, s2) modulo the
+    source order."""
+    n, s = datum.source_order(), (datum.s1, datum.s2)
+    if any((x * s[0] + y * s[1]) % n for x, y in _dual_relation(datum.kind, datum.q)):
         raise EquivarianceError(
             f"datum {datum} is not Frobenius-equivariant for kind {datum.kind}"
         )
 
 
 def enumerate_inertia_data(kind: int, q: int):
-    """All equivariant data, via the solved congruence shape."""
+    """All equivariant data: the kernel of q - F^-T on (Z/N)^2, N = q^L - 1,
+    as ``tori.tate_cohomology`` finds its groups, by Smith normal form: the
+    integer kernel of (q - F^-T | -N) over the relations N Z^2, listed by
+    their coordinates on its cyclic factors in lexicographic order."""
+    n = q ** torus_level(kind) - 1
+    relations = [[n, 0], [0, n]]
+    kernel = snf.kernel_basis([row + [-x for x in rel]
+                               for row, rel in zip(_dual_relation(kind, q), relations)])
+    factors = snf.quotient_structure([vec[:2] for vec in kernel] + relations, relations)
     out = []
-    if kind == 1:
-        n = q * q - 1
-        step = q - 1
-        for a1 in range(q + 1):
-            for a2 in range(q + 1):
-                out.append(InertiaDatum(1, q, (step * a1) % n, (step * a2) % n))
-    else:
-        n = q**4 - 1
-        step = q * q - 1
-        for b in range(q * q + 1):
-            s2 = (step * b) % n
-            s1 = (q * s2) % n
-            out.append(InertiaDatum(2, q, s1, s2))
+    for coords in product(*(range(order) for order, _ in factors)):
+        s1, s2 = (sum(c * gen[i] for c, (_, gen) in zip(coords, factors)) % n for i in (0, 1))
+        out.append(InertiaDatum(kind, q, s1, s2))
     for datum in out:
         check_equivariance(datum)
     return out
 
 
-def _solve_congruence(coeff: int, rhs: int, modulus: int) -> int:
-    """Smallest non-negative j with coeff * j == rhs (mod modulus)."""
-    g = gcd(coeff, modulus)
-    if rhs % g != 0:
-        raise ValueError("congruence has no solution")
-    m = modulus // g
-    return (pow((coeff // g) % m, -1, m) * ((rhs // g) % m)) % m
-
-
 def character_from_inertia(datum: InertiaDatum) -> DepthZeroCharacter:
-    """Depth-zero character attached to an equivariant inertia datum.
+    """The depth-zero character chi with chi(N(d)) = zeta_N^(d . s) for the
+    pair-model dlog rows d, N the source order and s the datum.
 
-    Evaluation composes with a norm preimage: for a rational generator
-    the preimage exponent is solved exactly, and the datum is evaluated
-    there.  Equivariance is checked up front.
+    The pair-model norm takes -e_i to the i-th rational generator, so
+    exponent i is -s_i / (N/n) mod n for i below ``torus_rank``, n from
+    ``torus_quotient``.  Equivariance is checked up front.
     """
     check_equivariance(datum)
-    q, n = datum.q, datum.source_order()
-    if datum.kind == 1:
-        # slotwise norm acts on dlogs by j -> (1-q) j; the rational
-        # generator sits at dlog q-1, so solve for its preimage exponent
-        j = _solve_congruence((1 - q) % n, (q - 1) % n, n)
-        step = q - 1
-        exps = []
-        for s in (datum.s1, datum.s2):
-            raw = (s * j) % n
-            if raw % step:
-                raise EquivarianceError(f"datum {datum} does not land on the mu-line")
-            exps.append((raw // step) % (q + 1))
-        return DepthZeroCharacter(1, q, tuple(exps))
-    j = _solve_congruence((1 - q * q) % n, (q * q - 1) % n, n)
-    step = q * q - 1
-    raw = (datum.s1 * j) % n
-    if raw % step:
+    n = unit_class_order(datum.kind, datum.q)
+    step = datum.source_order() // n
+    exps = (datum.s1, datum.s2)[:torus_rank(datum.kind, datum.q)]
+    if any(s % step for s in exps):
         raise EquivarianceError(f"datum {datum} does not land on the mu-line")
-    return DepthZeroCharacter(2, q, ((raw // step) % (q * q + 1),))
+    return DepthZeroCharacter(datum.kind, datum.q, tuple(-s // step % n for s in exps))
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,6 @@ class Pinning:
         # the verified lifts as pairs: n_root, and the words' products
         self.lifts = dict(zip(ALL_ROOTS, self._verify_construction()))
         self._word_lifts: dict = {}
-        self.coxeter, self.longest = self.lift("ab"), self.lift("abab")
 
     # -- basic matrices ------------------------------------------------------
 
@@ -447,13 +446,15 @@ def reflection_sign_table(pin: Pinning):
 
 
 def longest_lift_square_check(pin: Pinning) -> bool:
-    """Square of the longest-element lift equals short_coroot(-1)."""
-    return pin.longest ** 2 == pin.coroot(SHORT_SIMPLE, pin.order // 2)
+    """The lift of the kind-1 elliptic word, the longest element, to the
+    torus level equals short_coroot(-1)."""
+    return pin.lift(ELLIPTIC_WORD[1]) ** torus_level(1) == pin.coroot(SHORT_SIMPLE, pin.order // 2)
 
 
 def coxeter_lift_fourth_check(pin: Pinning) -> bool:
-    """Fourth power of the Coxeter lift equals short_coroot(-1)."""
-    return pin.coxeter ** 4 == pin.coroot(SHORT_SIMPLE, pin.order // 2)
+    """The lift of the kind-2 elliptic word, a Coxeter element, to the torus
+    level equals short_coroot(-1)."""
+    return pin.lift(ELLIPTIC_WORD[2]) ** torus_level(2) == pin.coroot(SHORT_SIMPLE, pin.order // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 import json
+from itertools import product
 
 import numpy as np
 import pytest
 
-from depthzero import characters, tori
+from depthzero import characters, driver, tori
 from depthzero.characters import (
     CoverCharacter,
     DepthZeroCharacter,
@@ -18,6 +19,7 @@ from depthzero.characters import (
     enumerate_characters,
     enumerate_inertia_data,
     enumerate_regular_characters,
+    exponent_rows,
     is_regular,
     regular_exponent_rows,
     value_order,
@@ -31,6 +33,7 @@ from depthzero.tori import (
     enumerate_coinvariants,
     iter_rational,
     parity_classes,
+    rational_order,
     rational_weyl_group,
     t1_coinv,
     t2_coinv,
@@ -38,6 +41,7 @@ from depthzero.tori import (
     weyl_inverse,
     weyl_matrix,
 )
+from depthzero.uniqueness import odd_prime_powers
 
 Q = 3
 
@@ -46,21 +50,126 @@ Q = 3
 # inertia data
 
 
-@pytest.mark.parametrize("kind,total", [(1, 16), (2, 10)])
-def test_inertia_data_biject_with_characters(kind, total):
-    data = enumerate_inertia_data(kind, Q)
-    assert len(data) == total
-    chars = [character_from_inertia(d) for d in data]
-    # bijection, detected by evaluation on every rational element
-    tables = {
-        tuple(c.eval_exponent(g) for g in iter_rational(kind, Q)) for c in chars
-    }
-    assert len(tables) == total
-    all_tables = {
-        tuple(c.eval_exponent(g) for g in iter_rational(kind, Q))
-        for c in enumerate_characters(kind, Q)
-    }
-    assert tables == all_tables
+def inertia_rows(kind, q):
+    """The data of ``enumerate_inertia_data`` as int64 rows (s1, s2), and the
+    exponent rows of their characters, in the same order."""
+    data = enumerate_inertia_data(kind, q)
+    s = np.array([(d.s1, d.s2) for d in data], dtype=np.int64)
+    return s, np.array([character_from_inertia(d).exponents for d in data], dtype=np.int64)
+
+
+def bijection_holds(kind, q, s, x):
+    """The characters of the data are ``exponent_rows``, each once, and there
+    are ``rational_order`` of them."""
+    return len(x) == rational_order(kind, q) and np.array_equal(
+        np.unique(x, axis=0), exponent_rows(kind, q))
+
+
+def norm_property_holds(kind, q, s, x):
+    """chi(N(d)) = zeta_N^(d . s) for every datum s, its character chi and
+    the pair-model dlog rows d, N the source order: every d at q = 3, the
+    stride grid of ``driver._pair_grid`` above."""
+    big, n = q ** tori.torus_level(kind) - 1, tori.unit_class_order(kind, q)
+    residues, _vals = driver._pair_grid(kind, q, q == 3)
+    d = np.array(list(product(residues, repeat=2)), dtype=np.int64)
+    rows = np.zeros((len(d), 4), dtype=np.int64)
+    rows[:, 0::2] = d
+    norms = tori.pair_norm_array(kind, q, rows)
+    return np.array_equal(d @ s.T % big, (norms @ x.T % n) * (big // n) % big)
+
+
+def _weyl_moved(kind, q, s):
+    """Each datum row moved by w^-T, w in ``rational_weyl_group`` order: (W, D, 2)."""
+    big = q ** tori.torus_level(kind) - 1
+    return np.stack([s @ np.array(weyl_inverse(w).mat) % big for w in rational_weyl_group(kind)])
+
+
+KIND_Q = [(kind, q) for kind in tori.KINDS for q in odd_prime_powers(23)]
+
+
+@pytest.mark.parametrize("kind,q", KIND_Q)
+def test_inertia_data_biject_onto_the_characters(kind, q):
+    assert bijection_holds(kind, q, *inertia_rows(kind, q))
+
+
+@pytest.mark.parametrize("kind,q", KIND_Q)
+def test_inertia_characters_have_the_norm_property(kind, q):
+    assert norm_property_holds(kind, q, *inertia_rows(kind, q))
+
+
+@pytest.mark.parametrize("kind,q", KIND_Q)
+def test_weyl_action_on_data_goes_to_conjugate_rows(kind, q):
+    """W^F acts on data by w^-T; the characters of the moved data are the
+    ``conjugate_rows`` of the data's characters, in the same order."""
+    s, x = inertia_rows(kind, q)
+    for moved, conj in zip(_weyl_moved(kind, q, s), conjugate_rows(kind, q, x), strict=True):
+        got = [character_from_inertia(InertiaDatum(kind, q, *map(int, t))).exponents
+               for t in moved]
+        assert np.array_equal(got, conj)
+
+
+@pytest.mark.parametrize("kind,q", KIND_Q)
+def test_regular_data_go_to_the_regular_characters(kind, q):
+    """A datum whose w^-T images are pairwise distinct has a regular
+    character, and these are all of them: (q - 1)(q - 3) at kind 1 and
+    q^2 - 1 at kind 2."""
+    s, x = inertia_rows(kind, q)
+    big = q ** tori.torus_level(kind) - 1
+    keys = np.sort(_weyl_moved(kind, q, s) @ (big, 1), axis=0)
+    regular = (np.diff(keys, axis=0) != 0).all(axis=0)
+    assert regular.sum() == ((q - 1) * (q - 3) if kind == 1 else q * q - 1)
+    assert np.array_equal(np.unique(x[regular], axis=0), regular_exponent_rows(kind, q))
+
+
+@pytest.fixture
+def kind2_word_ba(monkeypatch):
+    """Kind 2's elliptic word read as "ba", the other Coxeter word of its
+    class, with the caches of what the word derives emptied around the test."""
+    caches = (tori.rational_weyl_group, tori.weyl_matrix)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setitem(tori.ELLIPTIC_WORD, 2, "ba")
+    yield
+    monkeypatch.undo()
+    for cache in caches:
+        cache.cache_clear()
+    tori.clear_tables()
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_inertia_data_read_the_word_ba(kind2_word_ba, q):
+    s, x = inertia_rows(2, q)
+    assert bijection_holds(2, q, s, x)
+    assert norm_property_holds(2, q, s, x)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_transposed_frobenius_fails_only_the_norm_property(monkeypatch, q):
+    """F^T, that is F^-1 in place of F, inside ``characters``: at kind 2 the
+    data still biject onto the characters, but the norm property FAILs, so
+    the bijection alone does not see the break.  At kind 1 F^T = F^-T = F,
+    and the change is equivalent; so is F in place of F^-T at both kinds."""
+    real = tori.word_matrix
+
+    def inverse(kind, word):
+        (a, b), (c, d) = real(kind, word)
+        det = a * d - b * c
+        return ((det * d, -det * b), (-det * c, det * a))
+
+    monkeypatch.setattr(characters, "word_matrix", inverse)
+    verdicts = {}
+    for kind in tori.KINDS:
+        rows = inertia_rows(kind, q)
+        verdicts[kind] = (bijection_holds(kind, q, *rows), norm_property_holds(kind, q, *rows))
+    assert verdicts == {1: (True, True), 2: (True, False)}
+
+
+@pytest.mark.parametrize("kind", tori.KINDS)
+def test_source_order_off_the_level_is_refused(monkeypatch, kind):
+    monkeypatch.setattr(InertiaDatum, "source_order",
+                        lambda self: self.q ** tori.torus_level(self.kind) + 1)
+    with pytest.raises(EquivarianceError):
+        enumerate_inertia_data(kind, Q)
 
 
 def test_trivial_datum_gives_trivial_character():

@@ -99,8 +99,8 @@ def test_headline_lift_identities(pin):
     assert longest_lift_square_check(pin)
     assert coxeter_lift_fourth_check(pin)
     # the longest lift is the square of the Coxeter lift
-    coxeter = pin.matrix(pin.coxeter)
-    assert sp_eq(pin.matrix(pin.longest), sp_mul(coxeter, coxeter))
+    coxeter = pin.matrix(pin.lift("ab"))
+    assert sp_eq(pin.matrix(pin.lift("abab")), sp_mul(coxeter, coxeter))
 
 
 def test_twisted_power_values(pin):
@@ -144,7 +144,7 @@ def test_torsion_sampler_orders(order, count):
 def test_weyl_action_on_dual_torus(pin):
     assert weyl_action_checks(pin)
     # inversion, directly
-    assert dual_torus_conjugate(pin, pin.longest, 5, 9) == (19, 15)
+    assert dual_torus_conjugate(pin, pin.lift("abab"), 5, 9) == (19, 15)
 
 
 def test_extract_coroot_exponents_roundtrip(pin):
@@ -165,9 +165,9 @@ def test_cover_class_values_both_kinds():
 def test_products_preserve_form(pin):
     words = [
         sp_mul(pin.n_elem(LONG_SIMPLE), pin.n_elem(SHORT_SIMPLE)),
-        sp_mul(pin.matrix(pin.coxeter), pin.n_elem((1, 1))),
-        sp_mul(pin.matrix(pin.torus(3, 5)), pin.matrix(pin.longest)),
-        sp_mul(pin.root_subgroup((1, 2), root_of_unity(24, 7)), pin.matrix(pin.coxeter)),
+        sp_mul(pin.matrix(pin.lift("ab")), pin.n_elem((1, 1))),
+        sp_mul(pin.matrix(pin.torus(3, 5)), pin.matrix(pin.lift("abab"))),
+        sp_mul(pin.root_subgroup((1, 2), root_of_unity(24, 7)), pin.matrix(pin.lift("ab"))),
     ]
     for m in words:
         assert pin.is_symplectic(m)
@@ -272,7 +272,7 @@ def test_monomial_roundtrip_through_matrices(pin):
     for letter in [("n", root) for root in ALL_ROOTS] + [("t", 7, 13), ("t", 0, 0)]:
         x = _generator(pin, letter)
         assert as_monomial(pin, pin.matrix(x)) == x
-    assert as_monomial(pin, pin.matrix(pin.coxeter)) == pin.coxeter
+    assert as_monomial(pin, pin.matrix(pin.lift("ab"))) == pin.lift("ab")
     assert as_monomial(pin, pin.n_elem((1, 1))) == pin.lifts[(1, 1)]
 
 
@@ -332,9 +332,11 @@ def test_mutant_product_is_caught(monkeypatch, pin):
 @pytest.mark.parametrize("position", range(4))
 def test_shifted_coxeter_exponent_fails_its_check(monkeypatch, position):
     broken = Pinning(24)
-    exps = list(broken.coxeter.exps)
+    lift, coxeter = broken.lift, broken.lift("ab")
+    exps = list(coxeter.exps)
     exps[position] = (exps[position] + 12) % 24
-    broken.coxeter = Monomial(24, broken.coxeter.perm, tuple(exps))
+    shifted = Monomial(24, coxeter.perm, tuple(exps))
+    monkeypatch.setattr(broken, "lift", lambda word: shifted if word == "ab" else lift(word))
     monkeypatch.setattr(driver, "build_pinning", lambda order: broken)
     tasks = {t["fn"]: t for t in driver.build_tasks("chevalley", driver.Config())}
     outcomes = {fn: driver.run_task(tasks[fn])[0]["outcome"]
@@ -398,8 +400,8 @@ def test_array_pinning_matches_the_scalar_oracle(order):
         assert pin_n.lifts[root] == as_monomial(pin_n, pin_n.n_elem(root))
         assert sp_eq(pin_n.matrix(pin_n.lifts[root]), pin_n.n_elem(root))
     coxeter = sp_mul(pin_n.n_elem(LONG_SIMPLE), pin_n.n_elem(SHORT_SIMPLE))
-    assert pin_n.coxeter == as_monomial(pin_n, coxeter)
-    assert pin_n.longest == as_monomial(pin_n, sp_mul(coxeter, coxeter))
+    assert pin_n.lift("ab") == as_monomial(pin_n, coxeter)
+    assert pin_n.lift("abab") == as_monomial(pin_n, sp_mul(coxeter, coxeter))
 
 
 def test_array_pinning_memory_is_linear_in_phi():
@@ -570,10 +572,19 @@ print(json.dumps(messages))
 # the dual root datum is read off the torus side's
 
 
-def test_word_lifts_are_the_coxeter_and_longest_lifts(pin):
-    assert pin.lift("ab") == pin.coxeter
-    assert pin.lift("abab") == pin.longest
+def test_empty_word_lifts_to_the_identity(pin):
     assert pin.lift("") == pin.torus(0, 0)
+
+
+# each kind's words outside its elliptic class; "b" lifts to a square root of
+# the short coroot at -1, so the kind-1 check cannot see it
+@pytest.mark.parametrize("kind,word", [(1, w) for w in ("", "a", "ab", "ba", "aba", "bab")]
+                         + [(2, w) for w in ("", "a", "b", "aba", "bab", "abab")])
+def test_lift_power_checks_read_the_elliptic_word(monkeypatch, pin, kind, word):
+    check = {1: longest_lift_square_check, 2: coxeter_lift_fourth_check}[kind]
+    assert check(pin)
+    monkeypatch.setitem(dualgroup.ELLIPTIC_WORD, kind, word)
+    assert not check(pin)
 
 
 def _conjugation_matrix(pin, word):
