@@ -354,7 +354,15 @@ def check_splitting(params):
     return _ok({"classes": coinvariant_order(kind, q)})
 
 
-_PAIR_BLOCK_ROWS = 8192
+# the int64 bytes one block of a grid check may create: at q = 509 both kinds of
+# split-vs-combined and rho-shift-unique peak at 90 MB with it, 168 MB without
+BLOCK_BYTES = 2**19
+
+
+def _blocks(count, row_bytes):
+    """Slices of range(count), in order, of BLOCK_BYTES // row_bytes rows (at least 1)."""
+    step = max(1, BLOCK_BYTES // row_bytes)
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
 
 def _pair_grid(kind, q, full):
@@ -373,14 +381,12 @@ def _pair_samples(kind, q, full):
 
 def _pair_blocks(kind, q, full):
     """The samples of ``_pair_samples`` in the same order, as int64 rows
-    (dlog_w, val_w, dlog_z, val_z), in blocks of ``_PAIR_BLOCK_ROWS`` rows
-    (the last may be shorter)."""
+    (dlog_w, val_w, dlog_z, val_z), in ``_blocks`` of the 8-column
+    quadruple rows that the checks make of them."""
     residues, vals = _pair_grid(kind, q, full)
     slot = np.array(list(product(residues, vals)), dtype=np.int64)
-    total = len(slot) ** 2
-    for start in range(0, total, _PAIR_BLOCK_ROWS):
-        index = np.arange(start, min(start + _PAIR_BLOCK_ROWS, total))
-        first, second = np.divmod(index, len(slot))
+    for rows in _blocks(len(slot) ** 2, 8 * 8):
+        first, second = np.divmod(np.arange(rows.start, rows.stop), len(slot))
         yield np.concatenate([slot[first], slot[second]], axis=1)
 
 
@@ -533,11 +539,8 @@ def check_denominator_representatives(params):
     samples = params.get("samples", 100)
     classes = coinvariant_coordinates(kind, q)
     classes = classes[strongly_regular_mask(kind, q, coinvariant_norm_array(kind, q, classes))]
-    # blocks of ~1,024 sample rows, as in split-vs-combined: the whole q = 3
-    # grid at once (6,400 rows for torus 1) raised the campaign's peak RSS
-    step = max(1, 1024 // samples)
-    for start in range(0, len(classes), step):
-        coords = classes[start : start + step]
+    for block in _blocks(len(classes), samples * 2 * torus_rank(kind, q) * 8):
+        coords = classes[block]
         reps = denominator_representative_rows(rng, kind, q, coords, samples)
         got = weyl_denominator_exponent_array(ctx, reps.reshape(-1, reps.shape[-1]))
         base = weyl_denominator_exponent_array(ctx, coords)
@@ -555,13 +558,12 @@ def check_split_vs_combined(params):
     # the closed-form sign depends only on the valuation parities, which
     # each lift shares with its twist
     signs = np.where(rho_shift_closed_sign_array(ctx, twist_rows) < 0, 2, 0)
-    # blocks of gammas keep the temporaries small: one block for the whole
-    # q = 47 grid raised the peak RSS of the tower benchmark from 38.2 to 39.4 MB
-    for start in range(0, len(gammas), 256):
-        block = gammas[start : start + 256]
+    for rows in _blocks(len(gammas), len(twist_rows) * 2 * rank * 8):
+        block = gammas[rows]
         # the (gamma, twist) grid of twisted lifts, gamma outer
-        grid = np.stack([lift_coordinates(kind, q, block, tw[rank:]) for tw in twist_rows], axis=1)
-        combined = weyl_denominator_exponent_array(ctx, grid.reshape(-1, 2 * rank))
+        grid = lift_coordinates(kind, q, np.repeat(block, len(twist_rows), axis=0),
+                                np.tile(twist_rows[:, rank:], (len(block), 1)))
+        combined = weyl_denominator_exponent_array(ctx, grid)
         delta0 = delta0_eta_exponent_array(ctx, block)
         split = ((delta0[:, None] + signs[None, :]) % 4).ravel()
         bad = np.flatnonzero(combined != split)
@@ -608,12 +610,11 @@ def check_rho_shift_unique(params):
     if mismatches.size:
         return _fail({"classes": [str(coinv_of_row(kind, q, classes[i])) for i in mismatches[:5]]})
     # a sign character squares to the trivial one, so the computed target
-    # must be trivial on every class (in blocks: the whole q = 47 model at
-    # once raised the peak RSS of the tower tasks from 38.3 to 38.8 MB)
-    for start in range(0, len(classes), 1024):
-        block = classes[start : start + 1024]
+    # must be trivial on every class
+    for rows in _blocks(len(classes), classes.shape[1] * 8):
+        block = classes[rows]
         square = two_rho_eta_exponent_array(ctx, block)
-        bad = np.flatnonzero((np.abs(signs[start : start + 1024]) != 1) | (square % 4 != 0))
+        bad = np.flatnonzero((np.abs(signs[rows]) != 1) | (square % 4 != 0))
         if bad.size:
             return _fail({"class": str(coinv_of_row(kind, q, block[bad[0]])),
                           "reason": "square mismatch"})

@@ -13,6 +13,10 @@ class SublatticeError(ValueError):
     """The small lattice of a quotient is not contained in the big one."""
 
 
+class SmithNormalFormError(ArithmeticError):
+    """A stage of the Smith normal form ran past the bounds of its first pivot."""
+
+
 class ShapeMismatchError(ValueError):
     """The columns of a matrix product's left factor are not the rows of
     its right factor."""
@@ -40,8 +44,8 @@ def smith_normal_form(mat):
     """Return (D, U, V, Uinv) with U . mat . V = D diagonal.
 
     U, V are unimodular; the diagonal entries of D are non-negative and
-    satisfy the divisibility chain d1 | d2 | ... .
-    """
+    satisfy the divisibility chain d1 | d2 | ... .  A stage whose |pivot| grows
+    past its first pivot p, or that takes over 2 p passes, raises SmithNormalFormError."""
     m = [row[:] for row in mat]
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -84,7 +88,7 @@ def smith_normal_form(mat):
         for r in range(rows):
             uinv[r][i] = -uinv[r][i]
 
-    t = 0
+    t = passes = 0
     while t < min(rows, cols):
         # locate a pivot: smallest nonzero absolute value in the tail block
         pivot = None
@@ -96,11 +100,16 @@ def smith_normal_form(mat):
                     best, pivot = val, (i, j)
         if pivot is None:
             break
+        first = first if passes else best  # the first pivot of stage t
         swap_rows(t, pivot[0])
         swap_cols(t, pivot[1])
 
         dirty = True
         while dirty:
+            # each pass that swaps, and each restart, lowers |pivot|: under 2 p passes
+            passes += 1
+            if passes > 2 * first or abs(m[t][t]) > first:
+                raise SmithNormalFormError(f"stage {t} outran its first pivot {first}")
             dirty = False
             for i in range(t + 1, rows):
                 if m[i][t]:
@@ -130,7 +139,7 @@ def smith_normal_form(mat):
             continue
         if m[t][t] < 0:
             negate_row(t)
-        t += 1
+        t, passes = t + 1, 0
 
     d = [row[:] for row in m]
     return d, u, v, uinv

@@ -14,12 +14,6 @@ import pytest
 
 from depthzero import charformula, driver, tori, uniqueness
 from depthzero.characters import enumerate_characters, enumerate_regular_characters
-from depthzero.charformula import (
-    delta0_eta_exponent,
-    make_context,
-    rho_shift_closed_sign,
-    weyl_denominator_exponent,
-)
 from depthzero.driver import (
     Config,
     ConfigError,
@@ -30,16 +24,6 @@ from depthzero.driver import (
     resolve_config,
 )
 from depthzero.ffield import FieldTower
-from depthzero.tori import (
-    T1Rational,
-    T2Rational,
-    canonical_rep,
-    coinv_mul,
-    coordinate_array,
-    iter_strongly_regular,
-    lift_of_rational,
-    parity_classes,
-)
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -379,51 +363,19 @@ def test_budget_exceeded_yields_skipped_and_exit_3(tmp_path):
     assert "SKIPPED" in md
 
 
-@pytest.mark.parametrize("kind,q,fault", [(1, 3, "sign"), (2, 5, "sign"), (2, 17, "delta0")])
-def test_split_vs_combined_fails_with_the_scalar_witness(monkeypatch, kind, q, fault):
-    """A closed-form sign broken on one parity class, or the split
-    denominator shifted at the last gamma (past the first block of 256):
-    the array check FAILs with the witness of the scalar loop (gamma outer,
-    twist inner) under the same fault, read from its arrays."""
-    sign, sign_array = rho_shift_closed_sign, driver.rho_shift_closed_sign_array
-    delta0, delta0_array = delta0_eta_exponent, driver.delta0_eta_exponent_array
-    last = list(iter_strongly_regular(kind, q))[-1]
-    last_row = coordinate_array(T1Rational if kind == 1 else T2Rational, [last])
-
-    def broken_sign(ctx, c):
-        odd = (c.v1, c.v2) == (1, 0) if kind == 1 else c.v == 1
-        return -sign(ctx, c) if odd else sign(ctx, c)
-
-    def broken_sign_array(ctx, coords):
-        odd = (coords[:, -2:] == (1, 0)).all(axis=1) if kind == 1 else coords[:, -1] == 1
-        return np.where(odd, -1, 1) * sign_array(ctx, coords)
-
-    def broken_delta0(ctx, gamma):
-        return (delta0(ctx, gamma) + 2 * (gamma == last)) % 4
-
-    def broken_delta0_array(ctx, coords):
-        return (delta0_array(ctx, coords) + 2 * (coords == last_row).all(axis=1)) % 4
-
-    if fault == "sign":
-        monkeypatch.setattr(driver, "rho_shift_closed_sign_array", broken_sign_array)
-        sign_fn, delta0_fn = broken_sign, delta0
-    else:
-        monkeypatch.setattr(driver, "delta0_eta_exponent_array", broken_delta0_array)
-        sign_fn, delta0_fn = sign, broken_delta0
-    params = {"kind": kind, "q": q, "branch": 1, "seed": 0}
-    ctx = make_context(kind, q)
-    expected = None
-    for gamma in iter_strongly_regular(kind, q):
-        for tw in parity_classes(kind, q):
-            lift = coinv_mul(lift_of_rational(kind, q, gamma), tw)
-            combined = weyl_denominator_exponent(ctx, canonical_rep(lift))
-            split = (delta0_fn(ctx, gamma) + (2 if sign_fn(ctx, lift) < 0 else 0)) % 4
-            if combined != split and expected is None:
-                expected = {"gamma": str(gamma), "twist": str(tw),
-                            "combined": combined, "split": split}
-    assert expected is not None
-    outcome, witness, _ = driver.check_split_vs_combined(params)
-    assert (outcome, witness) == ("FAIL", expected)
+@pytest.mark.parametrize("budget,row_bytes,count", [
+    (2**19, 64, 20_000), (200, 64, 10), (200, 64, 9), (10, 64, 3), (2**19, 128, 0),
+])
+def test_block_walker_covers_the_grid_within_the_budget(monkeypatch, budget, row_bytes, count):
+    """``_blocks`` cuts range(count) into slices, in order, with no gap or
+    overlap, of budget // row_bytes rows (one where that is 0), the last
+    shorter; it reads ``BLOCK_BYTES`` when it is called."""
+    monkeypatch.setattr(driver, "BLOCK_BYTES", budget)
+    slices = list(driver._blocks(count, row_bytes))
+    step = max(1, budget // row_bytes)
+    assert [i for s in slices for i in range(count)[s]] == list(range(count))
+    assert [s.stop - s.start for s in slices[:-1]] == [step] * (len(slices) - 1)
+    assert len(slices) == -(-count // step)
 
 
 def test_config_error_exit_code(tmp_path, capsys):

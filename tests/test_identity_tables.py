@@ -13,6 +13,8 @@ record (outcome, witness and info) on a grid of configurations, and under
 each deliberate break of the model, applied to both sides, the same FAIL
 and witness.  A break of the Weyl conjugation rebinds ``conjugate_rows``
 (what the checks read) and ``weyl_conjugate`` (what the oracles read).
+The checks that walk a grid in ``driver._blocks`` must also return the
+same record, intact and broken, at two block sizes.
 
 The campaign guard at the end runs whole campaigns with the scalar paths
 and the character objects made to raise.
@@ -37,6 +39,7 @@ from depthzero.characters import (
 )
 from depthzero.charformula import (
     _two_rho_eta_exponent,
+    delta0_eta_exponent,
     denominator_factors,
     make_context,
     orbit_character_sum,
@@ -442,6 +445,21 @@ def _poison_two_rho(monkeypatch, kind, q):
         array(ctx, coords, positive_roots) + (coords == row).all(axis=1)) % 4)
 
 
+def _flip_odd_parity_sign(monkeypatch, kind, q):
+    """The closed-form rho-shift sign flipped on every class of parity
+    (1, 0) resp. 1, in the scalar and array forms alike."""
+    parity = (1, 0) if kind == 1 else (1,)
+    scalar, array = charformula.rho_shift_closed_sign, charformula.rho_shift_closed_sign_array
+
+    def odd(c):
+        return ((c.v1, c.v2) if kind == 1 else (c.v,)) == parity
+
+    _patch(monkeypatch, "rho_shift_closed_sign",
+           lambda ctx, c: -scalar(ctx, c) if odd(c) else scalar(ctx, c))
+    _patch(monkeypatch, "rho_shift_closed_sign_array", lambda ctx, coords: np.where(
+        (coords[:, -len(parity):] == parity).all(axis=1), -1, 1) * array(ctx, coords))
+
+
 def _flip_cover_sign(monkeypatch, kind, q):
     """The cover sign of the largest parity class (a twist) flipped, where
     ``cover_character`` (the oracle) and ``SumTables`` (the checks) read it."""
@@ -510,6 +528,37 @@ def test_break_fails_both_with_the_same_witness(monkeypatch, certificates, label
         assert False in certificates
 
 
+SPLIT_BREAKS = {"sign": _flip_odd_parity_sign, "delta0": _shift_delta0(-1)}
+
+
+def _scalar_split_witness(kind, q):
+    """The first (gamma outer, twist inner) pair whose combined denominator
+    differs from delta0 plus the closed-form sign, read through the scalar
+    forms as the breaks leave them, or None."""
+    ctx = make_context(kind, q)
+    for gamma in iter_strongly_regular(kind, q):
+        for tw in parity_classes(kind, q):
+            lift = coinv_mul(lift_of_rational(kind, q, gamma), tw)
+            combined = weyl_denominator_exponent(ctx, canonical_rep(lift))
+            sign = 2 if rho_shift_closed_sign(ctx, lift) < 0 else 0
+            split = (delta0_eta_exponent(ctx, gamma) + sign) % 4
+            if combined != split:
+                return {"gamma": str(gamma), "twist": str(tw),
+                        "combined": combined, "split": split}
+    return None
+
+
+@pytest.mark.parametrize("kind,q,fault", [(1, 3, "sign"), (2, 5, "sign"), (2, 17, "delta0")])
+def test_split_vs_combined_fails_with_the_scalar_witness(monkeypatch, kind, q, fault):
+    """A closed-form sign broken on one parity class, or the split
+    denominator shifted at the last gamma: the array check FAILs with the
+    witness of the scalar loop under the same fault."""
+    SPLIT_BREAKS[fault](monkeypatch, kind, q)
+    expected = _scalar_split_witness(kind, q)
+    assert expected is not None
+    assert driver.check_split_vs_combined(_params(kind, q)) == ("FAIL", expected, {})
+
+
 def test_zero_sum_break_still_passes(monkeypatch, certificates):
     """At kind 1, q = 5 every pooled character's theta vanishes on the
     first strongly regular element.  A denominator turned by a quarter
@@ -555,6 +604,66 @@ def test_certified_checks_need_no_per_character_loop(monkeypatch):
     got = [driver.REGISTRY[name].check(dict(p)) for name in CERTIFIED_CHECKS for p in grid]
     assert got == want
     assert all(record[0] == "PASS" for record in got)
+
+
+# ---------------------------------------------------------------------------
+# no record depends on the block size
+
+GRID_CHECKS = ("split_vs_combined", "rho_shift_unique", "denominator_representatives",
+               "norm_consistency", "pair_quad_roundtrip")
+# (break label, check, break or None, kind, q, eta branch)
+BLOCK_RUNS = (
+    [("intact", name, None, kind, q, branch) for name in GRID_CHECKS for q in (3, 5)
+     for kind, branch in POINTS]
+    + [(fault, "split_vs_combined", apply, kind, q, 1) for fault, apply in SPLIT_BREAKS.items()
+       for q in (17, 47) for kind in (1, 2)]
+    + [("two-rho", "rho_shift_unique", _poison_two_rho, kind, 5, 1) for kind in (1, 2)]
+    + [("noncanonical", "denominator_representatives", _shift_noncanonical_denominator, kind, 5, 1)
+       for kind in (1, 2)]
+)
+
+
+def _checked_grid(monkeypatch, name, params):
+    """The check's record, and the (rows, bytes per row) of the grid it
+    handed to ``driver._blocks``."""
+    grids, walker = [], driver._blocks
+
+    def spy(count, row_bytes):
+        grids.append((count, row_bytes))
+        return walker(count, row_bytes)
+
+    monkeypatch.setattr(driver, "_blocks", spy)
+    record = driver.REGISTRY[name].check(dict(params))
+    monkeypatch.setattr(driver, "_blocks", walker)
+    (grid,) = grids
+    return record, grid
+
+
+@pytest.mark.parametrize("label,name,apply,kind,q,branch", BLOCK_RUNS,
+                         ids=[f"{r[1]}-{r[0]}-k{r[3]}-q{r[4]}-b{r[5]}" for r in BLOCK_RUNS])
+def test_records_do_not_depend_on_the_block_size(monkeypatch, label, name, apply, kind, q,
+                                                 branch):
+    """A grid check gives the same record, FAIL witness included, at the
+    default ``BLOCK_BYTES`` and at a budget of just under a third of its
+    grid, which splits the grid into four blocks or more."""
+    if apply is not None:
+        apply(monkeypatch, kind, q)
+    params = _params(kind, q, branch)
+    want, (count, row_bytes) = _checked_grid(monkeypatch, name, params)
+    assert want[0] == ("PASS" if apply is None else "FAIL")
+    monkeypatch.setattr(driver, "BLOCK_BYTES", row_bytes * max(1, count // 3) - 1)
+    assert len(list(driver._blocks(count, row_bytes))) >= 4
+    assert driver.REGISTRY[name].check(dict(params)) == want
+
+
+@pytest.mark.parametrize("name", ["split_vs_combined", "rho_shift_unique"])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_tower_grids_fit_one_block(monkeypatch, name, kind):
+    """At the default budget the grids of the benchmark's tower workload,
+    q = 47 the largest, take one block each."""
+    record, grid = _checked_grid(monkeypatch, name, _params(kind, 47))
+    assert record[0] == "PASS"
+    assert len(list(driver._blocks(*grid))) == 1
 
 
 # ---------------------------------------------------------------------------

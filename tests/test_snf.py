@@ -1,3 +1,7 @@
+import os
+import signal
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +10,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_f
 
 from depthzero.snf import (
     ShapeMismatchError,
+    SmithNormalFormError,
     SublatticeError,
     diagonal,
     kernel_basis,
@@ -152,3 +157,49 @@ print(json.dumps(messages))
 """)
     assert got == ["small lattice is not contained in the big lattice",
                    "small lattice escapes big one"]
+
+
+SNF_SOURCE = (Path(__file__).resolve().parent.parent / "src" / "depthzero" / "snf.py").read_text()
+# loop mutants that never finish without the bound: the row quotient turned
+# into a product, which grows the pivot, and the divisibility test flipped,
+# which restarts a stage on the same pivot for ever
+LOOP_MUTANTS = {
+    "quotient-times": ("q = m[i][t] // m[t][t]", "q = m[i][t] * m[t][t]"),
+    "divisible-flipped": ("if m[i][j] % m[t][t] != 0:", "if m[i][j] % m[t][t] == 0:"),
+}
+
+
+def _snf_in_forked_child(source, mat, seconds=10):
+    """``smith_normal_form(mat)`` from ``source`` in a forked child under an
+    alarm: "returned", the name of the exception it raised, or the child's
+    exit status if the alarm stopped it."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns into the test run
+        try:
+            os.close(read_end)
+            signal.alarm(seconds)
+            namespace = {"__name__": "snf_mutant"}
+            try:
+                exec(compile(source, "snf_mutant.py", "exec"), namespace)
+                namespace["smith_normal_form"](mat)
+                outcome = "returned"
+            except Exception as exc:
+                outcome = type(exc).__name__
+            os.write(write_end, outcome.encode())
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    with os.fdopen(read_end) as pipe:
+        outcome = pipe.read()
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return outcome or f"exit {status}"
+
+
+@pytest.mark.parametrize("mutant", LOOP_MUTANTS, ids=LOOP_MUTANTS)
+def test_snf_loop_mutant_raises_instead_of_hanging(mutant):
+    old, new = LOOP_MUTANTS[mutant]
+    assert SNF_SOURCE.count(old) == 1
+    mat = [[4, 6], [6, 4]]
+    assert _snf_in_forked_child(SNF_SOURCE, mat) == "returned"
+    assert _snf_in_forked_child(SNF_SOURCE.replace(old, new), mat) == SmithNormalFormError.__name__

@@ -662,9 +662,11 @@ def lift_slots(kind):
 ])
 def test_pair_arrays_match_scalar_pair_model(kind, q, full, stride):
     blocks = list(driver._pair_blocks(kind, q, full))
-    # fixed-size blocks; only the last may be shorter
-    assert all(len(b) == driver._PAIR_BLOCK_ROWS for b in blocks[:-1])
-    assert 0 < len(blocks[-1]) <= driver._PAIR_BLOCK_ROWS
+    sizes = [len(b) for b in blocks]
+    # the walker's blocks of the checks' 8-column int64 quadruple rows:
+    # 8,192 rows at the default budget, only the last shorter
+    assert sizes == [len(range(sum(sizes))[s]) for s in driver._blocks(sum(sizes), 8 * 8)]
+    assert sizes[0] == min(sum(sizes), 8192)
     rows = np.concatenate(blocks)[::stride]
     pairs = list(islice(driver._pair_samples(kind, q, full), 0, None, stride))
     # the blocks hold the scalar samples, in the same order
