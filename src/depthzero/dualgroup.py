@@ -489,9 +489,10 @@ def sample_torsion_exponents(order, count, seed=0):
 
 
 def lift_independence_check(pin: Pinning, kind: int, count: int = 200, seed: int = 0) -> bool:
-    """(t n)^2 resp. (t m)^4 is independent of the torsion element t."""
+    """(t n)^2 resp. (t m)^4 is independent of the torsion element t, at
+    each distinct one of ``count`` draws."""
     base = twisted_frobenius_power(pin, kind, 0, 0)
-    for a, b in sample_torsion_exponents(pin.order, count, seed=seed):
+    for a, b in dict.fromkeys(sample_torsion_exponents(pin.order, count, seed=seed)):
         if twisted_frobenius_power(pin, kind, a, b) != base:
             return False
     return True

@@ -666,16 +666,39 @@ def galois_matrix(kind: int, q: int) -> np.ndarray:
     the int64 matrix G taking a row x to G x: the Weyl element F of
     ``ELLIPTIC_WORD[kind]`` on the two slots, tensored with Frobenius,
     diag(q, 1), on (dlog, val).  That is kron(F, I_2) with the dlog columns
-    scaled by q; it has one nonzero entry per row."""
+    scaled by q; it has one nonzero entry per row.  Read-only, cached per
+    (F, q), so a rebound word gets its own matrix."""
     _check_kind(kind)
-    frobenius = word_matrix(kind, ELLIPTIC_WORD[kind])
-    return np.kron(np.array(frobenius, dtype=np.int64), [[q, 0], [0, 1]])
+    return _galois_matrix(word_matrix(kind, ELLIPTIC_WORD[kind]), q)
+
+
+@lru_cache(maxsize=None)
+def _galois_matrix(frobenius, q: int) -> np.ndarray:
+    out = np.kron(np.array(frobenius, dtype=np.int64), [[q, 0], [0, 1]])
+    out.flags.writeable = False
+    return out
+
+
+def _column_sums(rows: np.ndarray, matrix) -> np.ndarray:
+    """``rows @ matrix.T`` one output column at a time, for a ``matrix`` of
+    Python ints: column i is the sum of the columns j of ``rows`` times
+    matrix[i][j] over the nonzero entries of row i.  The result is the
+    transpose of a C-ordered array, so each of its columns is contiguous
+    (numpy's int64 matmul is a plain loop, slow on strided rows)."""
+    out = np.empty((len(matrix), len(rows)), dtype=np.int64)
+    for column, coefficients in zip(out, matrix):
+        (j, c), *rest = [(j, c) for j, c in enumerate(coefficients) if c] or [(0, 0)]
+        np.multiply(rows[:, j], c, out=column)
+        for j, c in rest:
+            column += c * rows[:, j]
+    return out.T
 
 
 def pair_galois_array(kind: int, q: int, rows: np.ndarray) -> np.ndarray:
-    """``pair_galois`` on every row of pair-model coordinates."""
+    """``pair_galois`` on every row of pair-model coordinates: the
+    ``_column_sums`` of ``galois_matrix``, the dlogs reduced mod q^L - 1."""
     order = _pair_order(kind, q)
-    out = rows @ galois_matrix(kind, q).T
+    out = _column_sums(rows, galois_matrix(kind, q).tolist())
     out[:, 0::2] %= order
     return out
 
@@ -759,8 +782,13 @@ def project_to_coinvariants_array(kind: int, q: int, rows: np.ndarray) -> np.nda
     dlogs mod n and on the valuations mod 2 (torus 2: w * tau(z)^(-1))."""
     _pair_order(kind, q)
     n, _embed, project = torus_quotient(kind, q)
-    p = np.array(project, dtype=np.int64).T
-    return np.concatenate([rows[:, 0::2] @ p % n, rows[:, 1::2] @ p % 2], axis=1)
+    rank = len(project)
+    # P on the dlog columns (0, 2), then on the valuation columns (1, 3)
+    out = _column_sums(rows, [[a, 0, b, 0] for a, b in project]
+                       + [[0, a, 0, b] for a, b in project])
+    out[:, :rank] %= n
+    out[:, rank:] %= 2
+    return out
 
 
 def coinvariant_norm_array(kind: int, q: int, coords: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "records_q23.sha256"
 
 def records_digest(qs=QS) -> tuple[int, str]:
     """How many records ``all`` writes at ``qs``, and their digest."""
-    records, _durations = run_campaign(build_tasks("all", Config(qs=list(qs))), 1)
+    records, _durations, _cpus = run_campaign(build_tasks("all", Config(qs=list(qs))), 1)
     return len(records), hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
 
 

@@ -405,7 +405,7 @@ def test_parallel_jobs_match_serial(tmp_path, monkeypatch):
         assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
     # fewer tasks than processes: one share per task, so a single child
     tasks = build_tasks("cohomology", Config())[:2]
-    serial, serial_durations = driver.run_campaign(tasks, jobs=1)
+    serial, serial_durations, _ = driver.run_campaign(tasks, jobs=1)
     forks = []
     real_fork = os.fork
 
@@ -414,7 +414,7 @@ def test_parallel_jobs_match_serial(tmp_path, monkeypatch):
         return real_fork()
 
     monkeypatch.setattr(os, "fork", counted_fork)
-    par, par_durations = driver.run_campaign(tasks, jobs=3)
+    par, par_durations, _ = driver.run_campaign(tasks, jobs=3)
     assert forks == [os.getpid()]
     assert par == serial
     assert par_durations.keys() == serial_durations.keys() == {t["id"] for t in tasks}
@@ -507,6 +507,79 @@ def test_interrupt_in_this_process_share_kills_the_children(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         driver.run_campaign(tasks, jobs=2)
     assert time.monotonic() - start < 10
+    _assert_no_child_left()
+
+
+def _allowed_cpus():
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("the OS does not report CPU affinity")
+    return sorted(os.sched_getaffinity(0))
+
+
+def _cohomology_q3(out, jobs, cpus=None):
+    """``python -m depthzero cohomology --q 3`` in a fresh interpreter,
+    under the affinity mask ``cpus`` if given; returns its run_meta.json."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "depthzero", "cohomology", "--q", "3", "--jobs", str(jobs),
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=None if cpus is None else partial(os.sched_setaffinity, 0, cpus))
+    assert done.returncode == 0, done.stderr
+    return json.loads((out / "run_meta.json").read_text())
+
+
+def test_shares_run_on_distinct_cpus(tmp_path):
+    allowed = _allowed_cpus()
+    if len(allowed) < 2:
+        pytest.skip("one CPU allowed")
+    meta = _cohomology_q3(tmp_path, jobs=2)
+    assert meta["share_cpus"] == [[allowed[0]], [allowed[1]]]
+
+
+def test_shares_wrap_onto_one_allowed_cpu(tmp_path):
+    cpu = _allowed_cpus()[-1]
+    meta = _cohomology_q3(tmp_path / "one", jobs=2, cpus={cpu})
+    assert meta["share_cpus"] == [[cpu], [cpu]]
+    assert main(["cohomology", "--q", "3", "--jobs", "1", "--out", str(tmp_path / "serial")]) == 0
+    for name in ("report.json", "report.md"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+@pytest.mark.parametrize("missing", [False, True])
+def test_refused_affinity_leaves_the_shares_unpinned(tmp_path, monkeypatch, missing):
+    """os.sched_setaffinity raises OSError, or the OS has none."""
+    allowed = _allowed_cpus()
+
+    def refuse(pid, cpus):
+        raise OSError("affinity refused")
+
+    if missing:
+        monkeypatch.delattr(os, "sched_setaffinity")
+    else:
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    assert main(["cohomology", "--q", "3", "--jobs", "2", "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "run_meta.json").read_text())
+    assert meta["share_cpus"] == [allowed, allowed]
+    records = json.loads((tmp_path / "report.json").read_text())["checks"]
+    assert {r["outcome"] for r in records} == {"PASS"}
+
+
+def test_campaign_gives_the_caller_its_affinity_back(monkeypatch):
+    before = _allowed_cpus()
+    tasks = build_tasks("cohomology", Config())[:4]
+    _records, _durations, share_cpus = driver.run_campaign(tasks, jobs=3)
+    assert sorted(os.sched_getaffinity(0)) == before
+    assert share_cpus == [[before[k % len(before)]] for k in range(3)]
+    # and on the way out of an interrupted share
+    def interrupted(params):
+        raise KeyboardInterrupt
+
+    tasks = [_registered_task(monkeypatch, name, check) for name, check in
+             (("interrupted", interrupted), ("passes", lambda params: driver._ok()))]
+    with pytest.raises(KeyboardInterrupt):
+        driver.run_campaign(tasks, jobs=2)
+    assert sorted(os.sched_getaffinity(0)) == before
     _assert_no_child_left()
 
 

@@ -761,6 +761,21 @@ def test_pair_arrays_refuse_int64_overflow():
     assert pair_norm_array(2, 6007, pairs).shape == (1, 1)
 
 
+def test_column_sums_are_the_matmul():
+    """Any integer matrix, zero rows and several nonzeros per row included,
+    on row-major and column-major rows alike."""
+    rng = random.Random(0)
+    rows = np.array([[rng.randrange(-50, 50) for _ in range(4)] for _ in range(37)])
+    for _ in range(20):
+        matrix = np.array([[rng.randrange(-2, 3) for _ in range(4)]
+                           for _ in range(rng.randrange(1, 5))])
+        matrix[rng.randrange(len(matrix))] = 0
+        for layout in (rows, np.asfortranarray(rows)):
+            out = tori._column_sums(layout, matrix.tolist())
+            np.testing.assert_array_equal(out, rows @ matrix.T)
+            assert out[:, 0].flags.c_contiguous
+
+
 # ---------------------------------------------------------------------------
 # negative controls for the pair/quadruple round trip
 
