@@ -44,8 +44,10 @@ def smith_normal_form(mat):
     """Return (D, U, V, Uinv) with U . mat . V = D diagonal.
 
     U, V are unimodular; the diagonal entries of D are non-negative and
-    satisfy the divisibility chain d1 | d2 | ... .  A stage whose |pivot| grows
-    past its first pivot p, or that takes over 2 p passes, raises SmithNormalFormError."""
+    satisfy the divisibility chain d1 | d2 | ... .  A stage clears its pivot's
+    column before its row, so entries do not compound; one whose |pivot| grows
+    past its first pivot p, or that takes over 4 (b + 1) passes, b the bit
+    length of p, raises SmithNormalFormError."""
     m = [row[:] for row in mat]
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -106,9 +108,9 @@ def smith_normal_form(mat):
 
         dirty = True
         while dirty:
-            # each pass that swaps, and each restart, lowers |pivot|: under 2 p passes
+            # as in Euclid, any three swapping passes halve |pivot|; restarts end on divisors
             passes += 1
-            if passes > 2 * first or abs(m[t][t]) > first:
+            if passes > 4 * (first.bit_length() + 1) or abs(m[t][t]) > first:
                 raise SmithNormalFormError(f"stage {t} outran its first pivot {first}")
             dirty = False
             for i in range(t + 1, rows):
@@ -118,6 +120,8 @@ def smith_normal_form(mat):
                     if m[i][t]:
                         swap_rows(t, i)
                         dirty = True
+            if dirty:
+                continue
             for j in range(t + 1, cols):
                 if m[t][j]:
                     q = m[t][j] // m[t][t]
@@ -151,15 +155,9 @@ def diagonal(d: list[list[int]]) -> list[int]:
 
 def kernel_basis(mat) -> list[list[int]]:
     """Integer basis of {x : mat . x = 0} as a list of column vectors."""
-    cols = len(mat[0])
     d, _u, v, _uinv = smith_normal_form(mat)
     diag = diagonal(d)
-    basis = []
-    for j in range(cols):
-        dj = diag[j] if j < len(diag) else 0
-        if dj == 0:
-            basis.append([v[i][j] for i in range(cols)])
-    return basis
+    return [[row[j] for row in v] for j in range(len(v)) if j >= len(diag) or diag[j] == 0]
 
 
 def solve_exact(mat, b: list[int]):
@@ -195,13 +193,7 @@ def lattice_basis(gens: list[list[int]]) -> list[list[int]]:
         return []
     mat = _columns_to_matrix(gens)
     d, _u, _v, uinv = smith_normal_form(mat)
-    diag = diagonal(d)
-    dim = len(gens[0])
-    basis = []
-    for i, di in enumerate(diag):
-        if di != 0:
-            basis.append([di * uinv[r][i] for r in range(dim)])
-    return basis
+    return [[di * row[i] for row in uinv] for i, di in enumerate(diagonal(d)) if di]
 
 
 def quotient_structure(big_gens: list[list[int]], small_gens: list[list[int]]):

@@ -36,8 +36,8 @@ class NonRationalWeylError(ValueError):
 
 class WeylGroupError(ValueError):
     """The positive roots give no rank-two root datum, the reflections no
-    group of order 8, or the elliptic word no elliptic element of its
-    level; or a Weyl element does not compose or invert."""
+    group of order 8, or the elliptic word no elliptic element of its level,
+    in whatever basis; or a Weyl element does not compose or invert."""
 
 
 class KindMismatchError(TypeError):
@@ -548,25 +548,43 @@ def _quotient(level: int, frobenius, q: int):
     """The rational points T(F_q) = Z^2 / (q F - 1) Z^2 (Carter, Finite Groups
     of Lie Type, 3.3) of the torus whose Frobenius acts by F, as (n, E, P):
     the group (Z/n)^rank, its embedding E (2 x rank) in pair coordinates and
-    the projection P (rank x 2) onto it, each with an identity leading block.
-    F must be elliptic of the pair model's order L: F^(L/2) = -1.  Then either
-    F = -1 and q F - 1 is g = q + 1 times a unimodular matrix: rank 2, n = g,
-    E = P = I; or q F - 1 has coprime entries: rank 1, n = |det(q F - 1)|, and
-    E and P are the first column and row of adj(q F - 1) scaled to lead with
-    1, in the symmetric range mod n.  Raises WeylGroupError if F is not so."""
+    the projection P (rank x 2) onto it, from the Smith form U (q F - 1) V.
+    F must be elliptic of the pair model's order L, F^(L/2) = -1, so the
+    invariant factors other than 1 all equal n (F = -1: q F - 1 is scalar
+    and U, V diagonal; else one, |det(q F - 1)|).  E is the columns of V and
+    P the rows of U at them, each its ``_least_unit_multiple``: I at rank 2,
+    leading with 1 wherever a multiple can.  Raises WeylGroupError otherwise."""
     if reduce(_mat_mul2, [frobenius] * (level // 2)) != ((-1, 0), (0, -1)):
         raise WeylGroupError(f"F = {frobenius} has F^{level // 2} != -1: it is no "
                              f"elliptic element of order {level}")
     (a, b), (c, d) = frobenius
-    a, b, c, d = q * a - 1, q * b, q * c, q * d - 1
-    n, g = abs(a * d - b * c), math.gcd(a, b, c, d)
-    if g > 1:
-        return g, ((1, 0), (0, 1)), ((1, 0), (0, 1))
-    if math.gcd(d, n) != 1:
-        raise WeylGroupError(f"F = {frobenius} at q = {q}: adj(q F - 1) cannot be "
-                             "scaled to lead with 1")
-    e, p = ((x * pow(d, -1, n) + n // 2) % n - n // 2 for x in (-c, -b))
-    return n, ((1,), (e,)), ((1, p),)
+    diag, u, v, _uinv = snf.smith_normal_form([[q * a - 1, q * b], [q * c, q * d - 1]])
+    factors, n = [i for i, x in enumerate(snf.diagonal(diag)) if x != 1], diag[1][1]
+    embed = _least_unit_multiple([v[r][i] for i in factors for r in (0, 1)], n)
+    project = _least_unit_multiple([u[i][r] for i in factors for r in (0, 1)], n)
+    return n, tuple(zip(*zip(*[iter(embed)] * 2))), tuple(zip(*[iter(project)] * 2))
+
+
+def _least_unit_multiple(x, n: int) -> tuple:
+    """The least u x over units u mod n (entries compared in order in [0, n)),
+    in the symmetric range: it depends only on the subgroup that x generates.
+    x has order n and x_1 is a unit mod g = gcd(x_0, n).  The least first
+    entry, g, fixes u mod m = n / g; u is then a unit iff y = u x_1, one class
+    mod m, is prime to g, so the least such y fixes u with no scan over units."""
+    g = math.gcd(x[0], n)
+    m = n // g
+    u = pow(x[0] // g, -1, m)
+    y = next(y for y in range(u * x[1] % m, n, m) if math.gcd(y, g) == 1)
+    u += m * ((y - u * x[1]) // m * pow(x[1], -1, g) % g)
+    return tuple((u * e + n // 2) % n - n // 2 for e in x)
+
+
+@lru_cache(maxsize=None)
+def _left_inverse(basis, n: int):
+    """S with S B = I mod n, for a 2 x r basis B of a free (Z/n)^r: V D^-1 U
+    for its Smith form U B V = D, whose d_i are units mod n, U cut to r rows."""
+    d, u, v, _uinv = snf.smith_normal_form([list(row) for row in basis])
+    return snf.mat_mul(v, [[x * pow(d[i][i], -1, n) for x in u[i]] for i in range(len(v))])
 
 
 def weyl_apply(q: int, w: WeylElem, x):
@@ -630,18 +648,20 @@ def weyl_matrix(q: int, w: WeylElem, coinvariant: bool) -> tuple[np.ndarray, np.
     """The integer matrix M and column moduli of ``weyl_apply(q, w, .)`` on
     rational, or if ``coinvariant`` coinvariant, rows: x goes to x @ M.T %
     moduli; read-only int64, cached.  With (n, E, P) the ``torus_quotient``,
-    M is W E on rational rows (torus 2: a + q b), and on both blocks of a
-    coinvariant row the L with P W = L P (torus 2: a - q c, a - c mod 2)."""
+    M is S W E, S E = I mod n, on rational rows (torus 2: a + q b), and on both
+    blocks of a coinvariant row the L with P W = L P, L^T = S W^T P^T for S P^T
+    = I (torus 2: a - q c, a - c mod 2); entries in the symmetric range mod n."""
     if not is_rational(w):
         raise NonRationalWeylError(f"{w.name!r} does not act on the rational points")
     n, embed, project = torus_quotient(w.kind, q)
     rank = len(project)
-    if coinvariant:  # L: the leading columns of P W
-        unit = [[x * u + y * v for u, v in zip(*w.mat)][:rank] for x, y in project]
-        mat = [r + [0] * rank for r in unit] + [[0] * rank + r for r in unit]
-        moduli = [n] * rank + [2] * rank
-    else:  # the leading rows of W E, which E's identity block determines
-        mat, moduli = [[r * x + s * y for x, y in zip(*embed)] for r, s in w.mat][:rank], [n] * rank
+    basis = tuple(zip(*project)) if coinvariant else embed
+    solved = snf.mat_mul(_left_inverse(basis, n),
+                         snf.mat_mul(tuple(zip(*w.mat)) if coinvariant else w.mat, basis))
+    unit = [[(x + n // 2) % n - n // 2 for x in row]
+            for row in (zip(*solved) if coinvariant else solved)]
+    mat = [r + [0] * rank for r in unit] + [[0] * rank + r for r in unit] if coinvariant else unit
+    moduli = [n] * rank + [2] * rank * coinvariant
     out = np.array(mat, dtype=np.int64), np.array(moduli, dtype=np.int64)
     for array in out:
         array.flags.writeable = False

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .tori import (
     rational_order,
     rational_weyl_group,
     strongly_regular_coordinates,
-    unit_class_order,
+    torus_quotient,
     weyl_identity,
 )
 
@@ -58,33 +58,19 @@ def excluded_count(kind: int, q: int) -> int:
     return int(np.count_nonzero(bad))
 
 
-def _kernel_solution_count(rows: list[tuple[int, int]], modulus: int, kind: int, q: int) -> int:
-    """Solutions of the given root equations on the rational torus, via the
-    Smith normal form of the coefficient matrix (inclusion-exclusion oracle)."""
-    if kind == 1:
-        mat = [[r[0], r[1]] for r in rows]
-        dims = 2
-    else:
-        mat = [[(r[0] + q * r[1]) % modulus] for r in rows]
-        dims = 1
-    d, _u, _v, _ui = snf.smith_normal_form(mat)
-    diag = snf.diagonal(d)
-    count = 1
-    for i in range(dims):
-        di = diag[i] if i < len(diag) else 0
-        count *= gcd(di, modulus) if di != 0 else modulus
-    return count
-
-
 def excluded_count_inclusion_exclusion(kind: int, q: int) -> int:
-    """|Y| computed independently by inclusion-exclusion over root kernels."""
-    n = unit_class_order(kind, q)
-    roots = default_positive_roots(kind)
+    """|Y| computed independently by inclusion-exclusion over root kernels:
+    the k in (Z/n)^rank with r E k = 0 mod n at every root r of a subset,
+    (n, E) the ``torus_quotient``, number the product of gcd(d, n) over the
+    Smith form's diagonal of the r E, a missing d being 0."""
+    n, embed, _project = torus_quotient(kind, q)
+    roots, rank = default_positive_roots(kind), len(embed[0])
     total = 0
     for r in range(1, len(roots) + 1):
         for subset in combinations(roots, r):
-            cnt = _kernel_solution_count(list(subset), n, kind, q)
-            total += (-1) ** (r + 1) * cnt
+            diag = snf.diagonal(snf.smith_normal_form(
+                [[a * x + b * y for x, y in zip(*embed)] for a, b in subset])[0])
+            total += (-1) ** (r + 1) * prod(gcd(d, n) for d in diag + [0] * (rank - len(diag)))
     return total
 
 

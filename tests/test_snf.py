@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
+from depthzero import characters, snf, tori
 from depthzero.snf import (
     ShapeMismatchError,
     SmithNormalFormError,
@@ -20,25 +21,33 @@ from depthzero.snf import (
     smith_normal_form,
     solve_exact,
 )
+from depthzero.uniqueness import odd_prime_powers
 
 
 def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-matrices = st.integers(1, 4).flatmap(
-    lambda r: st.integers(1, 4).flatmap(
-        lambda c: st.lists(
-            st.lists(st.integers(-20, 20), min_size=c, max_size=c),
-            min_size=r,
-            max_size=r,
+def _matrices(max_rows, max_cols, bound):
+    return st.integers(1, max_rows).flatmap(
+        lambda r: st.integers(1, max_cols).flatmap(
+            lambda c: st.lists(
+                st.lists(st.integers(-bound, bound), min_size=c, max_size=c),
+                min_size=r,
+                max_size=r,
+            )
         )
     )
-)
+
+
+matrices = _matrices(4, 4, 20)
+# the shape of tori.tate_cohomology's kernels, at entries near those that a
+# sheared root datum once reached
+wide_matrices = st.one_of(matrices, _matrices(4, 6, 10**30))
 
 
 @settings(max_examples=80, deadline=None)
-@given(m=matrices)
+@given(m=wide_matrices)
 def test_snf_invariant_factors_match_sympy(m):
     theirs = sympy_smith_normal_form(Matrix(m), domain=ZZ)
     ours = diagonal(smith_normal_form(m)[0])
@@ -46,7 +55,7 @@ def test_snf_invariant_factors_match_sympy(m):
 
 
 @settings(max_examples=120, deadline=None)
-@given(m=matrices)
+@given(m=wide_matrices)
 def test_snf_transformation_identities(m):
     rows, cols = len(m), len(m[0])
     d, u, v, uinv = smith_normal_form(m)
@@ -203,3 +212,33 @@ def test_snf_loop_mutant_raises_instead_of_hanging(mutant):
     mat = [[4, 6], [6, 4]]
     assert _snf_in_forked_child(SNF_SOURCE, mat) == "returned"
     assert _snf_in_forked_child(SNF_SOURCE.replace(old, new), mat) == SmithNormalFormError.__name__
+
+
+def _entries(out):
+    """Every integer in a nest of lists and tuples."""
+    return [out] if isinstance(out, int) else [x for part in out for x in _entries(part)]
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_snf_entries_stay_under_the_square_of_the_dlog_order(monkeypatch, kind):
+    """On the campaign's inputs, ``tate_cohomology`` and
+    ``enumerate_inertia_data`` at every odd prime power q <= 23, no entry
+    that ``snf`` returns reaches D^2, D = q^L - 1 the dlog order.  Before a
+    stage cleared its column before its row, a sheared root datum carried
+    entries near 10^28 at D = 6,560."""
+    largest = [0]
+
+    def traced(fn):
+        def wrapper(*args):
+            out = fn(*args)
+            largest[0] = max([largest[0]] + [abs(x) for x in _entries(out)])
+            return out
+        return wrapper
+
+    for name in ("smith_normal_form", "kernel_basis", "lattice_basis", "quotient_structure"):
+        monkeypatch.setattr(snf, name, traced(getattr(snf, name)))
+    for q in odd_prime_powers(23):
+        largest[0] = 0
+        tori.tate_cohomology.__wrapped__(kind, q)
+        characters.enumerate_inertia_data(kind, q)
+        assert 0 < largest[0] < (q ** tori.torus_level(kind) - 1) ** 2, q
